@@ -76,6 +76,15 @@ def _fraction(text: str, path: str, line: int) -> Fraction:
         raise DocumentError(f"bad rational {text!r}", path, line) from None
 
 
+def _number(kind, key: str, text: str, path: str, line: int):
+    try:
+        return kind(text)
+    except ValueError:
+        raise DocumentError(
+            f"bad {kind.__name__} {text!r} for {key}", path, line
+        ) from None
+
+
 class _Lines:
     def __init__(self, text: str, path: str):
         self.rows = []
@@ -208,9 +217,9 @@ def _parse_config(doc: Document, rows):
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
         if key in ("seed", "eps_steps", "samples"):
-            doc.config[key] = int(value)
+            doc.config[key] = _number(int, key, value, doc.path, line_no)
         elif key in ("tol",):
-            doc.config[key] = float(value)
+            doc.config[key] = _number(float, key, value, doc.path, line_no)
         elif key in ("margin", "grid_step"):
             doc.config[key] = _fraction(value, doc.path, line_no)
         elif key == "lambda_grid":

@@ -6,6 +6,10 @@ exponents.  A base factor is a coordinate, a named positive parameter, an
 ln/exp atom, or an opaque power of a multi-term expression.  All arithmetic
 is exact (fractions.Fraction); nothing is ever evaluated in floating point
 except on explicit request.
+
+Each operation (sum, product, derivative, substitution) collects all the
+terms of its result first and then merges and sorts them once, so a
+product of an m-term and an n-term sum costs one sort of m*n terms.
 """
 
 from __future__ import annotations
@@ -142,10 +146,14 @@ def _base_key(base: _Base, chart: Chart):
             return (0, chart.index(base))
         return (1, base)
     if isinstance(base, _Ln):
-        return (2, 0, _expr_key(base.arg))
+        return (2, 0, base.arg.key())
     if isinstance(base, _Exp):
-        return (2, 1, _expr_key(base.arg))
-    return (3, _expr_key(base.base))
+        return (2, 1, base.arg.key())
+    return (3, base.base.key())
+
+
+# Ends every term's sort key; it sorts after any factor entry (0, ...).
+_TERM_END = ((1,),)
 
 
 def _expr_key(e: "Expr"):
@@ -159,11 +167,6 @@ def _expr_key(e: "Expr"):
         )
         for t in e.terms
     )
-
-
-def _term_sort_key(t: _Term, chart: Chart):
-    entries = tuple((0, _base_key(b, chart), -x) for b, x in t.factors)
-    return entries + ((1,),)
 
 
 def _nth_root(n: int, k: int) -> Optional[int]:
@@ -266,23 +269,20 @@ class Expr:
 
     @staticmethod
     def _build(chart: Chart, terms: Iterable[_Term]) -> "Expr":
+        """Merge like terms and sort them into canonical order.
+
+        The merge key doubles as the sort key: factors by base, higher
+        exponent first, and a term after any term whose factors extend it.
+        """
         merged: dict = {}
         for t in terms:
             if t.coeff == 0:
                 continue
-            k = tuple((_base_key(b, chart), x) for b, x in t.factors)
-            if k in merged:
-                old = merged[k]
-                merged[k] = _Term(old.coeff + t.coeff, old.factors)
-            else:
-                merged[k] = t
-        final = tuple(
-            sorted(
-                (t for t in merged.values() if t.coeff != 0),
-                key=lambda t: _term_sort_key(t, chart),
-            )
-        )
-        return Expr(chart, final)
+            k = tuple((0, _base_key(b, chart), -x) for b, x in t.factors) + _TERM_END
+            old = merged.get(k)
+            merged[k] = t if old is None else _Term(old.coeff + t.coeff, old.factors)
+        live = sorted(k for k, t in merged.items() if t.coeff)
+        return Expr(chart, tuple(merged[k] for k in live))
 
     @staticmethod
     def _monomial(chart: Chart, coeff: Fraction, pairs) -> "Expr":
@@ -347,13 +347,17 @@ class Expr:
     def __mul__(self, other):
         other = self._lift(other)
         chart = self.chart
-        out = chart.zero()
-        for t1 in self.terms:
-            for t2 in other.terms:
-                out = out + Expr._monomial(
+        return Expr._build(
+            chart,
+            [
+                t
+                for t1 in self.terms
+                for t2 in other.terms
+                for t in Expr._monomial(
                     chart, t1.coeff * t2.coeff, t1.factors + t2.factors
-                )
-        return out
+                ).terms
+            ],
+        )
 
     __rmul__ = __mul__
 
@@ -402,7 +406,7 @@ class Expr:
         if name not in self.chart.coords:
             raise ExprError(f"{name!r} is not a coordinate of this chart")
         chart = self.chart
-        out = chart.zero()
+        pieces = []
         for t in self.terms:
             for i, (b, x) in enumerate(t.factors):
                 db = self._base_diff(b, name)
@@ -414,8 +418,8 @@ class Expr:
                     [p for j, p in enumerate(t.factors) if j != i]
                     + [(b, x - 1)],
                 )
-                out = out + rest * db
-        return out
+                pieces.extend((rest * db).terms)
+        return Expr._build(chart, pieces)
 
     def _base_diff(self, b: _Base, name: str) -> "Expr":
         chart = self.chart
@@ -438,13 +442,13 @@ class Expr:
         pass through by name).
         """
         out_chart = chart if chart is not None else self.chart
-        result = out_chart.zero()
+        pieces = []
         for t in self.terms:
             val = out_chart.const(t.coeff)
             for b, x in t.factors:
                 val = val * self._base_subs(b, mapping, out_chart) ** x
-            result = result + val
-        return result
+            pieces.extend(val.terms)
+        return Expr._build(out_chart, pieces)
 
     def _base_subs(self, b: _Base, mapping, out_chart: Chart) -> "Expr":
         if isinstance(b, str):

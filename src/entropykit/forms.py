@@ -269,14 +269,10 @@ def pullback(f: SmoothMap, a: Form) -> Form:
     mapping = dict(f.components)
     if a.degree == 0:
         return Form.from_expr(a.coefficient(()).subs(mapping, src))
+    # Form drops zero coefficients, so each partial is computed once.
     differentials = {
         name: Form.one_form(
-            src,
-            {
-                x: f.components[name].diff(x)
-                for x in src.coords
-                if not f.components[name].diff(x).is_zero_expr()
-            },
+            src, {x: f.components[name].diff(x) for x in src.coords}
         )
         for name in f.target.coords
     }

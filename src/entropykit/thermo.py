@@ -15,8 +15,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from scipy import integrate as _scipy_integrate
-
 from .expr import (
     Chart,
     DomainError,
@@ -202,7 +200,7 @@ class LegendreSpec:
 def _antiderivative(e: Expr, x: str) -> Expr:
     """Term-wise antiderivative in x; each term must be a monomial in x."""
     chart = e.chart
-    out = chart.zero()
+    pieces = []
     xvar = chart.var(x)
     for term in e.terms:
         power = Fraction(0)
@@ -218,10 +216,10 @@ def _antiderivative(e: Expr, x: str) -> Expr:
                 )
             rest = rest * piece
         if power == -1:
-            out = out + rest * ln(xvar)
+            pieces.extend((rest * ln(xvar)).terms)
         else:
-            out = out + rest * xvar ** (power + 1) / (power + 1)
-    return out
+            pieces.extend((rest * xvar ** (power + 1) / (power + 1)).terms)
+    return Expr._build(chart, pieces)
 
 
 def _reconstruct_energy(tc: ThermoChart, eqs: Mapping[str, Expr]) -> Expr:
@@ -572,6 +570,10 @@ def _segment_full_maps(tc: ThermoChart, spec: LegendreSpec, path: ProcessPath):
 
 
 def _integrate_segment(coeff: Expr, params, cfg: QuadratureConfig):
+    # Imported here so that commands which never integrate do not pay for
+    # scipy; quad is looked up on the module at call time.
+    from scipy import integrate
+
     env = dict(params)
 
     def f(tval: float) -> float:
@@ -579,12 +581,12 @@ def _integrate_segment(coeff: Expr, params, cfg: QuadratureConfig):
         return float(coeff.evaluate(env))
 
     with warnings.catch_warnings():
-        warnings.simplefilter("error", _scipy_integrate.IntegrationWarning)
+        warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            value, err = _scipy_integrate.quad(
+            value, err = integrate.quad(
                 f, 0.0, 1.0, epsabs=cfg.abs_tol, limit=cfg.max_subdivisions
             )
-        except _scipy_integrate.IntegrationWarning as w:
+        except integrate.IntegrationWarning as w:
             raise QuadratureError(f"quadrature did not converge: {w}") from None
         except DomainError as w:
             # deep subdivision near a singularity drives nodes out of the domain

@@ -95,6 +95,18 @@ def test_exit_two_on_parse_error():
     assert "parse_error.doc:2" in text
 
 
+@pytest.mark.parametrize("bad", ["eps_steps = six", "tol = tiny"])
+def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
+    doc = tmp_path / "bad_config.doc"
+    text = (CORPUS / "oracle_space.doc").read_text()
+    doc.write_text(text.replace("eps_steps = 6", bad))
+    line_no = text.splitlines().index("eps_steps = 6") + 1
+    code, out = run_cli("axioms", str(doc))
+    assert code == 2
+    assert f"{doc}:{line_no}:" in out
+    assert "Traceback" not in out
+
+
 def test_exit_two_on_missing_file_and_bad_usage():
     code, _ = run_cli("maxwell", str(CORPUS / "no_such.doc"))
     assert code == 2

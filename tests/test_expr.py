@@ -1,12 +1,19 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entropykit
 from entropykit.expr import (
     Chart,
     DomainError,
+    Expr,
     ExprError,
     ParseError,
     UnknownSymbolError,
@@ -16,6 +23,7 @@ from entropykit.expr import (
     ln,
     parse,
 )
+from entropykit.expr import _base_key  # the canonical order is checked directly
 
 XY = Chart(("x", "y"))
 GIBBS = Chart(("U", "S", "V", "T", "p"))
@@ -291,3 +299,122 @@ def test_canonical_equality_is_stable_under_reassociation(seed):
     assert left == right
     assert hash(left) == hash(right)
     assert (parts[0] * parts[1]) * parts[2] == parts[0] * (parts[1] * parts[2])
+
+
+# -- single-pass canonicalization --------------------------------------------------
+#
+# The references below fold their sums one piece at a time with +, so every
+# partial sum is re-canonicalized; the operations under test collect all
+# pieces and canonicalize once.  Exact Fraction sums do not depend on order,
+# so both must give the same terms in the same order.
+
+
+def folded_product(p, q):
+    out = p.chart.zero()
+    for t1 in p.terms:
+        for t2 in q.terms:
+            out = out + Expr(p.chart, (t1,)) * Expr(q.chart, (t2,))
+    return out
+
+
+def folded_diff(p, name):
+    out = p.chart.zero()
+    for t in p.terms:
+        for i, (b, x) in enumerate(t.factors):
+            rest = Expr._monomial(
+                p.chart,
+                t.coeff * x,
+                [f for j, f in enumerate(t.factors) if j != i] + [(b, x - 1)],
+            )
+            out = out + folded_product(rest, p._base_diff(b, name))
+    return out
+
+
+def folded_subs(p, mapping):
+    out = p.chart.zero()
+    for t in p.terms:
+        val = p.chart.const(t.coeff)
+        for b, x in t.factors:
+            val = folded_product(val, p._base_subs(b, mapping, p.chart) ** x)
+        out = out + val
+    return out
+
+
+ATOMS = ["x", "y", "x + y", "ln(x + 1)", "ln(2*y)", "exp(y)", "exp(x*y)"]
+EXPONENTS = [F(1), F(2), F(3), F(-1), F(1, 2), F(-2, 3), F(3, 2)]
+SUBSTITUTES = ["y^2 + 1/2", "exp(x)", "x*y", "(x + 1)^(1/2)", "3"]
+
+
+@st.composite
+def small_sums(draw):
+    e = XY.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        t = XY.const(draw(st.fractions(-5, 5, max_denominator=6)))
+        for _ in range(draw(st.integers(0, 3))):
+            atom = parse(draw(st.sampled_from(ATOMS)), XY)
+            t = t * atom ** draw(st.sampled_from(EXPONENTS))
+        e = e + t
+    return e
+
+
+def term_order_key(t, chart):
+    """The canonical term order: factors by base, higher exponent first, and
+    a term after every term whose factors extend it."""
+    return [(0, _base_key(b, chart), -x) for b, x in t.factors] + [(1,)]
+
+
+def assert_same_canonical_form(got, want):
+    keys = [term_order_key(t, got.chart) for t in got.terms]
+    assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
+    assert all(t.coeff for t in got.terms)
+    assert got.terms == want.terms
+    assert str(got) == str(want)
+
+
+@given(small_sums(), small_sums(), st.sampled_from(XY.coords),
+       st.sampled_from(SUBSTITUTES))
+@settings(max_examples=80, deadline=None)
+def test_single_pass_matches_pairwise_fold(p, q, name, substitute):
+    assert_same_canonical_form(p * q, folded_product(p, q))
+    assert_same_canonical_form(p.diff(name), folded_diff(p, name))
+    mapping = {name: parse(substitute, XY)}
+    assert_same_canonical_form(p.subs(mapping), folded_subs(p, mapping))
+
+
+def test_trinomial_power_expands_exactly():
+    ch = Chart(("x", "y", "z"))
+    e = parse("(x+y+z)^20", ch)
+    assert len(e.terms) == math.comb(22, 2) == 231
+    point = {"x": F(1, 3), "y": F(-2, 5), "z": F(7, 2)}
+    assert e.evaluate(point) == sum(point.values()) ** 20
+
+
+def test_import_leaves_scipy_unloaded_until_quadrature():
+    corpus = Path(__file__).resolve().parent.parent / "docs" / "corpus"
+    script = f"""
+import sys
+import entropykit
+from entropykit.documents import load_document
+from entropykit.forms import Form
+from entropykit.thermo import path_integral
+
+print("scipy.integrate" in sys.modules)
+doc = load_document({str(corpus / "ideal_gas.doc")!r})
+tc = doc.thermo_chart
+r = path_integral(tc, doc.spec, doc.paths["direct"], Form.d_coord(tc.chart, "U"),
+                  doc.param_values)
+print(repr(r.value))
+"""
+    src = str(Path(entropykit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded, value = done.stdout.split()
+    assert loaded == "False"
+    # U = exp(2S/3) V^(-2/3) from (S, V) = (1, 1) to (5/2, 2)
+    want = math.exp(5 / 3) * 2 ** (-2 / 3) - math.exp(2 / 3)
+    assert abs(float(value) - want) < 1e-8
