@@ -16,9 +16,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .expr import Expr
+from .expr import Expr, ExprError
 
 
 class AccessError(Exception):
@@ -56,6 +57,9 @@ class StateSpace:
         return tuple(self.states)
 
 
+_PART_ORDER = itemgetter(1, 2, 0)  # (space label, state name, scale)
+
+
 class CompositeState:
     """Multiset of (scale, space label, state name) with positive scales.
 
@@ -70,12 +74,12 @@ class CompositeState:
         for lam, lbl, name in parts:
             if type(lam) is not Fraction:
                 lam = Fraction(lam)
-            if lam <= 0:
+            if lam.numerator <= 0:  # the denominator is always positive
                 raise AccessError("scales must be positive")
             clean.append((lam, lbl, name))
         if not clean:
             raise AccessError("a composite state needs at least one part")
-        clean.sort(key=lambda p: (p[1], p[2], p[0]))
+        clean.sort(key=_PART_ORDER)
         self.parts = tuple(clean)
         self._hash = hash(self.parts)
 
@@ -223,23 +227,31 @@ class EntropyOracle(Accessibility):
             chart = entropy.chart
             if set(chart.coords) != set(space.coords):
                 raise AccessError("entropy expression does not match state coordinates")
-            values[space.label] = {
-                name: entropy.evaluate(dict(zip(space.coords, vec)))
-                for name, vec in space.states.items()
-            }
+            per = values[space.label] = {}
+            for name, vec in space.states.items():
+                try:
+                    per[name] = entropy.evaluate(dict(zip(space.coords, vec)))
+                except ExprError as err:
+                    raise AccessError(
+                        f"entropy expression fails at state {space.label}.{name}: {err}"
+                    ) from err
         return cls(values)
 
     def total(self, x: CompositeState) -> Fraction:
         cached = self._totals.get(x)
         if cached is not None:
             return cached
-        out = Fraction(0)
+        # sum over a common denominator and reduce once, not once per term
+        num, den = 0, 1
         for lam, lbl, name in x.parts:
             try:
-                out += lam * self.values[lbl][name]
+                value = self.values[lbl][name]
             except KeyError:
                 raise AccessError(f"no entropy value for {lbl}.{name}") from None
-        self._totals[x] = out
+            d = lam.denominator * value.denominator
+            num = num * d + lam.numerator * value.numerator * den
+            den *= d
+        out = self._totals[x] = Fraction(num, den)
         return out
 
     def le(self, x, y) -> bool:
@@ -332,6 +344,15 @@ class AxiomConfig:
     grid_step: Fraction = Fraction(1, 64)
     margin: Fraction = Fraction(1, 10**6)
 
+    def __post_init__(self):
+        if not self.lambda_grid or any(lam <= 0 for lam in self.lambda_grid):
+            listed = " ".join(str(lam) for lam in self.lambda_grid) or "nothing"
+            raise AccessError(f"lambda_grid needs positive scales, got {listed}")
+        if self.eps_steps < 1:
+            raise AccessError(f"eps_steps must be at least 1, got {self.eps_steps}")
+        if self.grid_step <= 0:
+            raise AccessError(f"grid_step must be positive, got {self.grid_step}")
+
 
 DEFAULT_AXIOM_CONFIG = AxiomConfig()
 
@@ -378,6 +399,12 @@ def check_axioms(
 ) -> AxiomReport:
     """Verify the accessibility axioms on a finite test pool.
 
+    Every ordered pair of the test pool is put to ``A.le`` exactly once, up
+    front; reflexivity, transitivity, consistency, scaling and stability
+    read their pool premises from that table.  Stability's ε-sides are built
+    and queried lazily, and only for pairs with X ⊀ Y, stopping at the first
+    side that fails.
+
     Scaling, splitting and stability only make sense for backends that
     support scaled composites; on plain edge relations they come back
     NOT_APPLICABLE.  Stability quantifies a limit ε → 0⁺, which a finite
@@ -389,16 +416,20 @@ def check_axioms(
     scaled = A.supports_scaling and all(sp.scalable for sp in spaces)
     if universe is not None:
         pool = list(universe)
-        pures = [
-            p for p in pool if len(p.parts) == 1 and p.parts[0][0] == 1
+        pure_idx = [
+            i for i, p in enumerate(pool) if len(p.parts) == 1 and p.parts[0][0] == 1
         ]
+        pures = [pool[i] for i in pure_idx]
     else:
         pures = _pure_pool(spaces)
+        pure_idx = range(len(pures))
         pool = pures + (_composite_pool(pures, config, rng) if scaled else [])
+    idx = range(len(pool))
+    le = [[A.le(x, y) for y in pool] for x in pool]  # le[i][j]: pool[i] ≺ pool[j]
     results = []
 
     # reflexivity
-    witness = next((x for x in pool if not A.le(x, x)), None)
+    witness = next((pool[i] for i in idx if not le[i][i]), None)
     results.append(
         AxiomResult(
             "reflexivity",
@@ -408,12 +439,15 @@ def check_axioms(
     )
 
     # transitivity
-    triples = _bounded_product((pool, pool, pool), config.max_triples, rng)
-    witness = None
-    for x, y, z in triples:
-        if A.le(x, y) and A.le(y, z) and not A.le(x, z):
-            witness = (x, y, z)
-            break
+    triples = _bounded_product((idx, idx, idx), config.max_triples, rng)
+    witness = next(
+        (
+            (pool[i], pool[j], pool[k])
+            for i, j, k in triples
+            if le[i][j] and le[j][k] and not le[i][k]
+        ),
+        None,
+    )
     results.append(
         AxiomResult(
             "transitivity",
@@ -423,7 +457,7 @@ def check_axioms(
     )
 
     # consistency: X ≺ X' and Y ≺ Y' ⇒ (X,Y) ≺ (X',Y')
-    accessible = [(x, y) for x in pool for y in pool if A.le(x, y)]
+    accessible = [(pool[i], pool[j]) for i in idx for j in idx if le[i][j]]
     testable = _bounded_product(
         (accessible, accessible), config.max_consistency_pairs, rng
     )
@@ -474,12 +508,12 @@ def check_axioms(
     witness = None
     tested = 0
     for lam in config.lambda_grid:
-        for x, y in itertools.product(pures, repeat=2):
-            lx, ly = x.scale(lam), y.scale(lam)
-            if not testable(lx, ly):
+        for i, j in itertools.product(pure_idx, repeat=2):
+            x, y = pool[i], pool[j]
+            if known is not None and not testable(x.scale(lam), y.scale(lam)):
                 continue
             tested += 1
-            if A.le(x, y) and not A.le(lx, ly):
+            if le[i][j] and not A.le(x.scale(lam), y.scale(lam)):
                 witness = (lam, x, y)
                 break
         if witness:
@@ -522,18 +556,21 @@ def check_axioms(
     # stability: (X, εZ) ≺ (Y, εZ') for all scheduled ε ⇒ X ≺ Y
     schedule = [Fraction(1, 2**k) for k in range(1, config.eps_steps + 1)]
     quads = _bounded_product(
-        (pool, pool, pures, pures), config.max_stability_quadruples, rng
+        (idx, idx, pures, pures), config.max_stability_quadruples, rng
     )
     witness = None
     tested = 0
-    for x, y, z, zp in quads:
-        sides = [
+    for i, j, z, zp in quads:
+        x, y = pool[i], pool[j]
+        sides = (
             (x.compose(z.scale(eps)), y.compose(zp.scale(eps))) for eps in schedule
-        ]
-        if not all(testable(a, b) for a, b in sides):
-            continue
+        )
+        if known is not None:
+            sides = list(sides)
+            if not all(testable(a, b) for a, b in sides):
+                continue
         tested += 1
-        if all(A.le(a, b) for a, b in sides) and not A.le(x, y):
+        if not le[i][j] and all(A.le(a, b) for a, b in sides):
             witness = (x, y, z, zp)
             break
     results.append(

@@ -107,16 +107,12 @@ def _zero_config(doc: Document, opts) -> ZeroTestConfig:
 
 def _axiom_config(doc: Document, opts) -> AxiomConfig:
     kwargs = {"seed": opts.seed}
-    grid = opts.lambda_grid or doc.config.get("lambda_grid")
-    if grid:
-        kwargs["lambda_grid"] = tuple(grid)
-    steps = opts.eps_steps or doc.config.get("eps_steps")
-    if steps:
-        kwargs["eps_steps"] = steps
-    if "margin" in doc.config:
-        kwargs["margin"] = doc.config["margin"]
-    if "grid_step" in doc.config:
-        kwargs["grid_step"] = doc.config["grid_step"]
+    for key in ("lambda_grid", "eps_steps", "margin", "grid_step"):
+        value = getattr(opts, key, None)  # only some keys have a flag
+        if value is None:
+            value = doc.config.get(key)
+        if value is not None:
+            kwargs[key] = value
     return AxiomConfig(**kwargs)
 
 
@@ -529,16 +525,24 @@ def _run_batch(manifest_path: str, opts, out) -> int:
     base = os.path.dirname(manifest_path)
     entries = []
     with open(manifest_path, encoding="utf-8") as handle:
-        for raw in handle:
+        for line_no, raw in enumerate(handle, start=1):
             body = raw.split("#", 1)[0].strip()
             if not body:
                 continue
             parts = body.split()
+            where = f"{manifest_path}:{line_no}"
             if len(parts) != 3:
                 raise UsageError(
-                    f"manifest line needs 'COMMAND DOC EXPECTED_EXIT': {body!r}"
+                    f"{where}: manifest line needs 'COMMAND DOC EXPECTED_EXIT':"
+                    f" {body!r}"
                 )
-            entries.append((parts[0], os.path.join(base, parts[1]), int(parts[2])))
+            try:
+                expected = int(parts[2])
+            except ValueError:
+                raise UsageError(
+                    f"{where}: expected exit must be an integer, got {parts[2]!r}"
+                ) from None
+            entries.append((parts[0], os.path.join(base, parts[1]), expected))
     all_ok = True
     chunks = []
     for command_name, doc_path, expected in entries:

@@ -17,7 +17,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .access import (
+    AccessError,
     Accessibility,
+    AxiomConfig,
     CompositeState,
     EdgeRelation,
     EntropyFn,
@@ -228,6 +230,11 @@ def _parse_config(doc: Document, rows):
             )
         else:
             raise DocumentError(f"unknown config key {key!r}", doc.path, line_no)
+        if key in ("eps_steps", "grid_step", "lambda_grid"):
+            try:
+                AxiomConfig(**{key: doc.config[key]})
+            except AccessError as err:
+                raise DocumentError(str(err), doc.path, line_no) from None
 
 
 def _expr(doc: Document, text: str, chart: Chart, line_no: int) -> Expr:
@@ -464,7 +471,10 @@ def _parse_relation(doc: Document, rows) -> Optional[Accessibility]:
         coords = spaces[0].coords
         chart = Chart(coords)
         expr = _expr(doc, oracle_text, chart, oracle_line)
-        return EntropyOracle.from_expression(spaces, expr)
+        try:
+            return EntropyOracle.from_expression(spaces, expr)
+        except AccessError as err:
+            raise DocumentError(str(err), doc.path, oracle_line) from None
     for a, b in edges:
         for node in (a, b):
             if node not in nodes:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import zlib
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from entropykit.expr import Chart, parse
 from entropykit.access import (
     AccessError,
+    Accessibility,
     AxiomConfig,
     AxiomStatus,
     CompositeState,
@@ -24,6 +27,7 @@ from entropykit.access import (
     construct_entropy,
     derived_relations,
     verify_entropy,
+    _composite_pool,
 )
 
 
@@ -68,6 +72,11 @@ def test_composite_states_are_order_insensitive_multisets():
     assert ab.scale(F(1, 2)).parts[0][0] == F(1, 2)
     with pytest.raises(AccessError):
         pure("G", "a").scale(0)
+    for lam in (0, -1, F(-1, 2)):
+        with pytest.raises(AccessError):
+            CompositeState(((lam, "G", "a"),))
+        with pytest.raises(AccessError):
+            CompositeState(((1, "G", "b"), (lam, "G", "a")))
 
 
 # -- closure ---------------------------------------------------------------------
@@ -193,6 +202,112 @@ def test_memoized_oracle_detects_nondeterminism():
     assert oracle.le(a, b)
     with pytest.raises(OracleMismatchError):
         oracle.le(a, b)
+
+
+def test_sampled_transitivity_failure_keeps_its_witness():
+    # 10³ triples exceed max_triples, so transitivity samples them; the
+    # pinned witness changes if the triples are drawn differently
+    names = [f"s{k}" for k in range(10)]
+    nodes = [pure("G", n) for n in names]
+    raw = EdgeRelation(nodes, [(x, x) for x in nodes] + list(zip(nodes, nodes[1:])))
+    report = check_axioms(raw, [space("G", names)], AxiomConfig(seed=7))
+    assert report["reflexivity"].status is AxiomStatus.PASS
+    assert report["transitivity"].status is AxiomStatus.FAIL
+    assert report["transitivity"].witness == (
+        pure("G", "s2"), pure("G", "s3"), pure("G", "s4")
+    )
+
+
+def noisy_oracle(values):
+    """An entropy order with every tenth off-diagonal answer flipped, by a
+    hash of the query that does not depend on the interpreter's hash seed."""
+    exact = oracle_for("G", values)
+
+    def le(x, y):
+        flip = x != y and zlib.crc32(f"{x} {y}".encode()) % 10 == 0
+        return exact.le(x, y) != flip
+
+    return MemoizedOracle(le)
+
+
+def test_noisy_oracle_fails_stability_with_its_witness():
+    sp = space("G", ["a", "b", "c", "d"], scalable=True)
+    oracle = noisy_oracle({"a": 0, "b": 1, "c": 1, "d": 3})
+    report = check_axioms(oracle, [sp], AxiomConfig(seed=3))
+    half, two, three = F(1, 2), F(2), F(3)
+    a, b, c, d = (pure("G", n) for n in "abcd")
+    assert report["reflexivity"].status is AxiomStatus.PASS
+    assert report["transitivity"].witness == (
+        a.scale(half).compose(c.scale(two)),
+        a.scale(half).compose(d.scale(three)),
+        a.scale(half).compose(a.scale(three)),
+    )
+    assert report["scaling-invariance"].witness == (two, a, d)
+    assert report["splitting-recombination"].status is AxiomStatus.PASS
+    stability = report["stability"]
+    assert stability.status is AxiomStatus.FAIL
+    assert stability.witness == (
+        c.scale(half).compose(d.scale(three)),
+        d.scale(two).compose(d.scale(three)),
+        a,
+        b,
+    )
+    assert stability.caveats == ("LIMIT_APPROXIMATED",)
+
+
+def scalable_edge_relation(values, extra):
+    """Entropy-ordered edges over the pure states, their λ-splits and extra
+    composites; the universe is exactly those nodes."""
+    oracle = oracle_for("G", values)
+    nodes = [pure("G", n) for n in values]
+    nodes += [x.scale(F(1, 2)).compose(x.scale(F(1, 2))) for x in nodes]
+    nodes += extra
+    edges = [(x, y) for x in nodes for y in nodes if oracle.le(x, y)]
+    return EdgeRelation(nodes, edges, supports_scaling=True)
+
+
+def test_known_universe_tests_only_what_it_holds():
+    values = {"a": 0, "b": 1}
+    sp = space("G", list(values), scalable=True)
+    config = AxiomConfig(lambda_grid=(F(2),), eps_steps=1)
+    pures = [pure("G", n) for n in values]
+    scaled = [x.scale(2) for x in pures]
+    sides = [x.compose(z.scale(F(1, 2))) for x in pures for z in pures]
+
+    full = check_axioms(scalable_edge_relation(values, scaled + sides), [sp], config)
+    assert full["scaling-invariance"].status is AxiomStatus.PASS
+    assert full["splitting-recombination"].status is AxiomStatus.PASS
+    assert full["stability"].status is AxiomStatus.PASS
+
+    bare = check_axioms(scalable_edge_relation(values, []), [sp], config)
+    assert bare["scaling-invariance"].status is AxiomStatus.NOT_APPLICABLE
+    assert bare["splitting-recombination"].status is AxiomStatus.PASS
+    assert bare["stability"].status is AxiomStatus.NOT_APPLICABLE
+    assert bare["stability"].caveats == ("LIMIT_APPROXIMATED",)
+
+
+def test_check_axioms_asks_each_pool_pair_once():
+    exact = oracle_for("G", {"a": 0, "b": 1, "c": 1, "d": 3})
+    asked = Counter()
+
+    class Counting(Accessibility):
+        supports_scaling = True
+
+        def le(self, x, y):
+            asked[x, y] += 1
+            return exact.le(x, y)
+
+    sp = space("G", ["a", "b", "c", "d"], scalable=True)
+    # scales 2 and 3 keep every later query (λX, splits, ε-sides, consistency
+    # composites) off the pool, so pool pairs can come only from the table
+    config = AxiomConfig(lambda_grid=(F(2), F(3)))
+    assert check_axioms(Counting(), [sp], config).ok
+    pures = [pure("G", n) for n in sp.names()]
+    pool = pures + _composite_pool(pures, config, random.Random(config.seed))
+    copies = Counter(pool)  # a composite drawn twice is asked once per copy
+    for x in copies:
+        for y in copies:
+            assert asked[x, y] == copies[x] * copies[y], (x, y)
 
 
 # -- comparison hypothesis -----------------------------------------------------------

@@ -1,9 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import entropykit
 from entropykit.cli import run
 from entropykit.documents import DocumentError, load_document, parse_document
 
@@ -95,7 +99,11 @@ def test_exit_two_on_parse_error():
     assert "parse_error.doc:2" in text
 
 
-@pytest.mark.parametrize("bad", ["eps_steps = six", "tol = tiny"])
+@pytest.mark.parametrize(
+    "bad",
+    ["eps_steps = six", "tol = tiny", "eps_steps = 0", "lambda_grid = 0 1",
+     "lambda_grid = 1/2 -2"],
+)
 def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
     doc = tmp_path / "bad_config.doc"
     text = (CORPUS / "oracle_space.doc").read_text()
@@ -105,6 +113,74 @@ def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
     assert code == 2
     assert f"{doc}:{line_no}:" in out
     assert "Traceback" not in out
+
+
+def doc_with(tmp_path, old, new):
+    """A copy of oracle_space.doc with one line replaced; returns the copy
+    and the line number of the replacement."""
+    text = (CORPUS / "oracle_space.doc").read_text()
+    doc = tmp_path / "variant.doc"
+    doc.write_text(text.replace(old, new))
+    return doc, text.splitlines().index(old) + 1
+
+
+@pytest.mark.parametrize("bad", ["grid_step = 0", "grid_step = -1/4"])
+def test_exit_two_on_non_positive_grid_step_without_hanging(tmp_path, bad):
+    # a fresh process with a timeout, since a zero step once looped forever
+    doc, line_no = doc_with(tmp_path, "eps_steps = 6", bad)
+    src = str(Path(entropykit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "entropykit.cli", "entropy-construct", str(doc)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert f"{doc}:{line_no}: grid_step must be positive" in done.stdout
+    assert "Traceback" not in done.stdout + done.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--eps-steps", "-1"), "eps_steps must be at least 1, got -1"),
+        (("--eps-steps", "0"), "eps_steps must be at least 1, got 0"),
+        (("--lambda-grid", "0,1"), "lambda_grid needs positive scales, got 0 1"),
+    ],
+)
+def test_exit_two_on_bad_axiom_flags(flags, message):
+    code, out = run_cli("axioms", str(CORPUS / "oracle_space.doc"), *flags)
+    assert code == 2
+    assert out == f"error: {message}\n"
+
+
+def test_oracle_evaluation_error_names_file_line_and_state(tmp_path):
+    doc, line_no = doc_with(tmp_path, "oracle = u + 2*v", "oracle = ln(u-1)")
+    code, out = run_cli("axioms", str(doc))
+    assert code == 2
+    assert f"{doc}:{line_no}:" in out
+    assert "at state Gamma.a: ln of a non-positive value" in out
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("axioms oracle_space.doc zero", "expected exit must be an integer"),
+        ("axioms oracle_space.doc", "manifest line needs"),
+        ("axioms oracle_space.doc 0 1", "manifest line needs"),
+    ],
+)
+def test_batch_manifest_errors_name_the_line(tmp_path, bad, message):
+    (tmp_path / "oracle_space.doc").write_text(
+        (CORPUS / "oracle_space.doc").read_text()
+    )
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        f"# command document expected\naxioms oracle_space.doc 0\n{bad}\n"
+    )
+    code, out = run_cli("batch", str(manifest))
+    assert code == 2
+    assert out.startswith(f"error: {manifest}:3: {message}")
 
 
 def test_exit_two_on_missing_file_and_bad_usage():
