@@ -7,6 +7,10 @@ rational scales, so every comparison stays exact.  Relations come in two
 backends: explicit edge lists (closed on demand) and decision-procedure
 oracles, of which the entropy-backed oracle is the workhorse for synthetic
 test systems.
+
+One closure, ``reachable_pairs``, serves ``EdgeRelation.closure`` and
+``galois.Poset``.  The CH, entropy construction and ``check_axioms`` read
+answer tables ``le[i][j] = A.le(xs[i], xs[j])``: each ordered pair asked once.
 """
 
 from __future__ import annotations
@@ -113,11 +117,24 @@ class CompositeState:
     __repr__ = __str__
 
 
-def compose(*states: CompositeState) -> CompositeState:
-    out = states[0]
-    for s in states[1:]:
-        out = out.compose(s)
-    return out
+def reachable_pairs(nodes, edges) -> set:
+    """Reflexive-transitive closure: every (a, b) with b reachable from a by
+    edges (depth-first from every node; edge endpoints must be nodes)."""
+    succ = {n: set() for n in nodes}
+    for a, b in edges:
+        succ[a].add(b)
+    closed = set()
+    for start in nodes:
+        seen = {start}
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for nxt in succ[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        closed.update((start, reach) for reach in seen)
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +185,8 @@ class EdgeRelation(Accessibility):
         return self.nodes
 
     def closure(self) -> "EdgeRelation":
-        """Reflexive-transitive closure (breadth-first from every node)."""
-        succ = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            succ[a].add(b)
-        closed = set()
-        for start in self.nodes:
-            seen = {start}
-            queue = [start]
-            while queue:
-                cur = queue.pop()
-                for nxt in succ[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            closed.update((start, reach) for reach in seen)
+        """Reflexive-transitive closure of the edges."""
+        closed = reachable_pairs(self.nodes, self.edges)
         return EdgeRelation(self.nodes, closed, self.supports_scaling)
 
 
@@ -288,14 +292,21 @@ class CHResult:
     incomparable: tuple[tuple[CompositeState, CompositeState], ...]
 
 
+def _pure_order(A: Accessibility, space: StateSpace):
+    """The space's pure states, their answer table le[i][j] and the CH result."""
+    pures = [CompositeState.pure(space.label, n) for n in space.names()]
+    le = [[A.le(x, y) for y in pures] for x in pures]
+    bad = tuple(
+        (pures[i], pures[j])
+        for i, j in itertools.combinations(range(len(pures)), 2)
+        if not (le[i][j] or le[j][i])
+    )
+    return pures, le, CHResult(not bad, bad)
+
+
 def comparison_hypothesis(A: Accessibility, space: StateSpace) -> CHResult:
     """Are all pairs of (pure) states of the space comparable?"""
-    pures = [CompositeState.pure(space.label, n) for n in space.names()]
-    bad = []
-    for x, y in itertools.combinations(pures, 2):
-        if derived_relations(A, x, y) is Relation.INCOMPARABLE:
-            bad.append((x, y))
-    return CHResult(not bad, tuple(bad))
+    return _pure_order(A, space)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +353,6 @@ class AxiomConfig:
     max_stability_quadruples: int = 80
     composite_samples: int = 24
     grid_step: Fraction = Fraction(1, 64)
-    margin: Fraction = Fraction(1, 10**6)
 
     def __post_init__(self):
         if not self.lambda_grid or any(lam <= 0 for lam in self.lambda_grid):
@@ -618,18 +628,6 @@ class EntropyFn:
         return out
 
 
-def _equivalence_classes(A, pures):
-    classes: list[list] = []
-    for x in pures:
-        for cls in classes:
-            if derived_relations(A, x, cls[0]) is Relation.EQUIVALENT:
-                cls.append(x)
-                break
-        else:
-            classes.append([x])
-    return classes
-
-
 def construct_entropy(
     A: Accessibility,
     space: StateSpace,
@@ -640,39 +638,38 @@ def construct_entropy(
     Requires the comparison hypothesis; plain backends get the class-rank
     entropy, scalable ones the two-reference construction: S(X) is the
     largest grid λ with ((1−λ)X₀, λX₁) ≺ X for a fixed strict pair X₀ ≺≺ X₁.
+    The grid is scanned from the top, stopping at the first reference ≺ X.
     """
-    ch = comparison_hypothesis(A, space)
+    pures, le, ch = _pure_order(A, space)
     if not ch.total:
         raise ConstructionImpossible(
             f"comparison hypothesis fails on {space.label!r}", ch.incomparable[0]
         )
-    pures = [CompositeState.pure(space.label, n) for n in space.names()]
-    for x in pures:
-        if not A.le(x, x):
+    for i, x in enumerate(pures):
+        if not le[i][i]:
             raise ConstructionImpossible("relation is not reflexive", (x,))
-    classes = _equivalence_classes(A, pures)
-    below = [
-        sum(1 for other in classes if A.le(other[0], cls[0])) for cls in classes
-    ]
-    classes = [classes[i] for i in sorted(range(len(classes)), key=below.__getitem__)]
-    rank_of = {}
-    for rank, cls in enumerate(classes):
-        for x in cls:
-            rank_of[x.parts[0][2]] = Fraction(rank)
+    groups: dict[int, list[int]] = {}  # equivalence classes by first member
+    for i in range(len(pures)):
+        first = next((c for c in groups if le[i][c] and le[c][i]), i)
+        groups.setdefault(first, []).append(i)
+    # rank each class by how many classes lie below it
+    ranked = sorted(groups, key=lambda r: sum(le[c][r] for c in groups))
+    names = space.names()
+    rank_of = {names[i]: Fraction(k) for k, r in enumerate(ranked) for i in groups[r]}
 
     scaled = A.supports_scaling and space.scalable
     if not scaled:
         return EntropyFn(space.label, rank_of, method="rank")
-    if len(classes) == 1:
+    if len(ranked) == 1:
         return EntropyFn(
             space.label,
-            {n: Fraction(0) for n in space.names()},
+            {n: Fraction(0) for n in names},
             method="reference",
             degenerate=True,
             grid_step=config.grid_step,
         )
-    lo = classes[0][0]
-    hi = classes[-1][0]
+    lo = pures[ranked[0]]
+    hi = pures[ranked[-1]]
 
     def reference(lam: Fraction) -> CompositeState:
         if lam == 0:
@@ -688,15 +685,11 @@ def construct_entropy(
         grid.append(lam)
         lam += step
     grid.append(Fraction(1))
-    references = [(lam, reference(lam)) for lam in grid]
-
-    values = {}
-    for x in pures:
-        best = Fraction(0)
-        for lam, ref in references:
-            if A.le(ref, x):
-                best = lam
-        values[x.parts[0][2]] = best
+    references = [(lam, reference(lam)) for lam in reversed(grid)]
+    values = {
+        name: next((lam for lam, ref in references if A.le(ref, x)), Fraction(0))
+        for name, x in zip(names, pures)
+    }
     return EntropyFn(
         space.label, values, method="reference", grid_step=step
     )
@@ -879,6 +872,12 @@ class CalibrationResult:
         return out
 
 
+def check_margin(margin) -> None:
+    """Refuse a margin that would let strict cross pairs stop being strict."""
+    if margin <= 0:
+        raise AccessError(f"margin must be positive, got {margin}")
+
+
 def calibrate(
     systems: Sequence[tuple[StateSpace, EntropyFn]],
     cross: Accessibility,
@@ -893,6 +892,7 @@ def calibrate(
     result is any feasible point, or INFEASIBLE with the subset of cross
     pairs whose inequalities collided.
     """
+    check_margin(margin)
     if not systems:
         raise AccessError("nothing to calibrate")
     labels = [space.label for space, _ in systems]

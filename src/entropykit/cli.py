@@ -107,7 +107,7 @@ def _zero_config(doc: Document, opts) -> ZeroTestConfig:
 
 def _axiom_config(doc: Document, opts) -> AxiomConfig:
     kwargs = {"seed": opts.seed}
-    for key in ("lambda_grid", "eps_steps", "margin", "grid_step"):
+    for key in ("lambda_grid", "eps_steps", "grid_step"):
         value = getattr(opts, key, None)  # only some keys have a flag
         if value is None:
             value = doc.config.get(key)
@@ -508,11 +508,6 @@ def cmd_landauer(doc: Document, opts, report: Report):
 # ---------------------------------------------------------------------------
 
 
-@command("batch")
-def cmd_batch(doc, opts, report):  # pragma: no cover - dispatched specially
-    raise UsageError("batch is handled by the driver")
-
-
 def _run_single(command_name: str, doc_path: str, opts, report: Report) -> None:
     doc = load_document(doc_path)
     idx = report.block("document")
@@ -576,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entropykit",
         description="Symbolic thermodynamics checks over system documents",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("command", choices=sorted([*COMMANDS, "batch"]))
     parser.add_argument("document", help="system document (or manifest for batch)")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)
@@ -602,6 +597,8 @@ def run(argv, out=None) -> int:
         opts.seed = int(os.environ.get("ENTROPYKIT_SEED", "0"))
     sink = io.StringIO() if opts.out else out
     try:
+        if opts.tol is not None:
+            ZeroTestConfig(tol=opts.tol)  # every command refuses a negative --tol
         if opts.command == "batch":
             code = _run_batch(opts.document, opts, sink)
         else:

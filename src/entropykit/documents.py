@@ -25,8 +25,9 @@ from .access import (
     EntropyFn,
     EntropyOracle,
     StateSpace,
+    check_margin,
 )
-from .expr import Chart, Expr, ExprError, parse as parse_expr
+from .expr import Chart, Expr, ExprError, ZeroTestConfig, parse as parse_expr
 from .forms import Form
 from .thermo import LegendreSpec, PathSegment, ProcessPath, ThermoChart
 
@@ -215,6 +216,12 @@ def _parse_chart(doc: Document, rows):
         raise DocumentError(str(err), doc.path) from None
 
 
+_CONFIG_CHECKS = {  # each checked key, with what rejects a bad value
+    "eps_steps": AxiomConfig, "grid_step": AxiomConfig, "lambda_grid": AxiomConfig,
+    "samples": ZeroTestConfig, "tol": ZeroTestConfig, "margin": check_margin,
+}
+
+
 def _parse_config(doc: Document, rows):
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
@@ -230,10 +237,10 @@ def _parse_config(doc: Document, rows):
             )
         else:
             raise DocumentError(f"unknown config key {key!r}", doc.path, line_no)
-        if key in ("eps_steps", "grid_step", "lambda_grid"):
+        if key in _CONFIG_CHECKS:
             try:
-                AxiomConfig(**{key: doc.config[key]})
-            except AccessError as err:
+                _CONFIG_CHECKS[key](**{key: doc.config[key]})
+            except (AccessError, ExprError) as err:
                 raise DocumentError(str(err), doc.path, line_no) from None
 
 

@@ -52,8 +52,6 @@ class SamplingError(ExprError):
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = ("ln", "exp")
 
-Number = Union[int, Fraction]
-
 
 @dataclass(frozen=True)
 class Chart:
@@ -570,10 +568,6 @@ def exp(e: Expr) -> Expr:
     return Expr._monomial(e.chart, Fraction(1), [(_Exp(e), Fraction(1))])
 
 
-def differentiate(e: Expr, name: str) -> Expr:
-    return e.diff(name)
-
-
 # ---------------------------------------------------------------------------
 # Zero testing
 # ---------------------------------------------------------------------------
@@ -602,6 +596,12 @@ class ZeroTestConfig:
     max_numerator: int = 1000
     max_denominator: int = 1000
     high: int = 10  # sample values lie in (0, high]
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ExprError(f"samples must be at least 1, got {self.samples}")
+        if self.tol < 0:
+            raise ExprError(f"tol must be non-negative, got {self.tol}")
 
 
 DEFAULT_ZERO_CONFIG = ZeroTestConfig()
@@ -650,18 +650,9 @@ def sample_point(rng: random.Random, names, cfg: ZeroTestConfig) -> dict:
     return point
 
 
-def is_zero(e: Expr, config: ZeroTestConfig = DEFAULT_ZERO_CONFIG) -> ZeroResult:
-    """Decide whether an expression is identically zero on the positive domain.
-
-    Canonically empty expressions are certainly zero; a nonzero canonical
-    form built purely from symbol powers is certainly nonzero (distinct
-    monomials are independent).  Anything involving ln/exp or opaque powers
-    falls back to sampling at random rational points.
-    """
-    if not e.terms:
-        return ZeroResult(ZeroVerdict.CERTAIN_ZERO)
-    if _purely_rational(e):
-        return ZeroResult(ZeroVerdict.CERTAIN_NONZERO)
+def sample_values(e: Expr, config: ZeroTestConfig):
+    """Yield config.samples pairs (point, float value of e) at seeded random
+    points; a point outside e's domain is redrawn, up to max_retries times."""
     names = e.free_symbols()
     rng = stable_rng(e, config.seed)
     good = 0
@@ -677,9 +668,25 @@ def is_zero(e: Expr, config: ZeroTestConfig = DEFAULT_ZERO_CONFIG) -> ZeroResult
                     f"zero test on {e} failed: {retries} domain errors"
                 ) from None
             continue
-        if abs(float(value)) > config.tol:
-            return ZeroResult(ZeroVerdict.CERTAIN_NONZERO, point, float(value))
         good += 1
+        yield point, float(value)
+
+
+def is_zero(e: Expr, config: ZeroTestConfig = DEFAULT_ZERO_CONFIG) -> ZeroResult:
+    """Decide whether an expression is identically zero on the positive domain.
+
+    Canonically empty expressions are certainly zero; a nonzero canonical
+    form built purely from symbol powers is certainly nonzero (distinct
+    monomials are independent).  Anything involving ln/exp or opaque powers
+    falls back to sampling at random rational points.
+    """
+    if not e.terms:
+        return ZeroResult(ZeroVerdict.CERTAIN_ZERO)
+    if _purely_rational(e):
+        return ZeroResult(ZeroVerdict.CERTAIN_NONZERO)
+    for point, value in sample_values(e, config):
+        if abs(value) > config.tol:
+            return ZeroResult(ZeroVerdict.CERTAIN_NONZERO, point, value)
     return ZeroResult(ZeroVerdict.PROBABLY_ZERO)
 
 

@@ -18,16 +18,13 @@ from typing import Mapping, Optional, Union
 
 from .expr import (
     Chart,
-    DomainError,
     Expr,
     ExprError,
-    SamplingError,
     ZeroTestConfig,
     DEFAULT_ZERO_CONFIG,
     ZeroVerdict,
     is_zero,
-    sample_point,
-    stable_rng,
+    sample_values,
 )
 
 
@@ -217,10 +214,6 @@ def wedge(a: Form, b: Form) -> Form:
     return a.wedge(b)
 
 
-def exterior_derivative(a: Form) -> Form:
-    return a.d()
-
-
 @dataclass(frozen=True)
 class SmoothMap:
     """Map between charts given by one source-chart expression per target
@@ -357,22 +350,9 @@ def _nonvanishing(e: Expr, config: ZeroTestConfig):
         return True, Confidence.CERTAIN, None
     if len(e.terms) == 1 and all(isinstance(b, str) for b, _ in e.terms[0].factors):
         return True, Confidence.CERTAIN, None
-    rng = stable_rng(e, config.seed)
-    names = e.free_symbols()
-    good = 0
-    retries = 0
-    while good < config.samples:
-        point = sample_point(rng, names, config)
-        try:
-            value = float(e.evaluate(point))
-        except DomainError:
-            retries += 1
-            if retries > config.max_retries:
-                raise SamplingError(f"non-vanishing test on {e} kept leaving the domain")
-            continue
+    for point, value in sample_values(e, config):
         if abs(value) <= config.tol:
             return False, Confidence.SAMPLED, point
-        good += 1
     return True, Confidence.SAMPLED, None
 
 

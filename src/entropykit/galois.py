@@ -5,6 +5,9 @@ Pre-orders are first class: adiabatic equivalence makes the thermodynamic
 order a genuine pre-order, so "greatest element" always means greatest up
 to equivalence and any representative may be returned.  Carriers are small
 by design and every check is exhaustive.
+
+``Poset`` closes its relation with ``access.reachable_pairs``, as
+``EdgeRelation.closure`` does; joins and adjoints share ``least``/``greatest``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .access import EntropyFn, StateSpace
+from .access import EntropyFn, StateSpace, reachable_pairs
 
 
 class GaloisError(Exception):
@@ -31,24 +34,12 @@ class Poset:
         if len(set(carrier)) != len(carrier):
             raise GaloisError("carrier elements must be distinct")
         members = set(carrier)
-        succ = {a: set() for a in carrier}
-        for a, b in relation:
+        edges = list(relation)
+        for a, b in edges:
             if a not in members or b not in members:
                 raise GaloisError(f"relation edge ({a}, {b}) outside carrier")
-            succ[a].add(b)
-        rel = set()
-        for start in carrier:
-            seen = {start}
-            queue = [start]
-            while queue:
-                cur = queue.pop()
-                for nxt in succ[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            rel.update((start, reach) for reach in seen)
         object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "relation", frozenset(rel))
+        object.__setattr__(self, "relation", frozenset(reachable_pairs(carrier, edges)))
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(carrier)})
 
     def __setattr__(self, *a):
@@ -97,13 +88,17 @@ class Poset:
     def antichain(cls, labels: Sequence) -> "Poset":
         return cls(tuple(labels), [])
 
+    def least(self, xs: Sequence):
+        """The first of xs below all of xs, or None."""
+        return next((x for x in xs if all(self.le(x, y) for y in xs)), None)
+
+    def greatest(self, xs: Sequence):
+        """The first of xs above all of xs, or None."""
+        return next((x for x in xs if all(self.le(y, x) for y in xs)), None)
+
     def join(self, x, y):
         """A least upper bound up to equivalence, or None."""
-        uppers = [z for z in self.carrier if self.le(x, z) and self.le(y, z)]
-        for z in uppers:
-            if all(self.le(z, w) for w in uppers):
-                return z
-        return None
+        return self.least([z for z in self.carrier if self.le(x, z) and self.le(y, z)])
 
 
 def poset_from_entropy(space: StateSpace, S: EntropyFn) -> Poset:
@@ -204,11 +199,7 @@ def right_adjoint(F: MonotoneMap) -> AdjointResult:
     A, B = F.source, F.target
     mapping = {}
     for b in B.carrier:
-        candidates = [a for a in A.carrier if B.le(F(a), b)]
-        greatest = next(
-            (a0 for a0 in candidates if all(A.le(a, a0) for a in candidates)),
-            None,
-        )
+        greatest = A.greatest([a for a in A.carrier if B.le(F(a), b)])
         if greatest is None:
             return AdjointResult(None, b)
         mapping[b] = greatest
@@ -220,11 +211,7 @@ def left_adjoint(G: MonotoneMap) -> AdjointResult:
     B, A = G.source, G.target
     mapping = {}
     for a in A.carrier:
-        candidates = [b for b in B.carrier if A.le(a, G(b))]
-        least = next(
-            (b0 for b0 in candidates if all(B.le(b0, b) for b in candidates)),
-            None,
-        )
+        least = B.least([b for b in B.carrier if A.le(a, G(b))])
         if least is None:
             return AdjointResult(None, a)
         mapping[a] = least
@@ -260,28 +247,11 @@ def closure_report(F: MonotoneMap, G: MonotoneMap) -> ClosureReport:
     fg = {b: F(G(b)) for b in B.carrier}
     return ClosureReport(
         inflationary=all(A.le(a, gf[a]) for a in A.carrier),
-        monotone=all(
-            A.le(gf[x], gf[y])
-            for x, y in itertools.product(A.carrier, repeat=2)
-            if A.le(x, y)
-        ),
+        monotone=check_monotone(A, A, gf).ok,
         idempotent=all(A.equivalent(gf[gf[a]], gf[a]) for a in A.carrier),
         kernel_deflationary=all(B.le(fg[b], b) for b in B.carrier),
         kernel_idempotent=all(B.equivalent(fg[fg[b]], fg[b]) for b in B.carrier),
     )
-
-
-@dataclass(frozen=True)
-class GaloisPair:
-    """A validated adjunction F ⊣ G between two pre-orders."""
-
-    F: MonotoneMap
-    G: MonotoneMap
-
-    def __post_init__(self):
-        result = check_galois(self.F, self.G)
-        if not result.ok:
-            raise GaloisError(f"not a Galois connection: {result.witness}")
 
 
 @dataclass(frozen=True)

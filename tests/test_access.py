@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from entropykit.expr import Chart, parse
+from entropykit.galois import Poset
 from entropykit.access import (
     AccessError,
     Accessibility,
@@ -93,15 +94,22 @@ def brute_reachability(names, edges):
 
 
 def test_closure_is_idempotent_and_minimal():
-    names = ["a", "b", "c", "d"]
-    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
-    raw = edge_relation("G", names, edges, close=False)
-    closed = raw.closure()
-    assert closed.closure().edges == closed.edges
-    want = {
-        (pure("G", a), pure("G", b)) for a, b in brute_reachability(names, edges)
-    }
-    assert closed.edges == want
+    cases = [(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])]
+    rng = random.Random(95)
+    for _ in range(40):
+        names = [f"s{i}" for i in range(rng.randint(1, 7))]
+        p = rng.random()
+        cases.append(
+            (names, [(a, b) for a in names for b in names if rng.random() < p])
+        )
+    for names, edges in cases:
+        raw = edge_relation("G", names, edges, close=False)
+        closed = raw.closure()
+        assert closed.closure().edges == closed.edges
+        reach = brute_reachability(names, edges)
+        assert closed.edges == {(pure("G", a), pure("G", b)) for a, b in reach}
+        # galois.Poset closes its relation with the same routine
+        assert Poset(names, edges).relation == reach
 
 
 # -- axioms -----------------------------------------------------------------------
@@ -310,6 +318,36 @@ def test_check_axioms_asks_each_pool_pair_once():
             assert asked[x, y] == copies[x] * copies[y], (x, y)
 
 
+@pytest.mark.parametrize("scalable", [False, True])
+def test_ch_and_construction_ask_each_pure_pair_once(scalable):
+    exact = oracle_for("G", {"a": 0, "b": 1, "c": 1, "d": 3, "e": 2})
+    log = []
+
+    class Counting(Accessibility):
+        supports_scaling = True
+
+        def le(self, x, y):
+            log.append((x, y))
+            return exact.le(x, y)
+
+    sp = space("G", ["a", "b", "c", "d", "e"], scalable=scalable)
+    pures = [pure("G", n) for n in sp.names()]
+    every_pair = Counter(itertools.product(pures, repeat=2))
+    assert comparison_hypothesis(Counting(), sp).total
+    assert Counter(log) == every_pair
+    log.clear()
+    S = construct_entropy(Counting(), sp)
+    assert S.method == ("reference" if scalable else "rank")
+    table, grid = log[: len(every_pair)], log[len(every_pair):]
+    assert Counter(table) == every_pair
+    # what follows is the reference grid: each (reference, state) at most once,
+    # scanned from the top, so a state stops at its first reference below it
+    assert bool(grid) == scalable
+    assert all(y in pures for _, y in grid)
+    assert len(set(grid)) == len(grid)
+    assert len(grid) < len(pures) * 65  # 65 points on the default 1/64 grid
+
+
 # -- comparison hypothesis -----------------------------------------------------------
 
 
@@ -405,6 +443,29 @@ def test_construct_entropy_requires_comparability():
     with pytest.raises(ConstructionImpossible) as err:
         construct_entropy(rel, space("G", ["a", "b"]))
     assert err.value.witness == (pure("G", "a"), pure("G", "b"))
+
+
+def test_construct_entropy_grid_on_relation_not_monotone_in_lambda():
+    # the value is the largest grid λ whose reference lies below the state,
+    # whatever the pattern below it; figures recorded from the full upward scan
+    hidden = {"a": 0, "b": 1, "c": 1, "d": 2, "e": 3}
+
+    def fn(x, y):
+        target = hidden[y.parts[0][2]]
+        if len(x.parts) == 1:
+            return hidden[x.parts[0][2]] <= target
+        lam = next(l for l, _, n in x.parts if n == "e")  # ((1−λ)·a, λ·e)
+        return (lam.numerator * 7 + target) % 5 == 0
+
+    sp = StateSpace(
+        "G", ("x",), {n: (F(i),) for i, n in enumerate(hidden)}, scalable=True
+    )
+    S = construct_entropy(MemoizedOracle(fn), sp)
+    assert S.values == {
+        "a": F(15, 16), "b": F(57, 64), "c": F(57, 64), "d": F(59, 64), "e": F(1)
+    }
+    S = construct_entropy(MemoizedOracle(fn), sp, AxiomConfig(grid_step=F(1, 8)))
+    assert S.values == {"a": F(5, 8), "b": F(7, 8), "c": F(7, 8), "d": F(0), "e": F(1)}
 
 
 def test_construct_entropy_degenerate_scaled_space():

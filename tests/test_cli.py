@@ -102,7 +102,7 @@ def test_exit_two_on_parse_error():
 @pytest.mark.parametrize(
     "bad",
     ["eps_steps = six", "tol = tiny", "eps_steps = 0", "lambda_grid = 0 1",
-     "lambda_grid = 1/2 -2"],
+     "lambda_grid = 1/2 -2", "samples = 0", "tol = -1", "margin = -1", "margin = 0"],
 )
 def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
     doc = tmp_path / "bad_config.doc"
@@ -146,6 +146,7 @@ def test_exit_two_on_non_positive_grid_step_without_hanging(tmp_path, bad):
         (("--eps-steps", "-1"), "eps_steps must be at least 1, got -1"),
         (("--eps-steps", "0"), "eps_steps must be at least 1, got 0"),
         (("--lambda-grid", "0,1"), "lambda_grid needs positive scales, got 0 1"),
+        (("--tol", "-1"), "tol must be non-negative, got -1.0"),
     ],
 )
 def test_exit_two_on_bad_axiom_flags(flags, message):
@@ -245,6 +246,18 @@ def test_out_flag_writes_file(tmp_path):
     assert code == 0
     assert target.read_text().startswith("check: document")
     assert text == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_batch_output_matches_golden_files(fmt):
+    # tests/golden holds the corpus batch output recorded before the finite
+    # pre-order core was merged; the corpus directory reads <corpus> there
+    code, out = run_cli(
+        "batch", str(CORPUS / "manifest.txt"), "--format", fmt, "--seed", "0"
+    )
+    golden = Path(__file__).resolve().parent / "golden" / f"batch_{fmt}.txt"
+    assert code == 0
+    assert out.replace(str(CORPUS), "<corpus>") == golden.read_text(encoding="utf-8")
 
 
 def test_batch_runs_whole_corpus():
