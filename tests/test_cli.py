@@ -250,8 +250,8 @@ def test_out_flag_writes_file(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_batch_output_matches_golden_files(fmt):
-    # tests/golden holds the corpus batch output recorded before the finite
-    # pre-order core was merged; the corpus directory reads <corpus> there
+    # tests/golden pins the whole corpus report byte for byte, with the corpus
+    # directory written as <corpus>; change those files only with the output
     code, out = run_cli(
         "batch", str(CORPUS / "manifest.txt"), "--format", fmt, "--seed", "0"
     )
