@@ -516,6 +516,21 @@ def _run_single(command_name: str, doc_path: str, opts, report: Report) -> None:
     COMMANDS[command_name](doc, opts, report)
 
 
+# Errors that report a bad input or document; anything else is a defect.
+_INPUT_ERRORS = (UsageError, DocumentError, ExprError, ThermoError, GaloisError,
+                access.AccessError, OSError, ValueError)
+
+
+def _error_message(err: Exception) -> str:
+    if isinstance(err, _INPUT_ERRORS):
+        return str(err)
+    tb = err.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+    return f"internal error: {type(err).__name__}: {err} (raised at {where})"
+
+
 def _run_batch(manifest_path: str, opts, out) -> int:
     base = os.path.dirname(manifest_path)
     entries = []
@@ -546,10 +561,9 @@ def _run_batch(manifest_path: str, opts, out) -> int:
             _require(command_name in COMMANDS, f"unknown command {command_name!r}")
             _run_single(command_name, doc_path, opts, report)
             code = report.exit_code()
-        except (UsageError, DocumentError, ExprError, ThermoError, GaloisError,
-                access.AccessError, ValueError) as err:
+        except Exception as err:  # one failing entry must not end the batch
             idx = report.block("error")
-            report.add(idx, "message", str(err))
+            report.add(idx, "message", _error_message(err))
             code = 2
         matched = code == expected
         all_ok = all_ok and matched
@@ -606,8 +620,7 @@ def run(argv, out=None) -> int:
             _run_single(opts.command, opts.document, opts, report)
             sink.write(report.render(opts.format))
             code = report.exit_code()
-    except (UsageError, DocumentError, ExprError, ThermoError, GaloisError,
-            access.AccessError, OSError, ValueError) as err:
+    except _INPUT_ERRORS as err:
         sink.write(f"error: {err}\n")
         code = 2
     if opts.out:

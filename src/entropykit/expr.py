@@ -721,11 +721,17 @@ def _tokenize(text: str):
     return tokens
 
 
+# Parentheses and ln/exp calls nest at most this deep: the parser recurses
+# once per level, so deeper input would exhaust the interpreter's stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, chart: Chart):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.chart = chart
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -755,6 +761,15 @@ class _Parser:
         kind, lexeme, line, col = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {lexeme!r} after expression", line, col)
+        return e
+
+    def nested(self, line: int, col: int) -> Expr:
+        """The expression inside one more level of parentheses or a call."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
+        self.depth += 1
+        e = self.expr()
+        self.depth -= 1
         return e
 
     def expr(self) -> Expr:
@@ -818,14 +833,14 @@ class _Parser:
         if kind == "ident":
             if lexeme in _RESERVED:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(line, col)
                 self.expect_op(")")
                 return ln(arg) if lexeme == "ln" else exp(arg)
             if lexeme not in self.chart:
                 raise UnknownSymbolError(lexeme, line, col)
             return self.chart.var(lexeme)
         if kind == "op" and lexeme == "(":
-            e = self.expr()
+            e = self.nested(line, col)
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected {lexeme!r}", line, col)

@@ -262,18 +262,19 @@ def pullback(f: SmoothMap, a: Form) -> Form:
     mapping = dict(f.components)
     if a.degree == 0:
         return Form.from_expr(a.coefficient(()).subs(mapping, src))
-    # Form drops zero coefficients, so each partial is computed once.
+    # Only the target coordinates the form's index tuples name are
+    # differentiated, each partial once (Form drops zero coefficients).
     differentials = {
-        name: Form.one_form(
-            src, {x: f.components[name].diff(x) for x in src.coords}
+        i: Form.one_form(
+            src, {x: f.components[f.target.coords[i]].diff(x) for x in src.coords}
         )
-        for name in f.target.coords
+        for i in sorted({i for idx in a.coeffs for i in idx})
     }
     out = Form.zero(src, a.degree)
     for idx, coeff in a.coeffs.items():
         piece = Form.from_expr(coeff.subs(mapping, src))
         for i in idx:
-            piece = piece.wedge(differentials[f.target.coords[i]])
+            piece = piece.wedge(differentials[i])
         out = out + piece
     return out
 

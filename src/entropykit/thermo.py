@@ -562,11 +562,63 @@ class PathIntegral:
     error: float
 
 
-def _segment_full_maps(tc: ThermoChart, spec: LegendreSpec, path: ProcessPath):
+class _Leg:
+    """One segment γ of a path seen on the Legendre manifold, t ↦ Φ(γ(t)).
+
+    A component of Φ∘γ is composed the first time a form reads it and kept,
+    and so is its t-derivative; a form reads the components of its index
+    coordinates and of the free symbols of its coefficients.
+    """
+
+    __slots__ = ("_inclusion", "_segment", "_tchart", "_comps", "_rates")
+
+    def __init__(self, inclusion: SmoothMap, path: ProcessPath, seg: PathSegment):
+        self._inclusion = inclusion.components
+        self._segment = seg.components
+        self._tchart = path.t_chart
+        self._comps: dict[str, Expr] = {}
+        self._rates: dict[str, Expr] = {}
+
+    def _component(self, name: str) -> Expr:
+        e = self._comps.get(name)
+        if e is None:
+            e = self._inclusion[name].subs(self._segment, self._tchart)
+            self._comps[name] = e
+        return e
+
+    def _rate(self, name: str) -> Expr:
+        r = self._rates.get(name)
+        if r is None:
+            r = self._component(name).diff(T_CHART_NAME)
+            self._rates[name] = r
+        return r
+
+    def coefficient(self, form: Form) -> Expr:
+        """dt-coefficient of a 1-form pulled back along this leg: the same
+        Expr as pullback(Φ ∘ segment map, form).coefficient((0,))."""
+        coords = form.chart.coords
+        total = self._tchart.zero()
+        for (i,), coeff in form.coeffs.items():
+            mapping = {
+                n: self._component(n)
+                for n in coeff.free_symbols()
+                if n in self._inclusion
+            }
+            total = total + coeff.subs(mapping, self._tchart) * self._rate(coords[i])
+        return total
+
+
+def _legs(tc: ThermoChart, inclusion: SmoothMap, path: ProcessPath) -> list[_Leg]:
     if path.base_chart != tc.base_chart:
         raise ThermoError("path does not live in the chart's extensive coordinates")
-    inclusion = spec.inclusion(tc)
-    return [inclusion.compose(path.segment_map(seg)) for seg in path.segments]
+    return [_Leg(inclusion, path, seg) for seg in path.segments]
+
+
+def _require_path(path):
+    if isinstance(path, EndpointPair):
+        raise ThermoError(
+            "non-quasi-static processes have no path; integrals are undefined"
+        )
 
 
 def _integrate_segment(coeff: Expr, params, cfg: QuadratureConfig):
@@ -596,6 +648,16 @@ def _integrate_segment(coeff: Expr, params, cfg: QuadratureConfig):
     return value, err
 
 
+def _integrate_legs(legs, form: Form, params, cfg: QuadratureConfig) -> PathIntegral:
+    total = 0.0
+    total_err = 0.0
+    for leg in legs:
+        value, err = _integrate_segment(leg.coefficient(form), params, cfg)
+        total += value
+        total_err += err
+    return PathIntegral(total, total_err)
+
+
 def path_integral(
     tc: ThermoChart,
     spec: LegendreSpec,
@@ -605,22 +667,12 @@ def path_integral(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> PathIntegral:
     """∫ over the path of the form's pullback onto the Legendre manifold."""
-    if isinstance(path, EndpointPair):
-        raise ThermoError(
-            "non-quasi-static processes have no path; integrals are undefined"
-        )
+    _require_path(path)
     if form.chart != tc.chart or form.degree != 1:
         raise ThermoError("integrand must be a 1-form on the full chart")
     path.check_continuity(params)
-    total = 0.0
-    total_err = 0.0
-    for full_map in _segment_full_maps(tc, spec, path):
-        pulled = pullback(full_map, form)
-        coeff = pulled.coefficient((0,))
-        value, err = _integrate_segment(coeff, params, cfg)
-        total += value
-        total_err += err
-    return PathIntegral(total, total_err)
+    legs = _legs(tc, spec.inclusion(tc), path)
+    return _integrate_legs(legs, form, params, cfg)
 
 
 @dataclass(frozen=True)
@@ -640,9 +692,12 @@ def first_law_balance(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> FirstLawBalance:
     """ΔU = ΔQ − ΔW checked by independent quadratures of dX₀, Q and W."""
-    du = path_integral(tc, spec, path, Form.d_coord(tc.chart, tc.energy), params, cfg)
-    dq = path_integral(tc, spec, path, heat_form(tc), params, cfg)
-    dw = path_integral(tc, spec, path, work_form(tc), params, cfg)
+    _require_path(path)
+    path.check_continuity(params)
+    legs = _legs(tc, spec.inclusion(tc), path)
+    du = _integrate_legs(legs, Form.d_coord(tc.chart, tc.energy), params, cfg)
+    dq = _integrate_legs(legs, heat_form(tc), params, cfg)
+    dw = _integrate_legs(legs, work_form(tc), params, cfg)
     residual = abs(du.value - (dq.value - dw.value))
     return FirstLawBalance(
         du.value, dq.value, dw.value, residual, residual < cfg.balance_tol
@@ -694,12 +749,12 @@ def cycle_audit(
     q_total = 0.0
     w_total = 0.0
     q_min = float("inf")
-    legs = []
-    full_maps = _segment_full_maps(tc, spec, cycle)
+    audits = []
+    legs = _legs(tc, spec.inclusion(tc), cycle)
     qf, wf = heat_form(tc), work_form(tc)
-    for i, (seg, full_map) in enumerate(zip(cycle.segments, full_maps)):
-        q_coeff = pullback(full_map, qf).coefficient((0,))
-        w_coeff = pullback(full_map, wf).coefficient((0,))
+    for i, (seg, leg) in enumerate(zip(cycle.segments, legs)):
+        q_coeff = leg.coefficient(qf)
+        w_coeff = leg.coefficient(wf)
         qv, _ = _integrate_segment(q_coeff, params, cfg)
         wv, _ = _integrate_segment(w_coeff, params, cfg)
         q_total += qv
@@ -711,7 +766,7 @@ def cycle_audit(
             samples.append(float(q_coeff.evaluate(env)))
         q_min = min(q_min, min(samples))
         max_abs = max(abs(v) for v in samples)
-        legs.append(
+        audits.append(
             LegAudit(i, seg.claim, max_abs, max_abs < cfg.sample_tol)
         )
     residual = abs(q_total - w_total)
@@ -723,7 +778,7 @@ def cycle_audit(
         residual < cfg.balance_tol,
         kelvin,
         q_min,
-        tuple(legs),
+        tuple(audits),
     )
 
 
@@ -764,10 +819,11 @@ def adiabatic_entropy_check(
     if entropy.chart != tc.base_chart:
         raise ThermoError("entropy must be a function of the extensive coordinates")
     inclusion = spec.inclusion(tc)
-    q_manifold = pullback(inclusion, heat_form(tc))
+    qf = heat_form(tc)
     p, _, _ = tc.pairs[tc.heat]
-    t_manifold = spec.state_equations(tc)[p]
-    cert = verify_integrating_factor(q_manifold, t_manifold, entropy, zconfig)
+    cert = verify_integrating_factor(
+        pullback(inclusion, qf), inclusion(p), entropy, zconfig
+    )
     if not cert.ok:
         raise ThermoError(
             f"Q = T dS not certified for the supplied entropy ({cert.status.value})"
@@ -776,12 +832,10 @@ def adiabatic_entropy_check(
     heat_samples = []
     s_samples = []
     env = dict(params)
-    for k, (full_map, seg) in enumerate(
-        zip(_segment_full_maps(tc, spec, path), path.segments)
-    ):
-        q_coeff = pullback(full_map, heat_form(tc)).coefficient((0,))
-        seg_map = path.segment_map(seg)
-        s_on_t = entropy.subs(dict(seg_map.components), path.t_chart)
+    legs = _legs(tc, inclusion, path)
+    for k, (leg, seg) in enumerate(zip(legs, path.segments)):
+        q_coeff = leg.coefficient(qf)
+        s_on_t = entropy.subs(seg.components, path.t_chart)
         for t in _sample_ts(cfg.samples_per_segment):
             if k > 0 and t == 0:
                 continue  # junction sample repeats the previous segment's end

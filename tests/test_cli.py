@@ -184,6 +184,40 @@ def test_batch_manifest_errors_name_the_line(tmp_path, bad, message):
     assert out.startswith(f"error: {manifest}:3: {message}")
 
 
+def test_deeply_nested_parentheses_exit_two_alone_and_in_batch(tmp_path):
+    text = (CORPUS / "ideal_gas.doc").read_text()
+    potential = "potential = exp(2*S/(3*N*R)) * V^(-2/3)"
+    doc = tmp_path / "nested.doc"
+    doc.write_text(text.replace(potential, "potential = " + "(" * 400 + "S" + ")" * 400))
+    (tmp_path / "ideal_gas.doc").write_text(text)
+    code, out = run_cli("path", str(doc))
+    assert code == 2
+    assert out.startswith(f"error: {doc}:13: nesting deeper than")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("path nested.doc 2\npath ideal_gas.doc 0\n")
+    code, out = run_cli("batch", str(manifest))
+    assert code == 0
+    assert f"message: {doc}:13: nesting deeper than" in out
+    assert out.count("\nmatched: yes") == 2
+
+
+def test_batch_entry_with_unexpected_error_does_not_end_the_batch(tmp_path, monkeypatch):
+    from entropykit import cli
+
+    def broken(doc, opts, report):
+        raise KeyError("T")
+
+    monkeypatch.setitem(cli.COMMANDS, "maxwell", broken)
+    (tmp_path / "ideal_gas.doc").write_text((CORPUS / "ideal_gas.doc").read_text())
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("maxwell ideal_gas.doc 2\npath ideal_gas.doc 0\n")
+    code, out = run_cli("batch", str(manifest))
+    assert code == 0
+    assert "message: internal error: KeyError: 'T' (raised at test_cli.py:" in out
+    assert out.count("\nmatched: yes") == 2
+    assert "all-matched: yes" in out
+
+
 def test_exit_two_on_missing_file_and_bad_usage():
     code, _ = run_cli("maxwell", str(CORPUS / "no_such.doc"))
     assert code == 2

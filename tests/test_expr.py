@@ -78,6 +78,24 @@ def test_parse_errors_carry_position():
         parse("x / (2 - 2)", XY)
 
 
+def test_parser_nesting_is_bounded():
+    from entropykit.expr import MAX_NESTING, ln
+
+    n = MAX_NESTING
+    assert parse("(" * n + "x" + ")" * n, XY) == XY.var("x")
+    calls = parse("ln(" * (n - 1) + "(x)" + ")" * (n - 1), XY)
+    want = XY.var("x")
+    for _ in range(n - 1):
+        want = ln(want)
+    assert calls == want
+    with pytest.raises(ParseError) as err:
+        parse("y +\n" + "(" * (n + 1) + "x" + ")" * (n + 1), XY)
+    assert (err.value.line, err.value.col) == (2, n + 1)
+    with pytest.raises(ParseError) as err:
+        parse("exp(" * n + "ln(x)" + ")" * n, XY)
+    assert (err.value.line, err.value.col) == (1, 4 * n + 1)
+
+
 def test_parse_power_forms():
     assert parse("x^2", XY) == XY.var("x") * XY.var("x")
     assert parse("x^(1/2) * x^(1/2)", XY) == XY.var("x")

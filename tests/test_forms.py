@@ -293,6 +293,68 @@ def test_pullback_functoriality():
         assert pullback(f, pullback(g, a)) == pullback(g.compose(f), a)
 
 
+def pullback_every_differential(f, a):
+    """pullback that differentiates every target component, read or not."""
+    src = f.source
+    mapping = dict(f.components)
+    if a.degree == 0:
+        return Form.from_expr(a.coefficient(()).subs(mapping, src))
+    differentials = {
+        name: Form.one_form(src, {x: f.components[name].diff(x) for x in src.coords})
+        for name in f.target.coords
+    }
+    out = Form.zero(src, a.degree)
+    for idx, coeff in a.coeffs.items():
+        piece = Form.from_expr(coeff.subs(mapping, src))
+        for i in idx:
+            piece = piece.wedge(differentials[f.target.coords[i]])
+        out = out + piece
+    return out
+
+
+def test_pullback_differentiates_only_indexed_components(monkeypatch):
+    from entropykit.expr import Expr
+
+    differentiated = []
+    real_diff = Expr.diff
+
+    def recording_diff(self, name):
+        differentiated.append(self)
+        return real_diff(self, name)
+
+    monkeypatch.setattr(Expr, "diff", recording_diff)
+    rng = random.Random(37)
+    for degree in (0, 1, 2, 0, 1, 2):
+        comps = {
+            n: parse(
+                f"{rng.randint(1, 3)}*S^{rng.randint(1, 2)}*exp(V/{rng.randint(1, 3)})"
+                f" + ln(V + {rng.randint(1, 4)})*S",
+                SV,
+            )
+            for n in GIBBS.coords
+        }
+        f = SmoothMap(SV, GIBBS, comps)
+        dense = random_poly_form(rng, GIBBS, degree)
+        sparse = Form(
+            GIBBS,
+            degree,
+            {
+                idx: dense.coeffs[idx]
+                for idx in sorted(dense.coeffs)[: rng.randint(1, 2)]
+            },
+        )
+        for a in (dense, sparse):
+            want = pullback_every_differential(f, a)
+            differentiated.clear()
+            got = pullback(f, a)
+            assert got == want
+            assert [(i, c.key(), str(c)) for i, c in got.items()] == [
+                (i, c.key(), str(c)) for i, c in want.items()
+            ]
+            read = {GIBBS.coords[i] for idx in a.coeffs for i in idx}
+            assert {n for n, c in comps.items() if any(e is c for e in differentiated)} == read
+
+
 # -- frobenius -------------------------------------------------------------------
 
 

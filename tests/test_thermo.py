@@ -527,3 +527,121 @@ def test_divergent_integral_raises_quadrature_error():
         path_integral(
             STD, IDEAL_GAS, blow_up, Form.d_coord(STD.chart, "U"), PARAMS
         )
+
+
+# -- one pullback route for the path code ----------------------------------------------
+
+
+def poly_spec(rng):
+    # U = Σ c S^i V^j with i ≥ 1, as in the polynomial potentials of the paths bench
+    text = " + ".join(
+        f"{F(rng.randint(1, 9), rng.randint(1, 4))}*S^{i}*V^({j})"
+        for i, j in rng.choice((((1, -1), (2, 0), (3, 1)), ((1, 1), (2, -1), (2, 2))))
+    )
+    return LegendreSpec.from_potential(parse(text, STD.base_chart))
+
+
+def random_state(rng):
+    return {"S": F(rng.randint(2, 12), 4), "V": F(rng.randint(2, 12), 4)}
+
+
+def test_leg_coefficients_match_pullback_through_composed_map():
+    # Each leg's dt-coefficient is the very Expr the composed-map pullback gives.
+    from entropykit.forms import pullback
+    from entropykit.thermo import _legs
+
+    rng = random.Random(53)
+    forms = [
+        Form.d_coord(STD.chart, "U"),
+        heat_form(STD),
+        work_form(STD),
+        Form.from_expr(parse("U*V + T^2", STD.chart)).d(),
+    ]
+    for spec in (IDEAL_GAS, poly_spec(rng), poly_spec(rng)):
+        a, b, via = random_state(rng), random_state(rng), random_state(rng)
+        s1, v1 = F(rng.randint(2, 8), 4), F(rng.randint(2, 8), 4)
+        s2, v2 = s1 + F(rng.randint(1, 6), 4), v1 + F(rng.randint(1, 6), 4)
+        for path in (line_path(a, b), line_path(a, via, b), carnot_rectangle(s1, s2, v1, v2)):
+            inclusion = spec.inclusion(STD)
+            legs = _legs(STD, inclusion, path)
+            for seg, leg in zip(path.segments, legs):
+                full_map = spec.inclusion(STD).compose(path.segment_map(seg))
+                for form in forms:
+                    got = leg.coefficient(form)
+                    want = pullback(full_map, form).coefficient((0,))
+                    assert got.key() == want.key()
+                    assert str(got) == str(want)
+
+
+def test_path_code_builds_one_inclusion_and_composes_only_what_it_reads(monkeypatch):
+    from entropykit.expr import Expr
+
+    inclusions = []
+    composed = []
+    real_inclusion = LegendreSpec.inclusion
+    real_subs = Expr.subs
+
+    def counting_inclusion(self, tc):
+        phi = real_inclusion(self, tc)
+        inclusions.append(phi)
+        return phi
+
+    def counting_subs(self, mapping, chart=None):
+        # a composition substitutes a segment into an inclusion component
+        if chart is not None and chart.coords == ("t",):
+            for phi in inclusions:
+                for name, comp in phi.components.items():
+                    if self is comp:
+                        segment = tuple(sorted((k, str(v)) for k, v in mapping.items()))
+                        composed.append((name, segment))
+        return real_subs(self, mapping, chart)
+
+    monkeypatch.setattr(LegendreSpec, "inclusion", counting_inclusion)
+    monkeypatch.setattr(Expr, "subs", counting_subs)
+    detour = line_path(
+        {"S": F(1), "V": F(1)}, {"S": F(2), "V": F(3, 2)}, {"S": F(5, 2), "V": F(2)}
+    )
+    isentropic = line_path({"S": F(3, 2), "V": F(1)}, {"S": F(3, 2), "V": F(3)})
+    for run in (
+        lambda: first_law_balance(STD, IDEAL_GAS, detour, PARAMS),
+        lambda: adiabatic_entropy_check(STD, IDEAL_GAS, isentropic, S_COORD, PARAMS),
+        lambda: cycle_audit(STD, IDEAL_GAS, carnot_rectangle(F(1), F(2), F(1), F(2)), PARAMS),
+    ):
+        inclusions.clear()
+        composed.clear()
+        run()
+        assert len(inclusions) == 1
+        assert composed and len(composed) == len(set(composed))
+    inclusions.clear()
+    composed.clear()
+    path_integral(STD, IDEAL_GAS, detour, Form.d_coord(STD.chart, "U"), PARAMS)
+    assert {name for name, _ in composed} == {"U"}
+    assert len(composed) == len(detour.segments)
+
+
+def test_first_law_balance_keeps_path_checks(monkeypatch):
+    process = EndpointPair({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(1)})
+    with pytest.raises(ThermoError) as from_integral:
+        path_integral(STD, IDEAL_GAS, process, heat_form(STD), PARAMS)
+    with pytest.raises(ThermoError) as from_balance:
+        first_law_balance(STD, IDEAL_GAS, process, PARAMS)
+    assert str(from_balance.value) == str(from_integral.value)
+    broken = ProcessPath(
+        STD.base_chart,
+        (
+            ProcessPath.line(STD.base_chart, {"S": F(1), "V": F(1)}, {"S": F(2), "V": F(1)}),
+            ProcessPath.line(STD.base_chart, {"S": F(3), "V": F(1)}, {"S": F(3), "V": F(2)}),
+        ),
+    )
+    with pytest.raises(ThermoError, match="do not join"):
+        first_law_balance(STD, IDEAL_GAS, broken, PARAMS)
+    checks = []
+    real_check = ProcessPath.check_continuity
+
+    def counting_check(self, params, tol=1e-12):
+        checks.append(self)
+        return real_check(self, params, tol)
+
+    monkeypatch.setattr(ProcessPath, "check_continuity", counting_check)
+    first_law_balance(STD, IDEAL_GAS, line_path({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(2)}), PARAMS)
+    assert len(checks) == 1
