@@ -524,11 +524,7 @@ _INPUT_ERRORS = (UsageError, DocumentError, ExprError, ThermoError, GaloisError,
 def _error_message(err: Exception) -> str:
     if isinstance(err, _INPUT_ERRORS):
         return str(err)
-    tb = err.__traceback__
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
-    return f"internal error: {type(err).__name__}: {err} (raised at {where})"
+    return f"internal error: {type(err).__name__}: {err}"
 
 
 def _run_batch(manifest_path: str, opts, out) -> int:

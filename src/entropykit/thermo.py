@@ -562,56 +562,31 @@ class PathIntegral:
     error: float
 
 
-class _Leg:
-    """One segment γ of a path seen on the Legendre manifold, t ↦ Φ(γ(t)).
+def _leg_coefficient(
+    inclusion: SmoothMap, path: ProcessPath, seg: PathSegment, form: Form
+) -> Expr:
+    """dt-coefficient of a 1-form pulled back along one segment γ of a path
+    on the Legendre manifold, t ↦ Φ(γ(t)): the same Expr as
+    pullback(Φ ∘ segment map, form).coefficient((0,)), composing only the
+    components the form reads (its index coordinates and the free symbols
+    of its coefficients)."""
+    comps = inclusion.components
 
-    A component of Φ∘γ is composed the first time a form reads it and kept,
-    and so is its t-derivative; a form reads the components of its index
-    coordinates and of the free symbols of its coefficients.
-    """
+    def on_leg(name: str) -> Expr:
+        return comps[name].subs(seg.components, path.t_chart)
 
-    __slots__ = ("_inclusion", "_segment", "_tchart", "_comps", "_rates")
-
-    def __init__(self, inclusion: SmoothMap, path: ProcessPath, seg: PathSegment):
-        self._inclusion = inclusion.components
-        self._segment = seg.components
-        self._tchart = path.t_chart
-        self._comps: dict[str, Expr] = {}
-        self._rates: dict[str, Expr] = {}
-
-    def _component(self, name: str) -> Expr:
-        e = self._comps.get(name)
-        if e is None:
-            e = self._inclusion[name].subs(self._segment, self._tchart)
-            self._comps[name] = e
-        return e
-
-    def _rate(self, name: str) -> Expr:
-        r = self._rates.get(name)
-        if r is None:
-            r = self._component(name).diff(T_CHART_NAME)
-            self._rates[name] = r
-        return r
-
-    def coefficient(self, form: Form) -> Expr:
-        """dt-coefficient of a 1-form pulled back along this leg: the same
-        Expr as pullback(Φ ∘ segment map, form).coefficient((0,))."""
-        coords = form.chart.coords
-        total = self._tchart.zero()
-        for (i,), coeff in form.coeffs.items():
-            mapping = {
-                n: self._component(n)
-                for n in coeff.free_symbols()
-                if n in self._inclusion
-            }
-            total = total + coeff.subs(mapping, self._tchart) * self._rate(coords[i])
-        return total
+    coords = form.chart.coords
+    total = path.t_chart.zero()
+    for (i,), coeff in form.coeffs.items():
+        mapping = {n: on_leg(n) for n in coeff.free_symbols() if n in comps}
+        rate = on_leg(coords[i]).diff(T_CHART_NAME)
+        total = total + coeff.subs(mapping, path.t_chart) * rate
+    return total
 
 
-def _legs(tc: ThermoChart, inclusion: SmoothMap, path: ProcessPath) -> list[_Leg]:
+def _check_base(tc: ThermoChart, path: ProcessPath) -> None:
     if path.base_chart != tc.base_chart:
         raise ThermoError("path does not live in the chart's extensive coordinates")
-    return [_Leg(inclusion, path, seg) for seg in path.segments]
 
 
 def _require_path(path):
@@ -648,11 +623,14 @@ def _integrate_segment(coeff: Expr, params, cfg: QuadratureConfig):
     return value, err
 
 
-def _integrate_legs(legs, form: Form, params, cfg: QuadratureConfig) -> PathIntegral:
+def _integrate_path(
+    inclusion: SmoothMap, path: ProcessPath, form: Form, params, cfg: QuadratureConfig
+) -> PathIntegral:
     total = 0.0
     total_err = 0.0
-    for leg in legs:
-        value, err = _integrate_segment(leg.coefficient(form), params, cfg)
+    for seg in path.segments:
+        coeff = _leg_coefficient(inclusion, path, seg, form)
+        value, err = _integrate_segment(coeff, params, cfg)
         total += value
         total_err += err
     return PathIntegral(total, total_err)
@@ -671,8 +649,8 @@ def path_integral(
     if form.chart != tc.chart or form.degree != 1:
         raise ThermoError("integrand must be a 1-form on the full chart")
     path.check_continuity(params)
-    legs = _legs(tc, spec.inclusion(tc), path)
-    return _integrate_legs(legs, form, params, cfg)
+    _check_base(tc, path)
+    return _integrate_path(spec.inclusion(tc), path, form, params, cfg)
 
 
 @dataclass(frozen=True)
@@ -694,10 +672,11 @@ def first_law_balance(
     """ΔU = ΔQ − ΔW checked by independent quadratures of dX₀, Q and W."""
     _require_path(path)
     path.check_continuity(params)
-    legs = _legs(tc, spec.inclusion(tc), path)
-    du = _integrate_legs(legs, Form.d_coord(tc.chart, tc.energy), params, cfg)
-    dq = _integrate_legs(legs, heat_form(tc), params, cfg)
-    dw = _integrate_legs(legs, work_form(tc), params, cfg)
+    _check_base(tc, path)
+    inclusion = spec.inclusion(tc)
+    du = _integrate_path(inclusion, path, Form.d_coord(tc.chart, tc.energy), params, cfg)
+    dq = _integrate_path(inclusion, path, heat_form(tc), params, cfg)
+    dw = _integrate_path(inclusion, path, work_form(tc), params, cfg)
     residual = abs(du.value - (dq.value - dw.value))
     return FirstLawBalance(
         du.value, dq.value, dw.value, residual, residual < cfg.balance_tol
@@ -750,11 +729,12 @@ def cycle_audit(
     w_total = 0.0
     q_min = float("inf")
     audits = []
-    legs = _legs(tc, spec.inclusion(tc), cycle)
+    _check_base(tc, cycle)
+    inclusion = spec.inclusion(tc)
     qf, wf = heat_form(tc), work_form(tc)
-    for i, (seg, leg) in enumerate(zip(cycle.segments, legs)):
-        q_coeff = leg.coefficient(qf)
-        w_coeff = leg.coefficient(wf)
+    for i, seg in enumerate(cycle.segments):
+        q_coeff = _leg_coefficient(inclusion, cycle, seg, qf)
+        w_coeff = _leg_coefficient(inclusion, cycle, seg, wf)
         qv, _ = _integrate_segment(q_coeff, params, cfg)
         wv, _ = _integrate_segment(w_coeff, params, cfg)
         q_total += qv
@@ -832,9 +812,9 @@ def adiabatic_entropy_check(
     heat_samples = []
     s_samples = []
     env = dict(params)
-    legs = _legs(tc, inclusion, path)
-    for k, (leg, seg) in enumerate(zip(legs, path.segments)):
-        q_coeff = leg.coefficient(qf)
+    _check_base(tc, path)
+    for k, seg in enumerate(path.segments):
+        q_coeff = _leg_coefficient(inclusion, path, seg, qf)
         s_on_t = entropy.subs(seg.components, path.t_chart)
         for t in _sample_ts(cfg.samples_per_segment):
             if k > 0 and t == 0:

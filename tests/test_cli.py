@@ -213,7 +213,7 @@ def test_batch_entry_with_unexpected_error_does_not_end_the_batch(tmp_path, monk
     manifest.write_text("maxwell ideal_gas.doc 2\npath ideal_gas.doc 0\n")
     code, out = run_cli("batch", str(manifest))
     assert code == 0
-    assert "message: internal error: KeyError: 'T' (raised at test_cli.py:" in out
+    assert "message: internal error: KeyError: 'T'\n" in out
     assert out.count("\nmatched: yes") == 2
     assert "all-matched: yes" in out
 
