@@ -292,10 +292,23 @@ class CHResult:
     incomparable: tuple[tuple[CompositeState, CompositeState], ...]
 
 
-def _pure_order(A: Accessibility, space: StateSpace):
+def _pures(space: StateSpace) -> list[CompositeState]:
+    return [CompositeState.pure(space.label, n) for n in space.names()]
+
+
+def answer_table(A: Accessibility, space: StateSpace) -> list[list[bool]]:
+    """le[i][j] = A.le(X_i, X_j) over the space's pure states in name order,
+    each ordered pair asked once; construct_entropy and verify_entropy read
+    it when given, instead of asking again."""
+    pures = _pures(space)
+    return [[A.le(x, y) for y in pures] for x in pures]
+
+
+def _pure_order(A: Accessibility, space: StateSpace, le=None):
     """The space's pure states, their answer table le[i][j] and the CH result."""
-    pures = [CompositeState.pure(space.label, n) for n in space.names()]
-    le = [[A.le(x, y) for y in pures] for x in pures]
+    pures = _pures(space)
+    if le is None:
+        le = answer_table(A, space)
     bad = tuple(
         (pures[i], pures[j])
         for i, j in itertools.combinations(range(len(pures)), 2)
@@ -632,6 +645,7 @@ def construct_entropy(
     A: Accessibility,
     space: StateSpace,
     config: AxiomConfig = DEFAULT_AXIOM_CONFIG,
+    le: Optional[list[list[bool]]] = None,
 ) -> EntropyFn:
     """Build an entropy representing the accessibility order on one space.
 
@@ -639,8 +653,9 @@ def construct_entropy(
     entropy, scalable ones the two-reference construction: S(X) is the
     largest grid λ with ((1−λ)X₀, λX₁) ≺ X for a fixed strict pair X₀ ≺≺ X₁.
     The grid is scanned from the top, stopping at the first reference ≺ X.
+    le is the space's answer_table, asked here when not given.
     """
-    pures, le, ch = _pure_order(A, space)
+    pures, le, ch = _pure_order(A, space, le)
     if not ch.total:
         raise ConstructionImpossible(
             f"comparison hypothesis fails on {space.label!r}", ch.incomparable[0]
@@ -714,23 +729,25 @@ def verify_entropy(
     A: Accessibility,
     space: StateSpace,
     config: AxiomConfig = DEFAULT_AXIOM_CONFIG,
+    le: Optional[list[list[bool]]] = None,
 ) -> VerifyReport:
     """Check X ≺ Y ⇔ S(X) ≤ S(Y) exhaustively over the space's states, and
     re-assert additivity/extensivity on sampled composites.
 
     The iff is checked on the state space itself: grid-built entropies
     represent that order exactly, while their additive extension to
-    composites is only grid-accurate by construction.
+    composites is only grid-accurate by construction.  Given the space's
+    answer_table le, it reads the order there instead of asking A.
     """
     rng = random.Random(config.seed)
-    pures = [CompositeState.pure(space.label, n) for n in space.names()]
+    pures = _pures(space)
     witness = None
-    for x in pures:
-        for y in pures:
-            le = A.le(x, y)
+    for i, x in enumerate(pures):
+        for j, y in enumerate(pures):
+            xy = A.le(x, y) if le is None else le[i][j]
             sle = S.value(x) <= S.value(y)
-            if le != sle:
-                witness = (x, y, "≺ but S decreases" if le else "S ≤ without ≺")
+            if xy != sle:
+                witness = (x, y, "≺ but S decreases" if xy else "S ≤ without ≺")
                 break
         if witness:
             break
@@ -813,17 +830,19 @@ def _fm_solve(constraints: list[Constraint], nvars: int) -> list[Fraction]:
                 nxt.append(c)
         for p in pos:
             for q in neg:
+                provenance = p.provenance | q.provenance
+                if len(provenance) > var + 2:
+                    # Chernikov's rule: after var + 1 eliminations a row built
+                    # from more than var + 2 input rows is implied by the rest,
+                    # so each stage keeps its polyhedron and its bounds
+                    continue
                 scale_p = -q.coeffs[var]
                 scale_q = p.coeffs[var]
                 coeffs = tuple(
                     scale_p * a + scale_q * b for a, b in zip(p.coeffs, q.coeffs)
                 )
                 nxt.append(
-                    Constraint(
-                        coeffs,
-                        scale_p * p.const + scale_q * q.const,
-                        p.provenance | q.provenance,
-                    )
+                    Constraint(coeffs, scale_p * p.const + scale_q * q.const, provenance)
                 )
         current = _tighten(nxt)
     for c in current:

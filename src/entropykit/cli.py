@@ -136,6 +136,11 @@ def _numeric_params(doc: Document) -> dict:
     return dict(doc.param_values)
 
 
+def _path_error(doc: Document, name: str, err: Exception) -> DocumentError:
+    """An error met on a declared path, located at that path's line."""
+    return DocumentError(f"path {name}: {err}", doc.path, doc.path_lines.get(name, 0))
+
+
 def _thermo_parts(doc: Document):
     _require(doc.thermo_chart is not None, "document has no thermodynamic chart")
     _require(doc.spec is not None, "document has no [spec] section")
@@ -264,7 +269,10 @@ def cmd_path(doc: Document, opts, report: Report):
     params = _numeric_params(doc)
     cfg = _quad_config(doc, opts)
     for name, path in doc.paths.items():
-        balance = thermo.first_law_balance(tc, spec, path, params, cfg)
+        try:
+            balance = thermo.first_law_balance(tc, spec, path, params, cfg)
+        except (ThermoError, ExprError) as err:
+            raise _path_error(doc, name, err) from None
         idx = report.block("path")
         report.add(idx, "path", name)
         report.add(idx, "delta-energy", balance.delta_energy)
@@ -281,7 +289,10 @@ def cmd_cycle_audit(doc: Document, opts, report: Report):
     params = _numeric_params(doc)
     cfg = _quad_config(doc, opts)
     for name, path in doc.paths.items():
-        audit = thermo.cycle_audit(tc, spec, path, params, cfg)
+        try:
+            audit = thermo.cycle_audit(tc, spec, path, params, cfg)
+        except (ThermoError, ExprError) as err:
+            raise _path_error(doc, name, err) from None
         idx = report.block("cycle-audit")
         report.add(idx, "cycle", name)
         report.add(idx, "heat", audit.heat)
@@ -361,8 +372,9 @@ def cmd_entropy_construct(doc: Document, opts, report: Report):
     for label, space in doc.spaces.items():
         idx = report.block("entropy-construct")
         report.add(idx, "space", label)
+        le = access.answer_table(rel, space)
         try:
-            S = access.construct_entropy(rel, space, config)
+            S = access.construct_entropy(rel, space, config, le)
         except ConstructionImpossible as err:
             report.add(idx, "verdict", "CONSTRUCTION_IMPOSSIBLE")
             report.add(idx, "witness", ", ".join(str(w) for w in err.witness))
@@ -375,7 +387,7 @@ def cmd_entropy_construct(doc: Document, opts, report: Report):
             report.add(idx, "grid-step", S.grid_step)
         for name in space.names():
             report.add(idx, f"S({name})", S.values[name])
-        verdict = access.verify_entropy(S, rel, space, config)
+        verdict = access.verify_entropy(S, rel, space, config, le)
         report.add(idx, "verified", "yes" if verdict.ok else "no")
         report.set_status(idx, "pass" if verdict.ok else "fail")
 
@@ -616,8 +628,8 @@ def run(argv, out=None) -> int:
             _run_single(opts.command, opts.document, opts, report)
             sink.write(report.render(opts.format))
             code = report.exit_code()
-    except _INPUT_ERRORS as err:
-        sink.write(f"error: {err}\n")
+    except Exception as err:  # a defect gets a message, as in batch, not a traceback
+        sink.write(f"error: {_error_message(err)}\n")
         code = 2
     if opts.out:
         with open(opts.out, "w", encoding="utf-8") as handle:

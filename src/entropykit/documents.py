@@ -48,6 +48,7 @@ class Document:
     spec: Optional[LegendreSpec] = None
     forms: dict = field(default_factory=dict)
     paths: dict = field(default_factory=dict)
+    path_lines: dict = field(default_factory=dict)  # path name -> its 'path' line
     spaces: dict = field(default_factory=dict)
     relation: Optional[Accessibility] = None
     entropies: dict = field(default_factory=dict)  # name -> (space label, EntropyFn)
@@ -354,6 +355,7 @@ def _parse_paths(doc: Document, rows):
             current = body[5:].partition(":")[0].strip()
             if not current:
                 raise DocumentError("path needs a name", doc.path, line_no)
+            doc.path_lines[current] = line_no
             segments = []
         elif body.startswith("segment"):
             if current is None:

@@ -3,13 +3,19 @@
 Expressions are kept in a canonical expanded form: a sum of terms, each a
 rational coefficient times a product of base factors raised to rational
 exponents.  A base factor is a coordinate, a named positive parameter, an
-ln/exp atom, or an opaque power of a multi-term expression.  All arithmetic
-is exact (fractions.Fraction); nothing is ever evaluated in floating point
-except on explicit request.
+ln/exp atom, or an opaque power of a multi-term expression.  All symbolic
+arithmetic is exact (fractions.Fraction).
 
 Each operation (sum, product, derivative, substitution) collects all the
 terms of its result first and then merges and sorts them once, so a
 product of an m-term and an n-term sum costs one sort of m*n terms.
+
+Numeric values come from Expr.evaluate, exact where the expression and the
+point allow it (a Fraction) and floating point past ln, exp and fractional
+powers.  Expr.compile turns an expression with all but one symbol fixed
+into a one-argument function, as quadrature and path sampling need: it
+computes what does not depend on the free symbol once, and its result has
+the type and the bits of evaluate's at every point, errors included.
 """
 
 from __future__ import annotations
@@ -479,16 +485,32 @@ class Expr:
             except KeyError:
                 raise ExprError(f"no value bound for symbol {b!r}") from None
         if isinstance(b, _Ln):
-            v = b.arg.evaluate(env)
-            if v <= 0:
-                raise DomainError("ln of a non-positive value")
-            return math.log(v)
+            return _ln_value(b.arg.evaluate(env))
         if isinstance(b, _Exp):
-            try:
-                return math.exp(b.arg.evaluate(env))
-            except OverflowError:
-                raise DomainError("exp overflow") from None
+            return _exp_value(b.arg.evaluate(env))
         return b.base.evaluate(env)
+
+    def compile(self, params: Mapping[str, Union[Fraction, float, int]], var: str):
+        """The function v ↦ self.evaluate({**params, var: v}), built once.
+
+        It returns what that call returns, of the same type and to the bit,
+        and raises the same errors, when it runs and never when it is built.
+        What does not depend on var is computed here, once: a term's leading
+        run of such factors folds into its coefficient (evaluate multiplies
+        left to right, so only a leading run may fold), later ones become
+        constant factors, and the terms before the first one that depends on
+        var are summed.  A float v runs a variant whose constants are floats
+        already: there every value that depends on var is a float, and
+        Python computes a Fraction c times or plus a float x as float(c)
+        times or plus x.
+        """
+        fast = _compile_sum(self, params, var, True)
+        exact = _compile_sum(self, params, var, False)
+
+        def run(v):
+            return fast(v) if type(v) is float else exact(v)
+
+        return run
 
     # -- printing --------------------------------------------------------------
 
@@ -536,12 +558,33 @@ class Expr:
         return f"{base}^({x})"
 
 
+# The domain checks of numeric evaluation, shared by Expr.evaluate and the
+# functions Expr.compile builds.
+
+
+def _ln_value(v):
+    if v <= 0:
+        raise DomainError("ln of a non-positive value")
+    return math.log(v)
+
+
+def _exp_value(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError("exp overflow") from None
+
+
 def _pow_value(base, q: Fraction):
     if isinstance(base, (int, Fraction)) and q.denominator == 1:
         if base == 0 and q < 0:
             raise DomainError("zero base with negative exponent")
         return Fraction(base) ** int(q)
-    fb = float(base)
+    return _float_pow(float(base), q)
+
+
+def _float_pow(fb: float, q: Fraction, qf: Optional[float] = None) -> float:
+    """fb ** q in floating point; qf is float(q) when the caller has it."""
     if fb == 0.0:
         if q < 0:
             raise DomainError("zero base with negative exponent")
@@ -551,9 +594,115 @@ def _pow_value(base, q: Fraction):
             if q.denominator == 1:
                 return fb ** int(q)
             raise DomainError("negative base with fractional exponent")
-        return fb ** float(q)
+        return fb ** (float(q) if qf is None else qf)
     except OverflowError:
         raise DomainError("power overflow") from None
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation (Expr.compile)
+# ---------------------------------------------------------------------------
+
+# What computing a part of an expression ahead of time can raise; such a part
+# is left to run with the compiled function, which then raises it in turn.
+_EVAL_ERRORS = (ExprError, ArithmeticError)
+
+
+def _as_float(c):
+    """float(c), or c itself where that overflows, so that the operation it
+    meets raises as it would on c."""
+    try:
+        return float(c)
+    except OverflowError:
+        return c
+
+
+def _depends(b: _Base, var: str) -> bool:
+    if isinstance(b, str):
+        return b == var
+    return var in (b.base if isinstance(b, _Pow) else b.arg).free_symbols()
+
+
+def _compile_sum(e: Expr, params, var: str, floats: bool):
+    """v ↦ e.evaluate({**params, var: v}); with floats, for a float v only."""
+    total = Fraction(0)
+    parts = []  # (constant, None) or (None, function of v), in term order
+    for t in e.terms:
+        value, fn = _compile_term(e, t, params, var, floats)
+        if fn is None and not parts:
+            try:
+                total = total + value
+                continue
+            except _EVAL_ERRORS:
+                pass
+        parts.append((None, fn) if fn else (_as_float(value) if floats else value, None))
+    if not parts:
+        return lambda v: total
+    start = _as_float(total) if floats else total
+
+    def run(v):
+        out = start
+        for k, f in parts:
+            out = out + (k if f is None else f(v))
+        return out
+
+    return run
+
+
+def _compile_term(e: Expr, t: _Term, params, var: str, floats: bool):
+    """(value, None) for a term computed here, else (None, function of v)."""
+    val = t.coeff
+    factors = t.factors
+    i = 0
+    for b, x in factors:
+        if _depends(b, var):
+            break
+        try:
+            val = val * _pow_value(e._base_value(b, params), x)
+        except _EVAL_ERRORS:
+            break
+        i += 1
+    if i == len(factors):
+        return val, None
+    steps = [_compile_factor(e, b, x, params, var, floats) for b, x in factors[i:]]
+    start = _as_float(val) if floats else val
+
+    def run(v):
+        out = start
+        for k, f in steps:
+            out = out * (k if f is None else f(v))
+        return out
+
+    return None, run
+
+
+def _compile_factor(e: Expr, b: _Base, x: Fraction, params, var: str, floats: bool):
+    """(b ** x, None) when it is computed here, else (None, function of v)."""
+    if not _depends(b, var):
+        try:
+            p = _pow_value(e._base_value(b, params), x)
+            return (_as_float(p) if floats else p), None
+        except _EVAL_ERRORS:
+            return None, lambda v: _pow_value(e._base_value(b, params), x)
+    base = _compile_base(b, params, var, floats)
+    if floats:
+        try:
+            xf = float(x)
+        except OverflowError:
+            xf = None
+        return None, lambda v: _float_pow(base(v), x, xf)
+    return None, lambda v: _pow_value(base(v), x)
+
+
+def _compile_base(b: _Base, params, var: str, floats: bool):
+    if isinstance(b, str):
+        return lambda v: v
+    if isinstance(b, _Pow):
+        return _compile_sum(b.base, params, var, floats)
+    arg = _compile_sum(b.arg, params, var, floats)
+    if isinstance(b, _Ln):
+        return lambda v: _ln_value(arg(v))
+    return lambda v: _exp_value(arg(v))
 
 
 def ln(e: Expr) -> Expr:

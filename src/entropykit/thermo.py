@@ -596,16 +596,20 @@ def _require_path(path):
         )
 
 
-def _integrate_segment(coeff: Expr, params, cfg: QuadratureConfig):
+def _integrate_segment(integrand, cfg: QuadratureConfig):
+    """∫₀¹ integrand(t) dt for a leg coefficient compiled by Expr.compile."""
     # Imported here so that commands which never integrate do not pay for
     # scipy; quad is looked up on the module at call time.
     from scipy import integrate
 
-    env = dict(params)
-
     def f(tval: float) -> float:
-        env[T_CHART_NAME] = tval
-        return float(coeff.evaluate(env))
+        try:
+            return float(integrand(tval))
+        except DomainError as w:
+            # deep subdivision near a singularity drives nodes out of the domain
+            raise QuadratureError(
+                f"integrand left its domain near t={tval}: {w}"
+            ) from None
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
@@ -615,11 +619,6 @@ def _integrate_segment(coeff: Expr, params, cfg: QuadratureConfig):
             )
         except integrate.IntegrationWarning as w:
             raise QuadratureError(f"quadrature did not converge: {w}") from None
-        except DomainError as w:
-            # deep subdivision near a singularity drives nodes out of the domain
-            raise QuadratureError(
-                f"integrand left its domain near t={env.get(T_CHART_NAME)}: {w}"
-            ) from None
     return value, err
 
 
@@ -630,7 +629,7 @@ def _integrate_path(
     total_err = 0.0
     for seg in path.segments:
         coeff = _leg_coefficient(inclusion, path, seg, form)
-        value, err = _integrate_segment(coeff, params, cfg)
+        value, err = _integrate_segment(coeff.compile(params, T_CHART_NAME), cfg)
         total += value
         total_err += err
     return PathIntegral(total, total_err)
@@ -733,17 +732,13 @@ def cycle_audit(
     inclusion = spec.inclusion(tc)
     qf, wf = heat_form(tc), work_form(tc)
     for i, seg in enumerate(cycle.segments):
-        q_coeff = _leg_coefficient(inclusion, cycle, seg, qf)
-        w_coeff = _leg_coefficient(inclusion, cycle, seg, wf)
-        qv, _ = _integrate_segment(q_coeff, params, cfg)
-        wv, _ = _integrate_segment(w_coeff, params, cfg)
+        heat = _leg_coefficient(inclusion, cycle, seg, qf).compile(params, T_CHART_NAME)
+        work = _leg_coefficient(inclusion, cycle, seg, wf).compile(params, T_CHART_NAME)
+        qv, _ = _integrate_segment(heat, cfg)
+        wv, _ = _integrate_segment(work, cfg)
         q_total += qv
         w_total += wv
-        env = dict(params)
-        samples = []
-        for t in _sample_ts(cfg.samples_per_segment):
-            env[T_CHART_NAME] = t
-            samples.append(float(q_coeff.evaluate(env)))
+        samples = [float(heat(t)) for t in _sample_ts(cfg.samples_per_segment)]
         q_min = min(q_min, min(samples))
         max_abs = max(abs(v) for v in samples)
         audits.append(
@@ -811,17 +806,15 @@ def adiabatic_entropy_check(
     path.check_continuity(params)
     heat_samples = []
     s_samples = []
-    env = dict(params)
     _check_base(tc, path)
     for k, seg in enumerate(path.segments):
-        q_coeff = _leg_coefficient(inclusion, path, seg, qf)
-        s_on_t = entropy.subs(seg.components, path.t_chart)
+        heat = _leg_coefficient(inclusion, path, seg, qf).compile(params, T_CHART_NAME)
+        s_on_t = entropy.subs(seg.components, path.t_chart).compile(params, T_CHART_NAME)
         for t in _sample_ts(cfg.samples_per_segment):
             if k > 0 and t == 0:
                 continue  # junction sample repeats the previous segment's end
-            env[T_CHART_NAME] = t
-            heat_samples.append(float(q_coeff.evaluate(env)))
-            s_samples.append(float(s_on_t.evaluate(env)))
+            heat_samples.append(float(heat(t)))
+            s_samples.append(float(s_on_t(t)))
     max_heat = max(abs(v) for v in heat_samples)
     drift = max(abs(v - s_samples[0]) for v in s_samples)
     if max_heat < cfg.sample_tol:

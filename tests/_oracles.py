@@ -76,3 +76,36 @@ def random_monotone_map(rng, src, dst, tries=200):
         if check_monotone(src, dst, mapping).ok:
             return MonotoneMap(src, dst, mapping)
     return MonotoneMap(src, dst, {x: dst.carrier[0] for x in src.carrier})
+
+
+def calibration_case(seed, systems, states, clashes=0):
+    """`systems` entropy systems of `states` states each, and a cross relation
+    ordering all of them by a hidden gluing a_i·S_i + B_i (a_0 = 1, B_0 = 0);
+    each planted clash adds an edge against one system's own order."""
+    import random
+    from fractions import Fraction
+
+    from entropykit.access import CompositeState, EdgeRelation, EntropyFn, StateSpace
+
+    rng = random.Random(f"calibrate:{seed}:{systems}:{states}:{clashes}")
+    pure = CompositeState.pure
+    labels = [f"G{i}" for i in range(systems)]
+    spaces, glued = [], {}
+    for i, label in enumerate(labels):
+        values = sorted(rng.sample(range(-40, 40), states))
+        a = Fraction(rng.randint(1, 6), rng.randint(1, 3)) if i else Fraction(1)
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 3)) if i else Fraction(0)
+        names = [f"q{k}" for k in range(states)]
+        spaces.append((
+            StateSpace(label, ("x",), {n: (Fraction(k),) for k, n in enumerate(names)}),
+            EntropyFn(label, {n: Fraction(v, 4) for n, v in zip(names, values)}),
+        ))
+        for n, v in zip(names, values):
+            glued[pure(label, n)] = a * Fraction(v, 4) + b
+    nodes = list(glued)
+    edges = [(x, y) for x in nodes for y in nodes if x != y and glued[x] <= glued[y]]
+    for _ in range(clashes):
+        label = rng.choice(labels)
+        lo, hi = sorted(rng.sample(range(states), 2))
+        edges.append((pure(label, f"q{hi}"), pure(label, f"q{lo}")))
+    return spaces, EdgeRelation(nodes, edges)

@@ -1,11 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import zlib
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import entropykit
+from _oracles import calibration_case
 from entropykit.expr import Chart, parse
 from entropykit.galois import Poset
 from entropykit.access import (
@@ -601,6 +607,50 @@ def test_calibrate_reports_contradiction_witness():
     assert not result.ok
     assert result.witness
     assert any("≺≺" in w for w in result.witness)
+
+
+# (seed, systems, states, planted clashes), then the verdict, the point and the
+# witness that the elimination found before Chernikov's rule pruned its rows;
+# calibrate_two.doc and calibrate_clash.doc are pinned by the golden batch files
+CALIBRATION_PINS = [
+    ((1, 2, 4, 0), True,
+     ((F(1), F(0)), (F(34511307019, 8482500000), F(-2192624623, 145000000))), ()),
+    ((2, 3, 3, 0), True,
+     ((F(1), F(0)), (F(57183343, 22000000), F(-90249943, 88000000)),
+      (F(5750001, 1375000), F(0))), ()),
+    ((0, 3, 4, 0), True,
+     ((F(1), F(0)), (F(124000053, 92000000), F(575500477, 92000000)),
+      (F(10750001, 3500000), F(0))), ()),
+    ((3, 2, 5, 1), False, (), ("G1.q1 ≺≺ G1.q2", "G1.q2 ∼ G1.q3")),
+    ((1, 3, 4, 2), False, (), ("G0.q0 ∼ G0.q3",)),
+    ((4, 3, 3, 1), False, (), ("G1.q1 ∼ G1.q2", "a[G1] > 0")),
+    ((5, 3, 4, 3), False, (), ("G0.q1 ∼ G0.q2",)),
+]
+
+
+@pytest.mark.parametrize("case, ok, coefficients, witness", CALIBRATION_PINS)
+def test_calibrate_keeps_its_points_and_witnesses(case, ok, coefficients, witness):
+    result = calibrate(*calibration_case(*case))
+    assert (result.ok, result.coefficients, result.witness) == (ok, coefficients, witness)
+
+
+def test_calibrate_three_systems_of_six_states_in_bounded_time():
+    # every positive row met every negative one at each stage: this took
+    # about a minute before the elimination dropped redundant rows
+    tests = Path(__file__).resolve().parent
+    src = Path(entropykit.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(tests), env.get("PYTHONPATH")]))
+    script = (
+        "from _oracles import calibration_case\n"
+        "from entropykit.access import calibrate\n"
+        "print(calibrate(*calibration_case(0, 3, 6)).ok)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
 
 
 def test_entropy_oracle_from_expression():

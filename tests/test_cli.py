@@ -218,6 +218,57 @@ def test_batch_entry_with_unexpected_error_does_not_end_the_batch(tmp_path, monk
     assert "all-matched: yes" in out
 
 
+def test_single_command_with_unexpected_error_prints_no_traceback(monkeypatch):
+    from entropykit import cli
+
+    def broken(doc, opts, report):
+        raise KeyError("T")
+
+    monkeypatch.setitem(cli.COMMANDS, "maxwell", broken)
+    code, out = run_cli("maxwell", str(CORPUS / "ideal_gas.doc"))
+    assert code == 2
+    assert out == "error: internal error: KeyError: 'T'\n"
+
+
+def test_quadrature_domain_error_names_the_path_line_alone_and_in_batch(tmp_path):
+    text = (CORPUS / "ideal_gas.doc").read_text()
+    assert "\npotential = exp(2*S/(3*N*R)) * V^(-2/3)\n" in text
+    doc = tmp_path / "overflow.doc"
+    doc.write_text(text.replace("exp(2*S/(3*N*R)) * V^(-2/3)", "exp(exp(exp(S)))*V"))
+    where = f"{doc}:16: path direct: integrand left its domain near t="
+    code, out = run_cli("path", str(doc))
+    assert code == 2
+    assert out.startswith(f"error: {where}") and out.endswith(": exp overflow\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("path overflow.doc 2\ncycle-audit overflow.doc 2\n")
+    code, out = run_cli("batch", str(manifest))
+    assert code == 0
+    assert f"message: {where}" in out
+    assert f"message: {doc}:16: path direct: cycle_audit requires a closed path\n" in out
+    assert out.count("\nmatched: yes") == 2
+
+
+def test_entropy_construct_asks_each_pure_pair_once(monkeypatch):
+    from entropykit.access import EntropyOracle
+
+    asked = []
+    real_le = EntropyOracle.le
+
+    def counting_le(self, x, y):
+        asked.append((x, y))
+        return real_le(self, x, y)
+
+    monkeypatch.setattr(EntropyOracle, "le", counting_le)
+    code, out = run_cli("entropy-construct", str(CORPUS / "oracle_space.doc"))
+    assert code == 0
+    assert "verified: yes" in out
+    # the 16 ordered pure pairs fill the table that construction and
+    # verification both read; the other 154 queries scan the reference grid
+    # (state a alone asks all 65 references), so verification asks none
+    assert len({x for x, _ in asked[:16]}) == 4 and len(set(asked[:16])) == 16
+    assert len(asked) == 16 + 154
+
+
 def test_exit_two_on_missing_file_and_bad_usage():
     code, _ = run_cli("maxwell", str(CORPUS / "no_such.doc"))
     assert code == 2

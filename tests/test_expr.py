@@ -436,3 +436,84 @@ print(repr(r.value))
     # U = exp(2S/3) V^(-2/3) from (S, V) = (1, 1) to (5/2, 2)
     want = math.exp(5 / 3) * 2 ** (-2 / 3) - math.exp(2 / 3)
     assert abs(float(value) - want) < 1e-8
+
+
+# -- compiled evaluation ----------------------------------------------------------
+
+TAB = Chart(("t",), ("a", "b"))
+# ln, exp and opaque powers, with atoms that leave the domain for some t or
+# for some parameter values (ln(a) with a ≤ 0, exp(exp(exp(t))) for t ≳ 6)
+T_ATOMS = ["t", "a", "b", "t + a", "t - 1/2", "ln(t + 1)", "ln(t - b)", "ln(a)",
+           "exp(t)", "exp(a*t^3)", "exp(exp(exp(t)))", "(t + b)^(1/3)",
+           "exp(b) + t", "(a + 2)^(1/2)", "t^2 + b*t - 1"]
+T_EXPONENTS = [F(1), F(2), F(3), F(-1), F(-2), F(1, 2), F(-2, 3), F(3, 2)]
+
+
+@st.composite
+def t_sums(draw):
+    e = TAB.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        t = TAB.const(draw(st.fractions(-5, 5, max_denominator=6)))
+        for _ in range(draw(st.integers(0, 3))):
+            atom = parse(draw(st.sampled_from(T_ATOMS)), TAB)
+            t = t * atom ** draw(st.sampled_from(T_EXPONENTS))
+        e = e + t
+    return e
+
+
+def outcome(fn):
+    """What a call gives: its value's type and exact value (a float by its
+    bits), or its error's type and message."""
+    try:
+        value = fn()
+    except Exception as err:
+        return "raises", type(err), str(err)
+    return "returns", type(value), value.hex() if isinstance(value, float) else value
+
+
+def assert_compiled_matches_evaluate(e, params, var, values):
+    compiled = e.compile(params, var)  # building never raises
+    for v in values:
+        want = outcome(lambda: e.evaluate({**params, var: v}))
+        assert outcome(lambda: compiled(v)) == want, (str(e), params, v)
+
+
+T_VALUES = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 710.0, 1e300]),
+    st.fractions(-3, 3, max_denominator=64),
+)
+PARAM_VALUES = st.one_of(
+    st.fractions(-2, 3, max_denominator=5), st.floats(-2, 3, allow_nan=False)
+)
+
+
+@given(t_sums(), st.fractions(-2, 3, max_denominator=5), PARAM_VALUES,
+       st.lists(T_VALUES, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_compiled_expr_matches_evaluate(e, a, b, values):
+    assert_compiled_matches_evaluate(e, {"a": a, "b": b}, "t", values)
+
+
+def test_compiled_expr_defers_every_domain_error_to_the_call():
+    cases = [
+        ("ln(a)*t + 1", {"a": F(-1)}, [0.5, F(1, 2)]),  # ln of a non-positive value
+        ("t*exp(exp(exp(a)))", {"a": F(7)}, [0.5, F(1, 2)]),  # exp overflow
+        ("t + a^(-1)", {"a": F(0)}, [0.5, F(1, 2)]),  # zero base, negative exponent
+        ("t*(a - 3)^(1/2)", {"a": F(1)}, [0.5]),  # negative base, fractional exponent
+        ("t*(t + 1)^(1/2) + t^" + "9" * 400, {}, [0.5, 2.0]),  # float(q) overflows
+        ("(t + 1)^(2/3)*ln(t)", {}, [0.0, -1.0, 1e308, F(0)]),
+        ("t*c", {}, [0.5, F(1, 2)]),  # no value bound for c
+    ]
+    for text, params, values in cases:
+        e = parse(text, Chart(("t",), ("a",)), params=["c"])
+        assert_compiled_matches_evaluate(e, params, "t", values)
+        assert outcome(lambda: e.compile(params, "t")(values[0]))[0] == "raises"
+
+
+def test_compiled_expr_stays_exact_on_rationals():
+    e = parse("2*a*t^2 - ln(a)*t + (t + a)^(-1)", TAB)
+    f = e.compile({"a": F(3, 2)}, "t")
+    assert f(F(1, 3)) == e.evaluate({"a": F(3, 2), "t": F(1, 3)})
+    assert type(parse("a*t^3 - 1/7", TAB).compile({"a": F(2)}, "t")(F(1, 63))) is F
+    assert parse("a + 1/2", TAB).compile({"a": F(1, 3)}, "t")(0.25) == F(5, 6)

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entropykit.expr import Chart, parse
+from entropykit.expr import Chart, Expr, parse
 from entropykit.forms import Confidence, ContactStatus, Form, SymmetryStatus
 from entropykit.thermo import (
     AdiabaticStatus,
@@ -644,3 +645,66 @@ def test_first_law_balance_keeps_path_checks(monkeypatch):
     monkeypatch.setattr(ProcessPath, "check_continuity", counting_check)
     first_law_balance(STD, IDEAL_GAS, line_path({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(2)}), PARAMS)
     assert len(checks) == 1
+
+
+# -- compiled leg integrands ------------------------------------------------------------
+
+
+def same_value(got, want):
+    """Same type and the same value, a float to the bit."""
+    if isinstance(want, float):
+        return type(got) is float and got.hex() == want.hex()
+    return type(got) is type(want) and got == want
+
+
+@given(st.integers(0, 10_000), st.lists(st.floats(0, 1), min_size=1, max_size=4),
+       st.lists(st.integers(0, 63), min_size=1, max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_compiled_leg_coefficients_match_evaluate(seed, floats, steps):
+    # The quadrature nodes are floats, the audit samples the fractions k/63.
+    from entropykit.thermo import _leg_coefficient
+
+    rng = random.Random(seed)
+    spec = IDEAL_GAS if seed % 2 else poly_spec(rng)
+    params = {"N": F(rng.randint(2, 4), 2), "R": F(rng.randint(2, 3), 2)}
+    a, b, via = random_state(rng), random_state(rng), random_state(rng)
+    s1, v1 = F(rng.randint(2, 8), 4), F(rng.randint(2, 8), 4)
+    path = rng.choice((
+        line_path(a, b), line_path(a, via, b),
+        carnot_rectangle(s1, s1 + F(rng.randint(1, 6), 4), v1, v1 + F(rng.randint(1, 6), 4)),
+    ))
+    inclusion = spec.inclusion(STD)
+    ts = floats + [0.0, 1.0] + [F(k, 63) for k in steps]
+    for seg in path.segments:
+        for form in (Form.d_coord(STD.chart, "U"), heat_form(STD), work_form(STD)):
+            coeff = _leg_coefficient(inclusion, path, seg, form)
+            compiled = coeff.compile(params, "t")
+            for t in ts:
+                want = coeff.evaluate({**params, "t": t})
+                assert same_value(compiled(t), want), (str(coeff), t)
+
+
+def test_path_code_evaluates_no_integrand_node_by_node(monkeypatch):
+    # Expr.evaluate still reads the path's endpoints; every leg integrand runs compiled.
+    walked = []
+    real_evaluate = Expr.evaluate
+
+    def watching_evaluate(self, env):
+        if "t" in self.free_symbols():
+            walked.append(self)
+        return real_evaluate(self, env)
+
+    monkeypatch.setattr(Expr, "evaluate", watching_evaluate)
+    detour = line_path(
+        {"S": F(1), "V": F(1)}, {"S": F(2), "V": F(3, 2)}, {"S": F(5, 2), "V": F(2)}
+    )
+    cycle = carnot_rectangle(F(1), F(2), F(1), F(2))
+    heating = ProcessPath(STD.base_chart, (segment(S="1 + t", V="2"),))
+    first_law_balance(STD, IDEAL_GAS, detour, PARAMS)
+    cycle_audit(STD, IDEAL_GAS, cycle, PARAMS)
+    adiabatic_entropy_check(STD, IDEAL_GAS, heating, S_COORD, PARAMS)
+    components = {
+        id(e) for path in (detour, cycle, heating)
+        for seg in path.segments for e in seg.components.values()
+    }
+    assert walked and all(id(e) in components for e in walked)
