@@ -3,7 +3,11 @@ pre-orders, axiom verification, the Comparison Hypothesis, entropy
 construction, and cross-system affine calibration.
 
 States are composed as scaled multisets (λ₁X₁, λ₂X₂, …) with positive
-rational scales, so every comparison stays exact.  Relations come in two
+rational scales, so every comparison stays exact.  A composite hashes and
+compares by an integer key built once with it, its parts as (label, name,
+numerator, denominator), so memo and set lookups never do Fraction
+arithmetic; ``EntropyOracle`` keeps each total as an unreduced integer pair
+and compares two totals by cross-multiplication.  Relations come in two
 backends: explicit edge lists (closed on demand) and decision-procedure
 oracles, of which the entropy-backed oracle is the workhorse for synthetic
 test systems.
@@ -67,11 +71,14 @@ _PART_ORDER = itemgetter(1, 2, 0)  # (space label, state name, scale)
 class CompositeState:
     """Multiset of (scale, space label, state name) with positive scales.
 
-    Immutable by convention; the hash is precomputed because composites are
-    used heavily as memo keys.
+    ``parts`` lists the parts sorted by (label, name, scale).  Each composite
+    also keeps, from when it is built, an integer key: the same parts as
+    (label, name, numerator, denominator).  Hash and equality read that key,
+    so memo and set lookups compare strings and ints and never Fractions.
+    Immutable by convention.
     """
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts", "_key", "_hash")
 
     def __init__(self, parts):
         clean = []
@@ -84,13 +91,26 @@ class CompositeState:
         if not clean:
             raise AccessError("a composite state needs at least one part")
         clean.sort(key=_PART_ORDER)
-        self.parts = tuple(clean)
-        self._hash = hash(self.parts)
+        self._set(tuple(clean))
+
+    def _set(self, parts: tuple) -> None:
+        self.parts = parts
+        self._key = key = tuple(
+            (lbl, name, lam.numerator, lam.denominator) for lam, lbl, name in parts
+        )
+        self._hash = hash(key)
+
+    @classmethod
+    def _of_sorted(cls, parts: tuple) -> "CompositeState":
+        """A composite from parts already checked and in canonical order."""
+        out = object.__new__(cls)
+        out._set(parts)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, CompositeState):
             return NotImplemented
-        return self.parts == other.parts
+        return self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -100,11 +120,17 @@ class CompositeState:
         return cls(((Fraction(scale), space, name),))
 
     def compose(self, other: "CompositeState") -> "CompositeState":
-        return CompositeState(self.parts + other.parts)
+        return CompositeState._of_sorted(
+            tuple(sorted(self.parts + other.parts, key=_PART_ORDER))
+        )
 
     def scale(self, lam) -> "CompositeState":
-        lam = Fraction(lam)
-        return CompositeState(
+        if type(lam) is not Fraction:
+            lam = Fraction(lam)
+        if lam.numerator <= 0:
+            raise AccessError("scales must be positive")
+        # a positive factor keeps the parts in order
+        return CompositeState._of_sorted(
             tuple((lam * l, s, n) for l, s, n in self.parts)
         )
 
@@ -222,7 +248,7 @@ class EntropyOracle(Accessibility):
         self.values = {
             lbl: {n: Fraction(v) for n, v in per.items()} for lbl, per in values.items()
         }
-        self._totals: dict[CompositeState, Fraction] = {}
+        self._totals: dict[tuple, tuple[int, int]] = {}
 
     @classmethod
     def from_expression(cls, spaces: Sequence[StateSpace], entropy: Expr) -> "EntropyOracle":
@@ -241,25 +267,33 @@ class EntropyOracle(Accessibility):
                     ) from err
         return cls(values)
 
-    def total(self, x: CompositeState) -> Fraction:
-        cached = self._totals.get(x)
+    def _sum(self, x: CompositeState) -> tuple[int, int]:
+        """x's total as an unreduced (numerator, denominator), denominator > 0,
+        cached under x's key."""
+        cached = self._totals.get(x._key)
         if cached is not None:
             return cached
-        # sum over a common denominator and reduce once, not once per term
         num, den = 0, 1
-        for lam, lbl, name in x.parts:
+        for lbl, name, lam_num, lam_den in x._key:
             try:
                 value = self.values[lbl][name]
             except KeyError:
                 raise AccessError(f"no entropy value for {lbl}.{name}") from None
-            d = lam.denominator * value.denominator
-            num = num * d + lam.numerator * value.numerator * den
+            d = lam_den * value.denominator
+            num = num * d + lam_num * value.numerator * den
             den *= d
-        out = self._totals[x] = Fraction(num, den)
+        out = self._totals[x._key] = (num, den)
         return out
 
+    def total(self, x: CompositeState) -> Fraction:
+        return Fraction(*self._sum(x))
+
     def le(self, x, y) -> bool:
-        return self.total(x) <= self.total(y)
+        # a/b <= c/d iff a·d <= c·b, as both denominators are positive
+        totals = self._totals
+        xn, xd = totals.get(x._key) or self._sum(x)
+        yn, yd = totals.get(y._key) or self._sum(y)
+        return xn * yd <= yn * xd
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +445,7 @@ def _bounded_product(pools, cap: int, rng: random.Random) -> list[tuple]:
     for p in pools:
         count *= len(p)
         if count > cap:
-            return [tuple(rng.choice(p) for p in pools) for _ in range(cap)]
+            return [tuple(map(rng.choice, pools)) for _ in range(cap)]
     return list(itertools.product(*pools))
 
 
@@ -480,16 +514,24 @@ def check_axioms(
     )
 
     # consistency: X ≺ X' and Y ≺ Y' ⇒ (X,Y) ≺ (X',Y')
-    accessible = [(pool[i], pool[j]) for i in idx for j in idx if le[i][j]]
+    known = set(universe) if universe is not None else None
+    accessible = [(i, j) for i in idx for j in idx if le[i][j]]
     testable = _bounded_product(
         (accessible, accessible), config.max_consistency_pairs, rng
     )
-    if universe is not None:
-        known_nodes = set(universe)
+    joined: dict = {}  # (i, k) -> pool[i] composed with pool[k], built once
+
+    def join(i, k):
+        out = joined.get((i, k))
+        if out is None:
+            out = joined[i, k] = pool[i].compose(pool[k])
+        return out
+
+    if known is not None:
         testable = [
             (p, q)
             for p, q in testable
-            if p[0].compose(q[0]) in known_nodes and p[1].compose(q[1]) in known_nodes
+            if join(p[0], q[0]) in known and join(p[1], q[1]) in known
         ]
     if not testable:
         results.append(
@@ -500,9 +542,9 @@ def check_axioms(
         )
     else:
         witness = None
-        for (x, xp), (y, yp) in testable:
-            if not A.le(x.compose(y), xp.compose(yp)):
-                witness = (x, xp, y, yp)
+        for (i, ip), (k, kp) in testable:
+            if not A.le(join(i, k), join(ip, kp)):
+                witness = (pool[i], pool[ip], pool[k], pool[kp])
                 break
         results.append(
             AxiomResult(
@@ -522,8 +564,6 @@ def check_axioms(
             )
         return AxiomReport(tuple(results))
 
-    known = set(universe) if universe is not None else None
-
     def testable(*composites) -> bool:
         return known is None or all(c in known for c in composites)
 
@@ -531,13 +571,13 @@ def check_axioms(
     witness = None
     tested = 0
     for lam in config.lambda_grid:
+        grown = {i: pool[i].scale(lam) for i in pure_idx}
         for i, j in itertools.product(pure_idx, repeat=2):
-            x, y = pool[i], pool[j]
-            if known is not None and not testable(x.scale(lam), y.scale(lam)):
+            if known is not None and not testable(grown[i], grown[j]):
                 continue
             tested += 1
-            if le[i][j] and not A.le(x.scale(lam), y.scale(lam)):
-                witness = (lam, x, y)
+            if le[i][j] and not A.le(grown[i], grown[j]):
+                witness = (lam, pool[i], pool[j])
                 break
         if witness:
             break
@@ -581,12 +621,20 @@ def check_axioms(
     quads = _bounded_product(
         (idx, idx, pures, pures), config.max_stability_quadruples, rng
     )
+    shrunk: dict = {}  # pure Z -> [εZ for ε in schedule], built once per call
+
+    def small(z):
+        out = shrunk.get(z)
+        if out is None:
+            out = shrunk[z] = [z.scale(eps) for eps in schedule]
+        return out
+
     witness = None
     tested = 0
     for i, j, z, zp in quads:
         x, y = pool[i], pool[j]
         sides = (
-            (x.compose(z.scale(eps)), y.compose(zp.scale(eps))) for eps in schedule
+            (x.compose(ez), y.compose(ezp)) for ez, ezp in zip(small(z), small(zp))
         )
         if known is not None:
             sides = list(sides)

@@ -91,11 +91,10 @@ class Report:
 
 
 def _status_from(ok: bool, confidence=None) -> str:
-    if not ok:
-        return "fail"
+    """A sampled verdict, passing or failing, is inconclusive (exit 3)."""
     if confidence is Confidence.SAMPLED:
         return "inconclusive"
-    return "pass"
+    return "pass" if ok else "fail"
 
 
 def _zero_config(doc: Document, opts) -> ZeroTestConfig:

@@ -194,12 +194,26 @@ def _nth_root(n: int, k: int) -> Optional[int]:
     return None
 
 
+# Powers are checked against these budgets before any work is done: an
+# integer power of a sum expands to at most MAX_EXPANSION_TERMS terms (the
+# slowest such expansion, of a two-term sum, takes seconds), and a power of
+# a constant has at most MAX_POWER_BITS bits in its numerator or denominator.
+MAX_EXPANSION_TERMS = 1000
+MAX_POWER_BITS = 10_000
+
+
 def _const_pow(c: Fraction, q: Fraction) -> tuple[Fraction, Optional[Fraction]]:
     """c**q split into (exact rational part, leftover base or None)."""
     if c == 0:
         if q <= 0:
             raise ExprError("zero raised to a non-positive power")
         return Fraction(0), None
+    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+    # |c^q| needs at most |q|·bits bits; ±1 stays ±1 whatever q is
+    if bits > 1 and abs(q.numerator) * bits > MAX_POWER_BITS * q.denominator:
+        raise ExprError(
+            f"constant power ({c})^({q}) exceeds the budget of {MAX_POWER_BITS} bits"
+        )
     if q.denominator == 1:
         return c ** int(q), None
     if c < 0:
@@ -396,6 +410,12 @@ class Expr:
                 pairs.append((_Pow(chart.const(left)), q))
             return Expr._monomial(chart, part, pairs)
         if q.denominator == 1 and q > 0:
+            n = len(self.terms)
+            if math.comb(n + int(q) - 1, n - 1) > MAX_EXPANSION_TERMS:
+                raise ExprError(
+                    f"expanding a sum of {n} terms to the power {q} exceeds "
+                    f"the budget of {MAX_EXPANSION_TERMS} terms"
+                )
             half = self ** (int(q) // 2)
             out = half * half
             if int(q) % 2:

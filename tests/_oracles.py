@@ -109,3 +109,23 @@ def calibration_case(seed, systems, states, clashes=0):
         lo, hi = sorted(rng.sample(range(states), 2))
         edges.append((pure(label, f"q{hi}"), pure(label, f"q{lo}")))
     return spaces, EdgeRelation(nodes, edges)
+
+
+def random_oracle_space(rng, index, value_range=31):
+    """A scalable space of 2-8 states and an entropy oracle on hidden integer
+    entropies in [0, value_range]; returns (space, oracle, hidden)."""
+    from fractions import Fraction
+
+    from entropykit.access import EntropyOracle, StateSpace
+
+    size = rng.randint(2, 8)
+    names = tuple(f"s{k}" for k in range(size))
+    hidden = {n: rng.randint(0, value_range) for n in names}
+    space = StateSpace(
+        f"G{index}",
+        ("x",),
+        {n: (Fraction(k),) for k, n in enumerate(names)},
+        scalable=True,
+    )
+    oracle = EntropyOracle({space.label: {n: Fraction(v) for n, v in hidden.items()}})
+    return space, oracle, hidden

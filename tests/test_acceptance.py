@@ -11,6 +11,7 @@ from pathlib import Path
 
 from _oracles import (
     random_monotone_map,
+    random_oracle_space,
     random_poset,
     right_adjoint_exists_bruteforce,
 )
@@ -21,7 +22,6 @@ from entropykit.access import (
     CompositeState,
     EdgeRelation,
     EntropyFn,
-    EntropyOracle,
     StateSpace,
     calibrate,
     check_axioms,
@@ -298,22 +298,7 @@ def test_criterion_07_cycle_audit():
 # and the ε schedule down to 1/64, integer gaps can neither collapse under
 # the grid nor defeat the finite stability schedule.
 N_SPACES = 1000
-VALUE_RANGE = 31
 GRID = (F(1, 2), F(1), F(2))
-
-
-def random_oracle_space(rng, index):
-    size = rng.randint(2, 8)
-    names = tuple(f"s{k}" for k in range(size))
-    hidden = {n: rng.randint(0, VALUE_RANGE) for n in names}
-    space = StateSpace(
-        f"G{index}",
-        ("x",),
-        {n: (F(k),) for k, n in enumerate(names)},
-        scalable=True,
-    )
-    oracle = EntropyOracle({space.label: {n: F(v) for n, v in hidden.items()}})
-    return space, oracle, hidden
 
 
 @criterion(8, "axiomatic property suite (with order canonicity)", 60.0)

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entropykit
 from _oracles import calibration_case
@@ -72,18 +73,87 @@ def test_derived_relations_classification():
     assert derived_relations(loose, a, b) is Relation.INCOMPARABLE
 
 
-def test_composite_states_are_order_insensitive_multisets():
+# scales repeat and come in several forms (2/4, 0.5); states repeat too
+positive_scales = st.one_of(
+    st.sampled_from([1, F(1, 2), F(2, 4), 0.5, F(1, 3), 2, F(3, 2)]),
+    st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12),
+)
+bad_scales = st.one_of(
+    st.sampled_from([0, 0.0, -1, F(-1, 2)]),
+    st.fractions(min_value=-2, max_value=0, max_denominator=12),
+)
+part_lists = st.lists(
+    st.tuples(positive_scales, st.sampled_from("GH"), st.sampled_from("abc")),
+    min_size=1, max_size=5,
+)
+
+
+def reference_parts(parts):
+    """The canonical parts: Fraction scales, sorted by (label, name, scale)."""
+    clean = [(F(lam), lbl, name) for lam, lbl, name in parts]
+    return tuple(sorted(clean, key=lambda p: (p[1], p[2], p[0])))
+
+
+@given(
+    part_lists, part_lists, st.one_of(positive_scales, bad_scales),
+    bad_scales, st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_composite_states_are_order_insensitive_multisets(xs, ys, lam, bad, rng):
     ab = pure("G", "a").compose(pure("G", "b"))
     ba = pure("G", "b").compose(pure("G", "a"))
     assert ab == ba
     assert ab.scale(F(1, 2)).parts[0][0] == F(1, 2)
-    with pytest.raises(AccessError):
-        pure("G", "a").scale(0)
-    for lam in (0, -1, F(-1, 2)):
-        with pytest.raises(AccessError):
-            CompositeState(((lam, "G", "a"),))
-        with pytest.raises(AccessError):
-            CompositeState(((1, "G", "b"), (lam, "G", "a")))
+    with_bad = list(xs)
+    with_bad.insert(rng.randrange(len(xs) + 1), (bad, "G", "a"))
+    with pytest.raises(AccessError, match="^scales must be positive$"):
+        CompositeState(with_bad)
+    x, y = CompositeState(xs), CompositeState(ys)
+    shuffled = list(xs)
+    rng.shuffle(shuffled)
+    assert x == CompositeState(shuffled) and hash(x) == hash(CompositeState(shuffled))
+    assert x.parts == reference_parts(xs)
+    assert all(type(l) is F for l, _, _ in x.parts)
+    # equality and hash agree with the multiset of (Fraction, label, name)
+    assert (x == y) == (reference_parts(xs) == reference_parts(ys))
+    if x == y:
+        assert hash(x) == hash(y)
+    joined = CompositeState(x.parts + y.parts)
+    xy = x.compose(y)
+    assert xy.parts == joined.parts and str(xy) == str(joined)
+    assert xy == joined == y.compose(x) and hash(xy) == hash(joined)
+    if F(lam) <= 0:
+        with pytest.raises(AccessError, match="^scales must be positive$"):
+            x.scale(lam)
+        with pytest.raises(AccessError, match="^scales must be positive$"):
+            CompositeState([(F(lam) * l, s, n) for l, s, n in x.parts])
+    else:
+        scaled = CompositeState([(F(lam) * l, s, n) for l, s, n in x.parts])
+        assert x.scale(lam).parts == scaled.parts
+        assert str(x.scale(lam)) == str(scaled)
+        assert x.scale(lam) == scaled and hash(x.scale(lam)) == hash(scaled)
+
+
+@given(
+    part_lists, part_lists,
+    st.lists(st.fractions(-4, 4, max_denominator=9), min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_entropy_oracle_compares_exact_totals(xs, ys, values):
+    table = {
+        lbl: {n: values[3 * i + j] for j, n in enumerate("abc")}
+        for i, lbl in enumerate("GH")
+    }
+    oracle = EntropyOracle(table)
+    x, y = CompositeState(xs), CompositeState(ys)
+
+    def reference_total(parts):
+        return sum(F(l) * table[lbl][n] for l, lbl, n in parts)
+
+    assert oracle.total(x) == reference_total(xs)
+    assert oracle.le(x, y) == (reference_total(xs) <= reference_total(ys))
+    assert oracle.le(y, x) == (reference_total(ys) <= reference_total(xs))
+    assert oracle.total(x.compose(y)) == reference_total(xs + ys)
 
 
 # -- closure ---------------------------------------------------------------------

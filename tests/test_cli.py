@@ -201,6 +201,49 @@ def test_deeply_nested_parentheses_exit_two_alone_and_in_batch(tmp_path):
     assert out.count("\nmatched: yes") == 2
 
 
+def test_huge_powers_exit_two_alone_and_in_batch(tmp_path):
+    # each input would hang or allocate gigabytes if expanded; a fresh process
+    # with a 1 GiB address-space limit and a timeout must refuse both at once
+    text = "[chart]\ncoords = x y z\n\n[forms]\nform q : z = 1, y = {}\n"
+    (tmp_path / "sum.doc").write_text(text.format("(x+y)^1000000"))
+    (tmp_path / "const.doc").write_text(text.format("2^10000000000*x"))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("contact-check sum.doc 2\ncontact-check const.doc 2\n")
+    src = Path(entropykit.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from entropykit.cli import run\n"
+        "sys.exit(run(sys.argv[1:]))\n"
+    )
+
+    def cli(*argv):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.stderr == ""
+        return done.returncode, done.stdout
+
+    sum_error = (
+        f"{tmp_path / 'sum.doc'}:5: expanding a sum of 2 terms to the power "
+        "1000000 exceeds the budget of 1000 terms"
+    )
+    const_error = (
+        f"{tmp_path / 'const.doc'}:5: constant power (2)^(10000000000) exceeds "
+        "the budget of 10000 bits"
+    )
+    assert cli("contact-check", str(tmp_path / "sum.doc")) == (2, f"error: {sum_error}\n")
+    assert cli("contact-check", str(tmp_path / "const.doc")) == (2, f"error: {const_error}\n")
+    code, out = cli("batch", str(manifest))
+    assert code == 0
+    assert f"message: {sum_error}\n" in out
+    assert f"message: {const_error}\n" in out
+    assert out.count("\nmatched: yes") == 2
+
+
 def test_batch_entry_with_unexpected_error_does_not_end_the_batch(tmp_path, monkeypatch):
     from entropykit import cli
 
@@ -282,6 +325,22 @@ def test_exit_three_on_inconclusive_only():
     assert "certainty: sampled" in text
 
 
+def test_sampled_failure_is_inconclusive(tmp_path):
+    # the top coefficient is zero on the positive domain and only sampling
+    # judges it, so the DEGENERATE verdict is not certain and must not exit 1
+    doc = tmp_path / "sampled_fail.doc"
+    doc.write_text(
+        "[chart]\ncoords = x y z\n\n[forms]\n"
+        "form q : z = 1, y = (exp(y)^5 - exp(5*y))*x\n"
+    )
+    code, text = run_cli("contact-check", str(doc))
+    assert "verdict: DEGENERATE" in text
+    assert "certainty: sampled" in text
+    assert "status: inconclusive" in text
+    assert "failures: 0" in text
+    assert code == 3
+
+
 def test_potential_command_reports_all_rows():
     code, text = run_cli(
         "potential", str(CORPUS / "potentials.doc"), "--format", "structured"
@@ -343,6 +402,65 @@ def test_batch_output_matches_golden_files(fmt):
     golden = Path(__file__).resolve().parent / "golden" / f"batch_{fmt}.txt"
     assert code == 0
     assert out.replace(str(CORPUS), "<corpus>") == golden.read_text(encoding="utf-8")
+
+
+AXIOM_REPORTS = """
+import random
+from fractions import Fraction as F
+from _oracles import random_oracle_space
+from entropykit.access import *
+
+def show(report):
+    for r in report.results:
+        witness = None if r.witness is None else [str(w) for w in r.witness]
+        print(r.name, r.status.value, witness, r.caveats)
+
+rng = random.Random(808)  # the first spaces of the axiomatic suite
+for i in range(6):
+    space, oracle, _ = random_oracle_space(rng, i)
+    config = AxiomConfig(lambda_grid=(F(1, 2), F(1), F(2)), seed=i)
+    show(check_axioms(oracle, [space], config))
+    S = construct_entropy(oracle, space, config)
+    print(sorted(S.values.items()), verify_entropy(S, oracle, space, config).ok)
+near_tie = StateSpace("G", ("x",), {"lo": (0,), "mid": (1,), "hi": (2,)}, True)
+oracle = EntropyOracle({"G": {"lo": 0, "mid": F(1, 128), "hi": 1}})
+show(check_axioms(oracle, [near_tie], AxiomConfig(max_stability_quadruples=10_000)))
+a, b, c = (CompositeState.pure("G", n) for n in ("lo", "mid", "hi"))
+ab, bc = a.compose(b), b.compose(c)
+raw = EdgeRelation([a, b, c, ab, bc], [(a, b), (b, c), (ab, bc), (bc, ab)])
+show(check_axioms(raw, [near_tie]))
+show(check_axioms(raw.closure(), [near_tie]))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # composites hash by their key, which holds strings, and sets of them are
+    # iterated (closures, edge sets); no output byte may follow the hash seed
+    tests = Path(__file__).resolve().parent
+    src = Path(entropykit.__file__).resolve().parent.parent
+    golden = (tests / "golden" / "batch_structured.txt").read_text(encoding="utf-8")
+    batch = [
+        "-m", "entropykit.cli", "batch", str(CORPUS / "manifest.txt"),
+        "--format", "structured", "--seed", "0",
+    ]
+    reports = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), str(tests), env.get("PYTHONPATH")])
+        )
+        for argv in (batch, ["-c", AXIOM_REPORTS]):
+            done = subprocess.run(
+                [sys.executable, *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            if argv is batch:
+                assert done.stdout.replace(str(CORPUS), "<corpus>") == golden
+            else:
+                reports.append(done.stdout)
+    assert reports[0] == reports[1]
+    assert "transitivity FAIL" in reports[0] and "stability FAIL" in reports[0]
 
 
 def test_batch_runs_whole_corpus():

@@ -96,6 +96,26 @@ def test_parser_nesting_is_bounded():
     assert (err.value.line, err.value.col) == (1, 4 * n + 1)
 
 
+def test_power_budgets_hold_at_their_edges(monkeypatch):
+    from entropykit import expr
+
+    xyz = Chart(("x", "y", "z"))
+    monkeypatch.setattr(expr, "MAX_EXPANSION_TERMS", 10)
+    assert len(parse("(x+y+z)^3", xyz).terms) == 10
+    with pytest.raises(ExprError, match="sum of 3 terms to the power 4 exceeds"):
+        parse("(x+y+z)^4", xyz)
+    with pytest.raises(ExprError, match="budget of 10 terms"):
+        parse("((x+y)^(1/2))^22", xyz)  # the expansion after combining powers
+    assert len(parse("(x+y+z)^(-4)", xyz).terms) == 1  # stays opaque
+    # 3 has 2 bits: 3^5000 has at most 10000, 3^5001 and 3^(15004/3) more
+    assert parse("3^5000", xyz).as_constant() == F(3) ** 5000
+    assert parse("(1/3)^(-5000)", xyz).as_constant() == F(3) ** 5000
+    for text in ("3^5001", "(1/3)^(-5001)", "9^(7502/3)", "2^10000000000"):
+        with pytest.raises(ExprError, match="exceeds the budget of 10000 bits"):
+            parse(text, xyz)
+    assert parse("1^10000000000 + (-1)^10000000001", xyz).as_constant() == 0
+
+
 def test_parse_power_forms():
     assert parse("x^2", XY) == XY.var("x") * XY.var("x")
     assert parse("x^(1/2) * x^(1/2)", XY) == XY.var("x")
