@@ -6,16 +6,22 @@ exponents.  A base factor is a coordinate, a named positive parameter, an
 ln/exp atom, or an opaque power of a multi-term expression.  All symbolic
 arithmetic is exact (fractions.Fraction).
 
-Each operation (sum, product, derivative, substitution) collects all the
-terms of its result first and then merges and sorts them once, so a
-product of an m-term and an n-term sum costs one sort of m*n terms.
+Each operation (sum, parsed sum, product, power, derivative, substitution)
+collects all the terms of its result first and then merges and sorts them
+once.  A term keeps its merge and sort key once it is computed.  A product
+of an m-term and an n-term sum merges the already sorted factors of each of
+its m*n pairs of terms and reuses their keys.  An integer power k of an
+n-term sum builds each of its C(k+n-1, n-1) terms once, from multinomial
+coefficients; it squares instead where a term has an opaque power, whose
+products can expand or fold into constants.
 
 Numeric values come from Expr.evaluate, exact where the expression and the
-point allow it (a Fraction) and floating point past ln, exp and fractional
-powers.  Expr.compile turns an expression with all but one symbol fixed
-into a one-argument function, as quadrature and path sampling need: it
-computes what does not depend on the free symbol once, and its result has
-the type and the bits of evaluate's at every point, errors included.
+point allow it (a Fraction) and floating point past ln, exp, fractional
+powers and integer powers beyond MAX_POWER_BITS.  Expr.compile turns an
+expression with all but one symbol fixed into a one-argument function, as
+quadrature and path sampling need: it computes what does not depend on the
+free symbol once, and its result has the type and the bits of evaluate's at
+every point, errors included.
 """
 
 from __future__ import annotations
@@ -138,10 +144,37 @@ class _Pow:
 _Base = Union[str, _Ln, _Exp, _Pow]
 
 
-@dataclass(frozen=True)
 class _Term:
-    coeff: Fraction
-    factors: tuple[tuple[_Base, Fraction], ...]
+    """coeff times the product of its factors, each (base, exponent) in
+    canonical order.
+
+    key is the term's merge and sort key in Expr._build: one entry
+    (0, _base_key(base), -exponent) per factor (_key_exponent), then
+    _TERM_END.  It depends
+    only on the chart's coordinates, and a term stays on charts with the same
+    coordinates, so it is computed at most once (by _term_key or by the
+    operation that built the term) and then reused.  Terms compare by coeff
+    and factors alone.
+    """
+
+    __slots__ = ("coeff", "factors", "key")
+
+    def __init__(self, coeff: Fraction, factors: tuple[tuple[_Base, Fraction], ...],
+                 key: Optional[tuple] = None):
+        self.coeff = coeff
+        self.factors = factors
+        self.key = key
+
+    def __eq__(self, other):
+        if not isinstance(other, _Term):
+            return NotImplemented
+        return self.coeff == other.coeff and self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.coeff, self.factors))
+
+    def __repr__(self):
+        return f"_Term({self.coeff!r}, {self.factors!r})"
 
 
 def _base_key(base: _Base, chart: Chart):
@@ -158,6 +191,66 @@ def _base_key(base: _Base, chart: Chart):
 
 # Ends every term's sort key; it sorts after any factor entry (0, ...).
 _TERM_END = ((1,),)
+
+
+def _key_exponent(x: Fraction):
+    """-x, as an int where it is whole: it compares and hashes equal to the
+    Fraction, sorts the same, and hashes faster."""
+    return -x.numerator if x.denominator == 1 else -x
+
+
+def _term_key(t: _Term, chart: Chart) -> tuple:
+    k = t.key
+    if k is None:
+        k = t.key = tuple(
+            (0, _base_key(b, chart), _key_exponent(x)) for b, x in t.factors
+        ) + _TERM_END
+    return k
+
+
+def _mul_terms(t1: _Term, t2: _Term) -> Optional[_Term]:
+    """t1*t2 as one canonical term, both keyed, by merging their sorted
+    factors; None where a base of both is a _Pow (_monomial decides what
+    the summed exponent makes of it)."""
+    f1, f2 = t1.factors, t2.factors
+    coeff = t1.coeff * t2.coeff
+    if not f1:
+        return _Term(coeff, f2, t2.key)
+    if not f2:
+        return _Term(coeff, f1, t1.key)
+    k1, k2 = t1.key, t2.key
+    n1, n2 = len(f1), len(f2)
+    factors = []
+    keys = []
+    i = j = 0
+    while i < n1 and j < n2:
+        e1, e2 = k1[i], k2[j]
+        if e1[1] < e2[1]:
+            factors.append(f1[i])
+            keys.append(e1)
+            i += 1
+        elif e2[1] < e1[1]:
+            factors.append(f2[j])
+            keys.append(e2)
+            j += 1
+        else:
+            b = f2[j][0]
+            if isinstance(b, _Pow):
+                return None
+            x = f1[i][1] + f2[j][1]
+            if x:
+                factors.append((b, x))
+                keys.append((0, e1[1], _key_exponent(x)))
+            i += 1
+            j += 1
+    if i < n1:
+        factors.extend(f1[i:])
+        keys.extend(k1[i:n1])
+    elif j < n2:
+        factors.extend(f2[j:])
+        keys.extend(k2[j:n2])
+    keys.append(_TERM_END[0])
+    return _Term(coeff, tuple(factors), tuple(keys))
 
 
 def _expr_key(e: "Expr"):
@@ -195,9 +288,10 @@ def _nth_root(n: int, k: int) -> Optional[int]:
 
 
 # Powers are checked against these budgets before any work is done: an
-# integer power of a sum expands to at most MAX_EXPANSION_TERMS terms (the
-# slowest such expansion, of a two-term sum, takes seconds), and a power of
-# a constant has at most MAX_POWER_BITS bits in its numerator or denominator.
+# integer power of a sum expands to at most MAX_EXPANSION_TERMS terms, and a
+# power of a constant has at most MAX_POWER_BITS bits in its numerator or
+# denominator.  Numeric evaluation computes an integer power of a rational
+# value exactly only within MAX_POWER_BITS, and in floating point past it.
 MAX_EXPANSION_TERMS = 1000
 MAX_POWER_BITS = 10_000
 
@@ -223,6 +317,36 @@ def _const_pow(c: Fraction, q: Fraction) -> tuple[Fraction, Optional[Fraction]]:
     if pn is not None and pd is not None:
         return Fraction(pn, pd) ** q.numerator, None
     return Fraction(1), c
+
+
+def _power_terms(terms, k: int, chart: Chart) -> list:
+    """The terms of (t_1 + ... + t_n)**k, none with a _Pow factor, unmerged:
+    one per exponent vector (e_1, ..., e_n) summing to k, with coefficient
+    k!/(e_1!...e_n!) * c_1**e_1 * ... * c_n**e_n and the factors of each t_i
+    with their exponents times e_i."""
+    partial = [(_Term(Fraction(1), (), _TERM_END), k)]  # (product so far, k left)
+    last = len(terms) - 1
+    for i, t in enumerate(terms):
+        entries = _term_key(t, chart)[:-1]
+        powers = [None] + [
+            _Term(
+                t.coeff**e,
+                tuple((b, x * e) for b, x in t.factors),
+                tuple((0, bk, x * e) for _, bk, x in entries) + _TERM_END,
+            )
+            for e in range(1, k + 1)
+        ]
+        grown = []
+        for acc, left in partial:
+            for e in range(left + 1) if i < last else (left,):
+                if e == 0:
+                    grown.append((acc, left))
+                    continue
+                prod = _mul_terms(acc, powers[e])
+                prod.coeff *= math.comb(left, e)
+                grown.append((prod, left - e))
+        partial = grown
+    return [acc for acc, _ in partial]
 
 
 class Expr:
@@ -296,9 +420,9 @@ class Expr:
         for t in terms:
             if t.coeff == 0:
                 continue
-            k = tuple((0, _base_key(b, chart), -x) for b, x in t.factors) + _TERM_END
+            k = _term_key(t, chart)
             old = merged.get(k)
-            merged[k] = t if old is None else _Term(old.coeff + t.coeff, old.factors)
+            merged[k] = t if old is None else _Term(old.coeff + t.coeff, old.factors, k)
         live = sorted(k for k, t in merged.items() if t.coeff)
         return Expr(chart, tuple(merged[k] for k in live))
 
@@ -353,7 +477,7 @@ class Expr:
 
     def __neg__(self):
         return Expr(
-            self.chart, tuple(_Term(-t.coeff, t.factors) for t in self.terms)
+            self.chart, tuple(_Term(-t.coeff, t.factors, t.key) for t in self.terms)
         )
 
     def __sub__(self, other):
@@ -365,17 +489,19 @@ class Expr:
     def __mul__(self, other):
         other = self._lift(other)
         chart = self.chart
-        return Expr._build(
-            chart,
-            [
-                t
-                for t1 in self.terms
-                for t2 in other.terms
-                for t in Expr._monomial(
-                    chart, t1.coeff * t2.coeff, t1.factors + t2.factors
-                ).terms
-            ],
-        )
+        for t in self.terms + other.terms:
+            _term_key(t, chart)
+        pieces = []
+        for t1 in self.terms:
+            for t2 in other.terms:
+                t = _mul_terms(t1, t2)
+                if t is None:
+                    pieces.extend(Expr._monomial(
+                        chart, t1.coeff * t2.coeff, t1.factors + t2.factors
+                    ).terms)
+                else:
+                    pieces.append(t)
+        return Expr._build(chart, pieces)
 
     __rmul__ = __mul__
 
@@ -416,11 +542,16 @@ class Expr:
                     f"expanding a sum of {n} terms to the power {q} exceeds "
                     f"the budget of {MAX_EXPANSION_TERMS} terms"
                 )
-            half = self ** (int(q) // 2)
-            out = half * half
-            if int(q) % 2:
-                out = out * self
-            return out
+            if any(isinstance(b, _Pow) for t in self.terms for b, _ in t.factors):
+                # Equal _Pow bases meet with summed exponents, and what that
+                # sum makes of them (an expansion, a folded constant) depends
+                # on the order of the products: keep squaring's canonical form.
+                half = self ** (int(q) // 2)
+                out = half * half
+                if int(q) % 2:
+                    out = out * self
+                return out
+            return Expr._build(chart, _power_terms(self.terms, int(q), chart))
         return Expr._monomial(chart, Fraction(1), [(_Pow(self), q)])
 
     # -- calculus ------------------------------------------------------------
@@ -596,10 +727,15 @@ def _exp_value(v):
 
 
 def _pow_value(base, q: Fraction):
+    """base ** q: exact for a rational base and an integer q whose result has
+    at most MAX_POWER_BITS bits (as in _const_pow), else in floating point."""
     if isinstance(base, (int, Fraction)) and q.denominator == 1:
         if base == 0 and q < 0:
             raise DomainError("zero base with negative exponent")
-        return Fraction(base) ** int(q)
+        base = Fraction(base)
+        bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+        if bits <= 1 or abs(q.numerator) * bits <= MAX_POWER_BITS:
+            return base ** q.numerator
     return _float_pow(float(base), q)
 
 
@@ -942,16 +1078,20 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
+        """A sum of terms, merged and sorted once for all of them."""
         negate = bool(self.accept_op("-"))
         e = self.term()
         if negate:
             e = -e
-        while True:
-            op = self.accept_op("+", "-")
-            if not op:
-                return e
+        op = self.accept_op("+", "-")
+        if not op:
+            return e
+        pieces = list(e.terms)
+        while op:
             rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
+            pieces.extend(rhs.terms if op == "+" else (-rhs).terms)
+            op = self.accept_op("+", "-")
+        return Expr._build(self.chart, pieces)
 
     def term(self) -> Expr:
         e = self.factor()

@@ -201,14 +201,9 @@ def test_deeply_nested_parentheses_exit_two_alone_and_in_batch(tmp_path):
     assert out.count("\nmatched: yes") == 2
 
 
-def test_huge_powers_exit_two_alone_and_in_batch(tmp_path):
-    # each input would hang or allocate gigabytes if expanded; a fresh process
-    # with a 1 GiB address-space limit and a timeout must refuse both at once
-    text = "[chart]\ncoords = x y z\n\n[forms]\nform q : z = 1, y = {}\n"
-    (tmp_path / "sum.doc").write_text(text.format("(x+y)^1000000"))
-    (tmp_path / "const.doc").write_text(text.format("2^10000000000*x"))
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text("contact-check sum.doc 2\ncontact-check const.doc 2\n")
+def fresh_cli(*argv):
+    """(exit code, stdout) of the CLI in a fresh process with a 1 GiB
+    address-space limit and a 30 s timeout, which must write no stderr."""
     src = Path(entropykit.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -218,15 +213,22 @@ def test_huge_powers_exit_two_alone_and_in_batch(tmp_path):
         "from entropykit.cli import run\n"
         "sys.exit(run(sys.argv[1:]))\n"
     )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.stderr == ""
+    return done.returncode, done.stdout
 
-    def cli(*argv):
-        done = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
-        assert done.stderr == ""
-        return done.returncode, done.stdout
 
+def test_huge_powers_exit_two_alone_and_in_batch(tmp_path):
+    # each input would hang or allocate gigabytes if expanded; a fresh process
+    # with a 1 GiB address-space limit and a timeout must refuse both at once
+    text = "[chart]\ncoords = x y z\n\n[forms]\nform q : z = 1, y = {}\n"
+    (tmp_path / "sum.doc").write_text(text.format("(x+y)^1000000"))
+    (tmp_path / "const.doc").write_text(text.format("2^10000000000*x"))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("contact-check sum.doc 2\ncontact-check const.doc 2\n")
     sum_error = (
         f"{tmp_path / 'sum.doc'}:5: expanding a sum of 2 terms to the power "
         "1000000 exceeds the budget of 1000 terms"
@@ -235,13 +237,27 @@ def test_huge_powers_exit_two_alone_and_in_batch(tmp_path):
         f"{tmp_path / 'const.doc'}:5: constant power (2)^(10000000000) exceeds "
         "the budget of 10000 bits"
     )
-    assert cli("contact-check", str(tmp_path / "sum.doc")) == (2, f"error: {sum_error}\n")
-    assert cli("contact-check", str(tmp_path / "const.doc")) == (2, f"error: {const_error}\n")
-    code, out = cli("batch", str(manifest))
+    assert fresh_cli("contact-check", str(tmp_path / "sum.doc")) == (2, f"error: {sum_error}\n")
+    assert fresh_cli("contact-check", str(tmp_path / "const.doc")) == (2, f"error: {const_error}\n")
+    code, out = fresh_cli("batch", str(manifest))
     assert code == 0
     assert f"message: {sum_error}\n" in out
     assert f"message: {const_error}\n" in out
     assert out.count("\nmatched: yes") == 2
+
+
+def test_sampled_huge_symbol_power_finishes(tmp_path):
+    # sampling the top coefficient evaluates x^100000000 at rational points;
+    # exactly, that is hundreds of millions of bits a sample
+    doc = tmp_path / "huge_sample.doc"
+    doc.write_text(
+        "[chart]\ncoords = x y z\n\n[forms]\n"
+        "form q : z = 1, y = (exp(y)^5 - exp(5*y))*x^100000000\n"
+    )
+    for command in ("contact-check", "frobenius"):
+        code, out = fresh_cli(command, str(doc))
+        assert code in (2, 3)
+        assert "Traceback" not in out
 
 
 def test_batch_entry_with_unexpected_error_does_not_end_the_batch(tmp_path, monkeypatch):

@@ -114,6 +114,19 @@ def test_power_budgets_hold_at_their_edges(monkeypatch):
         with pytest.raises(ExprError, match="exceeds the budget of 10000 bits"):
             parse(text, xyz)
     assert parse("1^10000000000 + (-1)^10000000001", xyz).as_constant() == 0
+    # a numeric power has the same budget; past it, its value is a float
+    # (3^5001 overflows, (1/3)^5001 underflows), and ±1 is exempt again
+    within, past = parse("x^5000", xyz), parse("x^5001", xyz)
+    assert within.evaluate({"x": F(3)}) == F(3) ** 5000
+    assert type(past.evaluate({"x": F(1, 3)})) is float
+    assert past.evaluate({"x": F(1, 3)}) == 0.0
+    with pytest.raises(DomainError, match="power overflow"):
+        past.evaluate({"x": F(-3)})
+    assert parse("x^(-1000000001)", xyz).evaluate({"x": F(-1)}) == F(-1)
+    for e in (within, past):
+        for v in (F(3), F(-1, 3), F(1)):
+            assert outcome(lambda: e.compile({}, "x")(v)) == outcome(
+                lambda: e.evaluate({"x": v}))
 
 
 def test_parse_power_forms():
@@ -342,17 +355,30 @@ def test_canonical_equality_is_stable_under_reassociation(seed):
 # -- single-pass canonicalization --------------------------------------------------
 #
 # The references below fold their sums one piece at a time with +, so every
-# partial sum is re-canonicalized; the operations under test collect all
-# pieces and canonicalize once.  Exact Fraction sums do not depend on order,
-# so both must give the same terms in the same order.
+# partial sum is re-canonicalized, and normalize every product of two terms
+# with Expr._monomial; the operations under test merge sorted factor lists,
+# build powers of sums from multinomial coefficients, and canonicalize once.
+# Exact Fraction sums do not depend on order, so both must give the same terms
+# in the same order.
 
 
 def folded_product(p, q):
     out = p.chart.zero()
     for t1 in p.terms:
         for t2 in q.terms:
-            out = out + Expr(p.chart, (t1,)) * Expr(q.chart, (t2,))
+            out = out + Expr._monomial(
+                p.chart, t1.coeff * t2.coeff, t1.factors + t2.factors
+            )
     return out
+
+
+def folded_power(p, k):
+    """p**k by repeated squaring, each product a folded_product."""
+    if k == 1:
+        return p
+    half = folded_power(p, k // 2)
+    out = folded_product(half, half)
+    return folded_product(out, p) if k % 2 else out
 
 
 def folded_diff(p, name):
@@ -384,12 +410,12 @@ SUBSTITUTES = ["y^2 + 1/2", "exp(x)", "x*y", "(x + 1)^(1/2)", "3"]
 
 
 @st.composite
-def small_sums(draw):
+def small_sums(draw, atoms=ATOMS):
     e = XY.zero()
     for _ in range(draw(st.integers(1, 4))):
         t = XY.const(draw(st.fractions(-5, 5, max_denominator=6)))
         for _ in range(draw(st.integers(0, 3))):
-            atom = parse(draw(st.sampled_from(ATOMS)), XY)
+            atom = parse(draw(st.sampled_from(atoms)), XY)
             t = t * atom ** draw(st.sampled_from(EXPONENTS))
         e = e + t
     return e
@@ -417,6 +443,68 @@ def test_single_pass_matches_pairwise_fold(p, q, name, substitute):
     assert_same_canonical_form(p.diff(name), folded_diff(p, name))
     mapping = {name: parse(substitute, XY)}
     assert_same_canonical_form(p.subs(mapping), folded_subs(p, mapping))
+
+
+# Without "x + y", whose fractional and negative powers are opaque _Pow bases
+# and send a power of the sum down the squaring route.
+PLAIN_ATOMS = [a for a in ATOMS if a != "x + y"]
+
+
+@given(st.one_of(small_sums(PLAIN_ATOMS), small_sums()), st.integers(2, 6))
+@settings(max_examples=120, deadline=None)
+def test_power_of_a_sum_matches_squaring_fold(p, k):
+    n = max(len(p.terms), 1)
+    while k > 2 and math.comb(n + k - 1, n - 1) > 84:
+        k -= 1
+    assert_same_canonical_form(p ** k, folded_power(p, k))
+
+
+def test_powers_of_sums_with_opaque_powers_keep_their_printed_form():
+    # equal _Pow bases meet with summed exponents, so the order of products
+    # decides whether (a + b)^(1/2)*(a + b) stays (a + b)^(3/2) or expands, and
+    # whether (2)^(1/2)*(2)^(1/2) folds; these forms are squaring's
+    abc = Chart(("a", "b", "c"))
+    assert str(parse("((a+b)^(1/2) + c)^3", abc)) == (
+        "3*a*c + a*(a + b)^(1/2) + 3*b*c + b*(a + b)^(1/2) + c^3"
+        " + 3*c^2*(a + b)^(1/2)"
+    )
+    assert str(parse("(2^(1/2)*a + 3^(1/2))^4", abc)) == (
+        "4*a^4 + 8*a^3*(2)^(1/2)*(3)^(1/2) + 36*a^2"
+        " + 12*a*(2)^(1/2)*(3)^(1/2) + 9"
+    )
+
+
+def test_largest_expansions_take_well_under_a_second():
+    # the two largest powers of sums MAX_EXPANSION_TERMS allows, each timed
+    # in CPU seconds in a fresh process
+    script = """
+import time
+from fractions import Fraction as F
+from entropykit.expr import Chart, parse
+
+ch = Chart(("x", "y", "z"))
+point = {"x": F(1, 3), "y": F(-2, 5), "z": F(7, 2)}
+for text, total in (("(x+y)^999", point["x"] + point["y"]),
+                    ("(x+y+z)^43", sum(point.values()))):
+    start = time.process_time()
+    e = parse(text, ch)
+    spent = time.process_time() - start
+    k = int(text.rsplit("^", 1)[1])
+    print(text, len(e.terms), spent, e.evaluate(point) == total ** k)
+"""
+    src = str(Path(entropykit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [(text, terms, exact) for text, terms, _, exact in rows] == [
+        ("(x+y)^999", "1000", "True"), ("(x+y+z)^43", "990", "True"),
+    ]
+    assert all(float(spent) < 1.0 for _, _, spent, _ in rows)
 
 
 def test_trinomial_power_expands_exactly():
