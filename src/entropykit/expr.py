@@ -6,14 +6,12 @@ exponents.  A base factor is a coordinate, a named positive parameter, an
 ln/exp atom, or an opaque power of a multi-term expression.  All symbolic
 arithmetic is exact (fractions.Fraction).
 
-Each operation (sum, parsed sum, product, power, derivative, substitution)
-collects all the terms of its result first and then merges and sorts them
-once.  A term keeps its merge and sort key once it is computed.  A product
-of an m-term and an n-term sum merges the already sorted factors of each of
-its m*n pairs of terms and reuses their keys.  An integer power k of an
-n-term sum builds each of its C(k+n-1, n-1) terms once, from multinomial
-coefficients; it squares instead where a term has an opaque power, whose
-products can expand or fold into constants.
+Each operation (sum, parsed sum, product, derivative, substitution) collects
+all the terms of its result first and then merges and sorts them once.  A
+term keeps its merge and sort key once it is computed.  A product of an
+m-term and an n-term sum merges the already sorted factors of each of its
+m*n pairs of terms and reuses their keys; an integer power of a sum is a
+chain of such products, by repeated squaring.
 
 Numeric values come from Expr.evaluate, exact where the expression and the
 point allow it (a Fraction) and floating point past ln, exp, fractional
@@ -148,13 +146,11 @@ class _Term:
     """coeff times the product of its factors, each (base, exponent) in
     canonical order.
 
-    key is the term's merge and sort key in Expr._build: one entry
-    (0, _base_key(base), -exponent) per factor (_key_exponent), then
-    _TERM_END.  It depends
-    only on the chart's coordinates, and a term stays on charts with the same
-    coordinates, so it is computed at most once (by _term_key or by the
-    operation that built the term) and then reused.  Terms compare by coeff
-    and factors alone.
+    key is the term's merge and sort key in Expr._build: one _key_entry per
+    factor, then _TERM_END.  It depends only on the chart's coordinates, and
+    a term stays on charts with the same coordinates, so it is computed at
+    most once (by _term_key or by the operation that built the term) and
+    then reused.  Terms compare by coeff and factors alone.
     """
 
     __slots__ = ("coeff", "factors", "key")
@@ -193,17 +189,18 @@ def _base_key(base: _Base, chart: Chart):
 _TERM_END = ((1,),)
 
 
-def _key_exponent(x: Fraction):
-    """-x, as an int where it is whole: it compares and hashes equal to the
-    Fraction, sorts the same, and hashes faster."""
-    return -x.numerator if x.denominator == 1 else -x
+def _key_entry(base_key, x: Fraction) -> tuple:
+    """The key entry of a factor with exponent x: (0, base_key, -x), with -x
+    an int where it is whole (it compares, hashes and sorts as the Fraction
+    would, and hashes faster)."""
+    return (0, base_key, -x.numerator if x.denominator == 1 else -x)
 
 
 def _term_key(t: _Term, chart: Chart) -> tuple:
     k = t.key
     if k is None:
         k = t.key = tuple(
-            (0, _base_key(b, chart), _key_exponent(x)) for b, x in t.factors
+            _key_entry(_base_key(b, chart), x) for b, x in t.factors
         ) + _TERM_END
     return k
 
@@ -240,7 +237,7 @@ def _mul_terms(t1: _Term, t2: _Term) -> Optional[_Term]:
             x = f1[i][1] + f2[j][1]
             if x:
                 factors.append((b, x))
-                keys.append((0, e1[1], _key_exponent(x)))
+                keys.append(_key_entry(e1[1], x))
             i += 1
             j += 1
     if i < n1:
@@ -288,10 +285,11 @@ def _nth_root(n: int, k: int) -> Optional[int]:
 
 
 # Powers are checked against these budgets before any work is done: an
-# integer power of a sum expands to at most MAX_EXPANSION_TERMS terms, and a
-# power of a constant has at most MAX_POWER_BITS bits in its numerator or
-# denominator.  Numeric evaluation computes an integer power of a rational
-# value exactly only within MAX_POWER_BITS, and in floating point past it.
+# integer power of a sum expands to at most MAX_EXPANSION_TERMS terms (the
+# slowest such expansion, of a two-term sum, takes seconds), and a power of
+# a constant has at most MAX_POWER_BITS bits in its numerator or denominator.
+# Numeric evaluation computes an integer power of a rational value exactly
+# only within MAX_POWER_BITS, and in floating point past it.
 MAX_EXPANSION_TERMS = 1000
 MAX_POWER_BITS = 10_000
 
@@ -317,36 +315,6 @@ def _const_pow(c: Fraction, q: Fraction) -> tuple[Fraction, Optional[Fraction]]:
     if pn is not None and pd is not None:
         return Fraction(pn, pd) ** q.numerator, None
     return Fraction(1), c
-
-
-def _power_terms(terms, k: int, chart: Chart) -> list:
-    """The terms of (t_1 + ... + t_n)**k, none with a _Pow factor, unmerged:
-    one per exponent vector (e_1, ..., e_n) summing to k, with coefficient
-    k!/(e_1!...e_n!) * c_1**e_1 * ... * c_n**e_n and the factors of each t_i
-    with their exponents times e_i."""
-    partial = [(_Term(Fraction(1), (), _TERM_END), k)]  # (product so far, k left)
-    last = len(terms) - 1
-    for i, t in enumerate(terms):
-        entries = _term_key(t, chart)[:-1]
-        powers = [None] + [
-            _Term(
-                t.coeff**e,
-                tuple((b, x * e) for b, x in t.factors),
-                tuple((0, bk, x * e) for _, bk, x in entries) + _TERM_END,
-            )
-            for e in range(1, k + 1)
-        ]
-        grown = []
-        for acc, left in partial:
-            for e in range(left + 1) if i < last else (left,):
-                if e == 0:
-                    grown.append((acc, left))
-                    continue
-                prod = _mul_terms(acc, powers[e])
-                prod.coeff *= math.comb(left, e)
-                grown.append((prod, left - e))
-        partial = grown
-    return [acc for acc, _ in partial]
 
 
 class Expr:
@@ -542,16 +510,11 @@ class Expr:
                     f"expanding a sum of {n} terms to the power {q} exceeds "
                     f"the budget of {MAX_EXPANSION_TERMS} terms"
                 )
-            if any(isinstance(b, _Pow) for t in self.terms for b, _ in t.factors):
-                # Equal _Pow bases meet with summed exponents, and what that
-                # sum makes of them (an expansion, a folded constant) depends
-                # on the order of the products: keep squaring's canonical form.
-                half = self ** (int(q) // 2)
-                out = half * half
-                if int(q) % 2:
-                    out = out * self
-                return out
-            return Expr._build(chart, _power_terms(self.terms, int(q), chart))
+            half = self ** (int(q) // 2)
+            out = half * half
+            if int(q) % 2:
+                out = out * self
+            return out
         return Expr._monomial(chart, Fraction(1), [(_Pow(self), q)])
 
     # -- calculus ------------------------------------------------------------
@@ -736,6 +699,14 @@ def _pow_value(base, q: Fraction):
         bits = max(base.numerator.bit_length(), base.denominator.bit_length())
         if bits <= 1 or abs(q.numerator) * bits <= MAX_POWER_BITS:
             return base ** q.numerator
+        if q < 0:
+            base, q = 1 / base, -q
+        # q > 0 is whole, so a base past the float range has a power past it
+        try:
+            fb = float(base)
+        except OverflowError:
+            raise DomainError("power overflow") from None
+        return _float_pow(fb, q)
     return _float_pow(float(base), q)
 
 

@@ -123,10 +123,30 @@ def test_power_budgets_hold_at_their_edges(monkeypatch):
     with pytest.raises(DomainError, match="power overflow"):
         past.evaluate({"x": F(-3)})
     assert parse("x^(-1000000001)", xyz).evaluate({"x": F(-1)}) == F(-1)
-    for e in (within, past):
-        for v in (F(3), F(-1, 3), F(1)):
+    # a power past the budget is taken of the reciprocal where q < 0; a base
+    # past the float range (x = 10^-400 here) raises the same DomainError
+    tiny = parse("x^(-5001)", xyz)
+    assert tiny.evaluate({"x": F(3)}) == 0.0
+    with pytest.raises(DomainError, match="power overflow"):
+        tiny.evaluate({"x": F(1, 10**400)})
+    for e in (within, past, tiny):
+        for v in (F(3), F(-1, 3), F(1), F(1, 10**400)):
             assert outcome(lambda: e.compile({}, "x")(v)) == outcome(
                 lambda: e.evaluate({"x": v}))
+
+
+def test_power_of_a_base_past_the_float_range():
+    # at x = 10 the opaque base has about 1330 bits, past the float range,
+    # and 30 times that is past MAX_POWER_BITS; the power is below the
+    # smallest float, not an OverflowError
+    xyz = Chart(("x", "y", "z"))
+    e = parse("(x^400 + 1)^(-30)", xyz)
+    point = {"x": F(10)}
+    assert float(e.evaluate(point)) == 0.0
+    assert outcome(lambda: e.compile({}, "x")(F(10))) == outcome(
+        lambda: e.evaluate(point))
+    assert outcome(lambda: e.compile({}, "x")(10.0)) == outcome(
+        lambda: e.evaluate({"x": 10.0}))
 
 
 def test_parse_power_forms():
@@ -356,10 +376,9 @@ def test_canonical_equality_is_stable_under_reassociation(seed):
 #
 # The references below fold their sums one piece at a time with +, so every
 # partial sum is re-canonicalized, and normalize every product of two terms
-# with Expr._monomial; the operations under test merge sorted factor lists,
-# build powers of sums from multinomial coefficients, and canonicalize once.
-# Exact Fraction sums do not depend on order, so both must give the same terms
-# in the same order.
+# with Expr._monomial; the operations under test merge sorted factor lists
+# and canonicalize once.  Exact Fraction sums do not depend on order, so both
+# must give the same terms in the same order.
 
 
 def folded_product(p, q):
@@ -410,12 +429,12 @@ SUBSTITUTES = ["y^2 + 1/2", "exp(x)", "x*y", "(x + 1)^(1/2)", "3"]
 
 
 @st.composite
-def small_sums(draw, atoms=ATOMS):
+def small_sums(draw):
     e = XY.zero()
     for _ in range(draw(st.integers(1, 4))):
         t = XY.const(draw(st.fractions(-5, 5, max_denominator=6)))
         for _ in range(draw(st.integers(0, 3))):
-            atom = parse(draw(st.sampled_from(atoms)), XY)
+            atom = parse(draw(st.sampled_from(ATOMS)), XY)
             t = t * atom ** draw(st.sampled_from(EXPONENTS))
         e = e + t
     return e
@@ -445,12 +464,7 @@ def test_single_pass_matches_pairwise_fold(p, q, name, substitute):
     assert_same_canonical_form(p.subs(mapping), folded_subs(p, mapping))
 
 
-# Without "x + y", whose fractional and negative powers are opaque _Pow bases
-# and send a power of the sum down the squaring route.
-PLAIN_ATOMS = [a for a in ATOMS if a != "x + y"]
-
-
-@given(st.one_of(small_sums(PLAIN_ATOMS), small_sums()), st.integers(2, 6))
+@given(small_sums(), st.integers(2, 6))
 @settings(max_examples=120, deadline=None)
 def test_power_of_a_sum_matches_squaring_fold(p, k):
     n = max(len(p.terms), 1)
@@ -472,39 +486,6 @@ def test_powers_of_sums_with_opaque_powers_keep_their_printed_form():
         "4*a^4 + 8*a^3*(2)^(1/2)*(3)^(1/2) + 36*a^2"
         " + 12*a*(2)^(1/2)*(3)^(1/2) + 9"
     )
-
-
-def test_largest_expansions_take_well_under_a_second():
-    # the two largest powers of sums MAX_EXPANSION_TERMS allows, each timed
-    # in CPU seconds in a fresh process
-    script = """
-import time
-from fractions import Fraction as F
-from entropykit.expr import Chart, parse
-
-ch = Chart(("x", "y", "z"))
-point = {"x": F(1, 3), "y": F(-2, 5), "z": F(7, 2)}
-for text, total in (("(x+y)^999", point["x"] + point["y"]),
-                    ("(x+y+z)^43", sum(point.values()))):
-    start = time.process_time()
-    e = parse(text, ch)
-    spent = time.process_time() - start
-    k = int(text.rsplit("^", 1)[1])
-    print(text, len(e.terms), spent, e.evaluate(point) == total ** k)
-"""
-    src = str(Path(entropykit.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    rows = [line.split() for line in done.stdout.splitlines()]
-    assert [(text, terms, exact) for text, terms, _, exact in rows] == [
-        ("(x+y)^999", "1000", "True"), ("(x+y+z)^43", "990", "True"),
-    ]
-    assert all(float(spent) < 1.0 for _, _, spent, _ in rows)
 
 
 def test_trinomial_power_expands_exactly():
