@@ -455,28 +455,21 @@ def assert_same_canonical_form(got, want):
 
 
 @given(small_sums(), small_sums(), st.sampled_from(XY.coords),
-       st.sampled_from(SUBSTITUTES))
+       st.sampled_from(SUBSTITUTES), st.integers(2, 4))
 @settings(max_examples=80, deadline=None)
-def test_single_pass_matches_pairwise_fold(p, q, name, substitute):
+def test_single_pass_matches_pairwise_fold(p, q, name, substitute, k):
     assert_same_canonical_form(p * q, folded_product(p, q))
+    assert_same_canonical_form(p ** k, folded_power(p, k))
     assert_same_canonical_form(p.diff(name), folded_diff(p, name))
     mapping = {name: parse(substitute, XY)}
     assert_same_canonical_form(p.subs(mapping), folded_subs(p, mapping))
 
 
-@given(small_sums(), st.integers(2, 6))
-@settings(max_examples=120, deadline=None)
-def test_power_of_a_sum_matches_squaring_fold(p, k):
-    n = max(len(p.terms), 1)
-    while k > 2 and math.comb(n + k - 1, n - 1) > 84:
-        k -= 1
-    assert_same_canonical_form(p ** k, folded_power(p, k))
-
-
 def test_powers_of_sums_with_opaque_powers_keep_their_printed_form():
     # equal _Pow bases meet with summed exponents, so the order of products
     # decides whether (a + b)^(1/2)*(a + b) stays (a + b)^(3/2) or expands, and
-    # whether (2)^(1/2)*(2)^(1/2) folds; these forms are squaring's
+    # whether (2)^(1/2)*(2)^(1/2) folds; a power of a sum built another way
+    # (from multinomial coefficients, say) must keep these forms of squaring
     abc = Chart(("a", "b", "c"))
     assert str(parse("((a+b)^(1/2) + c)^3", abc)) == (
         "3*a*c + a*(a + b)^(1/2) + 3*b*c + b*(a + b)^(1/2) + c^3"
