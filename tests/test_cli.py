@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import entropykit
+from entropykit import thermo
 from entropykit.cli import run
 from entropykit.documents import DocumentError, load_document, parse_document
+from entropykit.forms import Confidence
 
 CORPUS = Path(__file__).resolve().parent.parent / "docs" / "corpus"
 
@@ -370,6 +373,21 @@ def test_potential_command_reports_all_rows():
     assert text.count("contact: CONTACT") == 3
     assert text.count("symmetry: SYMMETRY") == 3
 
+
+
+@pytest.mark.parametrize("part", ["contact", "symmetry"])
+def test_potential_is_inconclusive_when_one_check_is_sampled(monkeypatch, part):
+    real = thermo.legendre_transform
+
+    def transform(*args, **kwargs):
+        result = real(*args, **kwargs)
+        sampled = dataclasses.replace(getattr(result, part), confidence=Confidence.SAMPLED)
+        return dataclasses.replace(result, **{part: sampled})
+
+    monkeypatch.setattr(thermo, "legendre_transform", transform)
+    code, text = run_cli("potential", str(CORPUS / "potentials.doc"))
+    assert code == 3
+    assert text.count("status: inconclusive") == 3
 
 def test_structured_output_is_deterministic():
     args = ("axioms", str(CORPUS / "oracle_space.doc"), "--format", "structured")

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from entropykit import forms
 from entropykit.expr import Chart, parse
 from entropykit.forms import (
     Confidence,
@@ -579,3 +580,78 @@ def test_scaling_symmetry_recovers_factor():
 def test_symmetry_check_rejects_zero_form():
     with pytest.raises(ValueError):
         contact_symmetry_check(SmoothMap.identity(JET), Form.zero(JET, 1))
+
+
+# -- certainty propagation --------------------------------------------------------------
+# exp(ln(u)) equals u on the positive domain, but the normal form keeps it, so
+# only sampling can judge a residual built from it.
+
+
+def test_integrating_factor_with_sampled_residual_is_sampled():
+    q = dx(XYZ, "x").scale(XYZ.var("y"))
+    r = verify_integrating_factor(q, parse("exp(ln(y))", XYZ), XYZ.var("x"))
+    assert r.status is FactorStatus.OK
+    assert r.confidence is Confidence.SAMPLED
+    assert r.witness is None
+
+
+def test_integrating_factor_certain_failure_overrides_sampled_factor():
+    q = dx(XYZ, "x").scale(parse("2*y", XYZ))
+    r = verify_integrating_factor(q, parse("exp(ln(y))", XYZ), XYZ.var("x"))
+    assert r.status is FactorStatus.FAIL
+    assert r.confidence is Confidence.CERTAIN
+    assert r.witness == ((0,), parse("2*y - exp(ln(y))", XYZ))
+
+
+def test_frobenius_with_sampled_obstruction_is_sampled():
+    q = dx(XYZ, "z") + dx(XYZ, "y").scale(parse("(exp(ln(x)) - x)*z", XYZ))
+    r = frobenius_check(q)
+    assert r.status is FrobeniusStatus.INTEGRABLE
+    assert r.confidence is Confidence.SAMPLED
+    assert r.witness is None
+
+
+def counting_zero_tests(monkeypatch):
+    tested = []
+    real = forms.is_zero
+
+    def counting(e, config=forms.DEFAULT_ZERO_CONFIG):
+        tested.append(e)
+        return real(e, config)
+
+    monkeypatch.setattr(forms, "is_zero", counting)
+    return tested
+
+
+def test_contact_symmetry_with_sampled_multiplier_is_sampled(monkeypatch):
+    tested = counting_zero_tests(monkeypatch)
+    phi = SmoothMap(
+        JET, JET, {"x": JET.var("x"), "y": parse("exp(ln(y))", JET), "p": JET.var("p")}
+    )
+    r = contact_symmetry_check(phi, cartan())
+    assert r.status is SymmetryStatus.SYMMETRY
+    assert r.confidence is Confidence.SAMPLED
+    assert r.factor == parse("exp(ln(y))/y", JET)
+    assert len(tested) == 2  # one residual per basis index
+
+
+def test_contact_symmetry_stops_at_first_certain_nonzero_residual(monkeypatch):
+    tested = counting_zero_tests(monkeypatch)
+    doubling = SmoothMap(
+        JET, JET, {"x": JET.var("x"), "y": parse("2*y", JET), "p": JET.var("p")}
+    )
+    r = contact_symmetry_check(doubling, cartan())
+    assert r.status is SymmetryStatus.NOT_SYMMETRY
+    assert r.confidence is Confidence.CERTAIN
+    assert r.witness == ((0,), JET.var("p"))
+    assert tested == [JET.var("p")]
+    # a sampled multiplier does not make a certain residual failure sampled
+    tested.clear()
+    phi = SmoothMap(
+        JET, JET, {"x": JET.var("x"), "y": parse("exp(ln(y))", JET), "p": parse("2*p", JET)}
+    )
+    r = contact_symmetry_check(phi, cartan())
+    assert r.status is SymmetryStatus.NOT_SYMMETRY
+    assert r.confidence is Confidence.CERTAIN
+    assert r.witness[0] == (0,)
+    assert len(tested) == 1

@@ -158,6 +158,53 @@ def test_check_legendre_rejects_inconsistent_state_equations():
     assert residual == base.one()
 
 
+
+# exp(ln(V)) equals V on the positive domain, but the normal form keeps it, so
+# only sampling can judge a mixed partial built from it.
+SAMPLED_SPEC = LegendreSpec.from_state_equations(
+    {"T": parse("exp(ln(V))", STD.base_chart), "p": parse("0 - S", STD.base_chart)}
+)
+
+
+def test_check_legendre_with_sampled_mixed_partials_is_sampled():
+    report = check_legendre(STD, SAMPLED_SPEC)
+    assert report.ok and report.failures == ()
+    assert report.confidence is Confidence.SAMPLED
+    assert report.energy == parse("S*V - 1", STD.base_chart)
+    # with no energy to pull back, the mixed partials alone decide
+    base = STD.base_chart
+    spec = LegendreSpec.from_state_equations(
+        {"T": parse("exp(ln(V)) + exp(S)", base), "p": parse("0 - S", base)}
+    )
+    report = check_legendre(STD, spec)
+    assert report.ok and report.energy is None and report.residual is None
+    assert report.confidence is Confidence.SAMPLED
+
+
+def test_check_legendre_certain_failures_are_certain_and_in_pair_order():
+    tc = ThermoChart("U", (("T", "S", 1), ("p", "V", -1), ("mu", "M", -1)), heat=0)
+    base = tc.base_chart
+    spec = LegendreSpec.from_state_equations(
+        {
+            "T": parse("exp(ln(M)) + V", base),  # (T, p) fails; (T, mu) is sampled
+            "p": parse("0", base),
+            "mu": parse("V - S", base),  # (p, mu) fails
+        }
+    )
+    report = check_legendre(tc, spec)
+    assert not report.ok
+    assert report.confidence is Confidence.CERTAIN
+    assert report.failures == (
+        ("T", "V", "p", "S", base.one()),
+        ("p", "M", "mu", "V", base.one()),
+    )
+    verdicts = [(i.verdict, i.confidence) for i in maxwell_relations(tc, spec)]
+    assert verdicts == [
+        ("FAIL", Confidence.CERTAIN),
+        ("OK", Confidence.SAMPLED),
+        ("FAIL", Confidence.CERTAIN),
+    ]
+
 # -- Maxwell relations ---------------------------------------------------------------
 
 
