@@ -90,9 +90,11 @@ class Report:
         return "\n\n".join(out) + "\n"
 
 
-def _status_from(ok: bool, confidence=None) -> str:
-    """A sampled verdict, passing or failing, is inconclusive (exit 3)."""
-    if confidence is Confidence.SAMPLED:
+def _status_from(ok: bool, *confidences: Confidence) -> str:
+    """Status of a verdict that rests on the given checks' confidences: if
+    any of them sampled, the verdict, passing or failing, is inconclusive
+    (exit 3)."""
+    if Confidence.SAMPLED in confidences:
         return "inconclusive"
     return "pass" if ok else "fail"
 
@@ -247,13 +249,8 @@ def cmd_potential(doc: Document, opts, report: Report):
         if result.symmetry.factor is not None:
             report.add(idx, "multiplier", result.symmetry.factor)
         ok = result.contact.contact and result.symmetry.symmetry
-        confidence = (
-            Confidence.SAMPLED
-            if Confidence.SAMPLED
-            in (result.contact.confidence, result.symmetry.confidence)
-            else Confidence.CERTAIN
-        )
-        report.set_status(idx, _status_from(ok, confidence))
+        confidences = (result.contact.confidence, result.symmetry.confidence)
+        report.set_status(idx, _status_from(ok, *confidences))
 
 
 # ---------------------------------------------------------------------------

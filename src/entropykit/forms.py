@@ -6,7 +6,10 @@ Forms are stored sparsely: a degree-k form keeps coefficients only on
 strictly increasing k-tuples of coordinate indices.  Verdicts carry a
 confidence flag because transcendental coefficients make exact zero testing
 inconclusive; CERTAIN means every underlying zero test was structural,
-SAMPLED means at least one relied on random-point evaluation.
+SAMPLED means at least one relied on random-point evaluation.  Every
+residual check (here and in thermo) reduces its verdict to "does each of
+these coefficients vanish?" and decides CERTAIN vs SAMPLED in one place,
+first_nonzero.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .expr import (
     Chart,
@@ -33,11 +36,26 @@ class Confidence(Enum):
     SAMPLED = "sampled"
 
 
-def _combine(results) -> Confidence:
-    for r in results:
+def first_nonzero(
+    items: Iterable[tuple[object, Expr]],
+    config: ZeroTestConfig,
+    confidence: Confidence = Confidence.CERTAIN,
+):
+    """(witness, confidence) for (key, coefficient) pairs tested in order.
+
+    The first certainly nonzero coefficient is the witness (key, coefficient)
+    and the verdict is CERTAIN, whatever came before.  When every coefficient
+    vanishes the witness is None and the verdict keeps the confidence so far,
+    lowered to SAMPLED if any zero test sampled.  Nothing after the witness
+    is tested, nor built when items is a generator.
+    """
+    for key, coeff in items:
+        r = is_zero(coeff, config)
+        if r.verdict is ZeroVerdict.CERTAIN_NONZERO:
+            return (key, coeff), Confidence.CERTAIN
         if not r.certain:
-            return Confidence.SAMPLED
-    return Confidence.CERTAIN
+            confidence = Confidence.SAMPLED
+    return None, confidence
 
 
 def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
@@ -307,18 +325,9 @@ def frobenius_check(q: Form, config: ZeroTestConfig = DEFAULT_ZERO_CONFIG) -> Fr
     if q.degree != 1:
         raise ValueError("frobenius_check expects a 1-form")
     obstruction = q.wedge(q.d())
-    results = []
-    for idx, coeff in obstruction.items():
-        r = is_zero(coeff, config)
-        if r.verdict is ZeroVerdict.CERTAIN_NONZERO:
-            return FrobeniusResult(
-                FrobeniusStatus.NOT_INTEGRABLE, Confidence.CERTAIN, obstruction,
-                witness=(idx, coeff),
-            )
-        results.append(r)
-    return FrobeniusResult(
-        FrobeniusStatus.INTEGRABLE, _combine(results), obstruction
-    )
+    witness, confidence = first_nonzero(obstruction.items(), config)
+    status = FrobeniusStatus.INTEGRABLE if witness is None else FrobeniusStatus.NOT_INTEGRABLE
+    return FrobeniusResult(status, confidence, obstruction, witness)
 
 
 class ContactStatus(Enum):
@@ -346,9 +355,6 @@ def _nonvanishing(e: Expr, config: ZeroTestConfig):
     """
     if e.is_zero_expr():
         return False, Confidence.CERTAIN, None
-    c = e.as_constant()
-    if c is not None:
-        return True, Confidence.CERTAIN, None
     if len(e.terms) == 1 and all(isinstance(b, str) for b, _ in e.terms[0].factors):
         return True, Confidence.CERTAIN, None
     for point, value in sample_values(e, config):
@@ -371,8 +377,6 @@ def contact_check(theta: Form, n: int, config: ZeroTestConfig = DEFAULT_ZERO_CON
     for _ in range(n):
         power = power.wedge(dtheta)
     top = power.coefficient(tuple(range(theta.chart.dimension)))
-    if top.is_zero_expr():
-        return ContactResult(ContactStatus.DEGENERATE, Confidence.CERTAIN, top)
     ok, confidence, witness = _nonvanishing(top, config)
     status = ContactStatus.CONTACT if ok else ContactStatus.DEGENERATE
     return ContactResult(status, confidence, top, witness)
@@ -408,18 +412,9 @@ def verify_integrating_factor(
             FactorStatus.SINGULAR_FACTOR, t_conf, witness=witness
         )
     residual = q - Form.from_expr(S).d().scale(T)
-    results = []
-    for idx, coeff in residual.items():
-        r = is_zero(coeff, config)
-        if r.verdict is ZeroVerdict.CERTAIN_NONZERO:
-            return IntegratingFactorResult(
-                FactorStatus.FAIL, Confidence.CERTAIN, residual, witness=(idx, coeff)
-            )
-        results.append(r)
-    confidence = _combine(results)
-    if t_conf is Confidence.SAMPLED:
-        confidence = Confidence.SAMPLED
-    return IntegratingFactorResult(FactorStatus.OK, confidence, residual)
+    witness, confidence = first_nonzero(residual.items(), config, t_conf)
+    status = FactorStatus.OK if witness is None else FactorStatus.FAIL
+    return IntegratingFactorResult(status, confidence, residual, witness)
 
 
 @dataclass(frozen=True)
@@ -532,18 +527,10 @@ def contact_symmetry_check(
             SymmetryStatus.NOT_SYMMETRY, lam_conf, factor=lam,
             witness=("factor vanishes", lam_witness),
         )
-    results = []
-    support = sorted(set(pulled.coeffs) | set(omega.coeffs))
-    for idx in support:
-        residual = pulled.coefficient(idx) - lam * omega.coefficient(idx)
-        r = is_zero(residual, config)
-        if r.verdict is ZeroVerdict.CERTAIN_NONZERO:
-            return SymmetryResult(
-                SymmetryStatus.NOT_SYMMETRY, Confidence.CERTAIN,
-                factor=lam, witness=(idx, residual),
-            )
-        results.append(r)
-    confidence = _combine(results)
-    if lam_conf is Confidence.SAMPLED:
-        confidence = Confidence.SAMPLED
-    return SymmetryResult(SymmetryStatus.SYMMETRY, confidence, factor=lam)
+    residuals = (
+        (idx, pulled.coefficient(idx) - lam * omega.coefficient(idx))
+        for idx in sorted(set(pulled.coeffs) | set(omega.coeffs))
+    )
+    witness, confidence = first_nonzero(residuals, config, lam_conf)
+    status = SymmetryStatus.SYMMETRY if witness is None else SymmetryStatus.NOT_SYMMETRY
+    return SymmetryResult(status, confidence, lam, witness)

@@ -21,7 +21,6 @@ from .expr import (
     Expr,
     ZeroTestConfig,
     DEFAULT_ZERO_CONFIG,
-    ZeroVerdict,
     is_zero,
     ln,
 )
@@ -33,6 +32,7 @@ from .forms import (
     SymmetryResult,
     contact_check,
     contact_symmetry_check,
+    first_nonzero,
     pullback,
     verify_integrating_factor,
 )
@@ -253,22 +253,6 @@ class LegendreReport:
     residual: Optional[Form] = None
 
 
-def _integrability_failures(tc: ThermoChart, eqs, config) -> tuple[list, Confidence]:
-    failures = []
-    confidence = Confidence.CERTAIN
-    for i in range(tc.n):
-        for j in range(i + 1, tc.n):
-            pi, xi, si = tc.pairs[i]
-            pj, xj, sj = tc.pairs[j]
-            residual = eqs[pi].diff(xj) * si - eqs[pj].diff(xi) * sj
-            r = is_zero(residual, config)
-            if r.verdict is ZeroVerdict.CERTAIN_NONZERO:
-                failures.append((pi, xj, pj, xi, residual))
-            elif r.verdict is ZeroVerdict.PROBABLY_ZERO:
-                confidence = Confidence.SAMPLED
-    return failures, confidence
-
-
 def check_legendre(
     tc: ThermoChart,
     spec: LegendreSpec,
@@ -282,11 +266,14 @@ def check_legendre(
     """
     spec._validate(tc)
     eqs = spec.state_equations(tc)
-    failures, confidence = _integrability_failures(tc, eqs, config)
+    identities = _maxwell(tc, eqs, config)
+    failures = tuple(
+        i.lhs + i.rhs + (i.residual,) for i in identities if i.verdict == "FAIL"
+    )
     if failures:
-        return LegendreReport(
-            False, Confidence.CERTAIN, eqs, None, False, tuple(failures)
-        )
+        return LegendreReport(False, Confidence.CERTAIN, eqs, None, False, failures)
+    sampled = any(i.confidence is Confidence.SAMPLED for i in identities)
+    confidence = Confidence.SAMPLED if sampled else Confidence.CERTAIN
     try:
         energy = spec.energy_expr(tc)
         reconstructed = spec.potential is None
@@ -297,17 +284,9 @@ def check_legendre(
         return LegendreReport(True, confidence, eqs, None, False)
     phi = LegendreSpec.from_state_equations(eqs, energy=energy).inclusion(tc)
     residual = pullback(phi, first_law_form(tc))
-    for _, coeff in residual.items():
-        r = is_zero(coeff, config)
-        if r.verdict is ZeroVerdict.CERTAIN_NONZERO:
-            return LegendreReport(
-                False, Confidence.CERTAIN, eqs, energy, reconstructed,
-                residual=residual,
-            )
-        if r.verdict is ZeroVerdict.PROBABLY_ZERO:
-            confidence = Confidence.SAMPLED
+    witness, confidence = first_nonzero(residual.items(), config, confidence)
     return LegendreReport(
-        True, confidence, eqs, energy, reconstructed, residual=residual
+        witness is None, confidence, eqs, energy, reconstructed, residual=residual
     )
 
 
@@ -339,24 +318,24 @@ def maxwell_relations(
     an exactness verdict for the given equations of state.
     """
     eqs = spec.state_equations(tc) if spec is not None else None
+    return _maxwell(tc, eqs, config)
+
+
+def _maxwell(
+    tc: ThermoChart, eqs: Optional[Mapping[str, Expr]], config: ZeroTestConfig
+) -> list[MaxwellIdentity]:
+    """maxwell_relations for given (or no) equations of state, in pair order."""
     out = []
-    for i in range(tc.n):
-        for j in range(i + 1, tc.n):
-            pi, xi, si = tc.pairs[i]
-            pj, xj, sj = tc.pairs[j]
-            residual = None
-            verdict = None
-            confidence = None
+    for i, (pi, xi, si) in enumerate(tc.pairs):
+        for pj, xj, sj in tc.pairs[i + 1 :]:
+            checked = ()  # residual, verdict, confidence
             if eqs is not None:
                 residual = eqs[pi].diff(xj) * si - eqs[pj].diff(xi) * sj
                 r = is_zero(residual, config)
-                verdict = "FAIL" if r.verdict is ZeroVerdict.CERTAIN_NONZERO else "OK"
-                confidence = (
-                    Confidence.CERTAIN if r.certain else Confidence.SAMPLED
-                )
-            out.append(
-                MaxwellIdentity((pi, xj), si * sj, (pj, xi), residual, verdict, confidence)
-            )
+                verdict = "OK" if r.verdict.zero else "FAIL"
+                confidence = Confidence.CERTAIN if r.certain else Confidence.SAMPLED
+                checked = (residual, verdict, confidence)
+            out.append(MaxwellIdentity((pi, xj), si * sj, (pj, xi), *checked))
     return out
 
 
