@@ -928,7 +928,8 @@ def sample_point(rng: random.Random, names, cfg: ZeroTestConfig) -> dict:
 
 def sample_values(e: Expr, config: ZeroTestConfig):
     """Yield config.samples pairs (point, float value of e) at seeded random
-    points; a point outside e's domain is redrawn, up to max_retries times."""
+    points; a point outside e's domain, or where the value overflows a
+    float, is redrawn, up to max_retries times."""
     names = e.free_symbols()
     rng = stable_rng(e, config.seed)
     good = 0
@@ -936,8 +937,8 @@ def sample_values(e: Expr, config: ZeroTestConfig):
     while good < config.samples:
         point = sample_point(rng, names, config)
         try:
-            value = e.evaluate(point)
-        except DomainError:
+            value = float(e.evaluate(point))
+        except (DomainError, OverflowError):
             retries += 1
             if retries > config.max_retries:
                 raise SamplingError(
@@ -945,7 +946,7 @@ def sample_values(e: Expr, config: ZeroTestConfig):
                 ) from None
             continue
         good += 1
-        yield point, float(value)
+        yield point, value
 
 
 def is_zero(e: Expr, config: ZeroTestConfig = DEFAULT_ZERO_CONFIG) -> ZeroResult:

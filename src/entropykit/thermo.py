@@ -384,13 +384,14 @@ def legendre_transform(
                 raise ThermoError(f"no pair named {item!r}")
     chart = tc.chart
     if not swap_idx:
+        identity = SmoothMap.identity(chart)
         return LegendreTransformResult(
             tc,
             tc.energy,
             chart.var(tc.energy),
             theta,
-            SmoothMap.identity(chart),
-            contact_symmetry_check(SmoothMap.identity(chart), theta, config),
+            identity,
+            contact_symmetry_check(identity, theta, config),
             contact_check(theta, tc.n, config),
         )
     if new_name is None:
@@ -412,14 +413,15 @@ def legendre_transform(
         comps[p] = -chart.var(x) * s
     comps[tc.energy] = potential
     phi = SmoothMap(chart, chart, comps)
+    new_theta = first_law_form(new_tc)
     return LegendreTransformResult(
         new_tc,
         new_name,
         potential,
-        first_law_form(new_tc),
+        new_theta,
         phi,
         contact_symmetry_check(phi, theta, config),
-        contact_check(first_law_form(new_tc), new_tc.n, config),
+        contact_check(new_theta, new_tc.n, config),
     )
 
 
@@ -700,6 +702,7 @@ def cycle_audit(
     """Audit a closed cycle: ∮Q = ∮W (exactness of dX₀), per-leg adiabatic
     claims, and the Kelvin configuration (heat absorbed everywhere while net
     work is extracted) that the Second Law forbids."""
+    _require_path(cycle)
     cycle.check_continuity(params)
     if not cycle.is_closed(params, tol=1e-9):
         raise ThermoError("cycle_audit requires a closed path")
@@ -770,6 +773,7 @@ def adiabatic_entropy_check(
     sampled heat vanishes must then stay on one S = const leaf, and any
     heat flow moves it transversally across leaves.
     """
+    _require_path(path)
     if entropy.chart != tc.base_chart:
         raise ThermoError("entropy must be a function of the extensive coordinates")
     inclusion = spec.inclusion(tc)

@@ -265,6 +265,20 @@ def test_sampled_huge_symbol_power_finishes(tmp_path):
         assert "error" not in out
 
 
+
+def test_sample_overflowing_a_float_is_redrawn(tmp_path):
+    # (x^1000 + 1)^(1/2) is exact within the bit budget but past the float
+    # range at most sample points, so those points are redrawn
+    doc = tmp_path / "overflow_sample.doc"
+    doc.write_text(
+        "[chart]\ncoords = x y z\n\n[forms]\n"
+        "form q : z = 1, y = (exp(y)^5 - exp(5*y))*(x^1000 + 1)^(1/2)\n"
+    )
+    code, out = fresh_cli("contact-check", str(doc))
+    assert code == 3
+    assert "\nverdict: DEGENERATE\ncertainty: sampled\n" in out
+    assert "internal error" not in out
+
 def test_batch_entry_with_unexpected_error_does_not_end_the_batch(tmp_path, monkeypatch):
     from entropykit import cli
 

@@ -670,9 +670,16 @@ def test_first_law_balance_keeps_path_checks(monkeypatch):
     process = EndpointPair({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(1)})
     with pytest.raises(ThermoError) as from_integral:
         path_integral(STD, IDEAL_GAS, process, heat_form(STD), PARAMS)
-    with pytest.raises(ThermoError) as from_balance:
-        first_law_balance(STD, IDEAL_GAS, process, PARAMS)
-    assert str(from_balance.value) == str(from_integral.value)
+    for audit in (
+        lambda: first_law_balance(STD, IDEAL_GAS, process, PARAMS),
+        lambda: cycle_audit(STD, IDEAL_GAS, process, PARAMS),
+        lambda: adiabatic_entropy_check(
+            STD, IDEAL_GAS, process, parse("S", STD.base_chart), PARAMS
+        ),
+    ):
+        with pytest.raises(ThermoError) as from_audit:
+            audit()
+        assert str(from_audit.value) == str(from_integral.value)
     broken = ProcessPath(
         STD.base_chart,
         (
