@@ -5,11 +5,14 @@ process-path integrals and Second-Law audits.
 Sign convention, fixed once: θ = dX₀ − Σ σ_i P_i dX_i with the heat pair
 entering as σ = +1 (so θ = dU − TdS + pdV on the standard chart) and
 Q = σ_h P_h dX_h, W = −Σ_{i≠h} σ_i P_i dX_i, giving θ = dX₀ − Q + W.
+
+Path integrals run `quadpack.qags`, a port of QUADPACK's QAGS (Piessens,
+de Doncker-Kapenga, Überhuber and Kahaner, 1983) that gives the same bits
+as scipy.integrate.quad.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,6 +39,7 @@ from .forms import (
     pullback,
     verify_integrating_factor,
 )
+from .quadpack import message, qags
 
 
 class ThermoError(Exception):
@@ -528,6 +532,8 @@ class QuadratureConfig:
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+# relative tolerance of every path quadrature (scipy.integrate.quad's default)
+QUAD_REL_TOL = 1.49e-8
 
 
 class QuadratureError(ThermoError):
@@ -579,9 +585,6 @@ def _require_path(path):
 
 def _integrate_segment(integrand, cfg: QuadratureConfig):
     """∫₀¹ integrand(t) dt for a leg coefficient compiled by Expr.compile."""
-    # Imported here so that commands which never integrate do not pay for
-    # scipy; quad is looked up on the module at call time.
-    from scipy import integrate
 
     def f(tval: float) -> float:
         try:
@@ -592,14 +595,10 @@ def _integrate_segment(integrand, cfg: QuadratureConfig):
                 f"integrand left its domain near t={tval}: {w}"
             ) from None
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, err = integrate.quad(
-                f, 0.0, 1.0, epsabs=cfg.abs_tol, limit=cfg.max_subdivisions
-            )
-        except integrate.IntegrationWarning as w:
-            raise QuadratureError(f"quadrature did not converge: {w}") from None
+    limit = cfg.max_subdivisions
+    value, err, ier, _ = qags(f, 0.0, 1.0, cfg.abs_tol, QUAD_REL_TOL, limit)
+    if ier:
+        raise QuadratureError(f"quadrature did not converge: {message(ier, limit)}")
     return value, err
 
 

@@ -454,6 +454,31 @@ def test_batch_output_matches_golden_files(fmt):
     assert out.replace(str(CORPUS), "<corpus>") == golden.read_text(encoding="utf-8")
 
 
+def test_batch_runs_without_scipy():
+    # a None entry in sys.modules makes every import of scipy fail, so the
+    # whole corpus, its path integrals included, must run on entropykit alone
+    script = f"""
+import io, sys
+sys.modules["scipy"] = None
+from entropykit import cli
+out = io.StringIO()
+code = cli.run(["batch", {str(CORPUS / "manifest.txt")!r}], out)
+sys.stdout.write(out.getvalue())
+sys.exit(code)
+"""
+    src = str(Path(entropykit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env.pop("ENTROPYKIT_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    golden = Path(__file__).resolve().parent / "golden" / "batch_text.txt"
+    assert done.stdout.replace(str(CORPUS), "<corpus>") == golden.read_text(encoding="utf-8")
+
+
 AXIOM_REPORTS = """
 import random
 from fractions import Fraction as F

@@ -577,6 +577,125 @@ def test_divergent_integral_raises_quadrature_error():
         )
 
 
+def test_divergent_integral_names_the_divergence():
+    from entropykit.thermo import QuadratureError
+
+    # U ~ (t - 1/3)^(-2) blows up between the quadrature nodes (t = 1/2 is one)
+    tchart = Chart(("t",), STD.base_chart.params)
+    blow_up = ProcessPath(
+        STD.base_chart,
+        (PathSegment({"S": parse("0 - 3*ln((t - 1/3)^2)", tchart),
+                      "V": parse("1", tchart)}),),
+    )
+    with pytest.raises(
+        QuadratureError,
+        match="^quadrature did not converge: The integral is probably divergent",
+    ):
+        path_integral(STD, IDEAL_GAS, blow_up, Form.d_coord(STD.chart, "U"), PARAMS)
+
+
+# -- the QUADPACK port against scipy.integrate.quad ---------------------------------
+# quadpack.qags runs the routines scipy.integrate.quad runs (dqagse, dqk21,
+# dqpsrt, dqelg) in the same order of floating-point operations, so every
+# figure must agree to the bit, on success and on failure.
+
+QUAD_REL_TOL = 1.49e-8
+
+
+def hard_integrands():
+    def guard(g):
+        # QUADPACK never evaluates the end points of [0, 1]; a singular g is
+        # guarded there anyway
+        return lambda t: g(t) if 0.0 < t < 1.0 else 0.0
+
+    return {
+        "smooth": lambda t: math.exp(t) * math.cos(3.0 * t),
+        "sqrt": lambda t: math.sqrt(t),
+        "log": guard(math.log),
+        "inverse-power": guard(lambda t: t ** -0.9),
+        "oscillatory": lambda t: math.sin(200.0 * t) * t,
+        "step": lambda t: 1.0 if t > 0.3 else 0.0,
+        "divergent": lambda t: 1.0 / (t - 1.0 / 3.0) ** 2,
+        "divergent-at-end": guard(lambda t: 1.0 / t),
+        "peak": lambda t: 1.0 / (1.0 + 2500.0 * (t - 0.5) ** 2),
+        "zero": lambda t: 0.0,
+        "nan": lambda t: math.nan if 0.4 < t < 0.41 else t,
+        # rounding noise on a singular integrand
+        "noisy-log": guard(lambda t: math.log(t) * (1.0 + 1e-6 * math.sin(1e12 * t))),
+        "noisy-sqrt": guard(lambda t: t ** -0.5 * (1.0 + 1e-5 * math.sin(1e6 * t))),
+    }
+
+
+def assert_quad_matches_scipy(f, limit, epsabs=1e-10):
+    from entropykit import quadpack
+
+    integrate = pytest.importorskip("scipy.integrate")
+    want = integrate.quad(
+        f, 0.0, 1.0, epsabs=epsabs, epsrel=QUAD_REL_TOL, limit=limit, full_output=1
+    )
+    value, err, ier, last = quadpack.qags(f, 0.0, 1.0, epsabs, QUAD_REL_TOL, limit)
+    assert math.isnan(value) if math.isnan(want[0]) else value == want[0]
+    assert math.isnan(err) if math.isnan(want[1]) else err == want[1]
+    assert last == want[2]["last"]
+    # scipy appends its message only when QUADPACK did not converge
+    assert (ier != 0) == (len(want) == 4)
+    if ier:
+        assert quadpack.message(ier, limit) == want[3]
+    return ier
+
+
+@pytest.mark.parametrize("limit", [1, 5, 50, 10_000])
+@pytest.mark.parametrize("name", sorted(hard_integrands()))
+def test_quadpack_port_matches_scipy_on_hard_integrands(name, limit):
+    assert_quad_matches_scipy(hard_integrands()[name], limit)
+
+
+def test_quadpack_port_reports_every_failure_as_scipy_does():
+    # the hard integrands reach every error code QUADPACK gives on valid input
+    integrands = hard_integrands()
+    codes = {
+        assert_quad_matches_scipy(integrands[name], limit)
+        for name in integrands for limit in (1, 5, 50, 10_000)
+    }
+    assert codes == {0, 1, 2, 3, 4, 5}
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    st.sampled_from([0.0, 1.0, 2.0, 0.5, -0.5, 1.0 / 3.0, -0.9, 1.5]),
+    st.integers(-12, 12),
+    st.sampled_from([5, 50, 10_000]),
+)
+@settings(max_examples=150, deadline=None)
+def test_quadpack_port_matches_scipy_on_poly_exp_power(coeffs, power, rate, limit):
+    def f(t):
+        poly = 0.0
+        for c in reversed(coeffs):
+            poly = poly * t + c
+        return poly * math.exp(rate * t / 4.0) * t ** power
+
+    assert_quad_matches_scipy(f, limit)
+
+
+def test_segment_quadrature_error_carries_scipy_message():
+    from entropykit.thermo import (
+        DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, _integrate_segment,
+    )
+
+    integrate = pytest.importorskip("scipy.integrate")
+    for f, cfg in [
+        (lambda t: 1.0 / (t - 1.0 / 3.0) ** 2, DEFAULT_QUADRATURE),
+        (lambda t: math.sin(200.0 * t) * t, QuadratureConfig(max_subdivisions=5)),
+    ]:
+        want = integrate.quad(
+            f, 0.0, 1.0, epsabs=cfg.abs_tol, limit=cfg.max_subdivisions,
+            full_output=1,
+        )
+        with pytest.raises(QuadratureError) as err:
+            _integrate_segment(f, cfg)
+        assert str(err.value) == f"quadrature did not converge: {want[3]}"
+
+
 # -- one pullback route for the path code ----------------------------------------------
 
 
