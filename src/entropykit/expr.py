@@ -527,6 +527,21 @@ class Expr:
         pieces = []
         for t in self.terms:
             for i, (b, x) in enumerate(t.factors):
+                if isinstance(b, str):
+                    if b != name:
+                        continue
+                    # d/dname of name^x: the term with exponent x - 1, built
+                    # and keyed directly (the other factors are canonical)
+                    k = _term_key(t, chart)
+                    x1 = x - 1
+                    if x1:
+                        factors = t.factors[:i] + ((b, x1),) + t.factors[i + 1:]
+                        key = k[:i] + (_key_entry(k[i][1], x1),) + k[i + 1:]
+                    else:
+                        factors = t.factors[:i] + t.factors[i + 1:]
+                        key = k[:i] + k[i + 1:]
+                    pieces.append(_Term(t.coeff * x, factors, key))
+                    continue
                 db = self._base_diff(b, name)
                 if db.is_zero_expr():
                     continue
@@ -540,9 +555,8 @@ class Expr:
         return Expr._build(chart, pieces)
 
     def _base_diff(self, b: _Base, name: str) -> "Expr":
+        """Derivative of an ln, exp or opaque power base."""
         chart = self.chart
-        if isinstance(b, str):
-            return chart.one() if b == name else chart.zero()
         if isinstance(b, _Ln):
             return b.arg.diff(name) * b.arg ** Fraction(-1)
         if isinstance(b, _Exp):
