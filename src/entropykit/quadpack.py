@@ -113,7 +113,7 @@ def _div(x: float, y: float) -> float:
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def qk21(f: Callable[[float], float], a: float, b: float):
+def _qk21(f: Callable[[float], float], a: float, b: float):
     """dqk21: (result, abserr, resabs, resasc) of the 21-point Kronrod rule
     on [a, b]; resabs approximates ∫|f| and resasc ∫|f − mean f|."""
     centr = 0.5 * (a + b)
@@ -161,7 +161,7 @@ def qk21(f: Callable[[float], float], a: float, b: float):
     return result, abserr, resabs, resasc
 
 
-def qpsrt(limit, last, maxerr, ermax, elist, iord, nrmax):
+def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
     """dqpsrt: keep iord[1..] ordering elist descending, after subinterval
     maxerr was bisected into maxerr and last; returns (maxerr, ermax, nrmax)
     of the subinterval to bisect next."""
@@ -172,13 +172,12 @@ def qpsrt(limit, last, maxerr, ermax, elist, iord, nrmax):
         # only after a bisection that raised the error estimate does the
         # insertion start above the nrmax-th largest error
         errmax = elist[maxerr]
-        if nrmax != 1:
-            for _ in range(nrmax - 1):
-                isucc = iord[nrmax - 1]
-                if errmax <= elist[isucc]:
-                    break
-                iord[nrmax] = isucc
-                nrmax -= 1
+        for _ in range(nrmax - 1):
+            isucc = iord[nrmax - 1]
+            if errmax <= elist[isucc]:
+                break
+            iord[nrmax] = isucc
+            nrmax -= 1
         # the number of errors kept in order shrinks as the subdivisions
         # left do
         jupbn = last
@@ -211,7 +210,7 @@ def qpsrt(limit, last, maxerr, ermax, elist, iord, nrmax):
     return maxerr, elist[maxerr], nrmax
 
 
-def qelg(n, epstab, res3la, nres):
+def _qelg(n, epstab, res3la, nres):
     """dqelg: one step of Wynn's epsilon algorithm on epstab[1..n], whose
     last element is the newest partial sum; returns (n, result, abserr,
     nres) with epstab and res3la updated in place."""
@@ -315,7 +314,7 @@ def qags(
 
     # first approximation to the integral
     ierro = 0
-    result, abserr, defabs, resabs = qk21(f, a, b)
+    result, abserr, defabs, resabs = _qk21(f, a, b)
 
     # test on accuracy
     dres = abs(result)
@@ -371,8 +370,8 @@ def qags(
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, resabs, defab1 = qk21(f, a1, b1)
-        area2, error2, resabs, defab2 = qk21(f, a2, b2)
+        area1, error1, resabs, defab1 = _qk21(f, a1, b1)
+        area2, error2, resabs, defab2 = _qk21(f, a2, b2)
 
         # improve previous approximations to integral and error and test
         # for accuracy
@@ -428,7 +427,7 @@ def qags(
         # keep the error estimates in descending order and pick the
         # subinterval with the nrmax-th largest one to bisect next
         iord.append(0)
-        maxerr, errmax, nrmax = qpsrt(limit, last, maxerr, errmax, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             sum_up = True
             break
@@ -455,12 +454,11 @@ def qags(
             # the smallest interval has the largest error: before
             # bisecting, decrease the sum of the errors over the larger
             # intervals (erlarg) and extrapolate
-            id_ = nrmax
             jupbnd = last
             if last > 2 + limit // 2:
                 jupbnd = limit + 3 - last
             larger = False
-            for _ in range(id_, jupbnd + 1):
+            for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
                 errmax = elist[maxerr]
                 if abs(blist[maxerr] - alist[maxerr]) > small:
@@ -473,7 +471,7 @@ def qags(
         # extrapolate
         numrl2 += 1
         rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = qelg(numrl2, rlist2, res3la, nres)
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
         ktmin += 1
         if ktmin > 5 and abserr < 0.1e-2 * errsum:
             ier = 5

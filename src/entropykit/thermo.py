@@ -39,7 +39,6 @@ from .forms import (
     pullback,
     verify_integrating_factor,
 )
-from .quadpack import message, qags
 
 
 class ThermoError(Exception):
@@ -585,6 +584,9 @@ def _require_path(path):
 
 def _integrate_segment(integrand, cfg: QuadratureConfig):
     """∫₀¹ integrand(t) dt for a leg coefficient compiled by Expr.compile."""
+    # Imported on first use, so that a command which never integrates does
+    # not load (or, without a bytecode cache, compile) the quadrature.
+    from .quadpack import message, qags
 
     def f(tval: float) -> float:
         try:

@@ -597,9 +597,8 @@ def test_divergent_integral_names_the_divergence():
 # -- the QUADPACK port against scipy.integrate.quad ---------------------------------
 # quadpack.qags runs the routines scipy.integrate.quad runs (dqagse, dqk21,
 # dqpsrt, dqelg) in the same order of floating-point operations, so every
-# figure must agree to the bit, on success and on failure.
-
-QUAD_REL_TOL = 1.49e-8
+# figure must agree to the bit, on success and on failure, at the relative
+# tolerance the path integrals use.
 
 
 def hard_integrands():
@@ -628,6 +627,8 @@ def hard_integrands():
 
 def assert_quad_matches_scipy(f, limit, epsabs=1e-10):
     from entropykit import quadpack
+
+    from entropykit.thermo import QUAD_REL_TOL
 
     integrate = pytest.importorskip("scipy.integrate")
     want = integrate.quad(
