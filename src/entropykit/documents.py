@@ -226,7 +226,7 @@ _CONFIG_CHECKS = {  # each checked key, with what rejects a bad value
 def _parse_config(doc: Document, rows):
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
-        if key in ("seed", "eps_steps", "samples"):
+        if key in ("eps_steps", "samples"):
             doc.config[key] = _number(int, key, value, doc.path, line_no)
         elif key in ("tol",):
             doc.config[key] = _number(float, key, value, doc.path, line_no)

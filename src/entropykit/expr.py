@@ -619,7 +619,8 @@ class Expr:
         return b.base.evaluate(env)
 
     def compile(self, params: Mapping[str, Union[Fraction, float, int]], var: str):
-        """The function v ↦ self.evaluate({**params, var: v}), built once.
+        """The function v ↦ self.evaluate({**params, var: v}) on a float v,
+        built once.
 
         It returns what that call returns, of the same type and to the bit,
         and raises the same errors, when it runs and never when it is built.
@@ -627,18 +628,12 @@ class Expr:
         run of such factors folds into its coefficient (evaluate multiplies
         left to right, so only a leading run may fold), later ones become
         constant factors, and the terms before the first one that depends on
-        var are summed.  A float v runs a variant whose constants are floats
-        already: there every value that depends on var is a float, and
-        Python computes a Fraction c times or plus a float x as float(c)
-        times or plus x.
+        var are summed.  Those constants are kept as float: every value that
+        depends on a float v is a float, and Python computes a Fraction c
+        times or plus a float x as float(c) times or plus x.  So a Fraction v
+        does not get evaluate's exact value.
         """
-        fast = _compile_sum(self, params, var, True)
-        exact = _compile_sum(self, params, var, False)
-
-        def run(v):
-            return fast(v) if type(v) is float else exact(v)
-
-        return run
+        return _compile_sum(self, params, var)
 
     # -- printing --------------------------------------------------------------
 
@@ -764,22 +759,22 @@ def _depends(b: _Base, var: str) -> bool:
     return var in (b.base if isinstance(b, _Pow) else b.arg).free_symbols()
 
 
-def _compile_sum(e: Expr, params, var: str, floats: bool):
-    """v ↦ e.evaluate({**params, var: v}); with floats, for a float v only."""
+def _compile_sum(e: Expr, params, var: str):
+    """v ↦ e.evaluate({**params, var: v}) for a float v."""
     total = Fraction(0)
     parts = []  # (constant, None) or (None, function of v), in term order
     for t in e.terms:
-        value, fn = _compile_term(e, t, params, var, floats)
+        value, fn = _compile_term(e, t, params, var)
         if fn is None and not parts:
             try:
                 total = total + value
                 continue
             except _EVAL_ERRORS:
                 pass
-        parts.append((None, fn) if fn else (_as_float(value) if floats else value, None))
+        parts.append((None, fn) if fn else (_as_float(value), None))
     if not parts:
         return lambda v: total
-    start = _as_float(total) if floats else total
+    start = _as_float(total)
 
     def run(v):
         out = start
@@ -790,7 +785,7 @@ def _compile_sum(e: Expr, params, var: str, floats: bool):
     return run
 
 
-def _compile_term(e: Expr, t: _Term, params, var: str, floats: bool):
+def _compile_term(e: Expr, t: _Term, params, var: str):
     """(value, None) for a term computed here, else (None, function of v)."""
     val = t.coeff
     factors = t.factors
@@ -805,8 +800,8 @@ def _compile_term(e: Expr, t: _Term, params, var: str, floats: bool):
         i += 1
     if i == len(factors):
         return val, None
-    steps = [_compile_factor(e, b, x, params, var, floats) for b, x in factors[i:]]
-    start = _as_float(val) if floats else val
+    steps = [_compile_factor(e, b, x, params, var) for b, x in factors[i:]]
+    start = _as_float(val)
 
     def run(v):
         out = start
@@ -817,30 +812,28 @@ def _compile_term(e: Expr, t: _Term, params, var: str, floats: bool):
     return None, run
 
 
-def _compile_factor(e: Expr, b: _Base, x: Fraction, params, var: str, floats: bool):
+def _compile_factor(e: Expr, b: _Base, x: Fraction, params, var: str):
     """(b ** x, None) when it is computed here, else (None, function of v)."""
     if not _depends(b, var):
         try:
             p = _pow_value(e._base_value(b, params), x)
-            return (_as_float(p) if floats else p), None
+            return _as_float(p), None
         except _EVAL_ERRORS:
             return None, lambda v: _pow_value(e._base_value(b, params), x)
-    base = _compile_base(b, params, var, floats)
-    if floats:
-        try:
-            xf = float(x)
-        except OverflowError:
-            xf = None
-        return None, lambda v: _float_pow(base(v), x, xf)
-    return None, lambda v: _pow_value(base(v), x)
+    base = _compile_base(b, params, var)
+    try:
+        xf = float(x)
+    except OverflowError:
+        xf = None
+    return None, lambda v: _float_pow(base(v), x, xf)
 
 
-def _compile_base(b: _Base, params, var: str, floats: bool):
+def _compile_base(b: _Base, params, var: str):
     if isinstance(b, str):
         return lambda v: v
     if isinstance(b, _Pow):
-        return _compile_sum(b.base, params, var, floats)
-    arg = _compile_sum(b.arg, params, var, floats)
+        return _compile_sum(b.base, params, var)
+    arg = _compile_sum(b.arg, params, var)
     if isinstance(b, _Ln):
         return lambda v: _ln_value(arg(v))
     return lambda v: _exp_value(arg(v))

@@ -525,7 +525,6 @@ class ProcessPath:
 class QuadratureConfig:
     abs_tol: float = 1e-10
     max_subdivisions: int = 10_000
-    samples_per_segment: int = 64
     sample_tol: float = 1e-9
     balance_tol: float = 1e-8
 
@@ -664,8 +663,8 @@ def first_law_balance(
     )
 
 
-def _sample_ts(count: int):
-    return [Fraction(k, count - 1) for k in range(count)]
+# the audits' sample points on each leg, t = k/63 (each rounded once)
+_SAMPLE_TS = tuple(k / 63 for k in range(64))
 
 
 @dataclass(frozen=True)
@@ -721,7 +720,7 @@ def cycle_audit(
         wv, _ = _integrate_segment(work, cfg)
         q_total += qv
         w_total += wv
-        samples = [float(heat(t)) for t in _sample_ts(cfg.samples_per_segment)]
+        samples = [float(heat(t)) for t in _SAMPLE_TS]
         q_min = min(q_min, min(samples))
         max_abs = max(abs(v) for v in samples)
         audits.append(
@@ -794,7 +793,7 @@ def adiabatic_entropy_check(
     for k, seg in enumerate(path.segments):
         heat = _leg_coefficient(inclusion, path, seg, qf).compile(params, T_CHART_NAME)
         s_on_t = entropy.subs(seg.components, path.t_chart).compile(params, T_CHART_NAME)
-        for t in _sample_ts(cfg.samples_per_segment):
+        for t in _SAMPLE_TS:
             if k > 0 and t == 0:
                 continue  # junction sample repeats the previous segment's end
             heat_samples.append(float(heat(t)))

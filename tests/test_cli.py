@@ -105,7 +105,8 @@ def test_exit_two_on_parse_error():
 @pytest.mark.parametrize(
     "bad",
     ["eps_steps = six", "tol = tiny", "eps_steps = 0", "lambda_grid = 0 1",
-     "lambda_grid = 1/2 -2", "samples = 0", "tol = -1", "margin = -1", "margin = 0"],
+     "lambda_grid = 1/2 -2", "samples = 0", "tol = -1", "margin = -1", "margin = 0",
+     "seed = 7"],
 )
 def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
     doc = tmp_path / "bad_config.doc"

@@ -835,8 +835,10 @@ def same_value(got, want):
        st.lists(st.integers(0, 63), min_size=1, max_size=4))
 @settings(max_examples=25, deadline=None)
 def test_compiled_leg_coefficients_match_evaluate(seed, floats, steps):
-    # The quadrature nodes are floats, the audit samples the fractions k/63.
-    from entropykit.thermo import _leg_coefficient
+    # The quadrature nodes and the audit samples t = k/63 are all floats.
+    from entropykit.thermo import _SAMPLE_TS, _leg_coefficient
+
+    assert _SAMPLE_TS == tuple(float(F(k, 63)) for k in range(64))
 
     rng = random.Random(seed)
     spec = IDEAL_GAS if seed % 2 else poly_spec(rng)
@@ -848,7 +850,7 @@ def test_compiled_leg_coefficients_match_evaluate(seed, floats, steps):
         carnot_rectangle(s1, s1 + F(rng.randint(1, 6), 4), v1, v1 + F(rng.randint(1, 6), 4)),
     ))
     inclusion = spec.inclusion(STD)
-    ts = floats + [0.0, 1.0] + [F(k, 63) for k in steps]
+    ts = floats + [0.0, 1.0] + [_SAMPLE_TS[k] for k in steps]
     for seg in path.segments:
         for form in (Form.d_coord(STD.chart, "U"), heat_form(STD), work_form(STD)):
             coeff = _leg_coefficient(inclusion, path, seg, form)
