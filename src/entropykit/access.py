@@ -220,10 +220,11 @@ class MemoizedOracle(Accessibility):
     """Wrap a decision procedure; answers are cached and, when recheck is
     set, re-queried to detect nondeterminism."""
 
+    supports_scaling = True
+
     def __init__(self, fn: Callable[[CompositeState, CompositeState], bool],
-                 supports_scaling: bool = True, recheck: bool = False):
+                 recheck: bool = False):
         self.fn = fn
-        self.supports_scaling = supports_scaling
         self.recheck = recheck
         self.memo: dict = {}
 
@@ -395,8 +396,6 @@ class AxiomConfig:
     lambda_grid: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2), Fraction(3))
     eps_steps: int = 6
     seed: int = 0
-    max_triples: int = 600
-    max_consistency_pairs: int = 400
     max_stability_quadruples: int = 80
     composite_samples: int = 24
     grid_step: Fraction = Fraction(1, 64)
@@ -412,6 +411,10 @@ class AxiomConfig:
 
 
 DEFAULT_AXIOM_CONFIG = AxiomConfig()
+DEFAULT_MARGIN = Fraction(1, 10**6)  # calibrate's margin on strict inequalities
+# past these counts, transitivity and consistency check a seeded sample
+MAX_TRIPLES = 600
+MAX_CONSISTENCY_PAIRS = 400
 
 AXIOM_NAMES = (
     "reflexivity",
@@ -496,7 +499,7 @@ def check_axioms(
     )
 
     # transitivity
-    triples = _bounded_product((idx, idx, idx), config.max_triples, rng)
+    triples = _bounded_product((idx, idx, idx), MAX_TRIPLES, rng)
     witness = next(
         (
             (pool[i], pool[j], pool[k])
@@ -517,7 +520,7 @@ def check_axioms(
     known = set(universe) if universe is not None else None
     accessible = [(i, j) for i in idx for j in idx if le[i][j]]
     testable = _bounded_product(
-        (accessible, accessible), config.max_consistency_pairs, rng
+        (accessible, accessible), MAX_CONSISTENCY_PAIRS, rng
     )
     joined: dict = {}  # (i, k) -> pool[i] composed with pool[k], built once
 
@@ -948,8 +951,7 @@ def check_margin(margin) -> None:
 def calibrate(
     systems: Sequence[tuple[StateSpace, EntropyFn]],
     cross: Accessibility,
-    pairs: Optional[Sequence[tuple[CompositeState, CompositeState]]] = None,
-    margin: Fraction = Fraction(1, 10**6),
+    margin: Fraction = DEFAULT_MARGIN,
 ) -> CalibrationResult:
     """Find positive multipliers a_i and offsets B_i making the glued entropy
     a_Γ S_Γ + B_Γ monotone across the cross-space relation.
@@ -963,11 +965,9 @@ def calibrate(
     if not systems:
         raise AccessError("nothing to calibrate")
     labels = [space.label for space, _ in systems]
-    if pairs is None:
-        uni = cross.universe()
-        if uni is None:
-            raise AccessError("cross relation has no finite universe; pass pairs")
-        pairs = list(itertools.combinations(uni, 2))
+    uni = cross.universe()
+    if uni is None:
+        raise AccessError("cross relation has no finite universe")
     # variables: a_1, B_1, ..., a_{m-1}, B_{m-1} (system 0 pinned to identity)
     nvars = 2 * (len(systems) - 1)
     index = {lbl: i for i, lbl in enumerate(labels)}
@@ -998,7 +998,7 @@ def calibrate(
         coeffs = [Fraction(0)] * nvars
         coeffs[2 * (i - 1)] = Fraction(-1)
         add(coeffs, margin, f"a[{labels[i]}] > 0")
-    for x, y in pairs:
+    for x, y in itertools.combinations(uni, 2):
         rel = derived_relations(cross, x, y)
         if rel is Relation.INCOMPARABLE:
             continue

@@ -12,15 +12,16 @@ import argparse
 import io
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import access, forms, galois, thermo
-from .access import AxiomConfig, AxiomStatus, ConstructionImpossible
-from .documents import Document, DocumentError, load_document
+from .access import DEFAULT_MARGIN, AxiomConfig, AxiomStatus, ConstructionImpossible
+from .documents import CONFIG_KEYS, Document, DocumentError, load_document
 from .expr import ExprError, ZeroTestConfig
 from .forms import Confidence
 from .galois import GaloisError, MonotoneMap, Poset
-from .thermo import QuadratureConfig, ThermoError
+from .thermo import DEFAULT_QUADRATURE, QuadratureConfig, ThermoError
 
 COMMANDS = {}
 
@@ -99,28 +100,27 @@ def _status_from(ok: bool, *confidences: Confidence) -> str:
     return "pass" if ok else "fail"
 
 
-def _zero_config(doc: Document, opts) -> ZeroTestConfig:
-    tol = opts.tol if opts.tol is not None else doc.config.get("tol", 1e-9)
-    return ZeroTestConfig(
-        samples=doc.config.get("samples", 16), tol=tol, seed=opts.seed
+# what the checks of one run read: a config per layer and calibrate's margin
+Settings = namedtuple("Settings", "zero axiom quad margin")
+
+
+def _settings(opts, config: dict) -> Settings:
+    """Merge a document's [config] with the flags, a flag winning, and build
+    every check's settings; a key that neither sets keeps its default."""
+    flags = {k: v for k, v in vars(opts).items() if k in CONFIG_KEYS and v is not None}
+    merged = {**config, **flags}
+
+    def fields(target):
+        return {k: v for k, v in merged.items() if CONFIG_KEYS[k] is target}
+
+    tol = merged.get("tol")
+    return Settings(
+        ZeroTestConfig(seed=opts.seed, **fields(ZeroTestConfig)),
+        AxiomConfig(seed=opts.seed, **fields(AxiomConfig)),
+        DEFAULT_QUADRATURE if tol is None
+        else QuadratureConfig(sample_tol=tol, balance_tol=tol),
+        merged.get("margin", DEFAULT_MARGIN),
     )
-
-
-def _axiom_config(doc: Document, opts) -> AxiomConfig:
-    kwargs = {"seed": opts.seed}
-    for key in ("lambda_grid", "eps_steps", "grid_step"):
-        value = getattr(opts, key, None)  # only some keys have a flag
-        if value is None:
-            value = doc.config.get(key)
-        if value is not None:
-            kwargs[key] = value
-    return AxiomConfig(**kwargs)
-
-
-def _quad_config(doc: Document, opts) -> QuadratureConfig:
-    if opts.tol is not None:
-        return QuadratureConfig(sample_tol=opts.tol, balance_tol=opts.tol)
-    return QuadratureConfig()
 
 
 def _require(condition, message):
@@ -162,12 +162,11 @@ def _declared_forms(doc: Document):
 
 
 @command("contact-check")
-def cmd_contact_check(doc: Document, opts, report: Report):
-    zcfg = _zero_config(doc, opts)
+def cmd_contact_check(doc: Document, settings: Settings, report: Report):
     for name, form in _declared_forms(doc):
         dim = form.chart.dimension
         _require(dim % 2 == 1, f"chart dimension {dim} is even; no contact rank")
-        result = forms.contact_check(form, (dim - 1) // 2, zcfg)
+        result = forms.contact_check(form, (dim - 1) // 2, settings.zero)
         idx = report.block("contact-check")
         report.add(idx, "form", name)
         report.add(idx, "verdict", result.status.value)
@@ -177,11 +176,10 @@ def cmd_contact_check(doc: Document, opts, report: Report):
 
 
 @command("frobenius")
-def cmd_frobenius(doc: Document, opts, report: Report):
-    zcfg = _zero_config(doc, opts)
+def cmd_frobenius(doc: Document, settings: Settings, report: Report):
     for name, form in _declared_forms(doc):
         _require(form.degree == 1, f"form {name!r} is not a 1-form")
-        result = forms.frobenius_check(form, zcfg)
+        result = forms.frobenius_check(form, settings.zero)
         idx = report.block("frobenius")
         report.add(idx, "form", name)
         report.add(idx, "verdict", result.status.value)
@@ -191,9 +189,9 @@ def cmd_frobenius(doc: Document, opts, report: Report):
 
 
 @command("legendre-check")
-def cmd_legendre_check(doc: Document, opts, report: Report):
+def cmd_legendre_check(doc: Document, settings: Settings, report: Report):
     tc, spec = _thermo_parts(doc)
-    result = thermo.check_legendre(tc, spec, _zero_config(doc, opts))
+    result = thermo.check_legendre(tc, spec, settings.zero)
     idx = report.block("legendre-check")
     report.add(idx, "verdict", "OK" if result.ok else "FAIL")
     report.add(idx, "certainty", result.confidence.value)
@@ -212,11 +210,9 @@ def cmd_legendre_check(doc: Document, opts, report: Report):
 
 
 @command("maxwell")
-def cmd_maxwell(doc: Document, opts, report: Report):
+def cmd_maxwell(doc: Document, settings: Settings, report: Report):
     _require(doc.thermo_chart is not None, "document has no thermodynamic chart")
-    identities = thermo.maxwell_relations(
-        doc.thermo_chart, doc.spec, _zero_config(doc, opts)
-    )
+    identities = thermo.maxwell_relations(doc.thermo_chart, doc.spec, settings.zero)
     for ident in identities:
         idx = report.block("maxwell")
         report.add(idx, "identity", ident.text)
@@ -232,13 +228,12 @@ def cmd_maxwell(doc: Document, opts, report: Report):
 
 
 @command("potential")
-def cmd_potential(doc: Document, opts, report: Report):
+def cmd_potential(doc: Document, settings: Settings, report: Report):
     _require(doc.thermo_chart is not None, "document has no thermodynamic chart")
     _require(bool(doc.transforms), "document has no [transform] section")
-    zcfg = _zero_config(doc, opts)
     for swaps, new_name in doc.transforms:
         result = thermo.legendre_transform(
-            doc.thermo_chart, list(swaps), new_name=new_name, config=zcfg
+            doc.thermo_chart, list(swaps), new_name=new_name, config=settings.zero
         )
         idx = report.block("potential")
         report.add(idx, "name", result.potential_name)
@@ -259,14 +254,13 @@ def cmd_potential(doc: Document, opts, report: Report):
 
 
 @command("path")
-def cmd_path(doc: Document, opts, report: Report):
+def cmd_path(doc: Document, settings: Settings, report: Report):
     tc, spec = _thermo_parts(doc)
     _require(bool(doc.paths), "document has no [paths] section")
     params = _numeric_params(doc)
-    cfg = _quad_config(doc, opts)
     for name, path in doc.paths.items():
         try:
-            balance = thermo.first_law_balance(tc, spec, path, params, cfg)
+            balance = thermo.first_law_balance(tc, spec, path, params, settings.quad)
         except (ThermoError, ExprError) as err:
             raise _path_error(doc, name, err) from None
         idx = report.block("path")
@@ -279,14 +273,13 @@ def cmd_path(doc: Document, opts, report: Report):
 
 
 @command("cycle-audit")
-def cmd_cycle_audit(doc: Document, opts, report: Report):
+def cmd_cycle_audit(doc: Document, settings: Settings, report: Report):
     tc, spec = _thermo_parts(doc)
     _require(bool(doc.paths), "document has no [paths] section")
     params = _numeric_params(doc)
-    cfg = _quad_config(doc, opts)
     for name, path in doc.paths.items():
         try:
-            audit = thermo.cycle_audit(tc, spec, path, params, cfg)
+            audit = thermo.cycle_audit(tc, spec, path, params, settings.quad)
         except (ThermoError, ExprError) as err:
             raise _path_error(doc, name, err) from None
         idx = report.block("cycle-audit")
@@ -327,12 +320,10 @@ def _relation(doc: Document):
 
 
 @command("axioms")
-def cmd_axioms(doc: Document, opts, report: Report):
+def cmd_axioms(doc: Document, settings: Settings, report: Report):
     rel = _relation(doc)
     _require(bool(doc.spaces), "document has no [states] section")
-    result = access.check_axioms(
-        rel, list(doc.spaces.values()), _axiom_config(doc, opts)
-    )
+    result = access.check_axioms(rel, list(doc.spaces.values()), settings.axiom)
     for axiom in result.results:
         idx = report.block("axiom")
         report.add(idx, "axiom", axiom.name)
@@ -347,7 +338,7 @@ def cmd_axioms(doc: Document, opts, report: Report):
 
 
 @command("ch")
-def cmd_ch(doc: Document, opts, report: Report):
+def cmd_ch(doc: Document, settings: Settings, report: Report):
     rel = _relation(doc)
     _require(bool(doc.spaces), "document has no [states] section")
     for label, space in doc.spaces.items():
@@ -361,16 +352,15 @@ def cmd_ch(doc: Document, opts, report: Report):
 
 
 @command("entropy-construct")
-def cmd_entropy_construct(doc: Document, opts, report: Report):
+def cmd_entropy_construct(doc: Document, settings: Settings, report: Report):
     rel = _relation(doc)
     _require(bool(doc.spaces), "document has no [states] section")
-    config = _axiom_config(doc, opts)
     for label, space in doc.spaces.items():
         idx = report.block("entropy-construct")
         report.add(idx, "space", label)
         le = access.answer_table(rel, space)
         try:
-            S = access.construct_entropy(rel, space, config, le)
+            S = access.construct_entropy(rel, space, settings.axiom, le)
         except ConstructionImpossible as err:
             report.add(idx, "verdict", "CONSTRUCTION_IMPOSSIBLE")
             report.add(idx, "witness", ", ".join(str(w) for w in err.witness))
@@ -383,18 +373,17 @@ def cmd_entropy_construct(doc: Document, opts, report: Report):
             report.add(idx, "grid-step", S.grid_step)
         for name in space.names():
             report.add(idx, f"S({name})", S.values[name])
-        verdict = access.verify_entropy(S, rel, space, config, le)
+        verdict = access.verify_entropy(S, rel, space, settings.axiom, le)
         report.add(idx, "verified", "yes" if verdict.ok else "no")
         report.set_status(idx, "pass" if verdict.ok else "fail")
 
 
 @command("entropy-verify")
-def cmd_entropy_verify(doc: Document, opts, report: Report):
+def cmd_entropy_verify(doc: Document, settings: Settings, report: Report):
     rel = _relation(doc)
     _require(bool(doc.entropies), "document has no [entropy] section")
-    config = _axiom_config(doc, opts)
     for name, (label, S) in doc.entropies.items():
-        result = access.verify_entropy(S, rel, doc.spaces[label], config)
+        result = access.verify_entropy(S, rel, doc.spaces[label], settings.axiom)
         idx = report.block("entropy-verify")
         report.add(idx, "entropy", name)
         report.add(idx, "space", label)
@@ -407,14 +396,16 @@ def cmd_entropy_verify(doc: Document, opts, report: Report):
 
 
 @command("calibrate")
-def cmd_calibrate(doc: Document, opts, report: Report):
+def cmd_calibrate(doc: Document, settings: Settings, report: Report):
     _require(bool(doc.entropies), "document has no [entropy] section")
     _require(doc.cross is not None, "document has no [cross] section")
+    if doc.cross.universe() is None:  # an oracle: no finite set of states
+        message = "calibrate needs [cross] edges, not an oracle"
+        raise DocumentError(message, doc.path, doc.cross_line)
     systems = [
         (doc.spaces[label], S) for label, S in doc.entropies.values()
     ]
-    margin = doc.config.get("margin", Fraction(1, 10**6))
-    result = access.calibrate(systems, doc.cross, margin=margin)
+    result = access.calibrate(systems, doc.cross, margin=settings.margin)
     idx = report.block("calibrate")
     if result.ok:
         report.add(idx, "verdict", "FEASIBLE")
@@ -447,7 +438,7 @@ def _poset_map(doc: Document, name: str) -> MonotoneMap:
 
 
 @command("galois")
-def cmd_galois(doc: Document, opts, report: Report):
+def cmd_galois(doc: Document, settings: Settings, report: Report):
     F = _poset_map(doc, "F")
     G = _poset_map(doc, "G")
     result = galois.check_galois(F, G)
@@ -465,7 +456,7 @@ def cmd_galois(doc: Document, opts, report: Report):
 
 
 @command("adjoint")
-def cmd_adjoint(doc: Document, opts, report: Report):
+def cmd_adjoint(doc: Document, settings: Settings, report: Report):
     F = _poset_map(doc, "F")
     result = galois.right_adjoint(F)
     idx = report.block("adjoint")
@@ -483,7 +474,7 @@ def cmd_adjoint(doc: Document, opts, report: Report):
 
 
 @command("landauer")
-def cmd_landauer(doc: Document, opts, report: Report):
+def cmd_landauer(doc: Document, settings: Settings, report: Report):
     _require(len(doc.entropies) >= 2, "landauer needs two entropy systems")
     _require("F" in doc.maps and "G" in doc.maps, "landauer needs maps F and G")
     (label1, s1), (label2, s2) = list(doc.entropies.values())[:2]
@@ -521,7 +512,7 @@ def _run_single(command_name: str, doc_path: str, opts, report: Report) -> None:
     idx = report.block("document")
     report.add(idx, "path", doc_path)
     report.add(idx, "command", command_name)
-    COMMANDS[command_name](doc, opts, report)
+    COMMANDS[command_name](doc, _settings(opts, doc.config), report)
 
 
 # Errors that report a bad input or document; anything else is a defect.
@@ -611,12 +602,11 @@ def run(argv, out=None) -> int:
         opts = parser.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code else 0
-    if opts.seed is None:
-        opts.seed = int(os.environ.get("ENTROPYKIT_SEED", "0"))
     sink = io.StringIO() if opts.out else out
     try:
-        if opts.tol is not None:
-            ZeroTestConfig(tol=opts.tol)  # every command refuses a negative --tol
+        if opts.seed is None:
+            opts.seed = int(os.environ.get("ENTROPYKIT_SEED", "0"))
+        _settings(opts, {})  # every command refuses a bad flag before reading input
         if opts.command == "batch":
             code = _run_batch(opts.document, opts, sink)
         else:
@@ -628,8 +618,12 @@ def run(argv, out=None) -> int:
         sink.write(f"error: {_error_message(err)}\n")
         code = 2
     if opts.out:
-        with open(opts.out, "w", encoding="utf-8") as handle:
-            handle.write(sink.getvalue())
+        try:
+            with open(opts.out, "w", encoding="utf-8") as handle:
+                handle.write(sink.getvalue())
+        except OSError as err:
+            out.write(f"error: {err}\n")
+            return 2
     return code
 
 

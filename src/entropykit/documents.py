@@ -56,6 +56,7 @@ class Document:
     maps: dict = field(default_factory=dict)  # name -> (src, dst, mapping)
     transforms: list = field(default_factory=list)  # (swap names, new name)
     cross: Optional[Accessibility] = None
+    cross_line: int = 0  # the [cross] 'oracle' line, if the relation is an oracle
     config: dict = field(default_factory=dict)
 
     def expr_chart(self) -> Chart:
@@ -147,6 +148,9 @@ def parse_document(text: str, path: str = "<doc>") -> Document:
     _parse_maps(doc, pending.get("maps", []))
     _parse_transforms(doc, pending.get("transform", []))
     doc.cross = _parse_relation(doc, pending.get("cross", []))
+    for line_no, body in pending.get("cross", []):
+        if body.startswith("oracle"):
+            doc.cross_line = line_no
     return doc
 
 
@@ -217,7 +221,7 @@ def _parse_chart(doc: Document, rows):
         raise DocumentError(str(err), doc.path) from None
 
 
-_CONFIG_CHECKS = {  # each checked key, with what rejects a bad value
+CONFIG_KEYS = {  # each [config] key, with the settings it feeds (they reject a bad value)
     "eps_steps": AxiomConfig, "grid_step": AxiomConfig, "lambda_grid": AxiomConfig,
     "samples": ZeroTestConfig, "tol": ZeroTestConfig, "margin": check_margin,
 }
@@ -238,11 +242,10 @@ def _parse_config(doc: Document, rows):
             )
         else:
             raise DocumentError(f"unknown config key {key!r}", doc.path, line_no)
-        if key in _CONFIG_CHECKS:
-            try:
-                _CONFIG_CHECKS[key](**{key: doc.config[key]})
-            except (AccessError, ExprError) as err:
-                raise DocumentError(str(err), doc.path, line_no) from None
+        try:
+            CONFIG_KEYS[key](**{key: doc.config[key]})
+        except (AccessError, ExprError) as err:
+            raise DocumentError(str(err), doc.path, line_no) from None
 
 
 def _expr(doc: Document, text: str, chart: Chart, line_no: int) -> Expr:

@@ -875,17 +875,19 @@ class ZeroTestConfig:
     samples: int = 16
     tol: float = 1e-9
     seed: int = 0
-    max_retries: int = 100
-    max_numerator: int = 1000
-    max_denominator: int = 1000
-    high: int = 10  # sample values lie in (0, high]
 
     def __post_init__(self):
         if self.samples < 1:
             raise ExprError(f"samples must be at least 1, got {self.samples}")
-        if self.tol < 0:
+        if not self.tol >= 0:  # also refuses nan, which no sample would exceed
             raise ExprError(f"tol must be non-negative, got {self.tol}")
 
+
+# bounds of the zero tests' sample points and of their domain-error redraws
+MAX_NUMERATOR = 1000
+MAX_DENOMINATOR = 1000
+SAMPLE_HIGH = 10
+MAX_RETRIES = 100
 
 DEFAULT_ZERO_CONFIG = ZeroTestConfig()
 
@@ -919,15 +921,15 @@ def stable_rng(e: Expr, seed: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def sample_point(rng: random.Random, names, cfg: ZeroTestConfig) -> dict:
+def sample_point(rng: random.Random, names) -> dict:
     """Uniform positive rational sample point with bounded numerator and
-    denominator (rejection keeps values inside (0, high])."""
+    denominator (rejection keeps values inside (0, SAMPLE_HIGH])."""
     point = {}
     for name in sorted(names):
         while True:
-            num = rng.randint(1, cfg.max_numerator)
-            den = rng.randint(1, cfg.max_denominator)
-            if num <= cfg.high * den:
+            num = rng.randint(1, MAX_NUMERATOR)
+            den = rng.randint(1, MAX_DENOMINATOR)
+            if num <= SAMPLE_HIGH * den:
                 break
         point[name] = Fraction(num, den)
     return point
@@ -936,18 +938,18 @@ def sample_point(rng: random.Random, names, cfg: ZeroTestConfig) -> dict:
 def sample_values(e: Expr, config: ZeroTestConfig):
     """Yield config.samples pairs (point, float value of e) at seeded random
     points; a point outside e's domain, or where the value overflows a
-    float, is redrawn, up to max_retries times."""
+    float, is redrawn, up to MAX_RETRIES times."""
     names = e.free_symbols()
     rng = stable_rng(e, config.seed)
     good = 0
     retries = 0
     while good < config.samples:
-        point = sample_point(rng, names, config)
+        point = sample_point(rng, names)
         try:
             value = float(e.evaluate(point))
         except (DomainError, OverflowError):
             retries += 1
-            if retries > config.max_retries:
+            if retries > MAX_RETRIES:
                 raise SamplingError(
                     f"zero test on {e} failed: {retries} domain errors"
                 ) from None

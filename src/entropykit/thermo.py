@@ -361,7 +361,6 @@ class LegendreTransformResult:
 def legendre_transform(
     tc: ThermoChart,
     pairs_to_swap: Sequence[Union[int, str]],
-    theta: Optional[Form] = None,
     new_name: Optional[str] = None,
     config: ZeroTestConfig = DEFAULT_ZERO_CONFIG,
 ) -> LegendreTransformResult:
@@ -371,7 +370,7 @@ def legendre_transform(
     re-enters the transformed form as the pair (X, P, −σ); the underlying
     coordinate change is a contact symmetry of θ with multiplier 1.
     """
-    theta = theta if theta is not None else first_law_form(tc)
+    theta = first_law_form(tc)
     swap_idx = set()
     for item in pairs_to_swap:
         if isinstance(item, int):
@@ -491,22 +490,22 @@ class ProcessPath:
             self.point(self.segments[-1], Fraction(1), params),
         )
 
-    def check_continuity(self, params, tol: float = 1e-12):
+    def check_continuity(self, params):
         prev = None
         for seg in self.segments:
             start = self.point(seg, Fraction(0), params)
             if prev is not None:
                 for n in self.base_chart.coords:
-                    if abs(float(prev[n]) - float(start[n])) > tol:
+                    if abs(float(prev[n]) - float(start[n])) > JOIN_TOL:
                         raise ThermoError(
                             f"segments do not join continuously at {n}"
                         )
             prev = self.point(seg, Fraction(1), params)
 
-    def is_closed(self, params, tol: float = 1e-12) -> bool:
+    def is_closed(self, params) -> bool:
         start, end = self.endpoints(params)
         return all(
-            abs(float(start[n]) - float(end[n])) <= tol
+            abs(float(start[n]) - float(end[n])) <= CLOSURE_TOL
             for n in self.base_chart.coords
         )
 
@@ -523,22 +522,22 @@ class ProcessPath:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 10_000
     sample_tol: float = 1e-9
     balance_tol: float = 1e-8
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
-# relative tolerance of every path quadrature (scipy.integrate.quad's default)
+# every path quadrature's tolerances and subdivision limit (scipy.integrate.quad's)
+QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1.49e-8
+QUAD_LIMIT = 10_000
+# how far apart, per coordinate, segments may join and a cycle's ends may lie
+JOIN_TOL = 1e-12
+CLOSURE_TOL = 1e-9
 
 
 class QuadratureError(ThermoError):
-    def __init__(self, message, estimate=None, error=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error
+    pass
 
 
 @dataclass(frozen=True)
@@ -581,7 +580,7 @@ def _require_path(path):
         )
 
 
-def _integrate_segment(integrand, cfg: QuadratureConfig):
+def _integrate_segment(integrand):
     """∫₀¹ integrand(t) dt for a leg coefficient compiled by Expr.compile."""
     # Imported on first use, so that a command which never integrates does
     # not load (or, without a bytecode cache, compile) the quadrature.
@@ -596,21 +595,20 @@ def _integrate_segment(integrand, cfg: QuadratureConfig):
                 f"integrand left its domain near t={tval}: {w}"
             ) from None
 
-    limit = cfg.max_subdivisions
-    value, err, ier, _ = qags(f, 0.0, 1.0, cfg.abs_tol, QUAD_REL_TOL, limit)
+    value, err, ier, _ = qags(f, 0.0, 1.0, QUAD_ABS_TOL, QUAD_REL_TOL, QUAD_LIMIT)
     if ier:
-        raise QuadratureError(f"quadrature did not converge: {message(ier, limit)}")
+        raise QuadratureError(f"quadrature did not converge: {message(ier, QUAD_LIMIT)}")
     return value, err
 
 
 def _integrate_path(
-    inclusion: SmoothMap, path: ProcessPath, form: Form, params, cfg: QuadratureConfig
+    inclusion: SmoothMap, path: ProcessPath, form: Form, params
 ) -> PathIntegral:
     total = 0.0
     total_err = 0.0
     for seg in path.segments:
         coeff = _leg_coefficient(inclusion, path, seg, form)
-        value, err = _integrate_segment(coeff.compile(params, T_CHART_NAME), cfg)
+        value, err = _integrate_segment(coeff.compile(params, T_CHART_NAME))
         total += value
         total_err += err
     return PathIntegral(total, total_err)
@@ -622,7 +620,6 @@ def path_integral(
     path: ProcessPath,
     form: Form,
     params: Mapping[str, Fraction],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> PathIntegral:
     """∫ over the path of the form's pullback onto the Legendre manifold."""
     _require_path(path)
@@ -630,7 +627,7 @@ def path_integral(
         raise ThermoError("integrand must be a 1-form on the full chart")
     path.check_continuity(params)
     _check_base(tc, path)
-    return _integrate_path(spec.inclusion(tc), path, form, params, cfg)
+    return _integrate_path(spec.inclusion(tc), path, form, params)
 
 
 @dataclass(frozen=True)
@@ -654,9 +651,9 @@ def first_law_balance(
     path.check_continuity(params)
     _check_base(tc, path)
     inclusion = spec.inclusion(tc)
-    du = _integrate_path(inclusion, path, Form.d_coord(tc.chart, tc.energy), params, cfg)
-    dq = _integrate_path(inclusion, path, heat_form(tc), params, cfg)
-    dw = _integrate_path(inclusion, path, work_form(tc), params, cfg)
+    du = _integrate_path(inclusion, path, Form.d_coord(tc.chart, tc.energy), params)
+    dq = _integrate_path(inclusion, path, heat_form(tc), params)
+    dw = _integrate_path(inclusion, path, work_form(tc), params)
     residual = abs(du.value - (dq.value - dw.value))
     return FirstLawBalance(
         du.value, dq.value, dw.value, residual, residual < cfg.balance_tol
@@ -704,7 +701,7 @@ def cycle_audit(
     work is extracted) that the Second Law forbids."""
     _require_path(cycle)
     cycle.check_continuity(params)
-    if not cycle.is_closed(params, tol=1e-9):
+    if not cycle.is_closed(params):
         raise ThermoError("cycle_audit requires a closed path")
     q_total = 0.0
     w_total = 0.0
@@ -716,8 +713,8 @@ def cycle_audit(
     for i, seg in enumerate(cycle.segments):
         heat = _leg_coefficient(inclusion, cycle, seg, qf).compile(params, T_CHART_NAME)
         work = _leg_coefficient(inclusion, cycle, seg, wf).compile(params, T_CHART_NAME)
-        qv, _ = _integrate_segment(heat, cfg)
-        wv, _ = _integrate_segment(work, cfg)
+        qv, _ = _integrate_segment(heat)
+        wv, _ = _integrate_segment(work)
         q_total += qv
         w_total += wv
         samples = [float(heat(t)) for t in _SAMPLE_TS]

@@ -289,7 +289,7 @@ def test_memoized_oracle_detects_nondeterminism():
 
 
 def test_sampled_transitivity_failure_keeps_its_witness():
-    # 10³ triples exceed max_triples, so transitivity samples them; the
+    # 10³ triples exceed MAX_TRIPLES, so transitivity samples them; the
     # pinned witness changes if the triples are drawn differently
     names = [f"s{k}" for k in range(10)]
     nodes = [pure("G", n) for n in names]

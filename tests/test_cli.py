@@ -106,7 +106,7 @@ def test_exit_two_on_parse_error():
     "bad",
     ["eps_steps = six", "tol = tiny", "eps_steps = 0", "lambda_grid = 0 1",
      "lambda_grid = 1/2 -2", "samples = 0", "tol = -1", "margin = -1", "margin = 0",
-     "seed = 7"],
+     "seed = 7", "tol = nan"],
 )
 def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
     doc = tmp_path / "bad_config.doc"
@@ -151,12 +151,53 @@ def test_exit_two_on_non_positive_grid_step_without_hanging(tmp_path, bad):
         (("--eps-steps", "0"), "eps_steps must be at least 1, got 0"),
         (("--lambda-grid", "0,1"), "lambda_grid needs positive scales, got 0 1"),
         (("--tol", "-1"), "tol must be non-negative, got -1.0"),
+        (("--tol", "nan"), "tol must be non-negative, got nan"),
     ],
 )
 def test_exit_two_on_bad_axiom_flags(flags, message):
-    code, out = run_cli("axioms", str(CORPUS / "oracle_space.doc"), *flags)
+    # every command refuses a bad flag, also one that it does not read
+    for command, doc in [("axioms", "oracle_space.doc"), ("maxwell", "ideal_gas.doc")]:
+        code, out = run_cli(command, str(CORPUS / doc), *flags)
+        assert code == 2
+        assert out == f"error: {message}\n"
+
+
+def test_config_tol_reaches_the_path_audits(tmp_path):
+    doc = tmp_path / "fig2_tol.doc"
+    doc.write_text((CORPUS / "fig2_audit.doc").read_text() + "\n[config]\ntol = 3\n")
+    code, out = run_cli("cycle-audit", str(doc))
+    flag_code, flag_out = run_cli("cycle-audit", str(CORPUS / "fig2_audit.doc"), "--tol", "3")
+    assert (code, flag_code) == (0, 0)
+    assert "claim=adiabatic claim-honored=yes" in out
+    lines, flag_lines = out.splitlines(), flag_out.splitlines()
+    assert lines[2] == f"path: {doc}"
+    assert lines[:2] + lines[3:] == flag_lines[:2] + flag_lines[3:]
+
+
+def test_calibrate_on_an_oracle_cross_names_file_and_line(tmp_path):
+    text = (CORPUS / "calibrate_two.doc").read_text()
+    doc = tmp_path / "oracle_cross.doc"
+    doc.write_text(text.split("[cross]")[0] + "[cross]\noracle = x\n")
+    line_no = doc.read_text().splitlines().index("oracle = x") + 1
+    code, out = run_cli("calibrate", str(doc))
     assert code == 2
-    assert out == f"error: {message}\n"
+    assert out.startswith(f"error: {doc}:{line_no}: calibrate needs [cross] edges")
+    assert "pairs" not in out
+
+
+def test_exit_two_on_unwritable_out_without_traceback(tmp_path):
+    target = tmp_path / "no_such_dir" / "report.txt"
+    src = str(Path(entropykit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "entropykit.cli", "maxwell",
+         str(CORPUS / "ideal_gas.doc"), "--out", str(target)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout.startswith("error: ") and str(target) in done.stdout
+    assert "Traceback" not in done.stdout + done.stderr
 
 
 def test_oracle_evaluation_error_names_file_line_and_state(tmp_path):

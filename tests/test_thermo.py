@@ -680,21 +680,20 @@ def test_quadpack_port_matches_scipy_on_poly_exp_power(coeffs, power, rate, limi
 
 def test_segment_quadrature_error_carries_scipy_message():
     from entropykit.thermo import (
-        DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, _integrate_segment,
+        QUAD_ABS_TOL, QUAD_LIMIT, QuadratureError, _integrate_segment,
     )
 
     integrate = pytest.importorskip("scipy.integrate")
-    for f, cfg in [
-        (lambda t: 1.0 / (t - 1.0 / 3.0) ** 2, DEFAULT_QUADRATURE),
-        (lambda t: math.sin(200.0 * t) * t, QuadratureConfig(max_subdivisions=5)),
-    ]:
-        want = integrate.quad(
-            f, 0.0, 1.0, epsabs=cfg.abs_tol, limit=cfg.max_subdivisions,
-            full_output=1,
-        )
-        with pytest.raises(QuadratureError) as err:
-            _integrate_segment(f, cfg)
-        assert str(err.value) == f"quadrature did not converge: {want[3]}"
+
+    def f(t):
+        return 1.0 / (t - 1.0 / 3.0) ** 2
+
+    want = integrate.quad(
+        f, 0.0, 1.0, epsabs=QUAD_ABS_TOL, limit=QUAD_LIMIT, full_output=1
+    )
+    with pytest.raises(QuadratureError) as err:
+        _integrate_segment(f)
+    assert str(err.value) == f"quadrature did not converge: {want[3]}"
 
 
 # -- one pullback route for the path code ----------------------------------------------
@@ -812,9 +811,9 @@ def test_first_law_balance_keeps_path_checks(monkeypatch):
     checks = []
     real_check = ProcessPath.check_continuity
 
-    def counting_check(self, params, tol=1e-12):
+    def counting_check(self, params):
         checks.append(self)
-        return real_check(self, params, tol)
+        return real_check(self, params)
 
     monkeypatch.setattr(ProcessPath, "check_continuity", counting_check)
     first_law_balance(STD, IDEAL_GAS, line_path({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(2)}), PARAMS)
