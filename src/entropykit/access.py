@@ -7,7 +7,10 @@ rational scales, so every comparison stays exact.  A composite hashes and
 compares by an integer key built once with it, its parts as (label, name,
 numerator, denominator), so memo and set lookups never do Fraction
 arithmetic; ``EntropyOracle`` keeps each total as an unreduced integer pair
-and compares two totals by cross-multiplication.  Relations come in two
+and compares two totals by cross-multiplication.  The axiom checks put their
+composed queries (X, Z) ≺ (Y, Z') to ``le_joined``; the entropy oracle
+answers those from the four parts' cached totals, as a composite's total is
+the sum of its parts' totals, so no composite is built.  Relations come in two
 backends: explicit edge lists (closed on demand) and decision-procedure
 oracles, of which the entropy-backed oracle is the workhorse for synthetic
 test systems.
@@ -176,6 +179,12 @@ class Accessibility:
     def le(self, x: CompositeState, y: CompositeState) -> bool:
         raise NotImplementedError
 
+    def le_joined(
+        self, x: CompositeState, z: CompositeState, y: CompositeState, zp: CompositeState
+    ) -> bool:
+        """(x, z) ≺ (y, zp): the query on the two composites."""
+        return self.le(x.compose(z), y.compose(zp))
+
     def universe(self) -> Optional[tuple[CompositeState, ...]]:
         """Explicitly known nodes, or None for intensionally defined relations."""
         return None
@@ -295,6 +304,18 @@ class EntropyOracle(Accessibility):
         xn, xd = totals.get(x._key) or self._sum(x)
         yn, yd = totals.get(y._key) or self._sum(y)
         return xn * yd <= yn * xd
+
+    def le_joined(self, x, z, y, zp) -> bool:
+        # a composite's total is the sum of its parts' totals:
+        # a/b + c/d <= e/f + g/h iff (a·d + c·b)·f·h <= (e·h + g·f)·b·d
+        totals = self._totals
+        xn, xd = totals.get(x._key) or self._sum(x)
+        zn, zd = totals.get(z._key) or self._sum(z)
+        yn, yd = totals.get(y._key) or self._sum(y)
+        wn, wd = totals.get(zp._key) or self._sum(zp)
+        left_den = xd * zd
+        right_den = yd * wd
+        return (xn * zd + zn * xd) * right_den <= (yn * wd + wn * yd) * left_den
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +482,10 @@ def check_axioms(
 
     Every ordered pair of the test pool is put to ``A.le`` exactly once, up
     front; reflexivity, transitivity, consistency, scaling and stability
-    read their pool premises from that table.  Stability's ε-sides are built
-    and queried lazily, and only for pairs with X ⊀ Y, stopping at the first
-    side that fails.
+    read their pool premises from that table.  Consistency's conclusions and
+    stability's ε-sides are composed queries, put to ``A.le_joined``; the
+    ε-sides are queried lazily, and only for pairs with X ⊀ Y, stopping at
+    the first side that fails.
 
     Scaling, splitting and stability only make sense for backends that
     support scaled composites; on plain edge relations they come back
@@ -522,15 +544,15 @@ def check_axioms(
     testable = _bounded_product(
         (accessible, accessible), MAX_CONSISTENCY_PAIRS, rng
     )
-    joined: dict = {}  # (i, k) -> pool[i] composed with pool[k], built once
-
-    def join(i, k):
-        out = joined.get((i, k))
-        if out is None:
-            out = joined[i, k] = pool[i].compose(pool[k])
-        return out
-
     if known is not None:
+        joined: dict = {}  # (i, k) -> pool[i] composed with pool[k], built once
+
+        def join(i, k):
+            out = joined.get((i, k))
+            if out is None:
+                out = joined[i, k] = pool[i].compose(pool[k])
+            return out
+
         testable = [
             (p, q)
             for p, q in testable
@@ -546,7 +568,7 @@ def check_axioms(
     else:
         witness = None
         for (i, ip), (k, kp) in testable:
-            if not A.le(join(i, k), join(ip, kp)):
+            if not A.le_joined(pool[i], pool[k], pool[ip], pool[kp]):
                 witness = (pool[i], pool[ip], pool[k], pool[kp])
                 break
         results.append(
@@ -636,15 +658,13 @@ def check_axioms(
     tested = 0
     for i, j, z, zp in quads:
         x, y = pool[i], pool[j]
-        sides = (
-            (x.compose(ez), y.compose(ezp)) for ez, ezp in zip(small(z), small(zp))
-        )
-        if known is not None:
-            sides = list(sides)
-            if not all(testable(a, b) for a, b in sides):
-                continue
+        eps_pairs = list(zip(small(z), small(zp)))
+        if known is not None and not all(
+            testable(x.compose(ez), y.compose(ezp)) for ez, ezp in eps_pairs
+        ):
+            continue
         tested += 1
-        if not le[i][j] and all(A.le(a, b) for a, b in sides):
+        if not le[i][j] and all(A.le_joined(x, ez, y, ezp) for ez, ezp in eps_pairs):
             witness = (x, y, z, zp)
             break
     results.append(
@@ -792,12 +812,12 @@ def verify_entropy(
     """
     rng = random.Random(config.seed)
     pures = _pures(space)
+    values = [S.value(x) for x in pures]
     witness = None
     for i, x in enumerate(pures):
         for j, y in enumerate(pures):
             xy = A.le(x, y) if le is None else le[i][j]
-            sle = S.value(x) <= S.value(y)
-            if xy != sle:
+            if xy != (values[i] <= values[j]):
                 witness = (x, y, "≺ but S decreases" if xy else "S ≤ without ≺")
                 break
         if witness:

@@ -760,8 +760,6 @@ def adiabatic_entropy_check(
     path: ProcessPath,
     entropy: Expr,
     params: Mapping[str, Fraction],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    zconfig: ZeroTestConfig = DEFAULT_ZERO_CONFIG,
 ) -> AdiabaticReport:
     """Sample the heat pullback and the entropy along a path.
 
@@ -776,9 +774,7 @@ def adiabatic_entropy_check(
     inclusion = spec.inclusion(tc)
     qf = heat_form(tc)
     p, _, _ = tc.pairs[tc.heat]
-    cert = verify_integrating_factor(
-        pullback(inclusion, qf), inclusion(p), entropy, zconfig
-    )
+    cert = verify_integrating_factor(pullback(inclusion, qf), inclusion(p), entropy)
     if not cert.ok:
         raise ThermoError(
             f"Q = T dS not certified for the supplied entropy ({cert.status.value})"
@@ -797,14 +793,15 @@ def adiabatic_entropy_check(
             s_samples.append(float(s_on_t(t)))
     max_heat = max(abs(v) for v in heat_samples)
     drift = max(abs(v - s_samples[0]) for v in s_samples)
-    if max_heat < cfg.sample_tol:
+    tol = DEFAULT_QUADRATURE.sample_tol
+    if max_heat < tol:
         return AdiabaticReport(
             AdiabaticStatus.QUASI_STATIC_ADIABATIC,
             max_heat,
             drift,
             s_samples[0],
             s_samples[-1],
-            leaves_leaf=drift >= cfg.sample_tol,
+            leaves_leaf=drift >= tol,
         )
     diffs = [b - a for a, b in zip(s_samples, s_samples[1:])]
     increasing = [i for i, d in enumerate(diffs) if d > 0.0]

@@ -156,6 +156,51 @@ def test_entropy_oracle_compares_exact_totals(xs, ys, values):
     assert oracle.total(x.compose(y)) == reference_total(xs + ys)
 
 
+@given(
+    part_lists, part_lists, part_lists, part_lists,
+    st.lists(st.fractions(-4, 4, max_denominator=9), min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_entropy_oracle_le_joined_is_the_composed_query(xs, zs, ys, zps, values):
+    table = {
+        lbl: {n: values[3 * i + j] for j, n in enumerate("abc")}
+        for i, lbl in enumerate("GH")
+    }
+    x, z, y, zp = (CompositeState(p) for p in (xs, zs, ys, zps))
+    # separate oracles, so neither answer can come from the other's cache
+    joined = EntropyOracle(table)
+    composed = EntropyOracle(table)
+    assert joined.le_joined(x, z, y, zp) == composed.le(x.compose(z), y.compose(zp))
+    assert joined.le_joined(y, zp, x, z) == composed.le(y.compose(zp), x.compose(z))
+
+
+def test_le_joined_needs_every_part_valued():
+    oracle = oracle_for("G", {"a": 0, "b": 1})
+    a, b, c = pure("G", "a"), pure("G", "b"), pure("G", "c")
+    for args in ((c, a, a, b), (a, c.scale(2), a, b), (a, b, c, a), (a, b, a, c)):
+        with pytest.raises(AccessError, match=r"^no entropy value for G\.c$"):
+            oracle.le_joined(*args)
+    with pytest.raises(AccessError, match=r"^no entropy value for H\.a$"):
+        oracle.le_joined(a, b, a, pure("H", "a"))
+
+
+@pytest.mark.parametrize("answer", [True, False])
+def test_le_joined_base_route_asks_le_once_on_the_composites(answer):
+    asked = []
+
+    class Recording(Accessibility):
+        def le(self, x, y):
+            asked.append((x, y))
+            return answer
+
+    x = pure("G", "a").scale(F(1, 3))
+    z = pure("G", "b").compose(pure("H", "a").scale(F(3, 2)))
+    y = pure("G", "b")
+    zp = pure("G", "a").scale(F(2, 3))
+    assert Recording().le_joined(x, z, y, zp) is answer
+    assert asked == [(x.compose(z), y.compose(zp))]
+
+
 # -- closure ---------------------------------------------------------------------
 
 
@@ -392,6 +437,50 @@ def test_check_axioms_asks_each_pool_pair_once():
     for x in copies:
         for y in copies:
             assert asked[x, y] == copies[x] * copies[y], (x, y)
+
+
+class Delegating(Accessibility):
+    """An entropy oracle asked through le alone, so that composed queries
+    take the base class's route: build both composites, then ask le."""
+
+    supports_scaling = True
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def le(self, x, y):
+        return self.oracle.le(x, y)
+
+
+@pytest.mark.parametrize(
+    "lambda_grid",
+    [AxiomConfig().lambda_grid, (F(1, 3), F(2, 3), F(3, 2))],
+    ids=["default", "non-dyadic"],
+)
+def test_entropy_oracle_route_matches_the_composed_route(lambda_grid):
+    # (1/3)X and (2/3)X put one state in a composite at two scales
+    cases = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        names = [f"s{k}" for k in range(3 + seed % 8)]  # 3 to 10 states
+        values = {n: F(rng.randint(0, 12), rng.choice((1, 2, 3, 4))) for n in names}
+        config = AxiomConfig(lambda_grid=lambda_grid, seed=seed)
+        cases.append((space("G", names, scalable=True), values, config))
+    # the near-tie setup, where stability fails with a witness
+    near_tie = AxiomConfig(
+        lambda_grid=lambda_grid, max_stability_quadruples=10_000, composite_samples=0
+    )
+    cases.append(
+        (space("G", ["lo", "mid", "hi"], scalable=True),
+         {"lo": 0, "mid": F(1, 128), "hi": 1}, near_tie)
+    )
+    for sp, values, config in cases:
+        oracle = oracle_for("G", values)
+        bare = check_axioms(oracle, [sp], config)
+        composed = check_axioms(Delegating(oracle_for("G", values)), [sp], config)
+        assert bare == composed, (values, config)
+    assert bare["stability"].status is AxiomStatus.FAIL
+    assert bare["stability"].witness is not None
 
 
 @pytest.mark.parametrize("scalable", [False, True])
