@@ -15,9 +15,16 @@ backends: explicit edge lists (closed on demand) and decision-procedure
 oracles, of which the entropy-backed oracle is the workhorse for synthetic
 test systems.
 
-One closure, ``reachable_pairs``, serves ``EdgeRelation.closure`` and
+One depth-first closure, ``reachable_sets``, gives each node its up-set; it
+serves ``EdgeRelation.closure`` (through ``reachable_pairs``) and
 ``galois.Poset``.  The CH, entropy construction and ``check_axioms`` read
 answer tables ``le[i][j] = A.le(xs[i], xs[j])``: each ordered pair asked once.
+
+Every seeded sample is drawn by one helper, ``_draw``, which makes the same
+``getrandbits`` calls as ``random.choice``: the composite pool, the sampled
+triples, consistency pairs and stability quadruples, and ``verify_entropy``'s
+additivity pairs.  So the draws, the witnesses and the rng state afterwards
+are those of ``choice``, without one Python-level ``choice`` call per element.
 """
 
 from __future__ import annotations
@@ -146,13 +153,14 @@ class CompositeState:
     __repr__ = __str__
 
 
-def reachable_pairs(nodes, edges) -> set:
-    """Reflexive-transitive closure: every (a, b) with b reachable from a by
-    edges (depth-first from every node; edge endpoints must be nodes)."""
+def reachable_sets(nodes, edges) -> dict:
+    """Reflexive-transitive closure as up-sets: each node maps to the set of
+    nodes reachable from it by edges, itself included (depth-first from
+    every node; edge endpoints must be nodes)."""
     succ = {n: set() for n in nodes}
     for a, b in edges:
         succ[a].add(b)
-    closed = set()
+    up = {}
     for start in nodes:
         seen = {start}
         stack = [start]
@@ -162,8 +170,17 @@ def reachable_pairs(nodes, edges) -> set:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        closed.update((start, reach) for reach in seen)
-    return closed
+        up[start] = seen
+    return up
+
+
+def reachable_pairs(nodes, edges) -> set:
+    """Every (a, b) with b reachable from a: ``reachable_sets`` as pairs."""
+    return {
+        (start, reach)
+        for start, seen in reachable_sets(nodes, edges).items()
+        for reach in seen
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +470,36 @@ def _pure_pool(spaces: Sequence[StateSpace]) -> list[CompositeState]:
     ]
 
 
+def _draw(pools, count: int, rng: random.Random) -> list[tuple]:
+    """count tuples of one element from each pool, drawn as
+    ``tuple(map(rng.choice, pools))`` would draw them: for a pool of n
+    elements, getrandbits(n.bit_length()) until the result is below n.  So
+    every draw and the rng state afterwards are those of ``rng.choice``."""
+    plan = []
+    for pool in pools:
+        n = len(pool)
+        if not n:  # getrandbits(0) is always 0, so the redraw would never end
+            raise AccessError("cannot draw from an empty pool")
+        plan.append((pool, n, n.bit_length()))
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        row = []
+        for pool, n, k in plan:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            row.append(pool[r])
+        out.append(tuple(row))
+    return out
+
+
 def _composite_pool(pures, config: AxiomConfig, rng: random.Random) -> list[CompositeState]:
-    pool = []
-    for _ in range(config.composite_samples):
-        a, b = rng.choice(pures), rng.choice(pures)
-        la = rng.choice(config.lambda_grid)
-        lb = rng.choice(config.lambda_grid)
-        pool.append(a.scale(la).compose(b.scale(lb)))
-    return pool
+    grid = config.lambda_grid
+    return [
+        a.scale(la).compose(b.scale(lb))
+        for a, b, la, lb in _draw((pures, pures, grid, grid), config.composite_samples, rng)
+    ]
 
 
 def _bounded_product(pools, cap: int, rng: random.Random) -> list[tuple]:
@@ -469,7 +508,7 @@ def _bounded_product(pools, cap: int, rng: random.Random) -> list[tuple]:
     for p in pools:
         count *= len(p)
         if count > cap:
-            return [tuple(map(rng.choice, pools)) for _ in range(cap)]
+            return _draw(pools, cap, rng)
     return list(itertools.product(*pools))
 
 
@@ -828,8 +867,7 @@ def verify_entropy(
         witness,
     )
     witness = None
-    for _ in range(config.composite_samples):
-        x, y = rng.choice(pures), rng.choice(pures)
+    for x, y in _draw((pures, pures), config.composite_samples, rng):
         if S.value(x.compose(y)) != S.value(x) + S.value(y):
             witness = (x, y)
             break

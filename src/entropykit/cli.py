@@ -428,13 +428,24 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
 def _poset(doc: Document, name: str) -> Poset:
     _require(name in doc.posets, f"no poset named {name!r}")
     carrier, edges = doc.posets[name]
-    return Poset(carrier, edges)
+    try:
+        return Poset(carrier, edges)
+    except GaloisError as err:
+        raise DocumentError(str(err), doc.path, doc.poset_lines[name]) from None
+
+
+def _map_error(doc: Document, name: str, err: Exception) -> DocumentError:
+    return DocumentError(str(err), doc.path, doc.map_lines[name])
 
 
 def _poset_map(doc: Document, name: str) -> MonotoneMap:
     _require(name in doc.maps, f"no map named {name!r}")
     src, dst, mapping = doc.maps[name]
-    return MonotoneMap(_poset(doc, src), _poset(doc, dst), mapping)
+    source, target = _poset(doc, src), _poset(doc, dst)
+    try:
+        return MonotoneMap(source, target, mapping)
+    except GaloisError as err:
+        raise _map_error(doc, name, err) from None
 
 
 @command("galois")
@@ -484,9 +495,13 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
         (f_src, f_dst) == (label1, label2) and (g_src, g_dst) == (label2, label1),
         "maps F and G must run between the two entropy spaces",
     )
-    result = galois.landauer_check(
-        (doc.spaces[label1], s1), (doc.spaces[label2], s2), f_mapping, g_mapping
-    )
+    space1, space2 = doc.spaces[label1], doc.spaces[label2]
+    try:
+        result = galois.landauer_check((space1, s1), (space2, s2), f_mapping, g_mapping)
+    except GaloisError as err:
+        # a map that is not total or leaves its target space; F is checked first
+        f_whole = all(f_mapping.get(x) in space2.states for x in space1.states)
+        raise _map_error(doc, "G" if f_whole else "F", err) from None
     idx = report.block("landauer")
     report.add(idx, "verdict", "PASS" if result.ok else "FAIL")
     if result.stage:

@@ -53,7 +53,9 @@ class Document:
     relation: Optional[Accessibility] = None
     entropies: dict = field(default_factory=dict)  # name -> (space label, EntropyFn)
     posets: dict = field(default_factory=dict)  # name -> (carrier, edges)
+    poset_lines: dict = field(default_factory=dict)  # poset name -> its 'poset' line
     maps: dict = field(default_factory=dict)  # name -> (src, dst, mapping)
+    map_lines: dict = field(default_factory=dict)  # map name -> its 'map' line
     transforms: list = field(default_factory=list)  # (swap names, new name)
     cross: Optional[Accessibility] = None
     cross_line: int = 0  # the [cross] 'oracle' line, if the relation is an oracle
@@ -388,10 +390,15 @@ def _parse_states(doc: Document, rows):
     current_label = None
     current_coords = None
     current_scalable = False
+    space_line = 0
     states: dict = {}
 
     def flush():
         if current_label is not None:
+            if not states:
+                raise DocumentError(
+                    f"space {current_label!r} has no states", doc.path, space_line
+                )
             doc.spaces[current_label] = StateSpace(
                 current_label, current_coords, dict(states), current_scalable
             )
@@ -409,6 +416,7 @@ def _parse_states(doc: Document, rows):
             current_label = tokens[1]
             current_scalable = tokens[-1] == "scalable"
             current_coords = tuple(tokens[3 : len(tokens) - (1 if current_scalable else 0)])
+            space_line = line_no
             states = {}
         elif body.startswith("state "):
             if current_label is None:
@@ -417,6 +425,10 @@ def _parse_states(doc: Document, rows):
             states[key] = tuple(
                 _fraction(v, doc.path, line_no) for v in value.split()
             )
+            if len(states[key]) != len(current_coords):
+                raise DocumentError(
+                    f"state {key!r} has the wrong dimension", doc.path, line_no
+                )
         else:
             raise DocumentError(f"unexpected line in [states]: {body!r}", doc.path, line_no)
     flush()
@@ -551,6 +563,7 @@ def _parse_posets(doc: Document, rows):
             a, b = piece.split("<", 1)
             edges.append((a.strip(), b.strip()))
         doc.posets[name] = (carrier, edges)
+        doc.poset_lines[name] = line_no
 
 
 def _parse_maps(doc: Document, rows):
@@ -576,6 +589,7 @@ def _parse_maps(doc: Document, rows):
             key, value = _key_value(piece, doc.path, line_no)
             mapping[key] = value
         doc.maps[name] = (src, dst, mapping)
+        doc.map_lines[name] = line_no
 
 
 def _parse_transforms(doc: Document, rows):

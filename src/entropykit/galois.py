@@ -6,8 +6,13 @@ order a genuine pre-order, so "greatest element" always means greatest up
 to equivalence and any representative may be returned.  Carriers are small
 by design and every check is exhaustive.
 
-``Poset`` closes its relation with ``access.reachable_pairs``, as
-``EdgeRelation.closure`` does; joins and adjoints share ``least``/``greatest``.
+``Poset`` closes its relation with ``access.reachable_sets``, the
+depth-first closure under ``EdgeRelation.closure``, and keeps each element's
+up-set and down-set from it.  ``check_monotone``, ``check_galois``,
+``least``/``greatest`` and both adjoint searches read those sets: a subset
+or membership test per element, not a ``Poset.le`` call per pair.  Every
+witness and representative is still the first in carrier (or list) order,
+so the results are those of the pairwise scans.
 """
 
 from __future__ import annotations
@@ -16,18 +21,26 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .access import EntropyFn, StateSpace, reachable_pairs
+from .access import EntropyFn, StateSpace, reachable_sets
 
 
 class GaloisError(Exception):
     pass
 
 
+_NOTHING = frozenset()  # the up- and down-set of anything outside the carrier
+
+
 class Poset:
     """Finite pre-ordered set; the relation is closed reflexively and
-    transitively at construction."""
+    transitively at construction.
 
-    __slots__ = ("carrier", "relation", "_index")
+    Each element keeps its up-set (the elements above it, itself included)
+    and its down-set, both from the closure's depth-first search; the checks
+    below ask membership and subset questions of those sets instead of one
+    ``le`` per pair."""
+
+    __slots__ = ("carrier", "_up", "_down", "_relation")
 
     def __init__(self, carrier: Sequence, relation):
         carrier = tuple(carrier)
@@ -38,15 +51,29 @@ class Poset:
         for a, b in edges:
             if a not in members or b not in members:
                 raise GaloisError(f"relation edge ({a}, {b}) outside carrier")
+        up = reachable_sets(carrier, edges)
+        down = {x: set() for x in carrier}
+        for x, above in up.items():
+            for y in above:
+                down[y].add(x)
         object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "relation", frozenset(reachable_pairs(carrier, edges)))
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(carrier)})
+        object.__setattr__(self, "_up", up)  # sets, never changed after this
+        object.__setattr__(self, "_down", down)
+        object.__setattr__(self, "_relation", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poset is immutable")
 
+    @property
+    def relation(self) -> frozenset:
+        """The closed relation as (x, y) pairs, x ≤ y; built on first use."""
+        if self._relation is None:
+            pairs = frozenset((x, y) for x, above in self._up.items() for y in above)
+            object.__setattr__(self, "_relation", pairs)
+        return self._relation
+
     def le(self, x, y) -> bool:
-        return (x, y) in self.relation
+        return y in self._up.get(x, _NOTHING)
 
     def equivalent(self, x, y) -> bool:
         return self.le(x, y) and self.le(y, x)
@@ -68,7 +95,7 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        return set(self.carrier) == set(other.carrier) and self.relation == other.relation
+        return self is other or self._up == other._up
 
     def __hash__(self):
         return hash((frozenset(self.carrier), self.relation))
@@ -90,15 +117,20 @@ class Poset:
 
     def least(self, xs: Sequence):
         """The first of xs below all of xs, or None."""
-        return next((x for x in xs if all(self.le(x, y) for y in xs)), None)
+        need = frozenset(xs)
+        up = self._up
+        return next((x for x in xs if need <= up.get(x, _NOTHING)), None)
 
     def greatest(self, xs: Sequence):
         """The first of xs above all of xs, or None."""
-        return next((x for x in xs if all(self.le(y, x) for y in xs)), None)
+        need = frozenset(xs)
+        down = self._down
+        return next((x for x in xs if need <= down.get(x, _NOTHING)), None)
 
     def join(self, x, y):
         """A least upper bound up to equivalence, or None."""
-        return self.least([z for z in self.carrier if self.le(x, z) and self.le(y, z)])
+        above = self._up.get(x, _NOTHING) & self._up.get(y, _NOTHING)
+        return self.least([z for z in self.carrier if z in above])
 
 
 def poset_from_entropy(space: StateSpace, S: EntropyFn) -> Poset:
@@ -117,13 +149,20 @@ class MonotoneResult:
 
 
 def check_monotone(src: Poset, dst: Poset, mapping: Mapping) -> MonotoneResult:
+    """x ≤ y ⇒ F(x) ≤ F(y).  The witness is the first failing x in carrier
+    order with its first failing y, the pair a scan of carrier × carrier
+    finds first."""
     for x in src.carrier:
         if x not in mapping:
             raise GaloisError(f"mapping is not total: {x!r} unmapped")
-        if mapping[x] not in dst._index:
+        if mapping[x] not in dst._up:
             raise GaloisError(f"{mapping[x]!r} is outside the target carrier")
-    for x, y in itertools.product(src.carrier, repeat=2):
-        if src.le(x, y) and not dst.le(mapping[x], mapping[y]):
+    image = mapping.__getitem__
+    for x in src.carrier:
+        above = src._up[x]
+        reached = dst._up[mapping[x]]
+        if not reached.issuperset(map(image, above)):
+            y = next(y for y in src.carrier if y in above and mapping[y] not in reached)
             return MonotoneResult(False, (x, y))
     return MonotoneResult(True)
 
@@ -171,15 +210,19 @@ def check_galois(F: MonotoneMap, G: MonotoneMap) -> GaloisResult:
     if F.source != G.target or F.target != G.source:
         raise GaloisError("F and G must run between the same two posets")
     A, B = F.source, F.target
+    f, g = F.mapping, G.mapping
+    preimage = {a: [] for a in A.carrier}  # a -> the b with G(b) = a
+    for b in B.carrier:
+        preimage[g[b]].append(b)
     for a in A.carrier:
-        for b in B.carrier:
-            forward = B.le(F(a), b)
-            backward = A.le(a, G(b))
-            if forward != backward:
-                direction = "F(a) ≤ b but a ≰ G(b)" if forward else "a ≤ G(b) but F(a) ≰ b"
-                return GaloisResult(False, (a, b, direction))
-    unit = all(A.le(a, G(F(a))) for a in A.carrier)
-    counit = all(B.le(F(G(b)), b) for b in B.carrier)
+        forward = B._up[f[a]]  # the b with F(a) ≤ b
+        backward = {b for v in A._up[a] for b in preimage[v]}  # the b with a ≤ G(b)
+        if forward != backward:
+            b = next(b for b in B.carrier if (b in forward) != (b in backward))
+            direction = "F(a) ≤ b but a ≰ G(b)" if b in forward else "a ≤ G(b) but F(a) ≰ b"
+            return GaloisResult(False, (a, b, direction))
+    unit = all(g[f[a]] in A._up[a] for a in A.carrier)
+    counit = all(b in B._up[f[g[b]]] for b in B.carrier)
     return GaloisResult(True, None, unit, counit)
 
 
@@ -197,9 +240,11 @@ def right_adjoint(F: MonotoneMap) -> AdjointResult:
     """G(b) = a greatest element of {a : F(a) ≤ b}, when one exists for
     every b (greatest in the pre-order sense; any representative)."""
     A, B = F.source, F.target
+    f = F.mapping
     mapping = {}
     for b in B.carrier:
-        greatest = A.greatest([a for a in A.carrier if B.le(F(a), b)])
+        below = B._down[b]
+        greatest = A.greatest([a for a in A.carrier if f[a] in below])
         if greatest is None:
             return AdjointResult(None, b)
         mapping[b] = greatest
@@ -209,9 +254,11 @@ def right_adjoint(F: MonotoneMap) -> AdjointResult:
 def left_adjoint(G: MonotoneMap) -> AdjointResult:
     """F(a) = a least element of {b : a ≤ G(b)}, dual to right_adjoint."""
     B, A = G.source, G.target
+    g = G.mapping
     mapping = {}
     for a in A.carrier:
-        least = B.least([b for b in B.carrier if A.le(a, G(b))])
+        above = A._up[a]
+        least = B.least([b for b in B.carrier if g[b] in above])
         if least is None:
             return AdjointResult(None, a)
         mapping[a] = least

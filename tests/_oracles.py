@@ -2,7 +2,16 @@
 
 import itertools
 
-from entropykit.galois import MonotoneMap, Poset, check_galois, check_monotone
+from entropykit.galois import (
+    AdjointResult,
+    GaloisError,
+    GaloisResult,
+    MonotoneMap,
+    MonotoneResult,
+    Poset,
+    check_galois,
+    check_monotone,
+)
 
 
 def galois_partner_sets(F):
@@ -129,3 +138,88 @@ def random_oracle_space(rng, index, value_range=31):
     )
     oracle = EntropyOracle({space.label: {n: Fraction(v) for n, v in hidden.items()}})
     return space, oracle, hidden
+
+
+# ---------------------------------------------------------------------------
+# Pairwise references: the Galois checks written with one Poset.le call per
+# pair, scanning carriers in order.  The up-set routes in entropykit.galois
+# must return the very same witnesses and representatives.
+# ---------------------------------------------------------------------------
+
+
+def pairwise_check_monotone(src, dst, mapping):
+    for x in src.carrier:
+        if x not in mapping:
+            raise GaloisError(f"mapping is not total: {x!r} unmapped")
+        if mapping[x] not in dst.carrier:
+            raise GaloisError(f"{mapping[x]!r} is outside the target carrier")
+    for x, y in itertools.product(src.carrier, repeat=2):
+        if src.le(x, y) and not dst.le(mapping[x], mapping[y]):
+            return MonotoneResult(False, (x, y))
+    return MonotoneResult(True)
+
+
+def pairwise_check_galois(F, G):
+    A, B = F.source, F.target
+    for a in A.carrier:
+        for b in B.carrier:
+            forward = B.le(F(a), b)
+            backward = A.le(a, G(b))
+            if forward != backward:
+                direction = "F(a) ≤ b but a ≰ G(b)" if forward else "a ≤ G(b) but F(a) ≰ b"
+                return GaloisResult(False, (a, b, direction))
+    unit = all(A.le(a, G(F(a))) for a in A.carrier)
+    counit = all(B.le(F(G(b)), b) for b in B.carrier)
+    return GaloisResult(True, None, unit, counit)
+
+
+def pairwise_least(poset, xs):
+    return next((x for x in xs if all(poset.le(x, y) for y in xs)), None)
+
+
+def pairwise_greatest(poset, xs):
+    return next((x for x in xs if all(poset.le(y, x) for y in xs)), None)
+
+
+def pairwise_right_adjoint(F):
+    A, B = F.source, F.target
+    mapping = {}
+    for b in B.carrier:
+        greatest = pairwise_greatest(A, [a for a in A.carrier if B.le(F(a), b)])
+        if greatest is None:
+            return AdjointResult(None, b)
+        mapping[b] = greatest
+    return AdjointResult(MonotoneMap(B, A, mapping))
+
+
+def pairwise_left_adjoint(G):
+    B, A = G.source, G.target
+    mapping = {}
+    for a in A.carrier:
+        least = pairwise_least(B, [b for b in B.carrier if A.le(a, G(b))])
+        if least is None:
+            return AdjointResult(None, a)
+        mapping[a] = least
+    return AdjointResult(MonotoneMap(A, B, mapping))
+
+
+def random_preorder(rng, labels):
+    """A pre-order on shuffled labels whose equivalence classes are planted:
+    labels fall into random blocks, each block is closed into a cycle, and
+    random edges run between blocks."""
+    labels = list(labels)
+    rng.shuffle(labels)
+    blocks = []
+    for x in labels:
+        if blocks and rng.random() < 0.4:
+            blocks[rng.randrange(len(blocks))].append(x)
+        else:
+            blocks.append([x])
+    edges = []
+    for block in blocks:
+        if len(block) > 1:
+            edges.extend(zip(block, block[1:] + block[:1]))
+    for p, q in itertools.permutations(blocks, 2):
+        if rng.random() < 0.25:
+            edges.append((rng.choice(p), rng.choice(q)))
+    return Poset(labels, edges)

@@ -36,6 +36,7 @@ from entropykit.access import (
     derived_relations,
     verify_entropy,
     _composite_pool,
+    _draw,
 )
 
 
@@ -60,6 +61,40 @@ def oracle_for(label, values):
 
 
 # -- derived relations ---------------------------------------------------------
+
+
+POOL_KINDS = (range, lambda n: list(range(n)), lambda n: tuple(f"p{i}" for i in range(n)))
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((1, 2, 3, 31, 32, 33, 1000)), st.sampled_from(POOL_KINDS)),
+        min_size=1, max_size=4,
+    ),
+    st.integers(0, 40),
+    st.integers(0, 2**64),
+)
+@settings(max_examples=200, deadline=None)
+def test_draw_takes_the_draws_of_random_choice(shapes, count, seed):
+    pools = [kind(n) for n, kind in shapes]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _draw(pools, count, ours) == [
+        tuple(map(theirs.choice, pools)) for _ in range(count)
+    ]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("pools", [([],), ((1, 2), ()), (range(0),)])
+def test_draw_refuses_an_empty_pool(pools):
+    # getrandbits(0) is always 0, so a redraw loop on it would never end
+    with pytest.raises(AccessError, match="empty pool"):
+        _draw(pools, 3, random.Random(0))
+
+
+def test_check_axioms_refuses_a_space_with_no_states():
+    empty = StateSpace("G", ("x",), {}, scalable=True)
+    with pytest.raises(AccessError, match="empty pool"):
+        check_axioms(oracle_for("G", {}), [empty])
 
 
 def test_derived_relations_classification():

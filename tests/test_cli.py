@@ -208,6 +208,47 @@ def test_oracle_evaluation_error_names_file_line_and_state(tmp_path):
     assert "at state Gamma.a: ln of a non-positive value" in out
 
 
+@pytest.mark.parametrize("command", ["axioms", "ch", "entropy-construct"])
+def test_space_with_no_states_exits_two_at_its_line(tmp_path, command):
+    doc = tmp_path / "empty_space.doc"
+    doc.write_text("[states]\nspace Gamma coords u v scalable\n\n[relation]\noracle = u + 2*v\n")
+    code, out = run_cli(command, str(doc))
+    assert code == 2
+    assert out == f"error: {doc}:2: space 'Gamma' has no states\n"
+
+
+@pytest.mark.parametrize(
+    "command, source, old, new, message",
+    [
+        ("axioms", "oracle_space.doc", "state b = 2 1", "state b = 2",
+         "state 'b' has the wrong dimension"),
+        ("galois", "chains.doc", "poset A : a0 a1 a2 : a0<a1, a1<a2",
+         "poset A : a0 a1 a2 : a0<a1, a1<a9", "relation edge (a1, a9) outside carrier"),
+        ("adjoint", "chains.doc", "poset B : b0 b1 : b0<b1", "poset B : b0 b1 b0 : b0<b1",
+         "carrier elements must be distinct"),
+        ("galois", "chains.doc", "map F : A -> B : a0 = b0, a1 = b0, a2 = b1",
+         "map F : A -> B : a0 = b1, a1 = b0, a2 = b1",
+         "map is not monotone: 'a0' ≤ 'a1' is not preserved"),
+        ("galois", "chains.doc", "map G : B -> A : b0 = a1, b1 = a2",
+         "map G : B -> A : b0 = a1", "mapping is not total: 'b1' unmapped"),
+        ("landauer", "landauer_bit.doc", "map F : bit -> phys : zero = p0, one = p2",
+         "map F : bit -> phys : zero = p0, one = p9", "'p9' is outside the target carrier"),
+        ("landauer", "landauer_bit.doc",
+         "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one, p3 = one",
+         "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one",
+         "mapping is not total: 'p3' unmapped"),
+    ],
+)
+def test_order_document_errors_name_file_and_line(tmp_path, command, source, old, new, message):
+    text = (CORPUS / source).read_text()
+    doc = tmp_path / source
+    doc.write_text(text.replace(old, new))
+    line_no = text.splitlines().index(old) + 1
+    code, out = run_cli(command, str(doc))
+    assert code == 2
+    assert out == f"error: {doc}:{line_no}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -550,9 +591,30 @@ show(check_axioms(raw.closure(), [near_tie]))
 """
 
 
+GALOIS_REPORTS = """
+import random
+from _oracles import random_monotone_map, random_preorder
+from entropykit.galois import *
+
+rng = random.Random(606)
+for _ in range(40):
+    src = random_preorder(rng, [f"a{i}" for i in range(rng.randint(1, 7))])
+    dst = random_preorder(rng, [f"b{i}" for i in range(rng.randint(1, 7))])
+    anything = {x: rng.choice(dst.carrier) for x in src.carrier}
+    print(check_monotone(src, dst, anything))
+    print(src.least(list(src.carrier)), dst.greatest(list(dst.carrier)))
+    F = random_monotone_map(rng, src, dst)
+    G = random_monotone_map(rng, dst, src)
+    for result in (right_adjoint(F), left_adjoint(G)):
+        print(result.witness, result.map and result.map.mapping)
+    print(check_galois(F, G))
+"""
+
+
 def test_output_does_not_depend_on_the_hash_seed():
     # composites hash by their key, which holds strings, and sets of them are
-    # iterated (closures, edge sets); no output byte may follow the hash seed
+    # iterated (closures, edge sets, up-sets); no output byte may follow the
+    # hash seed
     tests = Path(__file__).resolve().parent
     src = Path(entropykit.__file__).resolve().parent.parent
     golden = (tests / "golden" / "batch_structured.txt").read_text(encoding="utf-8")
@@ -566,7 +628,7 @@ def test_output_does_not_depend_on_the_hash_seed():
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(src), str(tests), env.get("PYTHONPATH")])
         )
-        for argv in (batch, ["-c", AXIOM_REPORTS]):
+        for argv in (batch, ["-c", AXIOM_REPORTS + GALOIS_REPORTS]):
             done = subprocess.run(
                 [sys.executable, *argv],
                 capture_output=True, text=True, env=env, timeout=120,
@@ -578,6 +640,7 @@ def test_output_does_not_depend_on_the_hash_seed():
                 reports.append(done.stdout)
     assert reports[0] == reports[1]
     assert "transitivity FAIL" in reports[0] and "stability FAIL" in reports[0]
+    assert "MonotoneResult(ok=False" in reports[0] and "GaloisResult(ok=False" in reports[0]
 
 
 def test_batch_runs_whole_corpus():

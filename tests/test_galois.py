@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -22,8 +23,15 @@ from entropykit.galois import (
 from _oracles import (
     brute_force_right_adjoints,
     brute_force_right_adjoints_unpruned,
+    pairwise_check_galois,
+    pairwise_check_monotone,
+    pairwise_greatest,
+    pairwise_least,
+    pairwise_left_adjoint,
+    pairwise_right_adjoint,
     random_monotone_map,
     random_poset,
+    random_preorder,
 )
 
 
@@ -215,6 +223,57 @@ def test_adjoint_functors_preserve_existing_joins():
             assert dst.equivalent(F(j), image_join)
             checked += 1
     assert checked > 10
+
+
+# -- up-set routes against the pairwise scans ---------------------------------------------
+
+
+def adjoint_key(result):
+    return (result.witness, None if result.map is None else result.map.mapping)
+
+
+def test_up_set_routes_return_the_pairwise_witnesses_and_representatives():
+    # exact witnesses and exact representatives, not equality up to ∼: on
+    # pre-orders with planted equivalence classes, only a route that picks
+    # the first qualifying element in carrier order agrees every time
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(300):
+        src = random_preorder(rng, [f"a{i}" for i in range(rng.randint(1, 7))])
+        dst = random_preorder(rng, [f"b{i}" for i in range(rng.randint(1, 7))])
+        seen["classes"] += not src.antisymmetric
+        anything = {x: rng.choice(dst.carrier) for x in src.carrier}
+        result = check_monotone(src, dst, anything)
+        assert result == pairwise_check_monotone(src, dst, anything)
+        seen["unmonotone"] += not result.ok
+        for poset in (src, dst):
+            xs = [rng.choice(poset.carrier) for _ in range(rng.randint(0, 5))]
+            assert poset.least(xs) == pairwise_least(poset, xs)
+            assert poset.greatest(xs) == pairwise_greatest(poset, xs)
+        F = random_monotone_map(rng, src, dst)
+        G = random_monotone_map(rng, dst, src)
+        right, left = right_adjoint(F), left_adjoint(G)
+        assert adjoint_key(right) == adjoint_key(pairwise_right_adjoint(F))
+        assert adjoint_key(left) == adjoint_key(pairwise_left_adjoint(G))
+        seen["right", right.found] += 1
+        seen["left", left.found] += 1
+        for partner in (G, right.map):
+            if partner is not None:
+                galois = check_galois(F, partner)
+                assert galois == pairwise_check_galois(F, partner)
+                seen["bad_pair"] += not galois.ok
+    # every branch ran often: classes, failing maps, found and missing
+    # adjoints, failing pairs
+    assert len(seen) == 7 and min(seen.values()) >= 30, seen
+
+
+def test_poset_equality_reads_the_closed_relation():
+    p = Poset(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    q = Poset(("c", "b", "a"), [("b", "c"), ("a", "b"), ("a", "c")])
+    assert p == q and hash(p) == hash(q)
+    assert p.relation == q.relation
+    assert p != Poset(("a", "b", "c"), [("a", "b")])
+    assert p != Poset(("a", "b"), [("a", "b")])
 
 
 # -- landauer realization -----------------------------------------------------------------
