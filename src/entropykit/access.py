@@ -62,6 +62,8 @@ class StateSpace:
     scalable: bool = False
 
     def __post_init__(self):
+        if not self.states:
+            raise AccessError(f"state space {self.label!r} has no states")
         clean = {}
         for name, vec in self.states.items():
             vec = tuple(Fraction(v) for v in vec)

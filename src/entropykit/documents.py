@@ -416,6 +416,10 @@ def _parse_states(doc: Document, rows):
             current_label = tokens[1]
             current_scalable = tokens[-1] == "scalable"
             current_coords = tuple(tokens[3 : len(tokens) - (1 if current_scalable else 0)])
+            if not current_coords:
+                raise DocumentError(
+                    f"space {current_label!r} has no coordinates", doc.path, line_no
+                )
             space_line = line_no
             states = {}
         elif body.startswith("state "):

@@ -11,7 +11,11 @@ all the terms of its result first and then merges and sorts them once.  A
 term keeps its merge and sort key once it is computed.  A product of an
 m-term and an n-term sum merges the already sorted factors of each of its
 m*n pairs of terms and reuses their keys; an integer power of a sum is a
-chain of such products, by repeated squaring.
+chain of such products, by repeated squaring.  Two cases skip the merge and
+sort, since an operand is already canonical: a product with a constant
+scales the other operand's coefficients and keeps its terms' keys and order
+(a product by 1 is the other operand itself), and a sum with zero is the
+other operand (so a difference with zero is it or its negation).
 
 Numeric values come from Expr.evaluate, exact where the expression and the
 point allow it (a Fraction) and floating point past ln, exp, fractional
@@ -430,7 +434,7 @@ class Expr:
 
     def _lift(self, other) -> "Expr":
         if isinstance(other, Expr):
-            if other.chart != self.chart:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise ExprError("chart mismatch between expressions")
             return other
         return self.chart.const(other)
@@ -439,6 +443,10 @@ class Expr:
 
     def __add__(self, other):
         other = self._lift(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return Expr._build(self.chart, self.terms + other.terms)
 
     __radd__ = __add__
@@ -454,8 +462,23 @@ class Expr:
     def __rsub__(self, other):
         return self._lift(other) + (-self)
 
+    def _scaled(self, c: Fraction) -> "Expr":
+        """self times the coefficient c of a constant term, never 0 in
+        canonical form: scaling moves no term's key, so the terms keep their
+        keys and order."""
+        if c == 1:
+            return self
+        chart = self.chart
+        return Expr(chart, tuple(
+            _Term(t.coeff * c, t.factors, _term_key(t, chart)) for t in self.terms
+        ))
+
     def __mul__(self, other):
         other = self._lift(other)
+        if len(other.terms) == 1 and not other.terms[0].factors:
+            return self._scaled(other.terms[0].coeff)
+        if len(self.terms) == 1 and not self.terms[0].factors:
+            return other._scaled(self.terms[0].coeff)
         chart = self.chart
         for t in self.terms + other.terms:
             _term_key(t, chart)

@@ -76,7 +76,13 @@ def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
 
 
 class Form:
-    """Antisymmetric differential form of fixed degree over a chart."""
+    """Antisymmetric differential form of fixed degree over a chart.
+
+    Form(...) checks every index tuple and coefficient chart.  The forms
+    that arithmetic, wedge and d build from other forms come from
+    Form._built, which skips those checks (its inputs passed them) and only
+    drops zero coefficients.
+    """
 
     __slots__ = ("chart", "degree", "coeffs")
 
@@ -99,6 +105,15 @@ class Form:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _built(cls, chart: Chart, degree: int, coeffs: dict) -> "Form":
+        """A form from valid index tuples and coefficients on chart."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "chart", chart)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "coeffs", {i: c for i, c in coeffs.items() if c.terms})
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("Form is immutable")
@@ -160,11 +175,12 @@ class Form:
         self._check_mate(other)
         merged = dict(self.coeffs)
         for idx, coeff in other.coeffs.items():
-            merged[idx] = merged.get(idx, self.chart.zero()) + coeff
-        return Form(self.chart, self.degree, merged)
+            old = merged.get(idx)
+            merged[idx] = coeff if old is None else old + coeff
+        return Form._built(self.chart, self.degree, merged)
 
     def __neg__(self) -> "Form":
-        return Form(self.chart, self.degree, {i: -c for i, c in self.coeffs.items()})
+        return Form._built(self.chart, self.degree, {i: -c for i, c in self.coeffs.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -172,7 +188,7 @@ class Form:
     def scale(self, factor: Union[Expr, int, Fraction]) -> "Form":
         if not isinstance(factor, Expr):
             factor = self.chart.const(factor)
-        return Form(
+        return Form._built(
             self.chart, self.degree, {i: factor * c for i, c in self.coeffs.items()}
         )
 
@@ -187,8 +203,9 @@ class Form:
                     continue
                 sign, idx = merged
                 piece = lc * rc if sign > 0 else -(lc * rc)
-                out[idx] = out.get(idx, self.chart.zero()) + piece
-        return Form(self.chart, self.degree + other.degree, out)
+                old = out.get(idx)
+                out[idx] = piece if old is None else old + piece
+        return Form._built(self.chart, self.degree + other.degree, out)
 
     def d(self) -> "Form":
         """Exterior derivative."""
@@ -204,8 +221,9 @@ class Form:
                     continue
                 sign, new_idx = merged
                 piece = dc if sign > 0 else -dc
-                out[new_idx] = out.get(new_idx, chart.zero()) + piece
-        return Form(chart, self.degree + 1, out)
+                old = out.get(new_idx)
+                out[new_idx] = piece if old is None else old + piece
+        return Form._built(chart, self.degree + 1, out)
 
     def __str__(self):
         if not self.coeffs:

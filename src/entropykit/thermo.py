@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .expr import (
@@ -464,7 +465,7 @@ class ProcessPath:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ThermoError("a process path needs at least one segment")
-        tchart = Chart((T_CHART_NAME,), self.base_chart.params)
+        tchart = self.t_chart
         for seg in self.segments:
             if set(seg.components) != set(self.base_chart.coords):
                 raise ThermoError("segment must define every extensive coordinate")
@@ -472,7 +473,7 @@ class ProcessPath:
                 if e.chart != tchart:
                     raise ThermoError("segment components must be functions of t")
 
-    @property
+    @cached_property
     def t_chart(self) -> Chart:
         return Chart((T_CHART_NAME,), self.base_chart.params)
 

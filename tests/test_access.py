@@ -92,9 +92,23 @@ def test_draw_refuses_an_empty_pool(pools):
 
 
 def test_check_axioms_refuses_a_space_with_no_states():
-    empty = StateSpace("G", ("x",), {}, scalable=True)
-    with pytest.raises(AccessError, match="empty pool"):
-        check_axioms(oracle_for("G", {}), [empty])
+    # the space itself refuses an empty states mapping, so check_axioms
+    # never draws from an empty pool
+    with pytest.raises(AccessError, match="state space 'G' has no states"):
+        StateSpace("G", ("x",), {}, scalable=True)
+
+
+def test_one_state_is_the_smallest_state_space():
+    # with no states, comparison_hypothesis called the space total and
+    # construct_entropy raised IndexError; one state is comparable with
+    # itself and gets the degenerate entropy 0
+    with pytest.raises(AccessError, match="has no states"):
+        StateSpace("G", ("x",), {})
+    sp = StateSpace("G", ("x",), {"a": (F(0),)}, scalable=True)
+    oracle = oracle_for("G", {"a": 3})
+    assert comparison_hypothesis(oracle, sp).total
+    S = construct_entropy(oracle, sp)
+    assert S.degenerate and S.values == {"a": F(0)}
 
 
 def test_derived_relations_classification():

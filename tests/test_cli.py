@@ -217,6 +217,19 @@ def test_space_with_no_states_exits_two_at_its_line(tmp_path, command):
     assert out == f"error: {doc}:2: space 'Gamma' has no states\n"
 
 
+@pytest.mark.parametrize("command", ["axioms", "ch", "entropy-construct"])
+def test_space_with_no_coordinates_exits_two_at_its_line(tmp_path, command):
+    # the scalable flag is not a coordinate name: such a space once passed,
+    # and entropy-construct verified a degenerate entropy on it
+    doc = tmp_path / "no_coords.doc"
+    doc.write_text(
+        "[states]\nspace G coords scalable\nstate a =\nstate b =\n\n[relation]\noracle = 1\n"
+    )
+    code, out = run_cli(command, str(doc))
+    assert code == 2
+    assert out == f"error: {doc}:2: space 'G' has no coordinates\n"
+
+
 @pytest.mark.parametrize(
     "command, source, old, new, message",
     [

@@ -486,17 +486,37 @@ def assert_same_canonical_form(got, want):
     assert str(got) == str(want)
 
 
+def assert_keys_are_fresh(e):
+    """Every key a term carries is the one a fresh term computes."""
+    for t in e.terms:
+        assert t.key is None or t.key == _term_key(_Term(t.coeff, t.factors), e.chart)
+
+
 @given(small_sums(), small_sums(), st.sampled_from(XY.coords),
-       st.sampled_from(SUBSTITUTES), st.integers(2, 4))
+       st.sampled_from(SUBSTITUTES), st.integers(2, 4),
+       st.fractions(-5, 5, max_denominator=6))
 @settings(max_examples=80, deadline=None)
-@example(parse("(x + y)^(1/2)", XY), XY.zero(), "x", "3", 3)
+@example(parse("(x + y)^(1/2)", XY), XY.zero(), "x", "3", 3, F(1))
 @example(
     parse("x^6 + 5*x^5*y + 10*x^4*y^2 + 10*x^3*y^3 + 5*x^2*y^4 + x^2 + x*y^5"
           " + 2*x*y + x + y^2 + 1", XY),
-    XY.zero(), "x", "y^2 + 1/2", 4,
+    XY.zero(), "x", "y^2 + 1/2", 4, F(-3, 2),
 )
-def test_single_pass_matches_pairwise_fold(p, q, name, substitute, k):
+def test_single_pass_matches_pairwise_fold(p, q, name, substitute, k, c):
     assert_same_canonical_form(p * q, folded_product(p, q))
+    # a constant or zero operand skips the merge and sort: check those
+    # shortcuts against one _build of the raw scaled or concatenated terms
+    const, zero = XY.const(c), XY.zero()
+    for got, want in [
+        (const * p, [_Term(c * t.coeff, t.factors) for t in p.terms]),
+        (p * const, [_Term(t.coeff * c, t.factors) for t in p.terms]),
+        (p * 1, [_Term(t.coeff, t.factors) for t in p.terms]),
+        (p + zero, list(p.terms + zero.terms)),
+        (zero + p, list(zero.terms + p.terms)),
+        (p - zero, list(p.terms + zero.terms)),
+    ]:
+        assert_same_canonical_form(got, Expr._build(XY, want))
+        assert_keys_are_fresh(got)
     n = len(p.terms)
     if n > 1 and math.comb(n + k - 1, n - 1) > MAX_EXPANSION_TERMS:
         # C(14, 10) = 1001 products for 11 terms to the 4th: the single pass
@@ -508,6 +528,21 @@ def test_single_pass_matches_pairwise_fold(p, q, name, substitute, k):
     assert_same_canonical_form(p.diff(name), folded_diff(p, name))
     mapping = {name: parse(substitute, XY)}
     assert_same_canonical_form(p.subs(mapping), folded_subs(p, mapping))
+
+
+def test_operands_on_an_equal_chart_object_combine_and_others_are_refused():
+    twin = Chart(("x", "y"))
+    assert twin is not XY
+    p, q = parse("x + 2*y", XY), parse("x*y", twin)
+    assert str(p * q) == "x^2*y + 2*x*y^2"
+    assert str(p + q) == "x*y + x + 2*y"
+    assert (q * 1) is q and (q + XY.zero()) is q
+    other = Chart(("x", "z"))
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ExprError, match="chart mismatch"):
+            op(p, other.one())
+        with pytest.raises(ExprError, match="chart mismatch"):
+            op(p, other.zero())
 
 
 POLY = Chart(("x", "y", "z"), ("a",))

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from entropykit import forms
-from entropykit.expr import Chart, parse
+from entropykit.expr import Chart, ExprError, parse
 from entropykit.forms import (
     Confidence,
     ContactStatus,
@@ -99,6 +99,51 @@ def random_poly_form(rng, chart, degree):
                 e = e * chart.var(rng.choice(chart.coords))
             coeffs[idx] = e
     return Form(chart, degree, coeffs)
+
+
+# -- construction --------------------------------------------------------------------
+
+
+def mixed_form(rng, chart, degree):
+    """A random form whose coefficients mix constants, monomials, sums,
+    ln/exp atoms and opaque powers."""
+    atoms = ["2", "(-1/3)", "x", "y*z", "x + y", "ln(x)", "exp(y)", "(x + z)^(1/2)"]
+    coeffs = {}
+    for idx in itertools.combinations(range(chart.dimension), degree):
+        if rng.random() < 0.7:
+            coeffs[idx] = parse(" + ".join(rng.sample(atoms, rng.randint(1, 3))), chart)
+    return Form(chart, degree, coeffs)
+
+
+def test_internal_builds_match_the_checking_constructor():
+    # wedge, d, +, - and scale skip Form's index and chart checks; each
+    # result must be what the checking constructor builds from its own
+    # coefficients, with no zero coefficient left in
+    rng = random.Random(23)
+    for _ in range(40):
+        p = rng.randint(0, 2)
+        q = rng.randint(0, 3 - p)
+        a, b = mixed_form(rng, XYZ, p), mixed_form(rng, XYZ, q)
+        a2 = mixed_form(rng, XYZ, p)
+        factor = parse(rng.choice(["0", "1", "-2", "x*y", "ln(z) + 1"]), XYZ)
+        for got in (a.wedge(b), a.d(), b.d(), a + a2, a - a2, a - a, -a,
+                    a.scale(factor), a.scale(F(3, 4)), a.scale(0)):
+            checked = Form(got.chart, got.degree, got.coeffs)
+            assert got == checked
+            assert list(got.coeffs) == list(checked.coeffs)
+            assert str(got) == str(checked)
+
+
+@pytest.mark.parametrize("degree, idx, chart, error, message", [
+    (2, (1, 0), XYZ, ValueError, "strictly increasing"),
+    (2, (1, 1), XYZ, ValueError, "strictly increasing"),
+    (1, (0, 1), XYZ, ValueError, "does not match degree"),
+    (1, (3,), XYZ, ValueError, "outside chart"),
+    (1, (0,), Chart(("x", "y", "w")), ExprError, "wrong chart"),
+])
+def test_form_refuses_bad_indices_and_foreign_coefficients(degree, idx, chart, error, message):
+    with pytest.raises(error, match=message):
+        Form(XYZ, degree, {idx: chart.var("x")})
 
 
 # -- wedge -----------------------------------------------------------------------
