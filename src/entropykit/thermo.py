@@ -87,15 +87,15 @@ class ThermoChart:
     def intensives(self) -> tuple[str, ...]:
         return tuple(p for p, _, _ in self.pairs)
 
-    @property
+    @cached_property
     def chart(self) -> Chart:
         return Chart((self.energy,) + self.extensives + self.intensives, self.params)
 
-    @property
+    @cached_property
     def base_chart(self) -> Chart:
         return Chart(self.extensives, self.params)
 
-    @property
+    @cached_property
     def t_chart(self) -> Chart:
         return Chart((T_CHART_NAME,), self.params)
 

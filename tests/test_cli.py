@@ -507,6 +507,53 @@ def test_structured_output_is_deterministic():
     assert text1 == text2
 
 
+NEAR_TIE_DOC = """[states]
+space Gamma coords u scalable
+state a = 1000
+state b = 999
+state c = 0
+state d = 64
+
+[relation]
+oracle = u
+
+[config]
+lambda_grid = 1/2 1 2
+eps_steps = 6
+"""
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_entropy_oracle_near_tie_is_stable_on_every_seed(tmp_path, seed):
+    # a − b = 1 is below what ε ≥ 1/64 can tell apart against d − c = 64,
+    # so only the entropy oracle's construction shows it stable
+    doc = tmp_path / "near_tie.doc"
+    doc.write_text(NEAR_TIE_DOC)
+    code, text = run_cli("axioms", str(doc), "--seed", str(seed))
+    assert code == 0
+    assert "axiom: stability\nverdict: PASS\ncaveat: LIMIT_APPROXIMATED\n" in text
+    assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transitivity_fails_on_every_seed_of_a_large_relation(tmp_path, seed):
+    # s0 ≤ … ≤ s11 by edges i ≤ j, except s0 s2: the one violation among
+    # the 1,728 triples is (s0, s1, s2), past the 600 sampled triples
+    lines = ["[states]", "space G coords x"]
+    lines += [f"state s{k} = {k}" for k in range(12)]
+    lines += ["", "[relation]", "closure = false"]
+    lines += [
+        f"edge s{i} s{j}" for i in range(12) for j in range(i, 12) if (i, j) != (0, 2)
+    ]
+    doc = tmp_path / "twelve.doc"
+    doc.write_text("\n".join(lines) + "\n")
+    code, text = run_cli("axioms", str(doc), "--seed", str(seed))
+    assert code == 1
+    assert (
+        "axiom: transitivity\nverdict: FAIL\nwitness: G.s0, G.s1, G.s2\n" in text
+    )
+
+
 def test_sampling_flags_are_accepted():
     code, text = run_cli(
         "axioms",
@@ -595,7 +642,9 @@ for i in range(6):
     print(sorted(S.values.items()), verify_entropy(S, oracle, space, config).ok)
 near_tie = StateSpace("G", ("x",), {"lo": (0,), "mid": (1,), "hi": (2,)}, True)
 oracle = EntropyOracle({"G": {"lo": 0, "mid": F(1, 128), "hi": 1}})
-show(check_axioms(oracle, [near_tie], AxiomConfig(max_stability_quadruples=10_000)))
+# asked through le alone, so the sampled route runs and prints its witness
+sampled = MemoizedOracle(oracle.le)
+show(check_axioms(sampled, [near_tie], AxiomConfig(max_stability_quadruples=10_000)))
 a, b, c = (CompositeState.pure("G", n) for n in ("lo", "mid", "hi"))
 ab, bc = a.compose(b), b.compose(c)
 raw = EdgeRelation([a, b, c, ab, bc], [(a, b), (b, c), (ab, bc), (bc, ab)])
