@@ -9,6 +9,7 @@ error, 3 no failures but at least one verdict rests on sampling
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -590,6 +591,7 @@ def _run_batch(manifest_path: str, opts, out) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache  # every command is registered at import; parsing leaves it as built
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entropykit",

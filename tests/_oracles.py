@@ -223,3 +223,54 @@ def random_preorder(rng, labels):
         if rng.random() < 0.25:
             edges.append((rng.choice(p), rng.choice(q)))
     return Poset(labels, edges)
+
+
+def reference_construct_entropy(A, space, config):
+    """construct_entropy as it once was: the rank entropy, or the reference
+    grid built by repeated addition of the step, each reference composed as
+    lo.scale(1 − λ).compose(hi.scale(λ)), scanned from the top."""
+    from fractions import Fraction
+
+    from entropykit.access import ConstructionImpossible, EntropyFn, _pure_order
+
+    pures, le, ch = _pure_order(A, space)
+    if not ch.total:
+        raise ConstructionImpossible("comparison hypothesis fails", ch.incomparable[0])
+    for i, x in enumerate(pures):
+        if not le[i][i]:
+            raise ConstructionImpossible("relation is not reflexive", (x,))
+    groups = {}
+    for i in range(len(pures)):
+        first = next((c for c in groups if le[i][c] and le[c][i]), i)
+        groups.setdefault(first, []).append(i)
+    ranked = sorted(groups, key=lambda r: sum(le[c][r] for c in groups))
+    names = space.names()
+    if not (A.supports_scaling and space.scalable):
+        rank_of = {names[i]: Fraction(k) for k, r in enumerate(ranked) for i in groups[r]}
+        return EntropyFn(space.label, rank_of, method="rank")
+    if len(ranked) == 1:
+        return EntropyFn(
+            space.label, {n: Fraction(0) for n in names}, method="reference",
+            degenerate=True, grid_step=config.grid_step,
+        )
+    lo, hi = pures[ranked[0]], pures[ranked[-1]]
+
+    def reference(lam):
+        if lam == 0:
+            return lo
+        if lam == 1:
+            return hi
+        return lo.scale(1 - lam).compose(hi.scale(lam))
+
+    grid = []
+    lam = Fraction(0)
+    while lam < 1:
+        grid.append(lam)
+        lam += config.grid_step
+    grid.append(Fraction(1))
+    references = [(lam, reference(lam)) for lam in reversed(grid)]
+    values = {
+        name: next((lam for lam, ref in references if A.le(ref, x)), Fraction(0))
+        for name, x in zip(names, pures)
+    }
+    return EntropyFn(space.label, values, method="reference", grid_step=config.grid_step)

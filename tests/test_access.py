@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entropykit
-from _oracles import calibration_case
+from _oracles import calibration_case, random_oracle_space, reference_construct_entropy
 from entropykit.expr import Chart, parse
 from entropykit.galois import Poset
 from entropykit.access import (
@@ -629,6 +629,21 @@ def test_transitivity_on_a_large_universe_is_decided_exhaustively(n, data):
     assert tuple(p.parts[0][2] for p in result.witness) in violations
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_transitivity_scans_the_whole_pool_of_a_sampled_backend(seed):
+    # i ≤ j except (0, 2) as a black box: 12³ triples are past MAX_TRIPLES,
+    # and the sampled ones found the one violation only on seed 1
+    def fn(x, y):
+        i, j = (int(p.parts[0][2][1:]) for p in (x, y))
+        return i <= j and (i, j) != (0, 2)
+
+    names = [f"s{k}" for k in range(12)]
+    report = check_axioms(MemoizedOracle(fn), [space("G", names)], AxiomConfig(seed=seed))
+    result = report["transitivity"]
+    assert result.status is AxiomStatus.FAIL
+    assert result.witness == (pure("G", "s0"), pure("G", "s1"), pure("G", "s2"))
+
+
 @pytest.mark.parametrize("scalable", [False, True])
 def test_ch_and_construction_ask_each_pure_pair_once(scalable):
     exact = oracle_for("G", {"a": 0, "b": 1, "c": 1, "d": 3, "e": 2})
@@ -787,7 +802,98 @@ def test_construct_entropy_degenerate_scaled_space():
     assert set(S.values.values()) == {F(0)}
 
 
+GRID_STEPS = [F(1, 64), F(1, 8), F(3, 10), F(2, 3), F(1), F(5, 2), F(7, 64), F(1, 3)]
+
+
+class Logging(Delegating):
+    """Puts each query to another backend and records it, in order."""
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self.asked = []
+
+    def le(self, x, y):
+        self.asked.append((x, y))
+        return super().le(x, y)
+
+
+def scrambled_grid(hidden):
+    """Pure states ordered by hidden values; a reference's answer follows
+    the digits of its scales, so the grid values below a state follow no
+    pattern in λ."""
+
+    def fn(x, y):
+        target = hidden[y.parts[0][2]]
+        if len(x.parts) == 1:
+            return hidden[x.parts[0][2]] <= target
+        digits = sum(
+            (k + 1) * (lam.numerator + 2 * lam.denominator)
+            for k, (lam, _, _) in enumerate(x.parts)
+        )
+        return (digits + target) % 3 == 0
+
+    return MemoizedOracle(fn)
+
+
+@pytest.mark.parametrize("step", GRID_STEPS)
+def test_construct_entropy_matches_the_grid_built_by_repeated_addition(step):
+    # the grid built point by point from two parts asks the very queries, in
+    # the same order, of the grid once built with scale, compose and a sum
+    rng = random.Random(f"grid:{step}")
+    config = AxiomConfig(grid_step=step)
+    cases = [(space("G", ["a", "b"], True), {"a": 3, "b": 0})]  # top name sorts first
+    cases += [random_oracle_space(rng, i)[::2] for i in range(25)]
+    for sp, hidden in cases:
+        backends = (
+            lambda: oracle_for(sp.label, hidden),
+            lambda: MemoizedOracle(oracle_for(sp.label, hidden).le),
+            lambda: scrambled_grid(hidden),
+        )
+        for make in backends:
+            ours, theirs = Logging(make()), Logging(make())
+            S = construct_entropy(ours, sp, config)
+            assert S == reference_construct_entropy(theirs, sp, config)
+            assert ours.asked == theirs.asked
+        exact = reference_construct_entropy(oracle_for(sp.label, hidden), sp, config)
+        assert construct_entropy(oracle_for(sp.label, hidden), sp, config) == exact
+
+
+one_space_parts = st.lists(
+    st.tuples(positive_scales, st.just("G"), st.sampled_from("abc")),
+    min_size=1, max_size=5,
+)
+
+
+@given(
+    one_space_parts, one_space_parts, positive_scales,
+    st.lists(st.fractions(-4, 4, max_denominator=9), min_size=3, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_entropy_fn_value_is_additive_and_extensive(xs, ys, lam, values):
+    # why verify_entropy's additivity and extensivity need no draw
+    S = EntropyFn("G", dict(zip("abc", values)))
+    x, y = CompositeState(xs), CompositeState(ys)
+    assert S.value(x.compose(y)) == S.value(x) + S.value(y)
+    assert S.value(x.scale(lam)) == F(lam) * S.value(x)
+
+
 # -- entropy verification --------------------------------------------------------------
+
+
+def test_verify_entropy_passes_additivity_and_extensivity_without_a_draw():
+    rel = edge_relation("G", ["a", "b", "c"], [("a", "b"), ("b", "c")])
+    sp = space("G", ["a", "b", "c"])
+    S = EntropyFn("G", {"a": F(0), "b": F(1), "c": F(2)})
+    reports = {verify_entropy(S, rel, sp, AxiomConfig(seed=seed)) for seed in range(4)}
+    (report,) = reports
+    assert report.ok
+    for part in (report.additivity, report.extensivity):
+        assert part.status is AxiomStatus.PASS and part.witness is None
+    # a state S does not value, or a space it is not on, still raises
+    with pytest.raises(KeyError):
+        verify_entropy(EntropyFn("G", {"a": F(0), "b": F(1)}), rel, sp)
+    with pytest.raises(AccessError, match="is not in space 'H'"):
+        verify_entropy(EntropyFn("H", {"a": F(0)}), rel, sp)
 
 
 def test_verify_entropy_flags_planted_swap():

@@ -10,7 +10,7 @@ import pytest
 
 import entropykit
 from entropykit import thermo
-from entropykit.cli import run
+from entropykit.cli import build_parser, run
 from entropykit.documents import DocumentError, load_document, parse_document
 from entropykit.forms import Confidence
 
@@ -142,6 +142,40 @@ def test_exit_two_on_non_positive_grid_step_without_hanging(tmp_path, bad):
     assert done.returncode == 2
     assert f"{doc}:{line_no}: grid_step must be positive" in done.stdout
     assert "Traceback" not in done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("step, code", [("1/1000000", 2), ("1/10001", 2), ("1/10000", 0)])
+def test_grid_step_finer_than_the_grid_budget_exits_two(tmp_path, step, code):
+    # 1/1000000 once took 12 s and 1.1 GB, and 1/10000000 ran out of memory
+    doc, line_no = doc_with(tmp_path, "eps_steps = 6", f"grid_step = {step}")
+    got, out = run_cli("entropy-construct", str(doc))
+    assert got == code
+    if code:
+        assert out == (
+            f"error: {doc}:{line_no}: grid_step must be at least 1/10000, got {step}\n"
+        )
+    else:
+        assert "grid-step: 1/10000\nS(a): 0\n" in out and "verified: yes" in out
+
+
+def test_parser_is_reused_after_a_bad_flag():
+    args = ("entropy-verify", str(CORPUS / "entropy_ok.doc"), "--format", "structured")
+    first = run_cli(*args)
+    assert run_cli(*args, "--eps-steps", "many")[0] == 2
+    assert run_cli(*args) == first
+    assert first[0] == 0
+    assert build_parser() is build_parser()  # built once per process
+
+
+@pytest.mark.parametrize("doc", ["entropy_ok.doc", "entropy_swapped.doc"])
+def test_entropy_verify_does_not_depend_on_the_seed(doc):
+    # additivity and extensivity hold by the definition of S on composites,
+    # so nothing is drawn
+    outputs = {run_cli("entropy-verify", str(CORPUS / doc), "--seed", str(seed))
+               for seed in range(4)}
+    assert len(outputs) == 1
+    (code, text), = outputs
+    assert "additivity: PASS\nextensivity: PASS\n" in text
 
 
 @pytest.mark.parametrize(
