@@ -199,12 +199,6 @@ class Accessibility:
     def le(self, x: CompositeState, y: CompositeState) -> bool:
         raise NotImplementedError
 
-    def le_joined(
-        self, x: CompositeState, z: CompositeState, y: CompositeState, zp: CompositeState
-    ) -> bool:
-        """(x, z) ≺ (y, zp): the query on the two composites."""
-        return self.le(x.compose(z), y.compose(zp))
-
     def universe(self) -> Optional[tuple[CompositeState, ...]]:
         """Explicitly known nodes, or None for intensionally defined relations."""
         return None
@@ -227,9 +221,6 @@ class EdgeRelation(Accessibility):
             if a not in self._node_set or b not in self._node_set:
                 raise AccessError("edge endpoint outside the declared nodes")
             self.edges.add((a, b))
-
-    def __contains__(self, x: CompositeState) -> bool:
-        return x in self._node_set
 
     def le(self, x, y) -> bool:
         if x not in self._node_set or y not in self._node_set:
@@ -420,9 +411,11 @@ class AxiomReport:
         return all(r.status is not AxiomStatus.FAIL for r in self.results)
 
 
-# past these counts, transitivity and consistency check a seeded sample
+# past these counts, transitivity, consistency and stability check a seeded sample
 MAX_TRIPLES = 600
 MAX_CONSISTENCY_PAIRS = 400
+MAX_STABILITY_QUADRUPLES = 80
+COMPOSITE_SAMPLES = 24  # drawn composites in a scalable pool with no known universe
 # the finest reference grid: grid_step below 1/MAX_GRID_POINTS is refused
 MAX_GRID_POINTS = 10_000
 
@@ -432,8 +425,6 @@ class AxiomConfig:
     lambda_grid: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2), Fraction(3))
     eps_steps: int = 6
     seed: int = 0
-    max_stability_quadruples: int = 80
-    composite_samples: int = 24
     grid_step: Fraction = Fraction(1, 64)
 
     def __post_init__(self):
@@ -528,7 +519,7 @@ def _composite_pool(pures, config: AxiomConfig, rng: random.Random) -> list[Comp
     grid = config.lambda_grid
     return [
         a.scale(la).compose(b.scale(lb))
-        for a, b, la, lb in _draw((pures, pures, grid, grid), config.composite_samples, rng)
+        for a, b, la, lb in _draw((pures, pures, grid, grid), COMPOSITE_SAMPLES, rng)
     ]
 
 
@@ -564,9 +555,9 @@ def check_axioms(
     table.  On a pool too large for every triple, transitivity scans the
     whole table once the sampled triples pass, so its verdict holds for
     every triple of the pool.  Consistency's conclusions and stability's
-    ε-sides are composed queries, put to ``A.le_joined``; the ε-sides are
-    queried lazily, and only for pairs with X ⊀ Y, stopping at the first
-    side that fails.
+    ε-sides put two composed states to ``A.le``; the ε-sides are queried
+    lazily, and only for pairs with X ⊀ Y, stopping at the first side that
+    fails.
 
     Scaling, splitting and stability only make sense for backends that
     support scaled composites; on plain edge relations they come back
@@ -657,7 +648,7 @@ def check_axioms(
     else:
         witness = None
         for (i, ip), (k, kp) in testable:
-            if not A.le_joined(pool[i], pool[k], pool[ip], pool[kp]):
+            if not A.le(pool[i].compose(pool[k]), pool[ip].compose(pool[kp])):
                 witness = (pool[i], pool[ip], pool[k], pool[kp])
                 break
         results.append(
@@ -726,7 +717,7 @@ def check_axioms(
     # stability: (X, εZ) ≺ (Y, εZ') for all scheduled ε ⇒ X ≺ Y
     schedule = [Fraction(1, 2**k) for k in range(1, config.eps_steps + 1)]
     quads = _bounded_product(
-        (idx, idx, pures, pures), config.max_stability_quadruples, rng
+        (idx, idx, pures, pures), MAX_STABILITY_QUADRUPLES, rng
     )
     shrunk: dict = {}  # pure Z -> [εZ for ε in schedule], built once per call
 
@@ -746,7 +737,9 @@ def check_axioms(
         ):
             continue
         tested += 1
-        if not le[i][j] and all(A.le_joined(x, ez, y, ezp) for ez, ezp in eps_pairs):
+        if not le[i][j] and all(
+            A.le(x.compose(ez), y.compose(ezp)) for ez, ezp in eps_pairs
+        ):
             witness = (x, y, z, zp)
             break
     results.append(

@@ -457,6 +457,18 @@ def _resolve_state(doc: Document, token: str, line_no: int) -> CompositeState:
     return CompositeState.pure(hits[0], token)
 
 
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _flag(body: str, path: str, line_no: int) -> bool:
+    key, value = _key_value(body, path, line_no)
+    if value.lower() not in _FLAGS:
+        raise DocumentError(
+            f"{key} must be true/false, yes/no or 1/0, got {value!r}", path, line_no
+        )
+    return _FLAGS[value.lower()]
+
+
 def _parse_relation(doc: Document, rows) -> Optional[Accessibility]:
     if not rows:
         return None
@@ -467,6 +479,8 @@ def _parse_relation(doc: Document, rows) -> Optional[Accessibility]:
     oracle_text = None
     oracle_line = 0
     for line_no, body in rows:
+        if oracle_line or (body.startswith("oracle") and line_no != rows[0][0]):
+            raise DocumentError("an oracle relation takes no other line", doc.path, line_no)
         if body.startswith("edge "):
             parts = body.split()
             if len(parts) != 3:
@@ -480,11 +494,9 @@ def _parse_relation(doc: Document, rows) -> Optional[Accessibility]:
         elif body.startswith("node "):
             nodes.append(_resolve_state(doc, body[5:], line_no))
         elif body.startswith("closure"):
-            _, value = _key_value(body, doc.path, line_no)
-            close = value.lower() in ("true", "yes", "1")
+            close = _flag(body, doc.path, line_no)
         elif body.startswith("scaling"):
-            _, value = _key_value(body, doc.path, line_no)
-            scaling = value.lower() in ("true", "yes", "1")
+            scaling = _flag(body, doc.path, line_no)
         elif body.startswith("oracle"):
             _, oracle_text = _key_value(body, doc.path, line_no)
             oracle_line = line_no

@@ -246,10 +246,6 @@ class Form:
     __repr__ = __str__
 
 
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
 @dataclass(frozen=True)
 class SmoothMap:
     """Map between charts given by one source-chart expression per target
@@ -285,9 +281,6 @@ class SmoothMap:
             self.target,
             {n: e.subs(mapping, inner.source) for n, e in self.components.items()},
         )
-
-    def evaluate(self, env) -> dict:
-        return {n: self.components[n].evaluate(env) for n in self.target.coords}
 
 
 def pullback(f: SmoothMap, a: Form) -> Form:
@@ -433,69 +426,6 @@ def verify_integrating_factor(
     witness, confidence = first_nonzero(residual.items(), config, t_conf)
     status = FactorStatus.OK if witness is None else FactorStatus.FAIL
     return IntegratingFactorResult(status, confidence, residual, witness)
-
-
-@dataclass(frozen=True)
-class DarbouxShape:
-    """Result of the literal canonical-shape test θ = dX₀ − Σ σ_i P_i dX_i."""
-
-    canonical: bool
-    potential: Optional[str] = None
-    pairs: tuple = ()  # (momentum name, base name, sign)
-    reason: Optional[str] = None
-
-
-def darboux_shape(theta: Form) -> DarbouxShape:
-    """Verify that a 1-form is already in canonical contact shape.
-
-    Exactly one coefficient must be the constant 1 (the potential
-    differential); every other nonzero coefficient must be ± a bare
-    momentum coordinate, with potential, base and momentum roles disjoint
-    and each momentum used once.  No coordinate search is attempted.
-    """
-    if theta.degree != 1:
-        raise ValueError("darboux_shape expects a 1-form")
-    chart = theta.chart
-    potential = None
-    pairs = []
-    momenta = set()
-    bases = set()
-    for idx, coeff in theta.items():
-        name = chart.coords[idx[0]]
-        if coeff.as_constant() == 1:
-            if potential is not None:
-                return DarbouxShape(False, reason="two unit coefficients")
-            potential = name
-            continue
-        c = coeff.as_constant()
-        if c is not None:
-            return DarbouxShape(False, reason=f"constant coefficient on d{name}")
-        if len(coeff.terms) != 1:
-            return DarbouxShape(False, reason=f"composite coefficient on d{name}")
-        term = coeff.terms[0]
-        if (
-            term.coeff not in (1, -1)
-            or len(term.factors) != 1
-            or not isinstance(term.factors[0][0], str)
-            or term.factors[0][1] != 1
-        ):
-            return DarbouxShape(False, reason=f"coefficient on d{name} is not ± a coordinate")
-        momentum = term.factors[0][0]
-        if momentum not in chart.coords:
-            return DarbouxShape(False, reason=f"{momentum!r} is a parameter, not a coordinate")
-        if momentum in momenta:
-            return DarbouxShape(False, reason=f"momentum {momentum!r} used twice")
-        momenta.add(momentum)
-        bases.add(name)
-        pairs.append((momentum, name, -int(term.coeff)))
-    if potential is None:
-        return DarbouxShape(False, reason="no unit potential differential")
-    roles = {potential} | momenta | bases
-    if potential in momenta or potential in bases or momenta & bases:
-        return DarbouxShape(False, reason="coordinate roles overlap")
-    if len(roles) != chart.dimension:
-        return DarbouxShape(False, reason="coordinates left over outside the shape")
-    return DarbouxShape(True, potential, tuple(sorted(pairs)))
 
 
 class SymmetryStatus(Enum):

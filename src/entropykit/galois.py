@@ -79,13 +79,6 @@ class Poset:
         return self.le(x, y) and self.le(y, x)
 
     @property
-    def antisymmetric(self) -> bool:
-        return all(
-            not (self.le(x, y) and self.le(y, x))
-            for x, y in itertools.combinations(self.carrier, 2)
-        )
-
-    @property
     def total(self) -> bool:
         return all(
             self.le(x, y) or self.le(y, x)
@@ -110,10 +103,6 @@ class Poset:
     def chain(cls, labels: Sequence) -> "Poset":
         labels = tuple(labels)
         return cls(labels, [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)])
-
-    @classmethod
-    def antichain(cls, labels: Sequence) -> "Poset":
-        return cls(tuple(labels), [])
 
     def least(self, xs: Sequence):
         """The first of xs below all of xs, or None."""
@@ -188,13 +177,6 @@ class MonotoneMap:
     @classmethod
     def identity(cls, poset: Poset) -> "MonotoneMap":
         return cls(poset, poset, {x: x for x in poset.carrier})
-
-    def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
-        if inner.target != self.source:
-            raise GaloisError("posets do not line up for composition")
-        return MonotoneMap(
-            inner.source, self.target, {x: self(inner(x)) for x in inner.source.carrier}
-        )
 
 
 @dataclass(frozen=True)

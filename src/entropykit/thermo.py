@@ -159,10 +159,6 @@ class LegendreSpec:
     ) -> "LegendreSpec":
         return cls(potential=energy, equations=equations)
 
-    @property
-    def is_potential_form(self) -> bool:
-        return self.equations is None
-
     def _validate(self, tc: ThermoChart):
         base = tc.base_chart
         if self.equations is not None:
@@ -445,18 +441,6 @@ class PathSegment:
 
 
 @dataclass(frozen=True)
-class EndpointPair:
-    """A non-quasi-static process: just the two equilibrium endpoints.
-
-    There is no path, so no heat or work integral exists; only state
-    functions may be compared.
-    """
-
-    initial: Mapping[str, Fraction]
-    final: Mapping[str, Fraction]
-
-
-@dataclass(frozen=True)
 class ProcessPath:
     base_chart: Chart
     segments: tuple[PathSegment, ...]
@@ -476,9 +460,6 @@ class ProcessPath:
     @cached_property
     def t_chart(self) -> Chart:
         return Chart((T_CHART_NAME,), self.base_chart.params)
-
-    def segment_map(self, seg: PathSegment) -> SmoothMap:
-        return SmoothMap(self.t_chart, self.base_chart, seg.components)
 
     def point(self, seg: PathSegment, t, params) -> dict:
         env = dict(params)
@@ -574,13 +555,6 @@ def _check_base(tc: ThermoChart, path: ProcessPath) -> None:
         raise ThermoError("path does not live in the chart's extensive coordinates")
 
 
-def _require_path(path):
-    if isinstance(path, EndpointPair):
-        raise ThermoError(
-            "non-quasi-static processes have no path; integrals are undefined"
-        )
-
-
 def _integrate_segment(integrand):
     """∫₀¹ integrand(t) dt for a leg coefficient compiled by Expr.compile."""
     # Imported on first use, so that a command which never integrates does
@@ -623,7 +597,6 @@ def path_integral(
     params: Mapping[str, Fraction],
 ) -> PathIntegral:
     """∫ over the path of the form's pullback onto the Legendre manifold."""
-    _require_path(path)
     if form.chart != tc.chart or form.degree != 1:
         raise ThermoError("integrand must be a 1-form on the full chart")
     path.check_continuity(params)
@@ -648,7 +621,6 @@ def first_law_balance(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> FirstLawBalance:
     """ΔU = ΔQ − ΔW checked by independent quadratures of dX₀, Q and W."""
-    _require_path(path)
     path.check_continuity(params)
     _check_base(tc, path)
     inclusion = spec.inclusion(tc)
@@ -700,7 +672,6 @@ def cycle_audit(
     """Audit a closed cycle: ∮Q = ∮W (exactness of dX₀), per-leg adiabatic
     claims, and the Kelvin configuration (heat absorbed everywhere while net
     work is extracted) that the Second Law forbids."""
-    _require_path(cycle)
     cycle.check_continuity(params)
     if not cycle.is_closed(params):
         raise ThermoError("cycle_audit requires a closed path")
@@ -769,7 +740,6 @@ def adiabatic_entropy_check(
     sampled heat vanishes must then stay on one S = const leaf, and any
     heat flow moves it transversally across leaves.
     """
-    _require_path(path)
     if entropy.chart != tc.base_chart:
         raise ThermoError("entropy must be a function of the extensive coordinates")
     inclusion = spec.inclusion(tc)
@@ -825,16 +795,3 @@ def adiabatic_entropy_check(
         leaves_leaf=True,
         violations=violations,
     )
-
-
-def endpoint_entropy_check(
-    entropy: Expr, process: EndpointPair, params: Mapping[str, Fraction]
-) -> tuple[float, bool]:
-    """For a non-quasi-static process only the endpoint comparison S(y) ≥ S(x)
-    is testable; returns (ΔS, ΔS ≥ 0)."""
-    env_i = dict(params)
-    env_i.update(process.initial)
-    env_f = dict(params)
-    env_f.update(process.final)
-    delta = float(entropy.evaluate(env_f)) - float(entropy.evaluate(env_i))
-    return delta, delta >= 0.0

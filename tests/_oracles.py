@@ -173,6 +173,14 @@ def pairwise_check_galois(F, G):
     return GaloisResult(True, None, unit, counit)
 
 
+def antisymmetric(poset):
+    """No two distinct elements are equivalent."""
+    return all(
+        not (poset.le(x, y) and poset.le(y, x))
+        for x, y in itertools.combinations(poset.carrier, 2)
+    )
+
+
 def pairwise_least(poset, xs):
     return next((x for x in xs if all(poset.le(x, y) for y in xs)), None)
 

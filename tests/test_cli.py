@@ -31,7 +31,7 @@ def test_load_ideal_gas_document():
     assert doc.thermo_chart.energy == "U"
     assert doc.thermo_chart.pairs == (("T", "S", 1), ("p", "V", -1))
     assert doc.param_values == {"N": F(1), "R": F(1)}
-    assert doc.spec.is_potential_form
+    assert doc.spec.equations is None
     assert set(doc.paths) == {"direct", "dogleg"}
     assert len(doc.paths["dogleg"].segments) == 2
 
@@ -284,6 +284,10 @@ def test_space_with_no_coordinates_exits_two_at_its_line(tmp_path, command):
          "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one, p3 = one",
          "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one",
          "mapping is not total: 'p3' unmapped"),
+        ("axioms", "raw_chain.doc", "closure = false", "closure = ture",
+         "closure must be true/false, yes/no or 1/0, got 'ture'"),
+        ("axioms", "raw_chain.doc", "closure = false", "scaling = maybe",
+         "scaling must be true/false, yes/no or 1/0, got 'maybe'"),
     ],
 )
 def test_order_document_errors_name_file_and_line(tmp_path, command, source, old, new, message):
@@ -294,6 +298,51 @@ def test_order_document_errors_name_file_and_line(tmp_path, command, source, old
     code, out = run_cli(command, str(doc))
     assert code == 2
     assert out == f"error: {doc}:{line_no}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, source, old, added",
+    [
+        ("ch", "oracle_space.doc", "oracle = u + 2*v", "edge d a"),
+        ("axioms", "oracle_space.doc", "oracle = u + 2*v", "scaling = false"),
+        ("axioms", "oracle_space.doc", "oracle = u + 2*v", "node a"),
+        ("axioms", "oracle_space.doc", "oracle = u + 2*v", "closure = true"),
+        ("axioms", "oracle_space.doc", "oracle = u + 2*v", "oracle = u"),
+        ("axioms", "raw_chain.doc", "edge b c", "oracle = x"),
+        ("calibrate", "calibrate_two.doc", "edge G2.s2 G1.s2", "oracle = x"),
+    ],
+    ids=["edge-after-oracle", "scaling-after-oracle", "node-after-oracle",
+         "closure-after-oracle", "second-oracle", "oracle-after-edges", "oracle-in-cross"],
+)
+def test_relation_section_mixing_an_oracle_exits_two_at_the_later_line(
+    tmp_path, command, source, old, added
+):
+    text = (CORPUS / source).read_text().replace(old, f"{old}\n{added}")
+    doc = tmp_path / source
+    doc.write_text(text)
+    line_no = text.splitlines().index(added) + 1
+    code, out = run_cli(command, str(doc))
+    assert code == 2
+    assert out == f"error: {doc}:{line_no}: an oracle relation takes no other line\n"
+
+
+@pytest.mark.parametrize(
+    "value, code",
+    [("false", 1), ("FALSE", 1), ("No", 1), ("0", 1), ("True", 0), ("yes", 0), ("1", 0)],
+)
+def test_relation_flags_read_every_spelling_in_any_case(tmp_path, value, code):
+    canonical = "true" if code == 0 else "false"
+    outputs = []
+    for spelling in (canonical, value):
+        doc = tmp_path / f"{spelling}.doc"
+        doc.write_text(
+            (CORPUS / "raw_chain.doc").read_text()
+            .replace("closure = false", f"closure = {spelling}")
+        )
+        got, out = run_cli("axioms", str(doc))
+        assert got == code
+        outputs.append(out.replace(str(doc), "<doc>"))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -660,6 +709,7 @@ AXIOM_REPORTS = """
 import random
 from fractions import Fraction as F
 from _oracles import random_oracle_space
+import entropykit.access as access
 from entropykit.access import *
 
 def show(report):
@@ -678,7 +728,10 @@ near_tie = StateSpace("G", ("x",), {"lo": (0,), "mid": (1,), "hi": (2,)}, True)
 oracle = EntropyOracle({"G": {"lo": 0, "mid": F(1, 128), "hi": 1}})
 # asked through le alone, so the sampled route runs and prints its witness
 sampled = MemoizedOracle(oracle.le)
-show(check_axioms(sampled, [near_tie], AxiomConfig(max_stability_quadruples=10_000)))
+quadruples = access.MAX_STABILITY_QUADRUPLES
+access.MAX_STABILITY_QUADRUPLES = 10_000
+show(check_axioms(sampled, [near_tie]))
+access.MAX_STABILITY_QUADRUPLES = quadruples
 a, b, c = (CompositeState.pure("G", n) for n in ("lo", "mid", "hi"))
 ab, bc = a.compose(b), b.compose(c)
 raw = EdgeRelation([a, b, c, ab, bc], [(a, b), (b, c), (ab, bc), (bc, ab)])

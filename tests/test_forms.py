@@ -19,7 +19,6 @@ from entropykit.forms import (
     frobenius_check,
     pullback,
     verify_integrating_factor,
-    wedge,
 )
 
 XYZ = Chart(("x", "y", "z"))
@@ -458,38 +457,6 @@ def test_contact_first_law_form_dimension_five():
 def test_contact_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         contact_check(dx(XYZ, "z"), 2)
-
-
-def test_darboux_shape_recognizes_canonical_forms():
-    from entropykit.forms import darboux_shape
-
-    theta = (
-        dx(GIBBS, "U")
-        - dx(GIBBS, "S").scale(GIBBS.var("T"))
-        + dx(GIBBS, "V").scale(GIBBS.var("p"))
-    )
-    shape = darboux_shape(theta)
-    assert shape.canonical
-    assert shape.potential == "U"
-    assert set(shape.pairs) == {("T", "S", 1), ("p", "V", -1)}
-    cartan = dx(XYZ, "z") - dx(XYZ, "x").scale(XYZ.var("y"))
-    assert darboux_shape(cartan).canonical
-
-
-def test_darboux_shape_rejects_non_canonical_forms():
-    from entropykit.forms import darboux_shape
-
-    assert not darboux_shape(dx(XYZ, "y").scale(XYZ.var("x"))).canonical
-    squared = dx(GIBBS, "U") - dx(GIBBS, "S").scale(parse("T^2", GIBBS))
-    assert not darboux_shape(squared).canonical
-    reused = (
-        dx(GIBBS, "U")
-        - dx(GIBBS, "S").scale(GIBBS.var("T"))
-        - dx(GIBBS, "V").scale(GIBBS.var("T"))
-    )
-    assert not darboux_shape(reused).canonical
-    overlapping = dx(XYZ, "z") - dx(XYZ, "x").scale(XYZ.var("x"))
-    assert not darboux_shape(overlapping).canonical
 
 
 def test_darboux_canonical_form_is_contact_for_small_n():
