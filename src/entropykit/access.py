@@ -15,9 +15,14 @@ oracles, of which the entropy-backed oracle is the workhorse for synthetic
 test systems.
 
 One depth-first closure, ``reachable_sets``, gives each node its up-set; it
-serves ``EdgeRelation.closure`` (through ``reachable_pairs``) and
-``galois.Poset``.  The CH, entropy construction and ``check_axioms`` read
-answer tables ``le[i][j] = A.le(xs[i], xs[j])``: each ordered pair asked once.
+serves ``EdgeRelation.closure`` and ``galois.Poset``.  The CH, entropy
+construction and ``check_axioms`` read answer tables
+``le[i][j] = A.le(xs[i], xs[j])``: each ordered pair asked once.
+
+Each composed axiom check of a sampled backend lists its cases, keeps those
+whose composites a known universe holds, and reports the first case that
+fails; one helper, ``_result``, turns that into FAIL, PASS or
+NOT_APPLICABLE for every axiom and for ``verify_entropy``'s monotonicity.
 
 Every seeded sample is drawn by one helper, ``_draw``, which makes the same
 ``getrandbits`` calls as ``random.choice``: the composite pool, the sampled
@@ -177,15 +182,6 @@ def reachable_sets(nodes, edges) -> dict:
     return up
 
 
-def reachable_pairs(nodes, edges) -> set:
-    """Every (a, b) with b reachable from a: ``reachable_sets`` as pairs."""
-    return {
-        (start, reach)
-        for start, seen in reachable_sets(nodes, edges).items()
-        for reach in seen
-    }
-
-
 # ---------------------------------------------------------------------------
 # Accessibility backends
 # ---------------------------------------------------------------------------
@@ -232,7 +228,8 @@ class EdgeRelation(Accessibility):
 
     def closure(self) -> "EdgeRelation":
         """Reflexive-transitive closure of the edges."""
-        closed = reachable_pairs(self.nodes, self.edges)
+        up = reachable_sets(self.nodes, self.edges)
+        closed = ((a, b) for a, seen in up.items() for b in seen)
         return EdgeRelation(self.nodes, closed, self.supports_scaling)
 
 
@@ -347,8 +344,9 @@ class CHResult:
     incomparable: tuple[tuple[CompositeState, CompositeState], ...]
 
 
-def _pures(space: StateSpace) -> list[CompositeState]:
-    return [CompositeState.pure(space.label, n) for n in space.names()]
+def _pures(*spaces: StateSpace) -> list[CompositeState]:
+    """Each space's pure states, in space and then name order."""
+    return [CompositeState.pure(sp.label, n) for sp in spaces for n in sp.names()]
 
 
 def answer_table(A: Accessibility, space: StateSpace) -> list[list[bool]]:
@@ -452,19 +450,26 @@ AXIOM_NAMES = (
     "splitting-recombination",
     "stability",
 )
+
+
+def _result(name: str, witness, tested, caveats: tuple[str, ...] = ()) -> AxiomResult:
+    """FAIL with its witness, else PASS if any case was tested, else
+    NOT_APPLICABLE: the one place an axiom verdict gets its status."""
+    if witness is not None:
+        status = AxiomStatus.FAIL
+    else:
+        status = AxiomStatus.PASS if tested else AxiomStatus.NOT_APPLICABLE
+    return AxiomResult(name, status, witness, caveats)
+
+
 _STABILITY_CAVEATS = ("LIMIT_APPROXIMATED",)
+_NO_INSTANCES = ("no composable instances in the relation's universe",)
 _UNSCALED = tuple(  # scaling, splitting and stability without scaled composites
-    AxiomResult(
-        name, AxiomStatus.NOT_APPLICABLE,
-        caveats=("backend does not support scaled composites",),
-    )
+    _result(name, None, False, ("backend does not support scaled composites",))
     for name in AXIOM_NAMES[3:]
 )
 _BY_CONSTRUCTION = tuple(  # an entropy oracle's report: every axiom holds
-    AxiomResult(
-        name, AxiomStatus.PASS,
-        caveats=_STABILITY_CAVEATS if name == "stability" else (),
-    )
+    _result(name, None, True, _STABILITY_CAVEATS if name == "stability" else ())
     for name in AXIOM_NAMES
 )
 
@@ -483,12 +488,6 @@ def _intransitive_triple(le) -> Optional[tuple[int, int, int]]:
                 return i, j, (outside & -outside).bit_length() - 1
             rest &= rest - 1
     return None
-
-
-def _pure_pool(spaces: Sequence[StateSpace]) -> list[CompositeState]:
-    return [
-        CompositeState.pure(sp.label, n) for sp in spaces for n in sp.names()
-    ]
 
 
 def _draw(pools, count: int, rng: random.Random) -> list[tuple]:
@@ -550,53 +549,58 @@ def check_axioms(
     state still raises.
 
     Other backends are sampled.  Every ordered pair of the test pool is put
-    to ``A.le`` exactly once, up front; reflexivity, transitivity,
-    consistency, scaling and stability read their pool premises from that
-    table.  On a pool too large for every triple, transitivity scans the
-    whole table once the sampled triples pass, so its verdict holds for
-    every triple of the pool.  Consistency's conclusions and stability's
-    ε-sides put two composed states to ``A.le``; the ε-sides are queried
-    lazily, and only for pairs with X ⊀ Y, stopping at the first side that
-    fails.
+    to ``A.le`` exactly once, up front, and the checks read their pool
+    premises from that table.  On a pool too large for every triple,
+    transitivity scans the whole table once the sampled triples pass, so
+    its verdict holds for every triple of the pool.  Consistency, scaling,
+    splitting and stability each take three steps:
 
-    Scaling, splitting and stability only make sense for backends that
-    support scaled composites; on plain edge relations they come back
-    NOT_APPLICABLE.  Stability quantifies a limit ε → 0⁺, which a finite
-    run can only approximate; its verdict always carries the
-    LIMIT_APPROXIMATED caveat.
+    1. list the check's cases (drawn, where there are too many);
+    2. keep those whose composites a known universe holds (``testable``;
+       on an unknown universe every case is kept and nothing is built);
+    3. take the first case that fails as the witness, asking ``A.le`` only
+       there, case by case; stability asks the ε-sides of a pair with
+       X ⊀ Y one by one and stops at the first that fails.
+
+    ``_result`` turns the witness, and whether any case was kept, into
+    FAIL, PASS or NOT_APPLICABLE.  Scaling, splitting and stability only
+    make sense for backends that support scaled composites; on plain edge
+    relations they come back NOT_APPLICABLE.  Stability quantifies a limit
+    ε → 0⁺, which a finite run can only approximate; its verdict always
+    carries the LIMIT_APPROXIMATED caveat.
     """
     scaled = A.supports_scaling and all(sp.scalable for sp in spaces)
     if type(A) is EntropyOracle and spaces:
-        for x in _pure_pool(spaces):
+        for x in _pures(*spaces):
             A._sum(x)  # raises for the first state with no value
         return AxiomReport(_BY_CONSTRUCTION if scaled else _BY_CONSTRUCTION[:3] + _UNSCALED)
     rng = random.Random(config.seed)
     universe = A.universe()
-    if universe is not None:
+    if universe is None:
+        known = None
+        pures = _pures(*spaces)
+        pure_idx = range(len(pures))
+        pool = pures + (_composite_pool(pures, config, rng) if scaled else [])
+    else:
+        known = set(universe)
         pool = list(universe)
         pure_idx = [
             i for i, p in enumerate(pool) if len(p.parts) == 1 and p.parts[0][0] == 1
         ]
         pures = [pool[i] for i in pure_idx]
-    else:
-        pures = _pure_pool(spaces)
-        pure_idx = range(len(pures))
-        pool = pures + (_composite_pool(pures, config, rng) if scaled else [])
     idx = range(len(pool))
     le = [[A.le(x, y) for y in pool] for x in pool]  # le[i][j]: pool[i] ≺ pool[j]
-    results = []
 
-    # reflexivity
-    witness = next((pool[i] for i in idx if not le[i][i]), None)
-    results.append(
-        AxiomResult(
-            "reflexivity",
-            AxiomStatus.FAIL if witness is not None else AxiomStatus.PASS,
-            (witness,) if witness is not None else None,
-        )
-    )
+    def testable(cases, composites) -> list:
+        """The cases whose composites(*case), built one at a time, the known
+        universe holds; every case, with nothing built, when it is unknown."""
+        if known is None:
+            return cases
+        return [c for c in cases if all(x in known for x in composites(*c))]
 
-    # transitivity
+    witness = next(((pool[i],) for i in idx if not le[i][i]), None)
+    results = [_result("reflexivity", witness, True)]
+
     triples = _bounded_product((idx, idx, idx), MAX_TRIPLES, rng)
     witness = next(
         (
@@ -610,148 +614,84 @@ def check_axioms(
         found = _intransitive_triple(le)
         if found is not None:
             witness = tuple(pool[i] for i in found)
-    results.append(
-        AxiomResult(
-            "transitivity",
-            AxiomStatus.FAIL if witness else AxiomStatus.PASS,
-            witness,
-        )
-    )
+    results.append(_result("transitivity", witness, True))
 
     # consistency: X ≺ X' and Y ≺ Y' ⇒ (X,Y) ≺ (X',Y')
-    known = set(universe) if universe is not None else None
+    def joined(p, q):
+        return (pool[a].compose(pool[b]) for a, b in zip(p, q))
+
     accessible = [(i, j) for i in idx for j in idx if le[i][j]]
-    testable = _bounded_product(
-        (accessible, accessible), MAX_CONSISTENCY_PAIRS, rng
+    cases = testable(
+        _bounded_product((accessible, accessible), MAX_CONSISTENCY_PAIRS, rng), joined
     )
-    if known is not None:
-        joined: dict = {}  # (i, k) -> pool[i] composed with pool[k], built once
-
-        def join(i, k):
-            out = joined.get((i, k))
-            if out is None:
-                out = joined[i, k] = pool[i].compose(pool[k])
-            return out
-
-        testable = [
-            (p, q)
-            for p, q in testable
-            if join(p[0], q[0]) in known and join(p[1], q[1]) in known
-        ]
-    if not testable:
-        results.append(
-            AxiomResult(
-                "consistency", AxiomStatus.NOT_APPLICABLE,
-                caveats=("no composable instances in the relation's universe",),
-            )
-        )
-    else:
-        witness = None
-        for (i, ip), (k, kp) in testable:
-            if not A.le(pool[i].compose(pool[k]), pool[ip].compose(pool[kp])):
-                witness = (pool[i], pool[ip], pool[k], pool[kp])
-                break
-        results.append(
-            AxiomResult(
-                "consistency",
-                AxiomStatus.FAIL if witness else AxiomStatus.PASS,
-                witness,
-            )
-        )
+    witness = next(
+        (
+            (pool[i], pool[ip], pool[k], pool[kp])
+            for (i, ip), (k, kp) in cases
+            if not A.le(*joined((i, ip), (k, kp)))
+        ),
+        None,
+    )
+    results.append(_result("consistency", witness, cases, () if cases else _NO_INSTANCES))
 
     if not scaled:
         return AxiomReport(tuple(results) + _UNSCALED)
 
-    def testable(*composites) -> bool:
-        return known is None or all(c in known for c in composites)
-
     # scaling invariance: λ > 0 and X ≺ Y ⇒ λX ≺ λY
-    witness = None
-    tested = 0
-    for lam in config.lambda_grid:
-        grown = {i: pool[i].scale(lam) for i in pure_idx}
-        for i, j in itertools.product(pure_idx, repeat=2):
-            if known is not None and not testable(grown[i], grown[j]):
-                continue
-            tested += 1
-            if le[i][j] and not A.le(grown[i], grown[j]):
-                witness = (lam, pool[i], pool[j])
-                break
-        if witness:
-            break
-    results.append(
-        AxiomResult(
-            "scaling-invariance",
-            AxiomStatus.FAIL
-            if witness
-            else (AxiomStatus.PASS if tested else AxiomStatus.NOT_APPLICABLE),
-            witness,
-        )
+    def grown(lam, i, j):
+        return pool[i].scale(lam), pool[j].scale(lam)
+
+    cases = testable(
+        [(lam, i, j) for lam in config.lambda_grid for i in pure_idx for j in pure_idx],
+        grown,
     )
+    witness = next(
+        (
+            (lam, pool[i], pool[j])
+            for lam, i, j in cases
+            if le[i][j] and not A.le(*grown(lam, i, j))
+        ),
+        None,
+    )
+    results.append(_result("scaling-invariance", witness, cases))
 
     # splitting recombination: X ∼ (λX, (1−λ)X) for λ in (0,1)
+    def split(lam, x):
+        return (x.scale(lam).compose(x.scale(1 - lam)),)
+
     fractions_01 = [l for l in config.lambda_grid if 0 < l < 1] or [Fraction(1, 2)]
-    witness = None
-    tested = 0
-    for lam in fractions_01:
-        for x in pures:
-            split = x.scale(lam).compose(x.scale(1 - lam))
-            if not testable(split):
-                continue
-            tested += 1
-            if not (A.le(x, split) and A.le(split, x)):
-                witness = (lam, x)
-                break
-        if witness:
-            break
-    results.append(
-        AxiomResult(
-            "splitting-recombination",
-            AxiomStatus.FAIL
-            if witness
-            else (AxiomStatus.PASS if tested else AxiomStatus.NOT_APPLICABLE),
-            witness,
-        )
+    cases = testable([(lam, x) for lam in fractions_01 for x in pures], split)
+    witness = next(
+        (
+            (lam, x)
+            for lam, x in cases
+            for s in split(lam, x)
+            if not (A.le(x, s) and A.le(s, x))
+        ),
+        None,
     )
+    results.append(_result("splitting-recombination", witness, cases))
 
     # stability: (X, εZ) ≺ (Y, εZ') for all scheduled ε ⇒ X ≺ Y
     schedule = [Fraction(1, 2**k) for k in range(1, config.eps_steps + 1)]
-    quads = _bounded_product(
-        (idx, idx, pures, pures), MAX_STABILITY_QUADRUPLES, rng
-    )
-    shrunk: dict = {}  # pure Z -> [εZ for ε in schedule], built once per call
 
-    def small(z):
-        out = shrunk.get(z)
-        if out is None:
-            out = shrunk[z] = [z.scale(eps) for eps in schedule]
-        return out
+    def eps_sides(i, j, z, zp):
+        for eps in schedule:
+            yield pool[i].compose(z.scale(eps)), pool[j].compose(zp.scale(eps))
 
-    witness = None
-    tested = 0
-    for i, j, z, zp in quads:
-        x, y = pool[i], pool[j]
-        eps_pairs = list(zip(small(z), small(zp)))
-        if known is not None and not all(
-            testable(x.compose(ez), y.compose(ezp)) for ez, ezp in eps_pairs
-        ):
-            continue
-        tested += 1
-        if not le[i][j] and all(
-            A.le(x.compose(ez), y.compose(ezp)) for ez, ezp in eps_pairs
-        ):
-            witness = (x, y, z, zp)
-            break
-    results.append(
-        AxiomResult(
-            "stability",
-            AxiomStatus.FAIL
-            if witness
-            else (AxiomStatus.PASS if tested else AxiomStatus.NOT_APPLICABLE),
-            witness,
-            caveats=_STABILITY_CAVEATS,
-        )
+    cases = testable(
+        _bounded_product((idx, idx, pures, pures), MAX_STABILITY_QUADRUPLES, rng),
+        lambda *q: itertools.chain.from_iterable(eps_sides(*q)),
     )
+    witness = next(
+        (
+            (pool[i], pool[j], z, zp)
+            for i, j, z, zp in cases
+            if not le[i][j] and all(itertools.starmap(A.le, eps_sides(i, j, z, zp)))
+        ),
+        None,
+    )
+    results.append(_result("stability", witness, cases, _STABILITY_CAVEATS))
     return AxiomReport(tuple(results))
 
 
@@ -896,21 +836,18 @@ def verify_entropy(
     """
     pures = _pures(space)
     values = [S.value(x) for x in pures]
-    witness = None
-    for i, x in enumerate(pures):
-        for j, y in enumerate(pures):
-            xy = A.le(x, y) if le is None else le[i][j]
-            if xy != (values[i] <= values[j]):
-                witness = (x, y, "≺ but S decreases" if xy else "S ≤ without ≺")
-                break
-        if witness:
-            break
-    mono = AxiomResult(
-        "monotonicity",
-        AxiomStatus.FAIL if witness else AxiomStatus.PASS,
-        witness,
+    n = range(len(pures))
+    witness = next(
+        (
+            (pures[i], pures[j], "≺ but S decreases" if xy else "S ≤ without ≺")
+            for i in n
+            for j in n
+            if (xy := (A.le(pures[i], pures[j]) if le is None else le[i][j]))
+            != (values[i] <= values[j])
+        ),
+        None,
     )
-    return VerifyReport(mono, _ADDITIVE, _EXTENSIVE)
+    return VerifyReport(_result("monotonicity", witness, True), _ADDITIVE, _EXTENSIVE)
 
 
 # ---------------------------------------------------------------------------

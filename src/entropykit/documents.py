@@ -29,7 +29,7 @@ from .access import (
 )
 from .expr import Chart, Expr, ExprError, ZeroTestConfig, parse as parse_expr
 from .forms import Form
-from .thermo import LegendreSpec, PathSegment, ProcessPath, ThermoChart
+from .thermo import LegendreSpec, PathSegment, ProcessPath, ThermoChart, ThermoError
 
 
 class DocumentError(Exception):
@@ -61,19 +61,19 @@ class Document:
     cross_line: int = 0  # the [cross] 'oracle' line, if the relation is an oracle
     config: dict = field(default_factory=dict)
 
-    def expr_chart(self) -> Chart:
+    def expr_chart(self, line: int) -> Chart:
         if self.thermo_chart is not None:
             return self.thermo_chart.chart
         if self.chart is not None:
             return self.chart
-        raise DocumentError("document declares no chart", self.path)
+        raise DocumentError("document declares no chart", self.path, line)
 
-    def base_chart(self) -> Chart:
+    def base_chart(self, line: int) -> Chart:
         if self.thermo_chart is not None:
             return self.thermo_chart.base_chart
         if self.chart is not None:
             return self.chart
-        raise DocumentError("document declares no chart", self.path)
+        raise DocumentError("document declares no chart", self.path, line)
 
 
 def _fraction(text: str, path: str, line: int) -> Fraction:
@@ -92,6 +92,20 @@ def _number(kind, key: str, text: str, path: str, line: int):
         ) from None
 
 
+def _new(doc: "Document", seen, what: str, name, line_no: int):
+    """name, refused at line_no when seen holds it already: a second
+    declaration would silently replace the first."""
+    if name in seen:
+        raise DocumentError(f"{what} {name!r} given twice", doc.path, line_no)
+    return name
+
+
+def _head(body: str) -> tuple[str, str]:
+    """A line's first word and the rest of it."""
+    word, *rest = body.split(None, 1)
+    return word, rest[0] if rest else ""
+
+
 class _Lines:
     def __init__(self, text: str, path: str):
         self.rows = []
@@ -108,52 +122,39 @@ def parse_document(text: str, path: str = "<doc>") -> Document:
     section = None
     # collected raw rows per section; forms/paths/etc. need two passes since
     # expressions refer to the chart and params declared elsewhere
-    pending: dict[str, list[tuple[int, str]]] = {}
+    pending: dict[str, list[tuple[int, str]]] = {name: [] for name in _SECTIONS}
+    header: dict[str, int] = {}  # section -> the line of its first header
     for line_no, body in lines.rows:
         if body.startswith("[") and body.endswith("]"):
             section = body[1:-1].strip().lower()
-            pending.setdefault(section, [])
+            if section not in pending:
+                raise DocumentError(f"unknown section [{section}]", path, line_no)
+            header.setdefault(section, line_no)
             continue
         if section is None:
             raise DocumentError("content before first [section]", path, line_no)
         pending[section].append((line_no, body))
 
-    known = {
-        "chart",
-        "params",
-        "spec",
-        "forms",
-        "paths",
-        "states",
-        "relation",
-        "entropy",
-        "posets",
-        "maps",
-        "transform",
-        "cross",
-        "config",
-    }
-    for name in pending:
-        if name not in known:
-            raise DocumentError(f"unknown section [{name}]", path)
-
-    _parse_params(doc, pending.get("params", []))
-    _parse_chart(doc, pending.get("chart", []))
-    _parse_config(doc, pending.get("config", []))
-    _parse_spec(doc, pending.get("spec", []))
-    _parse_forms(doc, pending.get("forms", []))
-    _parse_paths(doc, pending.get("paths", []))
-    _parse_states(doc, pending.get("states", []))
-    doc.relation = _parse_relation(doc, pending.get("relation", []))
-    _parse_entropy(doc, pending.get("entropy", []))
-    _parse_posets(doc, pending.get("posets", []))
-    _parse_maps(doc, pending.get("maps", []))
-    _parse_transforms(doc, pending.get("transform", []))
-    doc.cross = _parse_relation(doc, pending.get("cross", []))
-    for line_no, body in pending.get("cross", []):
-        if body.startswith("oracle"):
-            doc.cross_line = line_no
+    _parse_params(doc, pending["params"])
+    _parse_chart(doc, pending["chart"], header.get("chart", 0))
+    _parse_config(doc, pending["config"])
+    _parse_spec(doc, pending["spec"], header.get("spec", 0))
+    _parse_forms(doc, pending["forms"], header.get("forms", 0))
+    _parse_paths(doc, pending["paths"], header.get("paths", 0))
+    _parse_states(doc, pending["states"])
+    doc.relation, _ = _parse_relation(doc, pending["relation"])
+    _parse_entropy(doc, pending["entropy"])
+    _parse_posets(doc, pending["posets"])
+    _parse_maps(doc, pending["maps"])
+    _parse_transforms(doc, pending["transform"])
+    doc.cross, doc.cross_line = _parse_relation(doc, pending["cross"])
     return doc
+
+
+_SECTIONS = (
+    "chart", "params", "spec", "forms", "paths", "states", "relation",
+    "entropy", "posets", "maps", "transform", "cross", "config",
+)
 
 
 def load_document(path: str) -> Document:
@@ -168,23 +169,39 @@ def _key_value(body: str, path: str, line_no: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _assignments(doc: Document, text: str, line_no: int) -> dict[str, str]:
+    """A comma list 'KEY = VALUE, ...' as {key: value}, keys with single
+    spaces; empty pieces are skipped, and a key given twice exits here."""
+    out = {}
+    for piece in text.split(","):
+        if piece.strip():
+            key, value = _key_value(piece.strip(), doc.path, line_no)
+            out[_new(doc, out, "key", " ".join(key.split()), line_no)] = value
+    return out
+
+
 def _parse_params(doc: Document, rows):
     for line_no, body in rows:
         if "=" in body:
             key, value = _key_value(body, doc.path, line_no)
-            doc.param_values[key] = _fraction(value, doc.path, line_no)
+            value = _fraction(value, doc.path, line_no)
         else:
-            doc.param_values.setdefault(body.strip(), None)
+            key, value = body, None
+        doc.param_values[_new(doc, doc.param_values, "param", key, line_no)] = value
 
 
-def _parse_chart(doc: Document, rows):
+def _parse_chart(doc: Document, rows, header: int):
     params = tuple(doc.param_values)
     energy = None
     pairs = []
     heat: Optional[str] = ""
+    heat_line = 0
     coords = None
+    seen = set()  # coords, energy and heat: each given once
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
+        if key != "pair":
+            seen.add(_new(doc, seen, "chart key", key, line_no))
         if key == "coords":
             coords = tuple(value.split())
         elif key == "energy":
@@ -197,7 +214,7 @@ def _parse_chart(doc: Document, rows):
                 )
             pairs.append((parts[0], parts[1], 1 if parts[2] == "+" else -1))
         elif key == "heat":
-            heat = value
+            heat, heat_line = value, line_no
         else:
             raise DocumentError(f"unknown chart key {key!r}", doc.path, line_no)
     try:
@@ -206,7 +223,7 @@ def _parse_chart(doc: Document, rows):
         elif energy is not None or pairs:
             if energy is None or not pairs:
                 raise DocumentError(
-                    "thermo chart needs both energy and pairs", doc.path
+                    "thermo chart needs both energy and pairs", doc.path, header
                 )
             if heat == "":
                 heat_idx: Optional[int] = 0
@@ -217,10 +234,12 @@ def _parse_chart(doc: Document, rows):
                     (i for i, (p, x, _) in enumerate(pairs) if heat in (p, x)), -1
                 )
                 if heat_idx < 0:
-                    raise DocumentError(f"heat pair {heat!r} not found", doc.path)
+                    raise DocumentError(
+                        f"heat pair {heat!r} not found", doc.path, heat_line
+                    )
             doc.thermo_chart = ThermoChart(energy, tuple(pairs), params, heat=heat_idx)
-    except ExprError as err:
-        raise DocumentError(str(err), doc.path) from None
+    except (ExprError, ThermoError) as err:
+        raise DocumentError(str(err), doc.path, header) from None
 
 
 CONFIG_KEYS = {  # each [config] key, with the settings it feeds (they reject a bad value)
@@ -232,6 +251,7 @@ CONFIG_KEYS = {  # each [config] key, with the settings it feeds (they reject a 
 def _parse_config(doc: Document, rows):
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
+        _new(doc, doc.config, "config key", key, line_no)
         if key in ("eps_steps", "samples"):
             doc.config[key] = _number(int, key, value, doc.path, line_no)
         elif key in ("tol",):
@@ -257,15 +277,19 @@ def _expr(doc: Document, text: str, chart: Chart, line_no: int) -> Expr:
         raise DocumentError(str(err), doc.path, line_no) from None
 
 
-def _parse_spec(doc: Document, rows):
+def _parse_spec(doc: Document, rows, header: int):
+    """The Legendre spec, checked against the thermodynamic chart if there
+    is one; an error of the spec as a whole is located at its header."""
     if not rows:
         return
-    base = doc.base_chart()
+    base = doc.base_chart(header)
     potential = None
     equations = {}
     energy = None
+    seen = set()
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
+        seen.add(_new(doc, seen, "spec key", " ".join(key.split()), line_no))
         if key == "potential":
             potential = _expr(doc, value, base, line_no)
         elif key == "energy":
@@ -274,112 +298,112 @@ def _parse_spec(doc: Document, rows):
             equations[key.split(None, 1)[1]] = _expr(doc, value, base, line_no)
         else:
             raise DocumentError(f"unknown spec key {key!r}", doc.path, line_no)
-    if potential is not None and not equations:
-        doc.spec = LegendreSpec.from_potential(potential)
-    elif equations:
-        doc.spec = LegendreSpec.from_state_equations(equations, energy=energy)
-    else:
-        raise DocumentError("spec section is empty", doc.path)
+    try:
+        if potential is not None and not equations:
+            doc.spec = LegendreSpec.from_potential(potential)
+        elif equations:
+            doc.spec = LegendreSpec.from_state_equations(equations, energy=energy)
+        else:
+            raise ThermoError("spec needs a potential or state equations")
+        if doc.thermo_chart is not None:
+            doc.spec._validate(doc.thermo_chart)
+    except ThermoError as err:
+        raise DocumentError(str(err), doc.path, header) from None
 
 
-def _parse_forms(doc: Document, rows):
+def _parse_forms(doc: Document, rows, header: int):
     if not rows:
         return
-    chart = doc.expr_chart()
+    chart = doc.expr_chart(header)
     current: Optional[str] = None
+    form_line = 0
     coeffs: dict = {}
 
-    def flush(line_no):
+    def flush():
         if current is None:
             return
         degrees = {len(idx) for idx in coeffs}
         if len(degrees) > 1:
             raise DocumentError(
-                f"form {current!r} mixes degrees {sorted(degrees)}", doc.path, line_no
+                f"form {current!r} mixes degrees {sorted(degrees)}", doc.path, form_line
             )
         degree = degrees.pop() if degrees else 1
-        doc.forms[current] = Form(chart, degree, dict(coeffs))
+        try:
+            doc.forms[current] = Form(chart, degree, dict(coeffs))
+        except (ValueError, ExprError) as err:
+            raise DocumentError(str(err), doc.path, form_line) from None
 
     for line_no, body in rows:
         if body.startswith("form "):
-            flush(line_no)
+            flush()
             head, _, rest = body.partition(":")
-            current = head[5:].strip()
+            current = _new(doc, doc.forms, "form", head[5:].strip(), line_no)
             if not current:
                 raise DocumentError("form needs a name", doc.path, line_no)
+            form_line = line_no
             coeffs = {}
-            if rest.strip():
-                _form_components(doc, chart, coeffs, rest, line_no)
+            _form_components(doc, chart, coeffs, rest, line_no)
         elif current is not None:
             _form_components(doc, chart, coeffs, body, line_no)
         else:
             raise DocumentError("component line before any 'form NAME:'", doc.path, line_no)
-    flush(0)
+    flush()
 
 
 def _form_components(doc, chart, coeffs, text, line_no):
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise DocumentError(
-                f"form component needs 'COORDS... = expr', got {piece!r}",
-                doc.path,
-                line_no,
-            )
-        names, expr_text = piece.split("=", 1)
+    for names, expr_text in _assignments(doc, text, line_no).items():
         try:
             idx = tuple(chart.index(n) for n in names.split())
         except ValueError:
             raise DocumentError(
                 f"unknown coordinate in {names!r}", doc.path, line_no
             ) from None
+        if idx in coeffs:
+            raise DocumentError(f"form component {names!r} given twice", doc.path, line_no)
         coeffs[idx] = _expr(doc, expr_text, chart, line_no)
 
 
-def _parse_paths(doc: Document, rows):
+def _parse_paths(doc: Document, rows, header: int):
     if not rows:
         return
     if doc.thermo_chart is None:
-        raise DocumentError("paths need a thermodynamic chart", doc.path)
+        raise DocumentError("paths need a thermodynamic chart", doc.path, header)
     tchart = doc.thermo_chart.t_chart
     base = doc.thermo_chart.base_chart
     current = None
     segments: list[PathSegment] = []
 
     def flush():
-        if current is not None:
-            if not segments:
-                raise DocumentError(f"path {current!r} has no segments", doc.path)
+        if current is None:
+            return
+        line = doc.path_lines[current]
+        if not segments:
+            raise DocumentError(f"path {current!r} has no segments", doc.path, line)
+        try:
             doc.paths[current] = ProcessPath(base, tuple(segments))
+        except ThermoError as err:
+            raise DocumentError(str(err), doc.path, line) from None
 
     for line_no, body in rows:
-        if body.startswith("path "):
+        word, rest = _head(body)
+        if word == "path":
             flush()
-            current = body[5:].partition(":")[0].strip()
+            current = rest.partition(":")[0].strip()
             if not current:
                 raise DocumentError("path needs a name", doc.path, line_no)
-            doc.path_lines[current] = line_no
+            doc.path_lines[_new(doc, doc.path_lines, "path", current, line_no)] = line_no
             segments = []
-        elif body.startswith("segment"):
+        elif word == "segment":
             if current is None:
                 raise DocumentError("segment before any 'path NAME:'", doc.path, line_no)
-            rest = body[len("segment"):].strip()
             claim = None
             if rest.startswith("claim="):
-                claim_token, rest = rest.split(None, 1)
+                claim_token, rest = _head(rest)
                 claim = claim_token[len("claim="):]
-            comps = {}
-            for piece in rest.split(","):
-                if "=" not in piece:
-                    raise DocumentError(
-                        f"segment component needs 'COORD = expr', got {piece!r}",
-                        doc.path,
-                        line_no,
-                    )
-                name, expr_text = piece.split("=", 1)
-                comps[name.strip()] = _expr(doc, expr_text, tchart, line_no)
+            comps = {
+                name: _expr(doc, text, tchart, line_no)
+                for name, text in _assignments(doc, rest, line_no).items()
+            }
             segments.append(PathSegment(comps, claim))
         else:
             raise DocumentError(f"unexpected line in [paths]: {body!r}", doc.path, line_no)
@@ -413,7 +437,7 @@ def _parse_states(doc: Document, rows):
                     doc.path,
                     line_no,
                 )
-            current_label = tokens[1]
+            current_label = _new(doc, doc.spaces, "space", tokens[1], line_no)
             current_scalable = tokens[-1] == "scalable"
             current_coords = tuple(tokens[3 : len(tokens) - (1 if current_scalable else 0)])
             if not current_coords:
@@ -426,7 +450,7 @@ def _parse_states(doc: Document, rows):
             if current_label is None:
                 raise DocumentError("state before any 'space' line", doc.path, line_no)
             key, value = _key_value(body[6:], doc.path, line_no)
-            states[key] = tuple(
+            states[_new(doc, states, "state", key, line_no)] = tuple(
                 _fraction(v, doc.path, line_no) for v in value.split()
             )
             if len(states[key]) != len(current_coords):
@@ -469,35 +493,34 @@ def _flag(body: str, path: str, line_no: int) -> bool:
     return _FLAGS[value.lower()]
 
 
-def _parse_relation(doc: Document, rows) -> Optional[Accessibility]:
+def _parse_relation(doc: Document, rows) -> tuple[Optional[Accessibility], int]:
+    """A [relation] or [cross] section's relation, with its 'oracle' line (0
+    for edges).  'edge' and 'node' are first words; 'closure', 'scaling' and
+    'oracle' are keys, each exactly the text before '='."""
     if not rows:
-        return None
+        return None, 0
     edges = []
     nodes = []
-    close = True
-    scaling = False
+    flags = {"closure": True, "scaling": False}
+    given = set()
     oracle_text = None
     oracle_line = 0
     for line_no, body in rows:
-        if oracle_line or (body.startswith("oracle") and line_no != rows[0][0]):
+        word, rest = _head(body)
+        key = body.partition("=")[0].strip() if "=" in body else None
+        if oracle_line or (key == "oracle" and line_no != rows[0][0]):
             raise DocumentError("an oracle relation takes no other line", doc.path, line_no)
-        if body.startswith("edge "):
-            parts = body.split()
-            if len(parts) != 3:
+        if word == "edge":
+            ends = rest.split()
+            if len(ends) != 2:
                 raise DocumentError("expected 'edge FROM TO'", doc.path, line_no)
-            edges.append(
-                (
-                    _resolve_state(doc, parts[1], line_no),
-                    _resolve_state(doc, parts[2], line_no),
-                )
-            )
-        elif body.startswith("node "):
-            nodes.append(_resolve_state(doc, body[5:], line_no))
-        elif body.startswith("closure"):
-            close = _flag(body, doc.path, line_no)
-        elif body.startswith("scaling"):
-            scaling = _flag(body, doc.path, line_no)
-        elif body.startswith("oracle"):
+            edges.append(tuple(_resolve_state(doc, end, line_no) for end in ends))
+        elif word == "node":
+            nodes.append(_resolve_state(doc, rest, line_no))
+        elif key in flags:
+            given.add(_new(doc, given, "relation key", key, line_no))
+            flags[key] = _flag(body, doc.path, line_no)
+        elif key == "oracle":
             _, oracle_text = _key_value(body, doc.path, line_no)
             oracle_line = line_no
         else:
@@ -512,7 +535,7 @@ def _parse_relation(doc: Document, rows) -> Optional[Accessibility]:
         chart = Chart(coords)
         expr = _expr(doc, oracle_text, chart, oracle_line)
         try:
-            return EntropyOracle.from_expression(spaces, expr)
+            return EntropyOracle.from_expression(spaces, expr), oracle_line
         except AccessError as err:
             raise DocumentError(str(err), doc.path, oracle_line) from None
     for a, b in edges:
@@ -524,8 +547,8 @@ def _parse_relation(doc: Document, rows) -> Optional[Accessibility]:
             node = CompositeState.pure(lbl, name)
             if node not in nodes:
                 nodes.append(node)
-    rel = EdgeRelation(nodes, edges, supports_scaling=scaling)
-    return rel.closure() if close else rel
+    rel = EdgeRelation(nodes, edges, supports_scaling=flags["scaling"])
+    return (rel.closure() if flags["closure"] else rel), 0
 
 
 def _parse_entropy(doc: Document, rows):
@@ -540,15 +563,13 @@ def _parse_entropy(doc: Document, rows):
             raise DocumentError(
                 "expected 'fn NAME on SPACE : ...'", doc.path, line_no
             )
-        name, label = tokens[1], tokens[3]
+        name, label = _new(doc, doc.entropies, "fn", tokens[1], line_no), tokens[3]
         if label not in doc.spaces:
             raise DocumentError(f"unknown space {label!r}", doc.path, line_no)
-        values = {}
-        for piece in assigns.split(","):
-            if not piece.strip():
-                continue
-            key, value = _key_value(piece, doc.path, line_no)
-            values[key] = _fraction(value, doc.path, line_no)
+        values = {
+            key: _fraction(value, doc.path, line_no)
+            for key, value in _assignments(doc, assigns, line_no).items()
+        }
         missing = set(doc.spaces[label].names()) - set(values)
         if missing:
             raise DocumentError(
@@ -567,7 +588,7 @@ def _parse_posets(doc: Document, rows):
             raise DocumentError(
                 "expected 'poset NAME : a b c : a<b, b<c'", doc.path, line_no
             ) from None
-        name = head[6:].strip()
+        name = _new(doc, doc.posets, "poset", head[6:].strip(), line_no)
         carrier = tuple(carrier_text.split())
         edges = []
         for piece in edge_text.split(","):
@@ -594,16 +615,11 @@ def _parse_maps(doc: Document, rows):
             raise DocumentError(
                 "expected 'map NAME : SRC -> DST : a = x, ...'", doc.path, line_no
             ) from None
-        name = head[4:].strip()
+        name = _new(doc, doc.maps, "map", head[4:].strip(), line_no)
         if "->" not in arrow:
             raise DocumentError("map needs 'SRC -> DST'", doc.path, line_no)
         src, dst = (s.strip() for s in arrow.split("->", 1))
-        mapping = {}
-        for piece in assigns.split(","):
-            if not piece.strip():
-                continue
-            key, value = _key_value(piece, doc.path, line_no)
-            mapping[key] = value
+        mapping = _assignments(doc, assigns, line_no)
         doc.maps[name] = (src, dst, mapping)
         doc.map_lines[name] = line_no
 

@@ -432,6 +432,63 @@ def test_known_universe_tests_only_what_it_holds():
     assert bare["stability"].caveats == ("LIMIT_APPROXIMATED",)
 
 
+def thinned_scaled_relation(values, seed):
+    """The entropy order on the pure states, their ½-splits, λX for λ in
+    {1/2, 2} and their pairwise composites, with about one edge in eight
+    between distinct nodes dropped by a hash of the edge and the seed."""
+    oracle = oracle_for("G", values)
+    pures = [pure("G", n) for n in values]
+    nodes = pures + [x.scale(F(1, 2)).compose(x.scale(F(1, 2))) for x in pures]
+    nodes += [x.scale(lam) for lam in (F(1, 2), F(2)) for x in pures]
+    nodes += [x.compose(y) for i, x in enumerate(pures) for y in pures[i:]]
+    edges = [
+        (x, y) for x in nodes for y in nodes
+        if oracle.le(x, y) and (x == y or zlib.crc32(f"{seed} {x} {y}".encode()) % 8)
+    ]
+    return EdgeRelation(nodes, edges, supports_scaling=True)
+
+
+NA = "NOT_APPLICABLE"
+
+
+@pytest.mark.parametrize(
+    "seed, quadruples, queries, expected",
+    [
+        (0, 80, 697, [("PASS", None), ("FAIL", "2·G.a, (G.b, G.d), (G.d, G.d)"),
+                      ("PASS", None), ("PASS", None), ("FAIL", "1/2, G.b"), (NA, None)]),
+        (1, 80, 702, [("PASS", None),
+                      ("FAIL", "(1/2·G.a, 1/2·G.a), (G.a, G.a), (G.c, G.d)"),
+                      (NA, None), ("PASS", None), ("PASS", None), ("PASS", None)]),
+        (8, 80, 695, [("PASS", None), ("FAIL", "G.a, 1/2·G.b, 1/2·G.c"),
+                      ("FAIL", "G.c, 1/2·G.d, G.a, 1/2·G.d"), ("FAIL", "2, G.a, G.b"),
+                      ("FAIL", "1/2, G.d"), (NA, None)]),
+        (4, 10_000, 682, [("PASS", None), ("FAIL", "(G.a, G.a), (G.a, G.b), (G.b, G.b)"),
+                          (NA, None), ("FAIL", "1/2, G.a, G.b"), ("FAIL", "1/2, G.a"),
+                          ("FAIL", "1/2·G.a, 1/2·G.b, G.a, G.b")]),
+        (10, 10_000, 689, [("PASS", None), ("FAIL", "G.c, G.b, (G.a, G.d)"), (NA, None),
+                           ("FAIL", "1/2, G.a, G.b"), ("PASS", None),
+                           ("FAIL", "1/2·G.c, 1/2·G.d, G.c, G.d")]),
+    ],
+)
+def test_known_universe_composed_checks_keep_their_witnesses_and_queries(
+    seed, quadruples, queries, expected, monkeypatch
+):
+    # a scaled universe that holds the composites of some cases of every
+    # composed check, so each can FAIL, PASS or be NOT_APPLICABLE on it
+    monkeypatch.setattr(access, "MAX_STABILITY_QUADRUPLES", quadruples)
+    rel = thinned_scaled_relation({"a": 0, "b": 1, "c": 1, "d": 3}, seed)
+    asked = []
+    answer = rel.le
+    rel.le = lambda x, y: asked.append((x, y)) or answer(x, y)
+    config = AxiomConfig(lambda_grid=(F(1, 2), F(2)), eps_steps=1, seed=seed)
+    report = check_axioms(rel, [space("G", "abcd", scalable=True)], config)
+    assert [
+        (r.status.value, r.witness and ", ".join(map(str, r.witness)))
+        for r in report.results
+    ] == expected
+    assert len(asked) == queries
+
+
 def test_check_axioms_asks_each_pool_pair_once():
     exact = oracle_for("G", {"a": 0, "b": 1, "c": 1, "d": 3})
     asked = Counter()

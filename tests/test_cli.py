@@ -345,6 +345,144 @@ def test_relation_flags_read_every_spelling_in_any_case(tmp_path, value, code):
     assert outputs[0] == outputs[1]
 
 
+COORDS_XYZ = "[chart]\ncoords = x y z\n\n[forms]\n"
+
+
+def assert_exits_two_at(tmp_path, command, source, old, new, where, message):
+    """Run command on source (a corpus name, or None for the text of new
+    alone) with old replaced by new; it must exit 2 at the last line that
+    reads where, with message."""
+    text = new if source is None else (CORPUS / source).read_text().replace(old, new)
+    assert source is None or old in (CORPUS / source).read_text()
+    doc = tmp_path / "variant.doc"
+    doc.write_text(text)
+    lines = text.splitlines()
+    line_no = len(lines) - lines[::-1].index(where)
+    code, out = run_cli(command, str(doc))
+    assert (code, out) == (2, f"error: {doc}:{line_no}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, source, old, new, where, message",
+    [
+        ("axioms", "raw_chain.doc", "closure = false", "closures = true", "closures = true",
+         "unexpected line in relation section: 'closures = true'"),
+        ("axioms", "raw_chain.doc", "closure = false", "scaling_on = yes", "scaling_on = yes",
+         "unexpected line in relation section: 'scaling_on = yes'"),
+        ("ch", "oracle_space.doc", "oracle = u + 2*v", "oracles = u + 2*v",
+         "oracles = u + 2*v", "unexpected line in relation section: 'oracles = u + 2*v'"),
+        ("calibrate", "calibrate_two.doc", "edge G1.s0 G2.s0", "oracle_x = 1", "oracle_x = 1",
+         "unexpected line in relation section: 'oracle_x = 1'"),
+        ("cycle-audit", "carnot.doc", "segment S = 1 + t, V = 1",
+         "segments S = 1 + t, V = 1", "  segments S = 1 + t, V = 1",
+         "unexpected line in [paths]: 'segments S = 1 + t, V = 1'"),
+    ],
+    ids=["closures", "scaling-prefix", "oracles", "cross-oracle-prefix", "segments"],
+)
+def test_relation_and_path_keywords_match_exactly(
+    tmp_path, command, source, old, new, where, message
+):
+    # a word that only starts with a keyword was once taken for it
+    assert_exits_two_at(tmp_path, command, source, old, new, where, message)
+
+
+@pytest.mark.parametrize(
+    "command, source, old, new, where, message",
+    [
+        ("maxwell", "carnot.doc", "R = 1", "R = 1\nR = 2", "R = 2", "param 'R' given twice"),
+        ("maxwell", "carnot.doc", "R = 1", "R = 1\nR", "R", "param 'R' given twice"),
+        ("maxwell", "carnot.doc", "energy = U", "energy = U\nenergy = H", "energy = H",
+         "chart key 'energy' given twice"),
+        ("maxwell", "carnot.doc", "heat = T", "heat = T\nheat = p", "heat = p",
+         "chart key 'heat' given twice"),
+        ("frobenius", None, None, COORDS_XYZ + "form q : z = 1\n[chart]\ncoords = x y\n",
+         "coords = x y", "chart key 'coords' given twice"),
+        ("axioms", "oracle_space.doc", "eps_steps = 6", "grid_step = 1/2\ngrid_step = 1/64",
+         "grid_step = 1/64", "config key 'grid_step' given twice"),
+        ("axioms", "oracle_space.doc", "state d = 4 4",
+         "state d = 4 4\nspace Gamma coords u v scalable\nstate e = 1 1",
+         "space Gamma coords u v scalable", "space 'Gamma' given twice"),
+        ("axioms", "oracle_space.doc", "state d = 4 4", "state d = 4 4\nstate d = 1 1",
+         "state d = 1 1", "state 'd' given twice"),
+        ("frobenius", None, None, COORDS_XYZ + "form q : z = 1\nform q : x = 1\n",
+         "form q : x = 1", "form 'q' given twice"),
+        ("frobenius", None, None, COORDS_XYZ + "form q : z = 1, x = y, x = 0\n",
+         "form q : z = 1, x = y, x = 0", "key 'x' given twice"),
+        ("frobenius", None, None, COORDS_XYZ + "form q : z = 1\n  x = y\n  x  = 0\n",
+         "  x  = 0", "form component 'x' given twice"),
+        ("cycle-audit", "carnot.doc", "  segment S = 1, V = 2 - t",
+         "  segment S = 1, V = 2 - t\npath rectangle:\n  segment S = 1, V = 2 - t",
+         "path rectangle:", "path 'rectangle' given twice"),
+        ("cycle-audit", "carnot.doc", "segment S = 1 + t, V = 1",
+         "segment S = 1 + t, V = 1, S = 1", "  segment S = 1 + t, V = 1, S = 1",
+         "key 'S' given twice"),
+        ("entropy-verify", "calibrate_two.doc", "fn S2 on G2 : s0 = 3, s1 = 5, s2 = 7",
+         "fn S1 on G2 : s0 = 3, s1 = 5, s2 = 7", "fn S1 on G2 : s0 = 3, s1 = 5, s2 = 7",
+         "fn 'S1' given twice"),
+        ("entropy-verify", "calibrate_two.doc", "fn S2 on G2 : s0 = 3, s1 = 5, s2 = 7",
+         "fn S2 on G2 : s0 = 3, s1 = 5, s2 = 7, s0 = 9", "fn S2 on G2 : s0 = 3, s1 = 5, s2 = 7, s0 = 9",
+         "key 's0' given twice"),
+        ("galois", "chains.doc", "poset B : b0 b1 : b0<b1",
+         "poset B : b0 b1 : b0<b1\nposet B : b0 :", "poset B : b0 :", "poset 'B' given twice"),
+        ("galois", "chains.doc", "map G : B -> A : b0 = a1, b1 = a2",
+         "map G : B -> A : b0 = a1, b1 = a2\nmap G : B -> A : b0 = a0, b1 = a2",
+         "map G : B -> A : b0 = a0, b1 = a2", "map 'G' given twice"),
+        ("galois", "chains.doc", "map F : A -> B : a0 = b0, a1 = b0, a2 = b1",
+         "map F : A -> B : a0 = b1, a1 = b0, a2 = b1, a0 = b0",
+         "map F : A -> B : a0 = b1, a1 = b0, a2 = b1, a0 = b0", "key 'a0' given twice"),
+        ("axioms", "raw_chain.doc", "closure = false", "closure = false\nclosure = true",
+         "closure = true", "relation key 'closure' given twice"),
+        ("maxwell", "maxwell_violation.doc", "state p = V", "state p = V\nstate  p = S",
+         "state  p = S", "spec key 'state p' given twice"),
+    ],
+)
+def test_a_name_or_key_given_twice_exits_two_at_the_second(
+    tmp_path, command, source, old, new, where, message
+):
+    # the later declaration once replaced the earlier one without a word
+    assert_exits_two_at(tmp_path, command, source, old, new, where, message)
+
+
+@pytest.mark.parametrize(
+    "command, source, old, new, where, message",
+    [
+        ("cycle-audit", "carnot.doc", "segment S = 1 + t, V = 1", "segment S = 1 + t",
+         "path rectangle:", "segment must define every extensive coordinate"),
+        ("cycle-audit", "carnot.doc", "segment S = 1 + t, V = 1", "segment claim=adiabatic",
+         "path rectangle:", "segment must define every extensive coordinate"),
+        ("frobenius", None, None, COORDS_XYZ + "form q : y x = 1\n", "form q : y x = 1",
+         "index tuple (1, 0) must be strictly increasing"),
+        ("frobenius", None, None, COORDS_XYZ + "form q : x = 1, x y = 1\n",
+         "form q : x = 1, x y = 1", "form 'q' mixes degrees [1, 2]"),
+        ("frobenius", None, None, "[forms]\nform q : x = 1\n", "[forms]",
+         "document declares no chart"),
+        ("legendre-check", None, None, "[spec]\npotential = S\n", "[spec]",
+         "document declares no chart"),
+        ("legendre-check", "maxwell_violation.doc", "state p = V", "state Q = S", "[spec]",
+         "state equations must cover exactly the intensive coordinates"),
+        ("legendre-check", "maxwell_violation.doc", "state T = V\nstate p = V", "energy = S",
+         "[spec]", "spec needs a potential or state equations"),
+        ("maxwell", "carnot.doc", "[chart]", "[chartz]", "[chartz]",
+         "unknown section [chartz]"),
+        ("cycle-audit", "carnot.doc", "  segment S = 1, V = 2 - t", "path empty:", "path empty:",
+         "path 'empty' has no segments"),
+        ("cycle-audit", None, None, "[chart]\ncoords = S V\n\n[paths]\npath a:\n  segment S = t, V = 1\n",
+         "[paths]", "paths need a thermodynamic chart"),
+        ("maxwell", "carnot.doc", "energy = U\n", "", "[chart]",
+         "thermo chart needs both energy and pairs"),
+        ("maxwell", "carnot.doc", "pair = p V -", "pair = T V -", "[chart]",
+         "duplicate name 'T'"),
+        ("maxwell", "carnot.doc", "heat = T", "heat = Q", "heat = Q",
+         "heat pair 'Q' not found"),
+    ],
+)
+def test_document_errors_name_the_line_that_declared_the_object(
+    tmp_path, command, source, old, new, where, message
+):
+    # each once printed no file and line, or line 0
+    assert_exits_two_at(tmp_path, command, source, old, new, where, message)
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
