@@ -993,6 +993,12 @@ def calibrate(
     # variables: a_1, B_1, ..., a_{m-1}, B_{m-1} (system 0 pinned to identity)
     nvars = 2 * (len(systems) - 1)
     index = {lbl: i for i, lbl in enumerate(labels)}
+    for x in uni:
+        for _, lbl, _ in x.parts:
+            if lbl not in index:
+                raise AccessError(
+                    f"cross state {x} lies in space {lbl!r}, which has no entropy function"
+                )
 
     def glued_row(x: CompositeState):
         coeffs = [Fraction(0)] * nvars

@@ -5,9 +5,15 @@ A document declares any subset of: a chart (plain coordinates or a
 thermodynamic energy/pairs chart), parameter values, a Legendre spec,
 differential forms, named process paths, state spaces, an accessibility
 relation, entropy functions, posets, maps, Legendre transforms to run, a
-cross-system relation, and a config block.  Section order is free; lines
-are independent except that form, path and space declarations collect the
-component lines that follow them.
+cross-system relation, and a config block.  Section order is free.
+
+A keyword is always a row's first word, read by one of two readers.
+``_blocks`` cuts [forms], [paths] and [states] into declarations (a
+``form``, ``path`` or ``space`` row and the rows under it), each parsed in
+full before the next is read.  ``_after`` reads each row of [entropy],
+[posets], [maps] and [transform] as ``fn``, ``poset``, ``map`` or ``swap``
+and the rest.  Other rows are ``key = value``, or, in [relation] and
+[cross], ``edge`` and ``node`` rows.
 """
 
 from __future__ import annotations
@@ -101,30 +107,55 @@ def _new(doc: "Document", seen, what: str, name, line_no: int):
 
 
 def _head(body: str) -> tuple[str, str]:
-    """A line's first word and the rest of it."""
-    word, *rest = body.split(None, 1)
+    """A line's first word and the rest of it ("" and "" for a blank one)."""
+    word, *rest = body.split(None, 1) or [""]
     return word, rest[0] if rest else ""
 
 
-class _Lines:
-    def __init__(self, text: str, path: str):
-        self.rows = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].rstrip()
-            if body.strip():
-                self.rows.append((i, body.strip()))
-        self.path = path
+def _name(doc: "Document", seen, what: str, text: str, line_no: int) -> str:
+    """A declaration's name: one word, new in seen."""
+    words = text.split()
+    if not words:
+        raise DocumentError(f"{what} needs a name", doc.path, line_no)
+    if len(words) > 1:
+        raise DocumentError(f"{what} name {' '.join(words)!r} is not one word", doc.path, line_no)
+    return _new(doc, seen, what, words[0], line_no)
+
+
+def _blocks(rows, keyword: str):
+    """rows cut into declarations: each row whose first word is keyword
+    starts one, as ((line, text after keyword), rows under it).  Rows above
+    the first such row come first, under the header None."""
+    blocks = [(None, [])]
+    for line_no, body in rows:
+        word, rest = _head(body)
+        if word == keyword:
+            blocks.append(((line_no, rest), []))
+        else:
+            blocks[-1][1].append((line_no, body))
+    return blocks if blocks[0][1] else blocks[1:]
+
+
+def _after(doc: "Document", shape: str, body: str, line_no: int) -> str:
+    """The text after a row's first word, which must be shape's first word;
+    any other exits 2 with "expected 'shape'"."""
+    word, rest = _head(body)
+    if word != shape.split()[0]:
+        raise DocumentError(f"expected {shape!r}", doc.path, line_no)
+    return rest
 
 
 def parse_document(text: str, path: str = "<doc>") -> Document:
     doc = Document(path=path)
-    lines = _Lines(text, path)
     section = None
-    # collected raw rows per section; forms/paths/etc. need two passes since
+    # collected rows per section; forms/paths/etc. need two passes since
     # expressions refer to the chart and params declared elsewhere
     pending: dict[str, list[tuple[int, str]]] = {name: [] for name in _SECTIONS}
     header: dict[str, int] = {}  # section -> the line of its first header
-    for line_no, body in lines.rows:
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
         if body.startswith("[") and body.endswith("]"):
             section = body[1:-1].strip().lower()
             if section not in pending:
@@ -208,7 +239,7 @@ def _parse_chart(doc: Document, rows, header: int):
             energy = value
         elif key == "pair":
             parts = value.split()
-            if len(parts) != 3 or parts[2] not in "+-":
+            if len(parts) != 3 or parts[2] not in ("+", "-"):
                 raise DocumentError(
                     "pair needs 'INTENSIVE EXTENSIVE +|-'", doc.path, line_no
                 )
@@ -290,16 +321,20 @@ def _parse_spec(doc: Document, rows, header: int):
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
         seen.add(_new(doc, seen, "spec key", " ".join(key.split()), line_no))
+        word, intensive = _head(key)
         if key == "potential":
             potential = _expr(doc, value, base, line_no)
         elif key == "energy":
             energy = _expr(doc, value, base, line_no)
-        elif key.startswith("state "):
-            equations[key.split(None, 1)[1]] = _expr(doc, value, base, line_no)
+        elif word == "state" and intensive:
+            equations[intensive] = _expr(doc, value, base, line_no)
         else:
             raise DocumentError(f"unknown spec key {key!r}", doc.path, line_no)
+        if potential is not None and (equations or energy is not None):
+            message = "a spec takes a potential or state equations, not both"
+            raise DocumentError(message, doc.path, line_no)
     try:
-        if potential is not None and not equations:
+        if potential is not None:
             doc.spec = LegendreSpec.from_potential(potential)
         elif equations:
             doc.spec = LegendreSpec.from_state_equations(equations, energy=energy)
@@ -315,52 +350,33 @@ def _parse_forms(doc: Document, rows, header: int):
     if not rows:
         return
     chart = doc.expr_chart(header)
-    current: Optional[str] = None
-    form_line = 0
-    coeffs: dict = {}
-
-    def flush():
-        if current is None:
-            return
+    for head, body in _blocks(rows, "form"):
+        if head is None:
+            raise DocumentError("component line before any 'form NAME:'", doc.path, body[0][0])
+        form_line, rest = head
+        name_text, _, first = rest.partition(":")
+        name = _name(doc, doc.forms, "form", name_text, form_line)
+        coeffs: dict = {}
+        for line_no, text in [(form_line, first), *body]:
+            for names, expr_text in _assignments(doc, text, line_no).items():
+                try:
+                    idx = tuple(chart.index(n) for n in names.split())
+                except ValueError:
+                    raise DocumentError(
+                        f"unknown coordinate in {names!r}", doc.path, line_no
+                    ) from None
+                if idx in coeffs:
+                    raise DocumentError(f"form component {names!r} given twice", doc.path, line_no)
+                coeffs[idx] = _expr(doc, expr_text, chart, line_no)
         degrees = {len(idx) for idx in coeffs}
         if len(degrees) > 1:
             raise DocumentError(
-                f"form {current!r} mixes degrees {sorted(degrees)}", doc.path, form_line
+                f"form {name!r} mixes degrees {sorted(degrees)}", doc.path, form_line
             )
-        degree = degrees.pop() if degrees else 1
         try:
-            doc.forms[current] = Form(chart, degree, dict(coeffs))
+            doc.forms[name] = Form(chart, degrees.pop() if degrees else 1, coeffs)
         except (ValueError, ExprError) as err:
             raise DocumentError(str(err), doc.path, form_line) from None
-
-    for line_no, body in rows:
-        if body.startswith("form "):
-            flush()
-            head, _, rest = body.partition(":")
-            current = _new(doc, doc.forms, "form", head[5:].strip(), line_no)
-            if not current:
-                raise DocumentError("form needs a name", doc.path, line_no)
-            form_line = line_no
-            coeffs = {}
-            _form_components(doc, chart, coeffs, rest, line_no)
-        elif current is not None:
-            _form_components(doc, chart, coeffs, body, line_no)
-        else:
-            raise DocumentError("component line before any 'form NAME:'", doc.path, line_no)
-    flush()
-
-
-def _form_components(doc, chart, coeffs, text, line_no):
-    for names, expr_text in _assignments(doc, text, line_no).items():
-        try:
-            idx = tuple(chart.index(n) for n in names.split())
-        except ValueError:
-            raise DocumentError(
-                f"unknown coordinate in {names!r}", doc.path, line_no
-            ) from None
-        if idx in coeffs:
-            raise DocumentError(f"form component {names!r} given twice", doc.path, line_no)
-        coeffs[idx] = _expr(doc, expr_text, chart, line_no)
 
 
 def _parse_paths(doc: Document, rows, header: int):
@@ -368,98 +384,71 @@ def _parse_paths(doc: Document, rows, header: int):
         return
     if doc.thermo_chart is None:
         raise DocumentError("paths need a thermodynamic chart", doc.path, header)
-    tchart = doc.thermo_chart.t_chart
-    base = doc.thermo_chart.base_chart
-    current = None
-    segments: list[PathSegment] = []
-
-    def flush():
-        if current is None:
-            return
-        line = doc.path_lines[current]
-        if not segments:
-            raise DocumentError(f"path {current!r} has no segments", doc.path, line)
-        try:
-            doc.paths[current] = ProcessPath(base, tuple(segments))
-        except ThermoError as err:
-            raise DocumentError(str(err), doc.path, line) from None
-
-    for line_no, body in rows:
-        word, rest = _head(body)
-        if word == "path":
-            flush()
-            current = rest.partition(":")[0].strip()
-            if not current:
-                raise DocumentError("path needs a name", doc.path, line_no)
-            doc.path_lines[_new(doc, doc.path_lines, "path", current, line_no)] = line_no
-            segments = []
-        elif word == "segment":
-            if current is None:
+    for head, body in _blocks(rows, "path"):
+        if head is not None:
+            path_line, rest = head
+            name_text, _, trail = rest.partition(":")
+            name = _name(doc, doc.path_lines, "path", name_text, path_line)
+            if trail.strip():
+                raise DocumentError(f"unexpected text after 'path {name}:'", doc.path, path_line)
+            doc.path_lines[name] = path_line
+        segments = []
+        for line_no, text in body:
+            word, rest = _head(text)
+            if word != "segment":
+                raise DocumentError(f"unexpected line in [paths]: {text!r}", doc.path, line_no)
+            if head is None:
                 raise DocumentError("segment before any 'path NAME:'", doc.path, line_no)
             claim = None
             if rest.startswith("claim="):
                 claim_token, rest = _head(rest)
                 claim = claim_token[len("claim="):]
+                if claim != "adiabatic":  # the one claim a cycle audit checks
+                    raise DocumentError(
+                        f"unknown claim {claim!r}, expected 'adiabatic'", doc.path, line_no
+                    )
             comps = {
-                name: _expr(doc, text, tchart, line_no)
-                for name, text in _assignments(doc, rest, line_no).items()
+                key: _expr(doc, value, doc.thermo_chart.t_chart, line_no)
+                for key, value in _assignments(doc, rest, line_no).items()
             }
             segments.append(PathSegment(comps, claim))
-        else:
-            raise DocumentError(f"unexpected line in [paths]: {body!r}", doc.path, line_no)
-    flush()
+        if not segments:
+            raise DocumentError(f"path {name!r} has no segments", doc.path, path_line)
+        try:
+            doc.paths[name] = ProcessPath(doc.thermo_chart.base_chart, tuple(segments))
+        except ThermoError as err:
+            raise DocumentError(str(err), doc.path, path_line) from None
 
 
 def _parse_states(doc: Document, rows):
-    current_label = None
-    current_coords = None
-    current_scalable = False
-    space_line = 0
-    states: dict = {}
-
-    def flush():
-        if current_label is not None:
-            if not states:
-                raise DocumentError(
-                    f"space {current_label!r} has no states", doc.path, space_line
-                )
-            doc.spaces[current_label] = StateSpace(
-                current_label, current_coords, dict(states), current_scalable
-            )
-
-    for line_no, body in rows:
-        if body.startswith("space "):
-            flush()
-            tokens = body.split()
-            if len(tokens) < 4 or tokens[2] != "coords":
-                raise DocumentError(
-                    "expected 'space LABEL coords NAMES... [scalable]'",
-                    doc.path,
-                    line_no,
-                )
-            current_label = _new(doc, doc.spaces, "space", tokens[1], line_no)
-            current_scalable = tokens[-1] == "scalable"
-            current_coords = tuple(tokens[3 : len(tokens) - (1 if current_scalable else 0)])
-            if not current_coords:
-                raise DocumentError(
-                    f"space {current_label!r} has no coordinates", doc.path, line_no
-                )
-            space_line = line_no
-            states = {}
-        elif body.startswith("state "):
-            if current_label is None:
+    for head, body in _blocks(rows, "space"):
+        if head is not None:
+            space_line, rest = head
+            tokens = rest.split()
+            if len(tokens) < 3 or tokens[1] != "coords":
+                message = "expected 'space LABEL coords NAMES... [scalable]'"
+                raise DocumentError(message, doc.path, space_line)
+            label = _new(doc, doc.spaces, "space", tokens[0], space_line)
+            scalable = tokens[-1] == "scalable"
+            coords = tuple(tokens[2 : len(tokens) - scalable])
+            if not coords:
+                raise DocumentError(f"space {label!r} has no coordinates", doc.path, space_line)
+        states: dict = {}
+        for line_no, text in body:
+            word, rest = _head(text)
+            if word != "state":
+                raise DocumentError(f"unexpected line in [states]: {text!r}", doc.path, line_no)
+            if head is None:
                 raise DocumentError("state before any 'space' line", doc.path, line_no)
-            key, value = _key_value(body[6:], doc.path, line_no)
+            key, value = _key_value(rest, doc.path, line_no)
             states[_new(doc, states, "state", key, line_no)] = tuple(
                 _fraction(v, doc.path, line_no) for v in value.split()
             )
-            if len(states[key]) != len(current_coords):
-                raise DocumentError(
-                    f"state {key!r} has the wrong dimension", doc.path, line_no
-                )
-        else:
-            raise DocumentError(f"unexpected line in [states]: {body!r}", doc.path, line_no)
-    flush()
+            if len(states[key]) != len(coords):
+                raise DocumentError(f"state {key!r} has the wrong dimension", doc.path, line_no)
+        if not states:
+            raise DocumentError(f"space {label!r} has no states", doc.path, space_line)
+        doc.spaces[label] = StateSpace(label, coords, states, scalable)
 
 
 def _resolve_state(doc: Document, token: str, line_no: int) -> CompositeState:
@@ -469,9 +458,7 @@ def _resolve_state(doc: Document, token: str, line_no: int) -> CompositeState:
         if label not in doc.spaces or name not in doc.spaces[label].states:
             raise DocumentError(f"unknown state {token!r}", doc.path, line_no)
         return CompositeState.pure(label, name)
-    hits = [
-        lbl for lbl, sp in doc.spaces.items() if token in sp.states
-    ]
+    hits = [lbl for lbl, sp in doc.spaces.items() if token in sp.states]
     if len(hits) != 1:
         raise DocumentError(
             f"state {token!r} is {'ambiguous' if hits else 'unknown'}",
@@ -531,39 +518,25 @@ def _parse_relation(doc: Document, rows) -> tuple[Optional[Accessibility], int]:
         spaces = list(doc.spaces.values())
         if not spaces:
             raise DocumentError("oracle relation needs [states]", doc.path, oracle_line)
-        coords = spaces[0].coords
-        chart = Chart(coords)
-        expr = _expr(doc, oracle_text, chart, oracle_line)
+        expr = _expr(doc, oracle_text, Chart(spaces[0].coords), oracle_line)
         try:
             return EntropyOracle.from_expression(spaces, expr), oracle_line
         except AccessError as err:
             raise DocumentError(str(err), doc.path, oracle_line) from None
-    for a, b in edges:
-        for node in (a, b):
-            if node not in nodes:
-                nodes.append(node)
-    for lbl, sp in doc.spaces.items():
-        for name in sp.names():
-            node = CompositeState.pure(lbl, name)
-            if node not in nodes:
-                nodes.append(node)
-    rel = EdgeRelation(nodes, edges, supports_scaling=flags["scaling"])
+    pure = [CompositeState.pure(lbl, n) for lbl, sp in doc.spaces.items() for n in sp.names()]
+    ends = [end for edge in edges for end in edge]
+    rel = EdgeRelation([*nodes, *ends, *pure], edges, supports_scaling=flags["scaling"])
     return (rel.closure() if flags["closure"] else rel), 0
 
 
 def _parse_entropy(doc: Document, rows):
     for line_no, body in rows:
-        if not body.startswith("fn "):
-            raise DocumentError(
-                "expected 'fn NAME on SPACE : state = value, ...'", doc.path, line_no
-            )
-        head, _, assigns = body.partition(":")
+        rest = _after(doc, "fn NAME on SPACE : state = value, ...", body, line_no)
+        head, _, assigns = rest.partition(":")
         tokens = head.split()
-        if len(tokens) != 4 or tokens[2] != "on":
-            raise DocumentError(
-                "expected 'fn NAME on SPACE : ...'", doc.path, line_no
-            )
-        name, label = _new(doc, doc.entropies, "fn", tokens[1], line_no), tokens[3]
+        if len(tokens) != 3 or tokens[1] != "on":
+            raise DocumentError("expected 'fn NAME on SPACE : ...'", doc.path, line_no)
+        name, label = _new(doc, doc.entropies, "fn", tokens[0], line_no), tokens[2]
         if label not in doc.spaces:
             raise DocumentError(f"unknown space {label!r}", doc.path, line_no)
         values = {
@@ -580,15 +553,14 @@ def _parse_entropy(doc: Document, rows):
 
 def _parse_posets(doc: Document, rows):
     for line_no, body in rows:
-        if not body.startswith("poset "):
-            raise DocumentError("expected 'poset NAME : carrier : edges'", doc.path, line_no)
+        rest = _after(doc, "poset NAME : carrier : edges", body, line_no)
         try:
-            head, carrier_text, edge_text = body.split(":", 2)
+            name_text, carrier_text, edge_text = rest.split(":", 2)
         except ValueError:
             raise DocumentError(
                 "expected 'poset NAME : a b c : a<b, b<c'", doc.path, line_no
             ) from None
-        name = _new(doc, doc.posets, "poset", head[6:].strip(), line_no)
+        name = _name(doc, doc.posets, "poset", name_text, line_no)
         carrier = tuple(carrier_text.split())
         edges = []
         for piece in edge_text.split(","):
@@ -605,37 +577,29 @@ def _parse_posets(doc: Document, rows):
 
 def _parse_maps(doc: Document, rows):
     for line_no, body in rows:
-        if not body.startswith("map "):
-            raise DocumentError(
-                "expected 'map NAME : SRC -> DST : a = x, ...'", doc.path, line_no
-            )
+        rest = _after(doc, "map NAME : SRC -> DST : a = x, ...", body, line_no)
         try:
-            head, arrow, assigns = body.split(":", 2)
+            name_text, arrow, assigns = rest.split(":", 2)
         except ValueError:
             raise DocumentError(
                 "expected 'map NAME : SRC -> DST : a = x, ...'", doc.path, line_no
             ) from None
-        name = _new(doc, doc.maps, "map", head[4:].strip(), line_no)
+        name = _name(doc, doc.maps, "map", name_text, line_no)
         if "->" not in arrow:
             raise DocumentError("map needs 'SRC -> DST'", doc.path, line_no)
         src, dst = (s.strip() for s in arrow.split("->", 1))
-        mapping = _assignments(doc, assigns, line_no)
-        doc.maps[name] = (src, dst, mapping)
+        doc.maps[name] = (src, dst, _assignments(doc, assigns, line_no))
         doc.map_lines[name] = line_no
 
 
 def _parse_transforms(doc: Document, rows):
     for line_no, body in rows:
-        if not body.startswith("swap "):
-            raise DocumentError("expected 'swap NAMES... : name NEW'", doc.path, line_no)
-        head, _, name_part = body.partition(":")
-        swaps = head[5:].split()
-        new_name = None
-        name_part = name_part.strip()
-        if name_part:
-            if not name_part.startswith("name "):
-                raise DocumentError("expected ': name NEW' after swap", doc.path, line_no)
-            new_name = name_part[5:].strip()
+        rest = _after(doc, "swap NAMES... : name NEW", body, line_no)
+        head, _, name_part = rest.partition(":")
+        words = name_part.split()  # none, or 'name NEW'
+        if words and (len(words) != 2 or words[0] != "name"):
+            raise DocumentError("expected ': name NEW' after swap", doc.path, line_no)
+        swaps = head.split()
         if not swaps:
             raise DocumentError("swap line names no pairs", doc.path, line_no)
-        doc.transforms.append((tuple(swaps), new_name))
+        doc.transforms.append((tuple(swaps), words[1] if words else None))

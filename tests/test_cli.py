@@ -484,6 +484,135 @@ def test_document_errors_name_the_line_that_declared_the_object(
 
 
 @pytest.mark.parametrize(
+    "command, source, old, new, where, message",
+    [
+        ("frobenius", None, None, COORDS_XYZ + "form a : x = 1\n  x y = 1\nform b : w = 1\n",
+         "form a : x = 1", "form 'a' mixes degrees [1, 2]"),
+        ("cycle-audit", "carnot.doc", "path rectangle:\n  segment S = 1 + t, V = 1",
+         "path empty:\npath rectangle:\n  segment S = 1 + t, V = (", "path empty:",
+         "path 'empty' has no segments"),
+        ("axioms", "oracle_space.doc", "space Gamma coords u v scalable\nstate a = 1 1",
+         "space E coords u\nspace Gamma coords u v scalable\nstate a = 1", "space E coords u",
+         "space 'E' has no states"),
+    ],
+    ids=["forms", "paths", "states"],
+)
+def test_a_declaration_is_built_before_the_next_is_read(
+    tmp_path, command, source, old, new, where, message
+):
+    # the first block fails at its build; a bad row of a later block is not reached
+    assert_exits_two_at(tmp_path, command, source, old, new, where, message)
+
+
+@pytest.mark.parametrize(
+    "command, source, old, new, where, message",
+    [
+        ("frobenius", None, None, COORDS_XYZ + "form q z = 1\n", "form q z = 1",
+         "form name 'q z = 1' is not one word"),
+        ("cycle-audit", "carnot.doc", "path rectangle:", "path rect angle:", "path rect angle:",
+         "path name 'rect angle' is not one word"),
+        ("cycle-audit", "carnot.doc", "path rectangle:", "path rectangle: segment S = 9, V = 9",
+         "path rectangle: segment S = 9, V = 9", "unexpected text after 'path rectangle:'"),
+        ("galois", "chains.doc", "poset A :", "poset A Z :",
+         "poset A Z : a0 a1 a2 : a0<a1, a1<a2", "poset name 'A Z' is not one word"),
+        ("potential", "potentials.doc", "swap V : name H", "swap V : name H x",
+         "swap V : name H x", "expected ': name NEW' after swap"),
+        ("cycle-audit", "fig2_audit.doc", "claim=adiabatic", "claim=adiabtic",
+         "  segment claim=adiabtic S = 1 + t, V = 1 + 4*t*(1 - t)",
+         "unknown claim 'adiabtic', expected 'adiabatic'"),
+        ("legendre-check", "maxwell_violation.doc", "state p = V", "state p = V\npotential = S^5",
+         "potential = S^5", "a spec takes a potential or state equations, not both"),
+        ("legendre-check", "maxwell_violation.doc", "state T = V", "potential = S^5\nstate T = V",
+         "state T = V", "a spec takes a potential or state equations, not both"),
+        ("maxwell", "carnot.doc", "V^(-2/3)\n", "V^(-2/3)\nenergy = S*V\n", "energy = S*V",
+         "a spec takes a potential or state equations, not both"),
+        ("maxwell", "carnot.doc", "pair = p V -", "pair = p V +-", "pair = p V +-",
+         "pair needs 'INTENSIVE EXTENSIVE +|-'"),
+    ],
+    ids=["form-name", "path-name", "path-trailing-text", "poset-name", "swap-new-name",
+         "misspelt-claim", "potential-after-states", "state-after-potential",
+         "energy-after-potential", "two-signs"],
+)
+def test_a_line_outside_the_format_exits_two_at_its_line(
+    tmp_path, command, source, old, new, where, message
+):
+    # each was once read as something else: a name with spaces in it, text
+    # ignored, a claim never audited, a spec line dropped, or '+-' as '-'
+    assert_exits_two_at(tmp_path, command, source, old, new, where, message)
+
+
+@pytest.mark.parametrize(
+    "source, fn_line",
+    [("calibrate_two.doc", "fn S1 on G1"), ("calibrate_two.doc", "fn S2 on G2"),
+     ("calibrate_clash.doc", "fn S1 on G1"), ("calibrate_clash.doc", "fn S2 on G2")],
+)
+def test_calibrate_refuses_a_cross_state_of_a_space_with_no_entropy(tmp_path, source, fn_line):
+    lines = (CORPUS / source).read_text().splitlines()
+    doc = tmp_path / source
+    doc.write_text("\n".join(line for line in lines if not line.startswith(fn_line)))
+    label = fn_line.split()[-1]
+    code, out = run_cli("calibrate", str(doc))
+    assert (code, out) == (
+        2, f"error: cross state {label}.s0 lies in space {label!r}, which has no entropy function\n"
+    )
+
+
+def in_memory_documents(monkeypatch):
+    """A dict of document texts by path that the CLI reads in place of files."""
+    from entropykit import cli
+
+    texts = {}
+    monkeypatch.setattr(cli, "load_document", lambda path: parse_document(texts[path], path))
+    return texts
+
+
+def manifest_entries():
+    rows = (CORPUS / "manifest.txt").read_text().splitlines()
+    return [row.split()[:2] for row in rows if row.split("#", 1)[0].strip()]
+
+
+@pytest.mark.parametrize(
+    "command, source, line",
+    [("frobenius", "integrable_form.doc", "form q : y = x"),
+     ("axioms", "oracle_space.doc", "space Gamma coords u v scalable"),
+     ("axioms", "oracle_space.doc", "state c = 2 3"),
+     ("entropy-verify", "entropy_ok.doc", "fn S on Gamma : a = 0, b = 1, c = 2"),
+     ("galois", "chains.doc", "poset B : b0 b1 : b0<b1"),
+     ("galois", "chains.doc", "map G : B -> A : b0 = a1, b1 = a2"),
+     ("potential", "potentials.doc", "swap S : name F"),
+     ("maxwell", "maxwell_violation.doc", "state p = V")],
+)
+def test_a_tab_after_a_keyword_reads_as_a_space(monkeypatch, command, source, line):
+    texts = in_memory_documents(monkeypatch)
+    text = (CORPUS / source).read_text()
+    assert line in text
+    outputs = []
+    for variant in (text, text.replace(line, line.replace(" ", "\t", 1))):
+        texts[source] = variant
+        outputs.append(run_cli(command, source))
+    assert outputs[0] == outputs[1]
+
+
+def test_one_line_mutations_of_the_corpus_exit_cleanly(monkeypatch):
+    # every manifest entry with one line of its document deleted, duplicated
+    # or given a trailing word: an exit code in {0, 1, 2, 3}, and an error
+    # that is neither a defect nor placed at line 0
+    texts = in_memory_documents(monkeypatch)
+    bad = []
+    for command, source in manifest_entries():
+        lines = (CORPUS / source).read_text().splitlines()
+        for i, line in enumerate(lines):
+            for kind, rows in (("delete", []), ("duplicate", [line, line]), ("x", [line + " x"])):
+                texts[source] = "\n".join(lines[:i] + rows + lines[i + 1:])
+                code, out = run_cli(command, source)
+                if code not in (0, 1, 2, 3) or any(
+                    sign in out for sign in ("internal error", "Traceback", ":0:")
+                ):
+                    bad.append((command, source, kind, i + 1, code, out[-200:]))
+    assert bad == []
+
+
+@pytest.mark.parametrize(
     "bad, message",
     [
         ("axioms oracle_space.doc zero", "expected exit must be an integer"),
