@@ -4,6 +4,9 @@ emit a deterministic report.
 Exit codes: 0 all verdicts pass, 1 at least one failure, 2 usage or parse
 error, 3 no failures but at least one verdict rests on sampling
 (probably-zero) rather than structural certainty.
+
+A check's CERTAIN or SAMPLED is decided in one place, expr.first_nonzero,
+and a verdict's status in one place, Report.set_status.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from fractions import Fraction
 from . import access, forms, galois, thermo
 from .access import DEFAULT_MARGIN, AxiomConfig, AxiomStatus, ConstructionImpossible
 from .documents import CONFIG_KEYS, Document, DocumentError, load_document
-from .expr import ExprError, ZeroTestConfig
-from .forms import Confidence
+from .expr import Confidence, ExprError, ZeroTestConfig
 from .galois import GaloisError, MonotoneMap, Poset
 from .thermo import DEFAULT_QUADRATURE, QuadratureConfig, ThermoError
 
@@ -49,56 +51,38 @@ class Report:
     def __init__(self):
         self.blocks = []  # list of (status, [(key, value), ...])
 
-    def block(self, check: str, status=None):
-        rows = [("check", check)]
-        self.blocks.append([status, rows])
+    def block(self, check: str):
+        self.blocks.append([None, [("check", check)]])
         return len(self.blocks) - 1
 
     def add(self, idx: int, key: str, value):
         self.blocks[idx][1].append((key, _fmt(value)))
 
-    def set_status(self, idx: int, status: str):
-        self.blocks[idx][0] = status
+    def set_status(self, idx: int, ok: bool, *confidences):
+        """The one rule for a verdict's status: inconclusive (exit 3) if any
+        confidence it rests on is SAMPLED, whether it passes or fails; else
+        pass or fail by ok.  A None confidence, a check not run, counts for
+        nothing."""
+        sampled = Confidence.SAMPLED in confidences
+        self.blocks[idx][0] = "inconclusive" if sampled else "pass" if ok else "fail"
 
     def exit_code(self) -> int:
-        statuses = [s for s, _ in self.blocks if s]
-        if any(s == "fail" for s in statuses):
-            return 1
-        if any(s == "inconclusive" for s in statuses):
-            return 3
-        return 0
+        statuses = {s for s, _ in self.blocks}
+        return 1 if "fail" in statuses else 3 if "inconclusive" in statuses else 0
 
     def render(self, fmt: str) -> str:
-        out = []
-        for status, rows in self.blocks:
-            lines = [f"{k}: {v}" for k, v in rows]
-            if status:
-                lines.append(f"status: {status}")
-            if fmt == "text":
-                out.append("\n".join(["-" * 40] + lines))
-            else:
-                out.append("\n".join(lines))
-        code = self.exit_code()
-        tail = [
+        sections = [
+            [f"{k}: {v}" for k, v in rows] + ([f"status: {status}"] if status else [])
+            for status, rows in self.blocks
+        ]
+        sections.append([
             "check: summary",
             f"blocks: {len(self.blocks)}",
             f"failures: {sum(1 for s, _ in self.blocks if s == 'fail')}",
-            f"exit: {code}",
-        ]
-        if fmt == "text":
-            out.append("\n".join(["-" * 40] + tail))
-        else:
-            out.append("\n".join(tail))
-        return "\n\n".join(out) + "\n"
-
-
-def _status_from(ok: bool, *confidences: Confidence) -> str:
-    """Status of a verdict that rests on the given checks' confidences: if
-    any of them sampled, the verdict, passing or failing, is inconclusive
-    (exit 3)."""
-    if Confidence.SAMPLED in confidences:
-        return "inconclusive"
-    return "pass" if ok else "fail"
+            f"exit: {self.exit_code()}",
+        ])
+        rule = ["-" * 40] if fmt == "text" else []
+        return "\n\n".join("\n".join(rule + lines) for lines in sections) + "\n"
 
 
 # what the checks of one run read: a config per layer and calibrate's margin
@@ -173,7 +157,7 @@ def cmd_contact_check(doc: Document, settings: Settings, report: Report):
         report.add(idx, "verdict", result.status.value)
         report.add(idx, "certainty", result.confidence.value)
         report.add(idx, "top-coefficient", result.top_coefficient)
-        report.set_status(idx, _status_from(result.contact, result.confidence))
+        report.set_status(idx, result.contact, result.confidence)
 
 
 @command("frobenius")
@@ -186,7 +170,7 @@ def cmd_frobenius(doc: Document, settings: Settings, report: Report):
         report.add(idx, "verdict", result.status.value)
         report.add(idx, "certainty", result.confidence.value)
         report.add(idx, "obstruction", result.obstruction)
-        report.set_status(idx, _status_from(result.integrable, result.confidence))
+        report.set_status(idx, result.integrable, result.confidence)
 
 
 @command("legendre-check")
@@ -207,7 +191,7 @@ def cmd_legendre_check(doc: Document, settings: Settings, report: Report):
             "mixed-partial-failure",
             f"∂{pi}/∂{xj} vs ∂{pj}/∂{xi}: residual {residual}",
         )
-    report.set_status(idx, _status_from(result.ok, result.confidence))
+    report.set_status(idx, result.ok, result.confidence)
 
 
 @command("maxwell")
@@ -217,15 +201,10 @@ def cmd_maxwell(doc: Document, settings: Settings, report: Report):
     for ident in identities:
         idx = report.block("maxwell")
         report.add(idx, "identity", ident.text)
-        if ident.verdict is None:
-            report.add(idx, "verdict", "GENERIC")
-            report.set_status(idx, "pass")
-        else:
-            report.add(idx, "verdict", ident.verdict)
+        report.add(idx, "verdict", ident.verdict or "GENERIC")
+        if ident.confidence is not None:
             report.add(idx, "certainty", ident.confidence.value)
-            report.set_status(
-                idx, _status_from(ident.verdict == "OK", ident.confidence)
-            )
+        report.set_status(idx, ident.verdict != "FAIL", ident.confidence)
 
 
 @command("potential")
@@ -245,8 +224,7 @@ def cmd_potential(doc: Document, settings: Settings, report: Report):
         if result.symmetry.factor is not None:
             report.add(idx, "multiplier", result.symmetry.factor)
         ok = result.contact.contact and result.symmetry.symmetry
-        confidences = (result.contact.confidence, result.symmetry.confidence)
-        report.set_status(idx, _status_from(ok, *confidences))
+        report.set_status(idx, ok, result.contact.confidence, result.symmetry.confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +248,7 @@ def cmd_path(doc: Document, settings: Settings, report: Report):
         report.add(idx, "delta-heat", balance.delta_heat)
         report.add(idx, "delta-work", balance.delta_work)
         report.add(idx, "balance-residual", balance.residual)
-        report.set_status(idx, "pass" if balance.ok else "fail")
+        report.set_status(idx, balance.ok)
 
 
 @command("cycle-audit")
@@ -305,9 +283,9 @@ def cmd_cycle_audit(doc: Document, settings: Settings, report: Report):
                 f"leg {leg.index}",
                 f"max|Q|={_fmt(leg.max_abs_heat)}{claim}{honored}",
             )
-        ok = audit.balance_ok and not audit.kelvin_violation
         dishonored = any(leg.claim_honored is False for leg in audit.legs)
-        report.set_status(idx, "fail" if not ok or dishonored else "pass")
+        ok = audit.balance_ok and not audit.kelvin_violation and not dishonored
+        report.set_status(idx, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +311,7 @@ def cmd_axioms(doc: Document, settings: Settings, report: Report):
             report.add(idx, "witness", ", ".join(str(w) for w in axiom.witness))
         for caveat in axiom.caveats:
             report.add(idx, "caveat", caveat)
-        report.set_status(
-            idx, "fail" if axiom.status is AxiomStatus.FAIL else "pass"
-        )
+        report.set_status(idx, axiom.status is not AxiomStatus.FAIL)
 
 
 @command("ch")
@@ -349,7 +325,7 @@ def cmd_ch(doc: Document, settings: Settings, report: Report):
         report.add(idx, "verdict", "TOTAL" if result.total else "NOT_TOTAL")
         for x, y in result.incomparable:
             report.add(idx, "incomparable", f"{x} vs {y}")
-        report.set_status(idx, "pass" if result.total else "fail")
+        report.set_status(idx, result.total)
 
 
 @command("entropy-construct")
@@ -365,7 +341,7 @@ def cmd_entropy_construct(doc: Document, settings: Settings, report: Report):
         except ConstructionImpossible as err:
             report.add(idx, "verdict", "CONSTRUCTION_IMPOSSIBLE")
             report.add(idx, "witness", ", ".join(str(w) for w in err.witness))
-            report.set_status(idx, "fail")
+            report.set_status(idx, False)
             continue
         report.add(idx, "method", S.method)
         if S.degenerate:
@@ -376,7 +352,7 @@ def cmd_entropy_construct(doc: Document, settings: Settings, report: Report):
             report.add(idx, f"S({name})", S.values[name])
         verdict = access.verify_entropy(S, rel, space, settings.axiom, le)
         report.add(idx, "verified", "yes" if verdict.ok else "no")
-        report.set_status(idx, "pass" if verdict.ok else "fail")
+        report.set_status(idx, verdict.ok)
 
 
 @command("entropy-verify")
@@ -393,7 +369,7 @@ def cmd_entropy_verify(doc: Document, settings: Settings, report: Report):
             if part.witness is not None:
                 value += f" ({', '.join(str(w) for w in part.witness)})"
             report.add(idx, part.name, value)
-        report.set_status(idx, "pass" if result.ok else "fail")
+        report.set_status(idx, result.ok)
 
 
 @command("calibrate")
@@ -408,17 +384,15 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
     ]
     result = access.calibrate(systems, doc.cross, margin=settings.margin)
     idx = report.block("calibrate")
+    report.add(idx, "verdict", "FEASIBLE" if result.ok else "INFEASIBLE")
     if result.ok:
-        report.add(idx, "verdict", "FEASIBLE")
         for (space, _), (a, b) in zip(systems, result.coefficients):
             report.add(idx, f"a({space.label})", a)
             report.add(idx, f"B({space.label})", b)
-        report.set_status(idx, "pass")
     else:
-        report.add(idx, "verdict", "INFEASIBLE")
         for item in result.witness:
             report.add(idx, "conflict", item)
-        report.set_status(idx, "fail")
+    report.set_status(idx, result.ok)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +401,6 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
 
 
 def _poset(doc: Document, name: str) -> Poset:
-    _require(name in doc.posets, f"no poset named {name!r}")
     carrier, edges = doc.posets[name]
     try:
         return Poset(carrier, edges)
@@ -435,13 +408,17 @@ def _poset(doc: Document, name: str) -> Poset:
         raise DocumentError(str(err), doc.path, doc.poset_lines[name]) from None
 
 
-def _map_error(doc: Document, name: str, err: Exception) -> DocumentError:
+def _map_error(doc: Document, name: str, err) -> DocumentError:
+    """An error (or its message) met on a declared map, at that map's line."""
     return DocumentError(str(err), doc.path, doc.map_lines[name])
 
 
 def _poset_map(doc: Document, name: str) -> MonotoneMap:
     _require(name in doc.maps, f"no map named {name!r}")
     src, dst, mapping = doc.maps[name]
+    for end in (src, dst):
+        if end not in doc.posets:
+            raise _map_error(doc, name, f"no poset named {end!r}")
     source, target = _poset(doc, src), _poset(doc, dst)
     try:
         return MonotoneMap(source, target, mapping)
@@ -464,7 +441,7 @@ def cmd_galois(doc: Document, settings: Settings, report: Report):
     else:
         a, b, direction = result.witness
         report.add(idx, "witness", f"a={a}, b={b}: {direction}")
-    report.set_status(idx, "pass" if result.ok else "fail")
+    report.set_status(idx, result.ok)
 
 
 @command("adjoint")
@@ -475,14 +452,14 @@ def cmd_adjoint(doc: Document, settings: Settings, report: Report):
     if not result.found:
         report.add(idx, "verdict", "NONE")
         report.add(idx, "witness", result.witness)
-        report.set_status(idx, "fail")
+        report.set_status(idx, False)
         return
     report.add(idx, "verdict", "FOUND")
     for b in result.map.source.carrier:
         report.add(idx, f"G({b})", result.map(b))
     check = galois.check_galois(F, result.map)
     report.add(idx, "galois", "PASS" if check.ok else "FAIL")
-    report.set_status(idx, "pass" if check.ok else "fail")
+    report.set_status(idx, check.ok)
 
 
 @command("landauer")
@@ -515,7 +492,7 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
             f"realization-entropy {state}",
             f"abstract={s_abstract} realized={s_real}",
         )
-    report.set_status(idx, "pass" if result.ok else "fail")
+    report.set_status(idx, result.ok)
 
 
 # ---------------------------------------------------------------------------

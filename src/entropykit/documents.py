@@ -585,9 +585,10 @@ def _parse_maps(doc: Document, rows):
                 "expected 'map NAME : SRC -> DST : a = x, ...'", doc.path, line_no
             ) from None
         name = _name(doc, doc.maps, "map", name_text, line_no)
-        if "->" not in arrow:
-            raise DocumentError("map needs 'SRC -> DST'", doc.path, line_no)
-        src, dst = (s.strip() for s in arrow.split("->", 1))
+        ends = [end.split() for end in arrow.split("->")]
+        if len(ends) != 2 or any(len(end) != 1 for end in ends):
+            raise DocumentError("map needs 'SRC -> DST', each one word", doc.path, line_no)
+        (src,), (dst,) = ends
         doc.maps[name] = (src, dst, _assignments(doc, assigns, line_no))
         doc.map_lines[name] = line_no
 

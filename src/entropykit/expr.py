@@ -24,6 +24,11 @@ expression with all but one symbol fixed into a one-argument function, as
 quadrature and path sampling need: it computes what does not depend on the
 free symbol once, and its result has the type and the bits of evaluate's at
 every point, errors included.
+
+is_zero decides whether an expression vanishes, structurally or by seeded
+sampling.  first_nonzero is the one place a zero test becomes a Confidence:
+CERTAIN when every test it ran was structural or found a nonzero value,
+SAMPLED when a vanishing verdict rests on samples.
 """
 
 from __future__ import annotations
@@ -997,6 +1002,33 @@ def is_zero(e: Expr, config: ZeroTestConfig = DEFAULT_ZERO_CONFIG) -> ZeroResult
         if abs(value) > config.tol:
             return ZeroResult(ZeroVerdict.CERTAIN_NONZERO, point, value)
     return ZeroResult(ZeroVerdict.PROBABLY_ZERO)
+
+
+class Confidence(Enum):
+    CERTAIN = "certain"
+    SAMPLED = "sampled"
+
+
+def first_nonzero(
+    items: Iterable[tuple[object, Expr]],
+    config: ZeroTestConfig,
+    confidence: Confidence = Confidence.CERTAIN,
+):
+    """(witness, confidence) for (key, coefficient) pairs tested in order.
+
+    The first certainly nonzero coefficient is the witness (key, coefficient)
+    and the verdict is CERTAIN, whatever came before.  When every coefficient
+    vanishes the witness is None and the verdict keeps the confidence so far,
+    lowered to SAMPLED if any zero test sampled.  Nothing after the witness
+    is tested, nor built when items is a generator.
+    """
+    for key, coeff in items:
+        r = is_zero(coeff, config)
+        if r.verdict is ZeroVerdict.CERTAIN_NONZERO:
+            return (key, coeff), Confidence.CERTAIN
+        if not r.certain:
+            confidence = Confidence.SAMPLED
+    return None, confidence
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ inconclusive; CERTAIN means every underlying zero test was structural,
 SAMPLED means at least one relied on random-point evaluation.  Every
 residual check (here and in thermo) reduces its verdict to "does each of
 these coefficients vanish?" and decides CERTAIN vs SAMPLED in one place,
-first_nonzero.
+expr.first_nonzero.
 """
 
 from __future__ import annotations
@@ -17,45 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .expr import (
     Chart,
+    Confidence,
     Expr,
     ExprError,
     ZeroTestConfig,
     DEFAULT_ZERO_CONFIG,
-    ZeroVerdict,
-    is_zero,
+    first_nonzero,
     sample_values,
 )
-
-
-class Confidence(Enum):
-    CERTAIN = "certain"
-    SAMPLED = "sampled"
-
-
-def first_nonzero(
-    items: Iterable[tuple[object, Expr]],
-    config: ZeroTestConfig,
-    confidence: Confidence = Confidence.CERTAIN,
-):
-    """(witness, confidence) for (key, coefficient) pairs tested in order.
-
-    The first certainly nonzero coefficient is the witness (key, coefficient)
-    and the verdict is CERTAIN, whatever came before.  When every coefficient
-    vanishes the witness is None and the verdict keeps the confidence so far,
-    lowered to SAMPLED if any zero test sampled.  Nothing after the witness
-    is tested, nor built when items is a generator.
-    """
-    for key, coeff in items:
-        r = is_zero(coeff, config)
-        if r.verdict is ZeroVerdict.CERTAIN_NONZERO:
-            return (key, coeff), Confidence.CERTAIN
-        if not r.certain:
-            confidence = Confidence.SAMPLED
-    return None, confidence
 
 
 def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]):

@@ -21,22 +21,21 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .expr import (
     Chart,
+    Confidence,
     DomainError,
     Expr,
     ZeroTestConfig,
     DEFAULT_ZERO_CONFIG,
-    is_zero,
+    first_nonzero,
     ln,
 )
 from .forms import (
-    Confidence,
     ContactResult,
     Form,
     SmoothMap,
     SymmetryResult,
     contact_check,
     contact_symmetry_check,
-    first_nonzero,
     pullback,
     verify_integrating_factor,
 )
@@ -331,10 +330,8 @@ def _maxwell(
             checked = ()  # residual, verdict, confidence
             if eqs is not None:
                 residual = eqs[pi].diff(xj) * si - eqs[pj].diff(xi) * sj
-                r = is_zero(residual, config)
-                verdict = "OK" if r.verdict.zero else "FAIL"
-                confidence = Confidence.CERTAIN if r.certain else Confidence.SAMPLED
-                checked = (residual, verdict, confidence)
+                witness, confidence = first_nonzero([(None, residual)], config)
+                checked = (residual, "OK" if witness is None else "FAIL", confidence)
             out.append(MaxwellIdentity((pi, xj), si * sj, (pj, xi), *checked))
     return out
 
@@ -382,17 +379,6 @@ def legendre_transform(
             else:
                 raise ThermoError(f"no pair named {item!r}")
     chart = tc.chart
-    if not swap_idx:
-        identity = SmoothMap.identity(chart)
-        return LegendreTransformResult(
-            tc,
-            tc.energy,
-            chart.var(tc.energy),
-            theta,
-            identity,
-            contact_symmetry_check(identity, theta, config),
-            contact_check(theta, tc.n, config),
-        )
     if new_name is None:
         new_name = tc.energy + "".join(
             "_" + tc.pairs[k][1] for k in sorted(swap_idx)

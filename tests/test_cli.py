@@ -10,7 +10,7 @@ import pytest
 
 import entropykit
 from entropykit import thermo
-from entropykit.cli import build_parser, run
+from entropykit.cli import Report, build_parser, run
 from entropykit.documents import DocumentError, load_document, parse_document
 from entropykit.forms import Confidence
 
@@ -93,6 +93,39 @@ def test_exit_one_on_failure():
     code, text = run_cli("frobenius", str(CORPUS / "cartan_form.doc"))
     assert code == 1
     assert "NOT_INTEGRABLE" in text
+
+
+CERTAIN, SAMPLED = Confidence.CERTAIN, Confidence.SAMPLED
+
+
+@pytest.mark.parametrize(
+    "ok, confidences, status, code",
+    [
+        (True, (), "pass", 0),
+        (False, (), "fail", 1),
+        (True, (CERTAIN,), "pass", 0),
+        (False, (CERTAIN,), "fail", 1),
+        (True, (SAMPLED,), "inconclusive", 3),
+        (False, (SAMPLED,), "inconclusive", 3),
+        (True, (CERTAIN, SAMPLED), "inconclusive", 3),
+        (False, (CERTAIN, SAMPLED), "inconclusive", 3),
+        (True, (None,), "pass", 0),
+        (False, (None,), "fail", 1),
+    ],
+)
+def test_status_rule(ok, confidences, status, code):
+    # a sampled confidence makes a verdict inconclusive whether it passes or
+    # fails; a None confidence is a check that was not run
+    report = Report()
+    idx = report.block("rule")
+    report.set_status(idx, ok, *confidences)
+    assert report.blocks[idx][0] == status
+    assert report.exit_code() == code
+    assert f"status: {status}\n" in report.render("structured")
+
+
+def test_confidence_is_one_type():
+    assert entropykit.Confidence is Confidence is entropykit.expr.Confidence
 
 
 def test_exit_two_on_parse_error():
@@ -474,6 +507,16 @@ def test_a_name_or_key_given_twice_exits_two_at_the_second(
          "duplicate name 'T'"),
         ("maxwell", "carnot.doc", "heat = T", "heat = Q", "heat = Q",
          "heat pair 'Q' not found"),
+        ("galois", "chains.doc", "map F : A -> B :", "map F : A -> B x :",
+         "map F : A -> B x : a0 = b0, a1 = b0, a2 = b1", "map needs 'SRC -> DST', each one word"),
+        ("galois", "chains.doc", "map F : A -> B :", "map F : A -> B -> A :",
+         "map F : A -> B -> A : a0 = b0, a1 = b0, a2 = b1", "map needs 'SRC -> DST', each one word"),
+        ("galois", "chains.doc", "map F : A -> B :", "map F : A -> C :",
+         "map F : A -> C : a0 = b0, a1 = b0, a2 = b1", "no poset named 'C'"),
+        ("galois", "chains.doc", "map G : B -> A", "map G : B -> D",
+         "map G : B -> D : b0 = a1, b1 = a2", "no poset named 'D'"),
+        ("adjoint", "chains.doc", "map F : A -> B :", "map F : Z -> B :",
+         "map F : Z -> B : a0 = b0, a1 = b0, a2 = b1", "no poset named 'Z'"),
     ],
 )
 def test_document_errors_name_the_line_that_declared_the_object(
@@ -668,6 +711,32 @@ def fresh_cli(*argv):
     )
     assert done.stderr == ""
     return done.returncode, done.stdout
+
+
+def test_commands_import_only_the_standard_library():
+    # a fresh process; what its start-up loaded (site hooks) is not counted,
+    # and path integrals load the in-repo quadrature
+    src = Path(entropykit.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = (
+        "import io, sys\n"
+        "startup = set(sys.modules)\n"
+        "from entropykit.cli import run\n"
+        f"print(run(['path', {str(CORPUS / 'ideal_gas.doc')!r}], io.StringIO()))\n"
+        f"print(run(['axioms', {str(CORPUS / 'oracle_space.doc')!r}], io.StringIO()))\n"
+        "print('entropykit.quadpack' in sys.modules)\n"
+        "for name in sorted(set(sys.modules) - startup):\n"
+        "    top = name.partition('.')[0]\n"
+        "    if top not in ('__main__', 'entropykit', *sys.stdlib_module_names):\n"
+        "        print(name)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.stderr == ""
+    assert done.stdout == "0\n0\nTrue\n"
 
 
 def test_huge_powers_exit_two_alone_and_in_batch(tmp_path):

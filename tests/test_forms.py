@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from entropykit import forms
+from entropykit import expr
 from entropykit.expr import Chart, ExprError, parse
 from entropykit.forms import (
     Confidence,
@@ -625,13 +625,13 @@ def test_frobenius_with_sampled_obstruction_is_sampled():
 
 def counting_zero_tests(monkeypatch):
     tested = []
-    real = forms.is_zero
+    real = expr.is_zero
 
-    def counting(e, config=forms.DEFAULT_ZERO_CONFIG):
+    def counting(e, config=expr.DEFAULT_ZERO_CONFIG):
         tested.append(e)
         return real(e, config)
 
-    monkeypatch.setattr(forms, "is_zero", counting)
+    monkeypatch.setattr(expr, "is_zero", counting)
     return tested
 
 

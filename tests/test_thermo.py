@@ -320,7 +320,13 @@ def test_gibbs_transform():
 def test_empty_swap_returns_inputs():
     r = legendre_transform(STD, [])
     assert r.chart == STD
+    assert (r.potential_name, r.potential) == ("U", STD.chart.var("U"))
     assert r.form == first_law_form(STD)
+    assert r.contact.contact and r.symmetry.symmetry
+    # a new name renames the energy coordinate, as on any other swap
+    named = legendre_transform(STD, [], new_name="E")
+    assert (named.potential_name, named.chart.energy) == ("E", "E")
+    assert named.chart.pairs == STD.pairs
 
 
 def test_unknown_pair_rejected():
