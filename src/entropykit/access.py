@@ -9,7 +9,9 @@ numerator, denominator), so memo and set lookups never do Fraction
 arithmetic; ``EntropyOracle`` keeps each total as an unreduced integer pair
 and compares two totals by cross-multiplication.  An entropy oracle's order
 satisfies every accessibility axiom by construction, so ``check_axioms``
-decides it without a query; other backends are sampled.  Relations come in
+decides it without a query, and ``construct_entropy`` reads its values off
+the totals without building the reference grid; other backends are sampled
+and scanned.  Relations come in
 two backends: explicit edge lists (closed on demand) and decision-procedure
 oracles, of which the entropy-backed oracle is the workhorse for synthetic
 test systems.
@@ -738,10 +740,17 @@ def construct_entropy(
     Requires the comparison hypothesis; plain backends get the class-rank
     entropy, scalable ones the two-reference construction: S(X) is the
     largest grid λ with ((1−λ)X₀, λX₁) ≺ X for a fixed strict pair X₀ ≺≺ X₁.
-    The grid is λ = k·step for k < ⌈1/step⌉, then λ = 1; each reference is
-    built once, straight from its two parts, and the grid is scanned from
-    the top, stopping at the first reference ≺ X.  le is the space's
+    The grid is λ = k·step for k < ⌈1/step⌉, then λ = 1.  le is the space's
     answer_table, asked here when not given.
+
+    An ``EntropyOracle`` (the exact class, as in ``check_axioms``) reads
+    S(X) off its totals: with λ* = (S(X) − S(X₀)) / (S(X₁) − S(X₀)) it is 1
+    when λ* ≥ 1, else ⌊λ*/step⌋·step.  That is where the scan stops, since
+    an additive, extensive total has ((1−λ)X₀, λX₁) ≺ X iff
+    λ(S(X₁) − S(X₀)) ≤ S(X) − S(X₀), i.e. iff λ ≤ λ*, and S(X₁) > S(X₀)
+    as X₀ ≺≺ X₁.  Every other backend scans: each reference is built once,
+    straight from its two parts, and the grid is read from the top,
+    stopping at the first reference ≺ X.
     """
     pures, le, ch = _pure_order(A, space, le)
     if not ch.total:
@@ -773,23 +782,31 @@ def construct_entropy(
         )
     lo = pures[ranked[0]]
     hi = pures[ranked[-1]]
-    label, lo_name, hi_name = space.label, names[ranked[0]], names[ranked[-1]]
-    swapped = hi_name < lo_name  # parts sort by name, as both share the label
-
-    def reference(lam: Fraction) -> CompositeState:
-        """((1−λ)X₀, λX₁) for 0 < λ < 1, built straight from its two parts."""
-        low, high = (1 - lam, label, lo_name), (lam, label, hi_name)
-        return CompositeState._of_sorted((high, low) if swapped else (low, high))
-
     step = Fraction(config.grid_step)
-    inner = [k * step for k in range(1, math.ceil(1 / step))]  # 0 < k·step < 1
-    references = [(Fraction(1), hi)]
-    references += [(lam, reference(lam)) for lam in reversed(inner)]
-    references.append((Fraction(0), lo))
-    values = {
-        name: next((lam for lam, ref in references if A.le(ref, x)), Fraction(0))
-        for name, x in zip(names, pures)
-    }
+    if type(A) is EntropyOracle:
+        s_lo = A.total(lo)
+        span = A.total(hi) - s_lo  # > 0, as lo ≺≺ hi
+        values = {}
+        for name, x in zip(names, pures):
+            lam = (A.total(x) - s_lo) / span
+            values[name] = Fraction(1) if lam >= 1 else lam // step * step
+    else:
+        label, lo_name, hi_name = space.label, names[ranked[0]], names[ranked[-1]]
+        swapped = hi_name < lo_name  # parts sort by name, as both share the label
+
+        def reference(lam: Fraction) -> CompositeState:
+            """((1−λ)X₀, λX₁) for 0 < λ < 1, built straight from its two parts."""
+            low, high = (1 - lam, label, lo_name), (lam, label, hi_name)
+            return CompositeState._of_sorted((high, low) if swapped else (low, high))
+
+        inner = [k * step for k in range(1, math.ceil(1 / step))]  # 0 < k·step < 1
+        references = [(Fraction(1), hi)]
+        references += [(lam, reference(lam)) for lam in reversed(inner)]
+        references.append((Fraction(0), lo))
+        values = {
+            name: next((lam for lam, ref in references if A.le(ref, x)), Fraction(0))
+            for name, x in zip(names, pures)
+        }
     return EntropyFn(
         space.label, values, method="reference", grid_step=config.grid_step
     )

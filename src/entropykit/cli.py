@@ -382,6 +382,11 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
     systems = [
         (doc.spaces[label], S) for label, S in doc.entropies.values()
     ]
+    valued = {space.label for space, _ in systems}
+    for label in doc.spaces:  # each space's states are all cross nodes
+        if label not in valued:
+            message = f"space {label!r} has no entropy function"
+            raise DocumentError(message, doc.path, doc.space_lines[label])
     result = access.calibrate(systems, doc.cross, margin=settings.margin)
     idx = report.block("calibrate")
     report.add(idx, "verdict", "FEASIBLE" if result.ok else "INFEASIBLE")

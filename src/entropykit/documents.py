@@ -56,6 +56,7 @@ class Document:
     paths: dict = field(default_factory=dict)
     path_lines: dict = field(default_factory=dict)  # path name -> its 'path' line
     spaces: dict = field(default_factory=dict)
+    space_lines: dict = field(default_factory=dict)  # space label -> its 'space' line
     relation: Optional[Accessibility] = None
     entropies: dict = field(default_factory=dict)  # name -> (space label, EntropyFn)
     posets: dict = field(default_factory=dict)  # name -> (carrier, edges)
@@ -449,6 +450,7 @@ def _parse_states(doc: Document, rows):
         if not states:
             raise DocumentError(f"space {label!r} has no states", doc.path, space_line)
         doc.spaces[label] = StateSpace(label, coords, states, scalable)
+        doc.space_lines[label] = space_line
 
 
 def _resolve_state(doc: Document, token: str, line_no: int) -> CompositeState:

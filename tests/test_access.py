@@ -905,6 +905,55 @@ def test_construct_entropy_matches_the_grid_built_by_repeated_addition(step):
         assert construct_entropy(oracle_for(sp.label, hidden), sp, config) == exact
 
 
+class Scanning(EntropyOracle):
+    """The exact oracle under another class: construct_entropy reads the
+    totals of the exact class alone, so this one scans the reference grid."""
+
+
+@pytest.mark.parametrize(
+    "step, trials",
+    [(F(1, 64), 60), (F(3, 10), 60), (F(1, 7), 60), (F(2, 3), 60), (F(1), 60), (F(1, 10000), 12)],
+)
+def test_construct_entropy_from_the_totals_matches_the_scan(step, trials):
+    # negative and non-integer values, scalable and unscalable spaces, and
+    # every fourth space degenerate (all values equal)
+    rng = random.Random(f"totals:{step}")
+    config = AxiomConfig(grid_step=step)
+    for trial in range(trials):
+        names = [f"s{k}" for k in range(rng.randint(2, 9))]
+        if trial % 4 == 0:
+            values = dict.fromkeys(names, F(rng.randint(-9, 9), rng.randint(1, 5)))
+        else:
+            values = {n: F(rng.randint(-40, 40), rng.randint(1, 6)) for n in names}
+        sp = space("G", names, scalable=trial % 3 != 0)
+        S = construct_entropy(oracle_for("G", values), sp, config)
+        scanned = construct_entropy(Scanning({"G": values}), sp, config)
+        assert (S.values, S.method, S.degenerate, S.grid_step) == (
+            scanned.values, scanned.method, scanned.degenerate, scanned.grid_step
+        )
+
+
+def test_construct_entropy_scans_for_a_subclass_and_names_an_unvalued_state():
+    values = {"a": 0, "b": F(-1, 3), "c": F(5, 2), "d": 1}
+    sp = space("G", list(values), scalable=True)
+
+    class Counting(EntropyOracle):
+        asked = 0
+
+        def le(self, x, y):
+            self.asked += 1
+            return super().le(x, y)
+
+    counting = Counting({"G": values})
+    S = construct_entropy(counting, sp)
+    assert counting.asked > len(values) ** 2  # a subclass that overrides le scans
+    assert S == construct_entropy(oracle_for("G", values), sp)
+    unvalued = {"a": 0, "b": 1, "d": 2}
+    for A in (oracle_for("G", unvalued), Scanning({"G": unvalued})):
+        with pytest.raises(AccessError, match=r"^no entropy value for G\.c$"):
+            construct_entropy(A, sp)
+
+
 one_space_parts = st.lists(
     st.tuples(positive_scales, st.just("G"), st.sampled_from("abc")),
     min_size=1, max_size=5,

@@ -191,6 +191,48 @@ def test_grid_step_finer_than_the_grid_budget_exits_two(tmp_path, step, code):
         assert "grid-step: 1/10000\nS(a): 0\n" in out and "verified: yes" in out
 
 
+def oracle_document(tmp_path, n, step):
+    """An oracle document of one scalable space with n states, whose values
+    u + 2v spread over [0, 3n), and the given grid_step."""
+    states = "".join(f"state s{k} = {k} {k * 7 % n}\n" for k in range(n))
+    doc = tmp_path / f"oracle_{n}.doc"
+    doc.write_text(
+        f"[states]\nspace G coords u v scalable\n{states}\n"
+        f"[relation]\noracle = u + 2*v\n\n[config]\ngrid_step = {step}\n"
+    )
+    return doc
+
+
+def test_entropy_construct_on_400_states_at_the_finest_grid(tmp_path, monkeypatch):
+    # a size-sweep point: the scan once built 9,999 references and asked up to
+    # 10,001 of them per state; the oracle's totals leave the n² pure pairs
+    n = 400
+    doc = oracle_document(tmp_path, n, "1/10000")
+    src = str(Path(entropykit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "entropykit.cli", "entropy-construct", str(doc)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "verified: yes" in done.stdout
+
+    from entropykit.access import EntropyOracle
+
+    asked = 0
+    real_le = EntropyOracle.le
+
+    def counting_le(self, x, y):
+        nonlocal asked
+        asked += 1
+        return real_le(self, x, y)
+
+    monkeypatch.setattr(EntropyOracle, "le", counting_le)
+    assert run_cli("entropy-construct", str(doc)) == (0, done.stdout)
+    assert asked == n * n
+
+
 def test_parser_is_reused_after_a_bad_flag():
     args = ("entropy-verify", str(CORPUS / "entropy_ok.doc"), "--format", "structured")
     first = run_cli(*args)
@@ -517,6 +559,8 @@ def test_a_name_or_key_given_twice_exits_two_at_the_second(
          "map G : B -> D : b0 = a1, b1 = a2", "no poset named 'D'"),
         ("adjoint", "chains.doc", "map F : A -> B :", "map F : Z -> B :",
          "map F : Z -> B : a0 = b0, a1 = b0, a2 = b1", "no poset named 'Z'"),
+        ("calibrate", "calibrate_two.doc", "fn S2 on G2 : s0 = 3, s1 = 5, s2 = 7\n", "",
+         "space G2 coords x", "space 'G2' has no entropy function"),
     ],
 )
 def test_document_errors_name_the_line_that_declared_the_object(
@@ -590,13 +634,15 @@ def test_a_line_outside_the_format_exits_two_at_its_line(
      ("calibrate_clash.doc", "fn S1 on G1"), ("calibrate_clash.doc", "fn S2 on G2")],
 )
 def test_calibrate_refuses_a_cross_state_of_a_space_with_no_entropy(tmp_path, source, fn_line):
+    # every state of a space is a cross node, so the space's line is named
     lines = (CORPUS / source).read_text().splitlines()
     doc = tmp_path / source
     doc.write_text("\n".join(line for line in lines if not line.startswith(fn_line)))
     label = fn_line.split()[-1]
+    line_no = lines.index(f"space {label} coords x") + 1
     code, out = run_cli("calibrate", str(doc))
     assert (code, out) == (
-        2, f"error: cross state {label}.s0 lies in space {label!r}, which has no entropy function\n"
+        2, f"error: {doc}:{line_no}: space {label!r} has no entropy function\n"
     )
 
 
@@ -856,10 +902,10 @@ def test_entropy_construct_asks_each_pure_pair_once(monkeypatch):
     assert code == 0
     assert "verified: yes" in out
     # the 16 ordered pure pairs fill the table that construction and
-    # verification both read; the other 154 queries scan the reference grid
-    # (state a alone asks all 65 references), so verification asks none
-    assert len({x for x, _ in asked[:16]}) == 4 and len(set(asked[:16])) == 16
-    assert len(asked) == 16 + 154
+    # verification both read; construction reads S off the oracle's totals
+    # and verification reads the table, so neither asks again
+    assert len({x for x, _ in asked}) == 4 and len(set(asked)) == 16
+    assert len(asked) == 16
 
 
 def test_exit_two_on_missing_file_and_bad_usage():
