@@ -26,12 +26,11 @@ whose composites a known universe holds, and reports the first case that
 fails; one helper, ``_result``, turns that into FAIL, PASS or
 NOT_APPLICABLE for every axiom and for ``verify_entropy``'s monotonicity.
 
-Every seeded sample is drawn by one helper, ``_draw``, which makes the same
-``getrandbits`` calls as ``random.choice``: the composite pool, the sampled
-triples, consistency pairs and stability quadruples of ``check_axioms``.  So
-the draws, the witnesses and the rng state afterwards are those of
-``choice``, without one Python-level ``choice`` call per element.
-``construct_entropy`` and ``verify_entropy`` draw nothing.
+Every seeded sample of ``check_axioms`` (the composite pool, the sampled
+triples, consistency pairs and stability quadruples) is a row
+``tuple(map(rng.choice, pools))`` from one ``random.Random(config.seed)``,
+so a seed fixes the draws and the witnesses.  ``construct_entropy`` and
+``verify_entropy`` draw nothing.
 """
 
 from __future__ import annotations
@@ -95,7 +94,9 @@ class CompositeState:
     also keeps, from when it is built, an integer key: the same parts as
     (label, name, numerator, denominator).  Hash and equality read that key,
     so memo and set lookups compare strings and ints and never Fractions.
-    Immutable by convention.
+    ``__init__`` is the one constructor: ``compose``, ``scale`` and the
+    construction's references all build through it, so every composite is
+    checked and sorted the same way.  Immutable by convention.
     """
 
     __slots__ = ("parts", "_key", "_hash")
@@ -111,21 +112,11 @@ class CompositeState:
         if not clean:
             raise AccessError("a composite state needs at least one part")
         clean.sort(key=_PART_ORDER)
-        self._set(tuple(clean))
-
-    def _set(self, parts: tuple) -> None:
-        self.parts = parts
+        self.parts = tuple(clean)
         self._key = key = tuple(
-            (lbl, name, lam.numerator, lam.denominator) for lam, lbl, name in parts
+            (lbl, name, lam.numerator, lam.denominator) for lam, lbl, name in clean
         )
         self._hash = hash(key)
-
-    @classmethod
-    def _of_sorted(cls, parts: tuple) -> "CompositeState":
-        """A composite from parts already checked and in canonical order."""
-        out = object.__new__(cls)
-        out._set(parts)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, CompositeState):
@@ -140,19 +131,11 @@ class CompositeState:
         return cls(((Fraction(scale), space, name),))
 
     def compose(self, other: "CompositeState") -> "CompositeState":
-        return CompositeState._of_sorted(
-            tuple(sorted(self.parts + other.parts, key=_PART_ORDER))
-        )
+        return CompositeState(self.parts + other.parts)
 
     def scale(self, lam) -> "CompositeState":
-        if type(lam) is not Fraction:
-            lam = Fraction(lam)
-        if lam.numerator <= 0:
-            raise AccessError("scales must be positive")
-        # a positive factor keeps the parts in order
-        return CompositeState._of_sorted(
-            tuple((lam * l, s, n) for l, s, n in self.parts)
-        )
+        lam = Fraction(lam)
+        return CompositeState((lam * l, s, n) for l, s, n in self.parts)
 
     def __str__(self):
         body = ", ".join(
@@ -418,6 +401,7 @@ MAX_STABILITY_QUADRUPLES = 80
 COMPOSITE_SAMPLES = 24  # drawn composites in a scalable pool with no known universe
 # the finest reference grid: grid_step below 1/MAX_GRID_POINTS is refused
 MAX_GRID_POINTS = 10_000
+MAX_EPS_STEPS = 1_000  # the smallest stability ε is 2^-MAX_EPS_STEPS
 
 
 @dataclass(frozen=True)
@@ -433,6 +417,8 @@ class AxiomConfig:
             raise AccessError(f"lambda_grid needs positive scales, got {listed}")
         if self.eps_steps < 1:
             raise AccessError(f"eps_steps must be at least 1, got {self.eps_steps}")
+        if self.eps_steps > MAX_EPS_STEPS:
+            raise AccessError(f"eps_steps must be at most {MAX_EPS_STEPS}, got {self.eps_steps}")
         if self.grid_step <= 0:
             raise AccessError(f"grid_step must be positive, got {self.grid_step}")
         if self.grid_step * MAX_GRID_POINTS < 1:  # more than that many points below 1
@@ -492,45 +478,20 @@ def _intransitive_triple(le) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _draw(pools, count: int, rng: random.Random) -> list[tuple]:
-    """count tuples of one element from each pool, drawn as
-    ``tuple(map(rng.choice, pools))`` would draw them: for a pool of n
-    elements, getrandbits(n.bit_length()) until the result is below n.  So
-    every draw and the rng state afterwards are those of ``rng.choice``."""
-    plan = []
-    for pool in pools:
-        n = len(pool)
-        if not n:  # getrandbits(0) is always 0, so the redraw would never end
-            raise AccessError("cannot draw from an empty pool")
-        plan.append((pool, n, n.bit_length()))
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        row = []
-        for pool, n, k in plan:
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            row.append(pool[r])
-        out.append(tuple(row))
-    return out
-
-
 def _composite_pool(pures, config: AxiomConfig, rng: random.Random) -> list[CompositeState]:
-    grid = config.lambda_grid
+    if not pures:
+        raise AccessError("cannot draw from an empty pool")
+    pools = (pures, pures, config.lambda_grid, config.lambda_grid)
     return [
         a.scale(la).compose(b.scale(lb))
-        for a, b, la, lb in _draw((pures, pures, grid, grid), COMPOSITE_SAMPLES, rng)
+        for a, b, la, lb in (map(rng.choice, pools) for _ in range(COMPOSITE_SAMPLES))
     ]
 
 
 def _bounded_product(pools, cap: int, rng: random.Random) -> list[tuple]:
     """Full cartesian product when small, otherwise cap random samples."""
-    count = 1
-    for p in pools:
-        count *= len(p)
-        if count > cap:
-            return _draw(pools, cap, rng)
+    if math.prod(map(len, pools)) > cap:
+        return [tuple(map(rng.choice, pools)) for _ in range(cap)]
     return list(itertools.product(*pools))
 
 
@@ -748,9 +709,8 @@ def construct_entropy(
     when λ* ≥ 1, else ⌊λ*/step⌋·step.  That is where the scan stops, since
     an additive, extensive total has ((1−λ)X₀, λX₁) ≺ X iff
     λ(S(X₁) − S(X₀)) ≤ S(X) − S(X₀), i.e. iff λ ≤ λ*, and S(X₁) > S(X₀)
-    as X₀ ≺≺ X₁.  Every other backend scans: each reference is built once,
-    straight from its two parts, and the grid is read from the top,
-    stopping at the first reference ≺ X.
+    as X₀ ≺≺ X₁.  Every other backend scans: each reference is built once
+    and the grid is read from the top, stopping at the first reference ≺ X.
     """
     pures, le, ch = _pure_order(A, space, le)
     if not ch.total:
@@ -792,16 +752,12 @@ def construct_entropy(
             values[name] = Fraction(1) if lam >= 1 else lam // step * step
     else:
         label, lo_name, hi_name = space.label, names[ranked[0]], names[ranked[-1]]
-        swapped = hi_name < lo_name  # parts sort by name, as both share the label
-
-        def reference(lam: Fraction) -> CompositeState:
-            """((1−λ)X₀, λX₁) for 0 < λ < 1, built straight from its two parts."""
-            low, high = (1 - lam, label, lo_name), (lam, label, hi_name)
-            return CompositeState._of_sorted((high, low) if swapped else (low, high))
-
         inner = [k * step for k in range(1, math.ceil(1 / step))]  # 0 < k·step < 1
         references = [(Fraction(1), hi)]
-        references += [(lam, reference(lam)) for lam in reversed(inner)]
+        references += [  # ((1−λ)X₀, λX₁)
+            (lam, CompositeState(((1 - lam, label, lo_name), (lam, label, hi_name))))
+            for lam in reversed(inner)
+        ]
         references.append((Fraction(0), lo))
         values = {
             name: next((lam for lam, ref in references if A.le(ref, x)), Fraction(0))

@@ -573,6 +573,15 @@ def _run_batch(manifest_path: str, opts, out) -> int:
     return 0 if all_ok else 1
 
 
+def lambda_grid(text: str) -> tuple[Fraction, ...]:
+    """--lambda-grid's comma-separated scales; argparse names this function
+    in the usage error for a bad value."""
+    try:
+        return tuple(Fraction(v) for v in text.split(","))
+    except ZeroDivisionError:  # argparse turns only ValueError into a usage error
+        raise ValueError(text) from None
+
+
 @functools.cache  # every command is registered at import; parsing leaves it as built
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -583,11 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("document", help="system document (or manifest for batch)")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--lambda-grid",
-        type=lambda s: tuple(Fraction(v) for v in s.split(",")),
-        default=None,
-    )
+    parser.add_argument("--lambda-grid", type=lambda_grid, default=None)
     parser.add_argument("--eps-steps", type=int, default=None)
     parser.add_argument("--format", choices=("text", "structured"), default="text")
     parser.add_argument("--out", default=None)

@@ -38,7 +38,6 @@ from entropykit.access import (
     derived_relations,
     verify_entropy,
     _composite_pool,
-    _draw,
 )
 
 
@@ -70,34 +69,6 @@ def oracle_for(label, values):
 
 
 # -- derived relations ---------------------------------------------------------
-
-
-POOL_KINDS = (range, lambda n: list(range(n)), lambda n: tuple(f"p{i}" for i in range(n)))
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from((1, 2, 3, 31, 32, 33, 1000)), st.sampled_from(POOL_KINDS)),
-        min_size=1, max_size=4,
-    ),
-    st.integers(0, 40),
-    st.integers(0, 2**64),
-)
-@settings(max_examples=200, deadline=None)
-def test_draw_takes_the_draws_of_random_choice(shapes, count, seed):
-    pools = [kind(n) for n, kind in shapes]
-    ours, theirs = random.Random(seed), random.Random(seed)
-    assert _draw(pools, count, ours) == [
-        tuple(map(theirs.choice, pools)) for _ in range(count)
-    ]
-    assert ours.getstate() == theirs.getstate()
-
-
-@pytest.mark.parametrize("pools", [([],), ((1, 2), ()), (range(0),)])
-def test_draw_refuses_an_empty_pool(pools):
-    # getrandbits(0) is always 0, so a redraw loop on it would never end
-    with pytest.raises(AccessError, match="empty pool"):
-        _draw(pools, 3, random.Random(0))
 
 
 def test_check_axioms_refuses_a_space_with_no_states():
@@ -952,6 +923,33 @@ def test_construct_entropy_scans_for_a_subclass_and_names_an_unvalued_state():
     for A in (oracle_for("G", unvalued), Scanning({"G": unvalued})):
         with pytest.raises(AccessError, match=r"^no entropy value for G\.c$"):
             construct_entropy(A, sp)
+
+
+def test_compose_scale_and_each_reference_build_one_composite(monkeypatch):
+    # CompositeState.__init__ is the one constructor, so every composite is
+    # checked, sorted and keyed the same way
+    built = 0
+    real_init = CompositeState.__init__
+
+    def counting_init(self, parts):
+        nonlocal built
+        built += 1
+        real_init(self, parts)
+
+    a, b = pure("G", "a"), pure("G", "b")
+    monkeypatch.setattr(CompositeState, "__init__", counting_init)
+    assert b.scale(2).compose(a) == CompositeState(((1, "G", "a"), (2, "G", "b")))
+    assert built == 3  # scale, compose and the expected value
+    with pytest.raises(AccessError, match="^scales must be positive$"):
+        a.scale(0)
+    values = {"a": 0, "b": F(-1, 3), "c": F(5, 2)}
+    sp = space("G", list(values), scalable=True)
+    A = MemoizedOracle(oracle_for("G", values).le)
+    table = access.answer_table(A, sp)
+    for step, refs in [(F(1, 2), 1), (F(1, 4), 3), (F(3, 10), 3), (F(1, 64), 63)]:
+        built = 0
+        construct_entropy(A, sp, AxiomConfig(grid_step=step), table)
+        assert built == len(values) + refs  # the pure states, then one per reference
 
 
 one_space_parts = st.lists(

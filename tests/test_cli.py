@@ -139,7 +139,7 @@ def test_exit_two_on_parse_error():
     "bad",
     ["eps_steps = six", "tol = tiny", "eps_steps = 0", "lambda_grid = 0 1",
      "lambda_grid = 1/2 -2", "samples = 0", "tol = -1", "margin = -1", "margin = 0",
-     "seed = 7", "tol = nan"],
+     "seed = 7", "tol = nan", "eps_steps = 1001", "lambda_grid = 1/0"],
 )
 def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
     doc = tmp_path / "bad_config.doc"
@@ -150,6 +150,24 @@ def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
     assert code == 2
     assert f"{doc}:{line_no}:" in out
     assert "Traceback" not in out
+
+
+def test_largest_eps_steps_finishes_on_a_scaled_edge_document(tmp_path):
+    # the ε schedule costs quadratically in eps_steps: 200,000 once took 42 s
+    doc = tmp_path / "edge_scaled.doc"
+    doc.write_text(
+        "[states]\nspace G coords x scalable\nstate a = 0\nstate b = 1\n\n"
+        "[relation]\nscaling = true\nedge a b\n\n[config]\neps_steps = 1000\n"
+    )
+    src = str(Path(entropykit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "entropykit.cli", "axioms", str(doc)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "axiom: stability\nverdict: NOT_APPLICABLE\n" in done.stdout
 
 
 def doc_with(tmp_path, old, new):
@@ -258,17 +276,25 @@ def test_entropy_verify_does_not_depend_on_the_seed(doc):
     [
         (("--eps-steps", "-1"), "eps_steps must be at least 1, got -1"),
         (("--eps-steps", "0"), "eps_steps must be at least 1, got 0"),
+        (("--eps-steps", "1001"), "eps_steps must be at most 1000, got 1001"),
         (("--lambda-grid", "0,1"), "lambda_grid needs positive scales, got 0 1"),
         (("--tol", "-1"), "tol must be non-negative, got -1.0"),
         (("--tol", "nan"), "tol must be non-negative, got nan"),
+        # argparse's usage errors, on stderr
+        (("--lambda-grid", "1/0"), "argument --lambda-grid: invalid lambda_grid value: '1/0'"),
+        (("--lambda-grid", ""), "argument --lambda-grid: invalid lambda_grid value: ''"),
     ],
 )
-def test_exit_two_on_bad_axiom_flags(flags, message):
+def test_exit_two_on_bad_axiom_flags(flags, message, capsys):
     # every command refuses a bad flag, also one that it does not read
     for command, doc in [("axioms", "oracle_space.doc"), ("maxwell", "ideal_gas.doc")]:
         code, out = run_cli(command, str(CORPUS / doc), *flags)
+        err = capsys.readouterr().err
         assert code == 2
-        assert out == f"error: {message}\n"
+        if message.startswith("argument "):
+            assert out == "" and err.endswith(f"\nentropykit: error: {message}\n")
+        else:
+            assert (out, err) == (f"error: {message}\n", "")
 
 
 def test_config_tol_reaches_the_path_audits(tmp_path):
