@@ -10,12 +10,17 @@ Each operation (sum, parsed sum, product, derivative, substitution) collects
 all the terms of its result first and then merges and sorts them once.  A
 term keeps its merge and sort key once it is computed.  A product of an
 m-term and an n-term sum merges the already sorted factors of each of its
-m*n pairs of terms and reuses their keys; an integer power of a sum is a
-chain of such products, by repeated squaring.  Two cases skip the merge and
-sort, since an operand is already canonical: a product with a constant
-scales the other operand's coefficients and keeps its terms' keys and order
-(a product by 1 is the other operand itself), and a sum with zero is the
-other operand (so a difference with zero is it or its negation).
+m*n pairs of terms and reuses their keys; the square of an n-term sum builds
+each of its n*(n+1)/2 distinct pairs once, with twice the coefficient where
+the two terms differ, and an integer power of a sum is a chain of such
+products, by repeated squaring.  Substitution builds a term's unmapped
+coordinates and parameters as one monomial, and substitutes, raises and
+multiplies in only its mapped symbols and its ln/exp/opaque-power bases.
+Three cases skip the merge and sort, since an operand is already canonical:
+a product with a constant scales the other operand's coefficients and keeps
+its terms' keys and order (a product by 1 is the other operand itself), a
+sum with zero is the other operand (so a difference with zero is it or its
+negation), and a substitution into one term is that term's product.
 
 Numeric values come from Expr.evaluate, exact where the expression and the
 point allow it (a Fraction) and floating point past ln, exp, fractional
@@ -34,6 +39,7 @@ SAMPLED when a vanishing verdict rests on samples.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -257,6 +263,18 @@ def _mul_terms(t1: _Term, t2: _Term) -> Optional[_Term]:
         keys.extend(k2[j:n2])
     keys.append(_TERM_END[0])
     return _Term(coeff, tuple(factors), tuple(keys))
+
+
+def _square_pairs(terms: tuple[_Term, ...]):
+    """The pairs of keyed terms whose products sum to the square of their
+    sum: each term with itself, and each pair i < j once with twice term i's
+    coefficient, since term j times term i is the same product (_mul_terms
+    merges symmetrically and _monomial sums exponents by key)."""
+    for i, t1 in enumerate(terms):
+        yield t1, t1
+        twice = _Term(2 * t1.coeff, t1.factors, t1.key)
+        for t2 in terms[i + 1:]:
+            yield twice, t2
 
 
 def _expr_key(e: "Expr"):
@@ -487,16 +505,19 @@ class Expr:
         chart = self.chart
         for t in self.terms + other.terms:
             _term_key(t, chart)
+        if other is self:
+            pairs = _square_pairs(self.terms)
+        else:
+            pairs = itertools.product(self.terms, other.terms)
         pieces = []
-        for t1 in self.terms:
-            for t2 in other.terms:
-                t = _mul_terms(t1, t2)
-                if t is None:
-                    pieces.extend(Expr._monomial(
-                        chart, t1.coeff * t2.coeff, t1.factors + t2.factors
-                    ).terms)
-                else:
-                    pieces.append(t)
+        for t1, t2 in pairs:
+            t = _mul_terms(t1, t2)
+            if t is None:
+                pieces.extend(Expr._monomial(
+                    chart, t1.coeff * t2.coeff, t1.factors + t2.factors
+                ).terms)
+            else:
+                pieces.append(t)
         return Expr._build(chart, pieces)
 
     __rmul__ = __mul__
@@ -604,20 +625,33 @@ class Expr:
         out_chart = chart if chart is not None else self.chart
         pieces = []
         for t in self.terms:
-            val = out_chart.const(t.coeff)
+            # the unmapped symbols pass through as one monomial, multiplied
+            # in last (a string factor meets no _Pow, so the order of products
+            # cannot change the result, and errors keep the factor order)
+            kept = []
+            val = None
             for b, x in t.factors:
-                val = val * self._base_subs(b, mapping, out_chart) ** x
+                if isinstance(b, str) and b not in mapping:
+                    if b not in out_chart:
+                        raise ExprError(f"{b!r} is not declared on this chart")
+                    kept.append((b, x))
+                    continue
+                p = self._base_subs(b, mapping, out_chart) ** x
+                val = p if val is None else val * p
+            mono = Expr._monomial(out_chart, t.coeff, kept)
+            val = mono if val is None else mono * val
+            if len(self.terms) == 1:
+                return val  # a product is canonical already
             pieces.extend(val.terms)
         return Expr._build(out_chart, pieces)
 
     def _base_subs(self, b: _Base, mapping, out_chart: Chart) -> "Expr":
+        """What a mapped symbol or an ln, exp or opaque power base becomes."""
         if isinstance(b, str):
-            if b in mapping:
-                e = mapping[b]
-                if e.chart != out_chart:
-                    raise ExprError("substituted expression is on the wrong chart")
-                return e
-            return out_chart.var(b)
+            e = mapping[b]
+            if e.chart != out_chart:
+                raise ExprError("substituted expression is on the wrong chart")
+            return e
         if isinstance(b, _Ln):
             return ln(b.arg.subs(mapping, out_chart))
         if isinstance(b, _Exp):

@@ -521,7 +521,8 @@ def _leg_coefficient(
     on the Legendre manifold, t ↦ Φ(γ(t)): the same Expr as
     pullback(Φ ∘ segment map, form).coefficient((0,)), composing only the
     components the form reads (its index coordinates and the free symbols
-    of its coefficients)."""
+    of its coefficients).  A coefficient whose index coordinate is fixed
+    along the leg contributes exactly zero, so it is not composed at all."""
     comps = inclusion.components
 
     def on_leg(name: str) -> Expr:
@@ -530,8 +531,10 @@ def _leg_coefficient(
     coords = form.chart.coords
     total = path.t_chart.zero()
     for (i,), coeff in form.coeffs.items():
-        mapping = {n: on_leg(n) for n in coeff.free_symbols() if n in comps}
         rate = on_leg(coords[i]).diff(T_CHART_NAME)
+        if not rate.terms:
+            continue
+        mapping = {n: on_leg(n) for n in coeff.free_symbols() if n in comps}
         total = total + coeff.subs(mapping, path.t_chart) * rate
     return total
 

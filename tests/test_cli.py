@@ -309,6 +309,23 @@ def test_config_tol_reaches_the_path_audits(tmp_path):
     assert lines[:2] + lines[3:] == flag_lines[:2] + flag_lines[3:]
 
 
+def test_cycle_audit_passes_where_the_heat_form_coordinate_is_fixed(tmp_path):
+    # S = 0 on both legs, where T = S^(-1/2) has no value; the heat T dS is
+    # exactly zero there, so T is never composed and the audit passes
+    doc = tmp_path / "zero_rate.doc"
+    doc.write_text(
+        "[chart]\nenergy = U\npair = T S +\npair = p V -\nheat = T\n\n"
+        "[spec]\nstate T = S^(-1/2)\nstate p = V\n\n"
+        "[paths]\npath there_and_back:\n"
+        "  segment S = 0, V = 1 + t\n  segment S = 0, V = 2 - t\n"
+    )
+    code, out = run_cli("cycle-audit", str(doc))
+    assert code == 0
+    for line in ("heat: 0", "work: 0", "balance: OK", "leg 0: max|Q|=0",
+                 "leg 1: max|Q|=0", "status: pass"):
+        assert f"\n{line}\n" in out
+
+
 def test_calibrate_on_an_oracle_cross_names_file_and_line(tmp_path):
     text = (CORPUS / "calibrate_two.doc").read_text()
     doc = tmp_path / "oracle_cross.doc"

@@ -445,12 +445,19 @@ def monomial_route_diff(p, name):
     return Expr._build(p.chart, pieces)
 
 
-def folded_subs(p, mapping):
-    out = p.chart.zero()
+def folded_subs(p, mapping, chart=None):
+    """p.subs(mapping, chart) as a fold over every factor in order, an
+    unmapped symbol's too."""
+    chart = chart or p.chart
+    out = chart.zero()
     for t in p.terms:
-        val = p.chart.const(t.coeff)
+        val = chart.const(t.coeff)
         for b, x in t.factors:
-            val = folded_product(val, p._base_subs(b, mapping, p.chart) ** x)
+            if isinstance(b, str) and b not in mapping:
+                base = chart.var(b)
+            else:
+                base = p._base_subs(b, mapping, chart)
+            val = folded_product(val, base ** x)
         out = out + val
     return out
 
@@ -504,6 +511,7 @@ def assert_keys_are_fresh(e):
 )
 def test_single_pass_matches_pairwise_fold(p, q, name, substitute, k, c):
     assert_same_canonical_form(p * q, folded_product(p, q))
+    assert_same_canonical_form(p * p, folded_product(p, p))
     # a constant or zero operand skips the merge and sort: check those
     # shortcuts against one _build of the raw scaled or concatenated terms
     const, zero = XY.const(c), XY.zero()
@@ -528,6 +536,71 @@ def test_single_pass_matches_pairwise_fold(p, q, name, substitute, k, c):
     assert_same_canonical_form(p.diff(name), folded_diff(p, name))
     mapping = {name: parse(substitute, XY)}
     assert_same_canonical_form(p.subs(mapping), folded_subs(p, mapping))
+
+
+SV = Chart(("S", "V"), ("N", "R"))
+T_LINE = Chart(("t",), ("N", "R"))
+SV_ATOMS = ["S", "V", "N", "R", "S + V", "ln(S + 1)", "ln(2*V*N)", "exp(V)",
+            "exp(S*R)", "(S + N)^(1/2)", "(V*R + 2)^(1/3)"]
+AFFINE = st.tuples(st.fractions(-3, 3, max_denominator=4),
+                   st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def sv_sums(draw):
+    e = SV.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        t = SV.const(draw(st.fractions(-5, 5, max_denominator=6)))
+        for _ in range(draw(st.integers(0, 3))):
+            atom = parse(draw(st.sampled_from(SV_ATOMS)), SV)
+            t = t * atom ** draw(st.sampled_from(EXPONENTS))
+        e = e + t
+    return e
+
+
+@given(sv_sums(), AFFINE, AFFINE)
+@settings(max_examples=150, deadline=None)
+@example(parse("S^(-1)*N + V*(S + N)^(1/2)", SV), (F(0), F(0)), (F(2), F(1)))
+@example(parse("exp(S*R)*ln(S + 1)*V^2*R + N", SV), (F(-1), F(0)), (F(-3, 2), F(0)))
+def test_subs_onto_a_new_chart_matches_the_per_factor_fold(p, s, v):
+    # S and V go to a + b*t (constant where b = 0, zero where both are), N and
+    # R pass through: the same canonical form, or the same error, as folding
+    # every factor in order
+    t = T_LINE.var("t")
+    mapping = {name: T_LINE.const(a) + t * b for name, (a, b) in (("S", s), ("V", v))}
+    got = outcome(lambda: p.subs(mapping, T_LINE))
+    want = outcome(lambda: folded_subs(p, mapping, T_LINE))
+    if want[0] == "raises":
+        assert got == want
+    else:
+        assert got[0] == "returns"
+        assert_same_canonical_form(got[2], want[2])
+
+
+@pytest.mark.parametrize(
+    "text, mapping, chart, message",
+    [
+        ("N*S*V + exp(V)", {"S": "t", "V": "t"}, Chart(("t",), ("R",)),
+         "'N' is not declared on this chart"),
+        ("N*S*V + exp(V)", {"S": "t"}, T_LINE, "'V' is not declared on this chart"),
+        ("N*S*V + exp(V)", {"S": "t", "V": None}, T_LINE,
+         "substituted expression is on the wrong chart"),
+        # errors come in factor order: S before the undeclared V
+        ("N*S*V", {"S": None}, T_LINE, "substituted expression is on the wrong chart"),
+        ("S^(-1)*V", {"S": "0"}, T_LINE, "zero raised to a negative power"),
+    ],
+)
+def test_subs_onto_a_new_chart_names_what_it_cannot_place(text, mapping, chart, message):
+    p = parse(text, SV)
+    # None stands for an expression on the source chart, not the target
+    mapping = {
+        name: SV.var(name) if sub is None else parse(sub, chart)
+        for name, sub in mapping.items()
+    }
+    for run in (p.subs, lambda m, c: folded_subs(p, m, c)):
+        with pytest.raises(ExprError) as info:
+            run(mapping, chart)
+        assert str(info.value) == message
 
 
 def test_operands_on_an_equal_chart_object_combine_and_others_are_refused():
@@ -588,6 +661,12 @@ def test_powers_of_sums_with_opaque_powers_keep_their_printed_form():
     assert str(parse("(2^(1/2)*a + 3^(1/2))^4", abc)) == (
         "4*a^4 + 8*a^3*(2)^(1/2)*(3)^(1/2) + 36*a^2"
         " + 12*a*(2)^(1/2)*(3)^(1/2) + 9"
+    )
+    # a square builds each pair of distinct terms once, with twice the
+    # coefficient, also a pair whose shared _Pow base goes through _monomial
+    assert str(parse("((a+b)^(1/2)*c + (a+b)^(1/2) + 1)^2", abc)) == (
+        "a*c^2 + 2*a*c + a + b*c^2 + 2*b*c + b + 2*c*(a + b)^(1/2)"
+        " + 2*(a + b)^(1/2) + 1"
     )
 
 

@@ -779,16 +779,27 @@ def test_path_code_builds_one_inclusion_and_composes_only_what_it_reads(monkeypa
         {"S": F(1), "V": F(1)}, {"S": F(2), "V": F(3, 2)}, {"S": F(5, 2), "V": F(2)}
     )
     isentropic = line_path({"S": F(3, 2), "V": F(1)}, {"S": F(3, 2), "V": F(3)})
+    rectangle = carnot_rectangle(F(1), F(2), F(1), F(2))
     for run in (
         lambda: first_law_balance(STD, IDEAL_GAS, detour, PARAMS),
         lambda: adiabatic_entropy_check(STD, IDEAL_GAS, isentropic, S_COORD, PARAMS),
-        lambda: cycle_audit(STD, IDEAL_GAS, carnot_rectangle(F(1), F(2), F(1), F(2)), PARAMS),
+        lambda: cycle_audit(STD, IDEAL_GAS, rectangle, PARAMS),
     ):
         inclusions.clear()
         composed.clear()
         run()
         assert len(inclusions) == 1
         assert composed and len(composed) == len(set(composed))
+    # a leg along which a form's coordinate is fixed contributes zero, so its
+    # coefficient is not composed: T only where S moves, p only where V moves
+    legs = [tuple(sorted((k, str(v)) for k, v in seg.components.items()))
+            for seg in rectangle.segments]
+    assert [leg for name, leg in composed if name == "T"] == [legs[0], legs[2]]
+    assert [leg for name, leg in composed if name == "p"] == [legs[1], legs[3]]
+    # and no heat leg of an isentrope composes T
+    composed.clear()
+    adiabatic_entropy_check(STD, IDEAL_GAS, isentropic, S_COORD, PARAMS)
+    assert {name for name, _ in composed} == {"S"}
     inclusions.clear()
     composed.clear()
     path_integral(STD, IDEAL_GAS, detour, Form.d_coord(STD.chart, "U"), PARAMS)
