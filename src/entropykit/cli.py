@@ -113,20 +113,6 @@ def _require(condition, message):
         raise UsageError(message)
 
 
-def _numeric_params(doc: Document) -> dict:
-    missing = [k for k, v in doc.param_values.items() if v is None]
-    _require(
-        not missing,
-        f"numeric command needs values for parameters {sorted(missing)}",
-    )
-    return dict(doc.param_values)
-
-
-def _path_error(doc: Document, name: str, err: Exception) -> DocumentError:
-    """An error met on a declared path, located at that path's line."""
-    return DocumentError(f"path {name}: {err}", doc.path, doc.path_lines.get(name, 0))
-
-
 def _thermo_parts(doc: Document):
     _require(doc.thermo_chart is not None, "document has no thermodynamic chart")
     _require(doc.spec is not None, "document has no [spec] section")
@@ -232,16 +218,25 @@ def cmd_potential(doc: Document, settings: Settings, report: Report):
 # ---------------------------------------------------------------------------
 
 
-@command("path")
-def cmd_path(doc: Document, settings: Settings, report: Report):
+def _path_verdicts(doc: Document, settings: Settings, verdict):
+    """(name, verdict on it) for each declared path in turn.  An error met on
+    a path, a value past the float range too, is placed at the path's line."""
     tc, spec = _thermo_parts(doc)
     _require(bool(doc.paths), "document has no [paths] section")
-    params = _numeric_params(doc)
+    missing = sorted(k for k, v in doc.param_values.items() if v is None)
+    _require(not missing, f"numeric command needs values for parameters {missing}")
+    params = dict(doc.param_values)
     for name, path in doc.paths.items():
         try:
-            balance = thermo.first_law_balance(tc, spec, path, params, settings.quad)
-        except (ThermoError, ExprError) as err:
-            raise _path_error(doc, name, err) from None
+            result = verdict(tc, spec, path, params, settings.quad)
+        except (ThermoError, ExprError, OverflowError) as err:
+            raise DocumentError(f"path {name}: {err}", doc.path, doc.path_lines[name]) from None
+        yield name, result
+
+
+@command("path")
+def cmd_path(doc: Document, settings: Settings, report: Report):
+    for name, balance in _path_verdicts(doc, settings, thermo.first_law_balance):
         idx = report.block("path")
         report.add(idx, "path", name)
         report.add(idx, "delta-energy", balance.delta_energy)
@@ -253,14 +248,7 @@ def cmd_path(doc: Document, settings: Settings, report: Report):
 
 @command("cycle-audit")
 def cmd_cycle_audit(doc: Document, settings: Settings, report: Report):
-    tc, spec = _thermo_parts(doc)
-    _require(bool(doc.paths), "document has no [paths] section")
-    params = _numeric_params(doc)
-    for name, path in doc.paths.items():
-        try:
-            audit = thermo.cycle_audit(tc, spec, path, params, settings.quad)
-        except (ThermoError, ExprError) as err:
-            raise _path_error(doc, name, err) from None
+    for name, audit in _path_verdicts(doc, settings, thermo.cycle_audit):
         idx = report.block("cycle-audit")
         report.add(idx, "cycle", name)
         report.add(idx, "heat", audit.heat)

@@ -442,11 +442,10 @@ def _parse_states(doc: Document, rows):
             if head is None:
                 raise DocumentError("state before any 'space' line", doc.path, line_no)
             key, value = _key_value(rest, doc.path, line_no)
-            states[_new(doc, states, "state", key, line_no)] = tuple(
-                _fraction(v, doc.path, line_no) for v in value.split()
-            )
-            if len(states[key]) != len(coords):
-                raise DocumentError(f"state {key!r} has the wrong dimension", doc.path, line_no)
+            name = _name(doc, states, "state", key, line_no)
+            states[name] = tuple(_fraction(v, doc.path, line_no) for v in value.split())
+            if len(states[name]) != len(coords):
+                raise DocumentError(f"state {name!r} has the wrong dimension", doc.path, line_no)
         if not states:
             raise DocumentError(f"space {label!r} has no states", doc.path, space_line)
         doc.spaces[label] = StateSpace(label, coords, states, scalable)

@@ -6,9 +6,13 @@ Sign convention, fixed once: θ = dX₀ − Σ σ_i P_i dX_i with the heat pair
 entering as σ = +1 (so θ = dU − TdS + pdV on the standard chart) and
 Q = σ_h P_h dX_h, W = −Σ_{i≠h} σ_i P_i dX_i, giving θ = dX₀ − Q + W.
 
-Path integrals run `quadpack.qags`, a port of QUADPACK's QAGS (Piessens,
-de Doncker-Kapenga, Überhuber and Kahaner, 1983) that gives the same bits
-as scipy.integrate.quad.
+Every path verdict takes one leg walk, `_walk`: it checks that the path
+joins up (and, for a cycle, closes) in the chart's extensive coordinates,
+builds the one inclusion Φ of the Legendre manifold, and hands the verdict
+each leg with the compiled dt-coefficient of each form pulled back along
+it.  Path integrals run `quadpack.qags`, a port of QUADPACK's QAGS
+(Piessens, de Doncker-Kapenga, Überhuber and Kahaner, 1983) that gives the
+same bits as scipy.integrate.quad.
 """
 
 from __future__ import annotations
@@ -452,26 +456,20 @@ class ProcessPath:
         env[T_CHART_NAME] = t
         return {n: seg.components[n].evaluate(env) for n in self.base_chart.coords}
 
-    def endpoints(self, params) -> tuple[dict, dict]:
-        return (
-            self.point(self.segments[0], Fraction(0), params),
-            self.point(self.segments[-1], Fraction(1), params),
-        )
-
-    def check_continuity(self, params):
-        prev = None
+    def check_continuity(self, params) -> tuple[dict, dict]:
+        """Raise unless every segment starts where the one before it ends;
+        return the path's first and last points."""
+        ends = []
         for seg in self.segments:
             start = self.point(seg, Fraction(0), params)
-            if prev is not None:
-                for n in self.base_chart.coords:
-                    if abs(float(prev[n]) - float(start[n])) > JOIN_TOL:
-                        raise ThermoError(
-                            f"segments do not join continuously at {n}"
-                        )
-            prev = self.point(seg, Fraction(1), params)
+            for n in self.base_chart.coords if ends else ():
+                if abs(float(ends[-1][n]) - float(start[n])) > JOIN_TOL:
+                    raise ThermoError(f"segments do not join continuously at {n}")
+            ends += [start, self.point(seg, Fraction(1), params)]
+        return ends[0], ends[-1]
 
     def is_closed(self, params) -> bool:
-        start, end = self.endpoints(params)
+        start, end = self.check_continuity(params)
         return all(
             abs(float(start[n]) - float(end[n])) <= CLOSURE_TOL
             for n in self.base_chart.coords
@@ -539,11 +537,6 @@ def _leg_coefficient(
     return total
 
 
-def _check_base(tc: ThermoChart, path: ProcessPath) -> None:
-    if path.base_chart != tc.base_chart:
-        raise ThermoError("path does not live in the chart's extensive coordinates")
-
-
 def _integrate_segment(integrand):
     """∫₀¹ integrand(t) dt for a leg coefficient compiled by Expr.compile."""
     # Imported on first use, so that a command which never integrates does
@@ -565,14 +558,35 @@ def _integrate_segment(integrand):
     return value, err
 
 
-def _integrate_path(
-    inclusion: SmoothMap, path: ProcessPath, form: Form, params
-) -> PathIntegral:
-    total = 0.0
-    total_err = 0.0
-    for seg in path.segments:
-        coeff = _leg_coefficient(inclusion, path, seg, form)
-        value, err = _integrate_segment(coeff.compile(params, T_CHART_NAME))
+def _walk(tc: ThermoChart, spec: LegendreSpec, path: ProcessPath, params, cycle=False):
+    """The one walk of every path verdict: check that the path joins up (and,
+    for a cycle, closes) in the chart's extensive coordinates, then build the
+    one inclusion Φ.  Returns Φ and legs(*forms), which yields each segment
+    with the compiled dt-coefficient of each form (built after the checks)."""
+    if not cycle:
+        path.check_continuity(params)
+    elif not path.is_closed(params):
+        raise ThermoError("cycle_audit requires a closed path")
+    if path.base_chart != tc.base_chart:
+        raise ThermoError("path does not live in the chart's extensive coordinates")
+    inclusion = spec.inclusion(tc)
+
+    def legs(*forms):
+        for seg in path.segments:
+            yield seg, [
+                _leg_coefficient(inclusion, path, seg, form).compile(params, T_CHART_NAME)
+                for form in forms
+            ]
+
+    return inclusion, legs
+
+
+def _integral(legs, form: Form) -> PathIntegral:
+    """∫ of one form over a walk's legs; a verdict with several forms takes
+    them in turn, so ΔU is integrated before a missing heat pair raises."""
+    total = total_err = 0.0
+    for _, (coeff,) in legs(form):
+        value, err = _integrate_segment(coeff)
         total += value
         total_err += err
     return PathIntegral(total, total_err)
@@ -588,9 +602,8 @@ def path_integral(
     """∫ over the path of the form's pullback onto the Legendre manifold."""
     if form.chart != tc.chart or form.degree != 1:
         raise ThermoError("integrand must be a 1-form on the full chart")
-    path.check_continuity(params)
-    _check_base(tc, path)
-    return _integrate_path(spec.inclusion(tc), path, form, params)
+    _, legs = _walk(tc, spec, path, params)
+    return _integral(legs, form)
 
 
 @dataclass(frozen=True)
@@ -610,16 +623,12 @@ def first_law_balance(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> FirstLawBalance:
     """ΔU = ΔQ − ΔW checked by independent quadratures of dX₀, Q and W."""
-    path.check_continuity(params)
-    _check_base(tc, path)
-    inclusion = spec.inclusion(tc)
-    du = _integrate_path(inclusion, path, Form.d_coord(tc.chart, tc.energy), params)
-    dq = _integrate_path(inclusion, path, heat_form(tc), params)
-    dw = _integrate_path(inclusion, path, work_form(tc), params)
-    residual = abs(du.value - (dq.value - dw.value))
-    return FirstLawBalance(
-        du.value, dq.value, dw.value, residual, residual < cfg.balance_tol
-    )
+    _, legs = _walk(tc, spec, path, params)
+    du = _integral(legs, Form.d_coord(tc.chart, tc.energy)).value
+    dq = _integral(legs, heat_form(tc)).value
+    dw = _integral(legs, work_form(tc)).value
+    residual = abs(du - (dq - dw))
+    return FirstLawBalance(du, dq, dw, residual, residual < cfg.balance_tol)
 
 
 # the audits' sample points on each leg, t = k/63 (each rounded once)
@@ -661,29 +670,17 @@ def cycle_audit(
     """Audit a closed cycle: ∮Q = ∮W (exactness of dX₀), per-leg adiabatic
     claims, and the Kelvin configuration (heat absorbed everywhere while net
     work is extracted) that the Second Law forbids."""
-    cycle.check_continuity(params)
-    if not cycle.is_closed(params):
-        raise ThermoError("cycle_audit requires a closed path")
-    q_total = 0.0
-    w_total = 0.0
+    q_total = w_total = 0.0
     q_min = float("inf")
     audits = []
-    _check_base(tc, cycle)
-    inclusion = spec.inclusion(tc)
-    qf, wf = heat_form(tc), work_form(tc)
-    for i, seg in enumerate(cycle.segments):
-        heat = _leg_coefficient(inclusion, cycle, seg, qf).compile(params, T_CHART_NAME)
-        work = _leg_coefficient(inclusion, cycle, seg, wf).compile(params, T_CHART_NAME)
-        qv, _ = _integrate_segment(heat)
-        wv, _ = _integrate_segment(work)
-        q_total += qv
-        w_total += wv
+    _, legs = _walk(tc, spec, cycle, params, cycle=True)
+    for i, (seg, (heat, work)) in enumerate(legs(heat_form(tc), work_form(tc))):
+        q_total += _integrate_segment(heat)[0]
+        w_total += _integrate_segment(work)[0]
         samples = [float(heat(t)) for t in _SAMPLE_TS]
         q_min = min(q_min, min(samples))
         max_abs = max(abs(v) for v in samples)
-        audits.append(
-            LegAudit(i, seg.claim, max_abs, max_abs < cfg.sample_tol)
-        )
+        audits.append(LegAudit(i, seg.claim, max_abs, max_abs < cfg.sample_tol))
     residual = abs(q_total - w_total)
     kelvin = q_min >= -cfg.sample_tol and w_total > cfg.balance_tol
     return CycleAuditReport(
@@ -731,7 +728,7 @@ def adiabatic_entropy_check(
     """
     if entropy.chart != tc.base_chart:
         raise ThermoError("entropy must be a function of the extensive coordinates")
-    inclusion = spec.inclusion(tc)
+    inclusion, legs = _walk(tc, spec, path, params)
     qf = heat_form(tc)
     p, _, _ = tc.pairs[tc.heat]
     cert = verify_integrating_factor(pullback(inclusion, qf), inclusion(p), entropy)
@@ -739,48 +736,28 @@ def adiabatic_entropy_check(
         raise ThermoError(
             f"Q = T dS not certified for the supplied entropy ({cert.status.value})"
         )
-    path.check_continuity(params)
-    heat_samples = []
-    s_samples = []
-    _check_base(tc, path)
-    for k, seg in enumerate(path.segments):
-        heat = _leg_coefficient(inclusion, path, seg, qf).compile(params, T_CHART_NAME)
+    samples = []  # (heat, S) at each t; a leg's t = 0 repeats the last leg's end
+    for k, (seg, (heat,)) in enumerate(legs(qf)):
         s_on_t = entropy.subs(seg.components, path.t_chart).compile(params, T_CHART_NAME)
-        for t in _SAMPLE_TS:
-            if k > 0 and t == 0:
-                continue  # junction sample repeats the previous segment's end
-            heat_samples.append(float(heat(t)))
-            s_samples.append(float(s_on_t(t)))
+        ts = _SAMPLE_TS[1:] if k else _SAMPLE_TS
+        samples += [(float(heat(t)), float(s_on_t(t))) for t in ts]
+    heat_samples, s_samples = zip(*samples)
     max_heat = max(abs(v) for v in heat_samples)
     drift = max(abs(v - s_samples[0]) for v in s_samples)
     tol = DEFAULT_QUADRATURE.sample_tol
-    if max_heat < tol:
-        return AdiabaticReport(
-            AdiabaticStatus.QUASI_STATIC_ADIABATIC,
-            max_heat,
-            drift,
-            s_samples[0],
-            s_samples[-1],
-            leaves_leaf=drift >= tol,
-        )
+    adiabatic = max_heat < tol
     diffs = [b - a for a, b in zip(s_samples, s_samples[1:])]
-    increasing = [i for i, d in enumerate(diffs) if d > 0.0]
-    decreasing = [i for i, d in enumerate(diffs) if d < 0.0]
-    if not decreasing and len(increasing) == len(diffs):
-        status, violations = AdiabaticStatus.S_INCREASING, ()
-    elif not increasing and len(decreasing) == len(diffs):
-        status, violations = AdiabaticStatus.S_DECREASING, ()
+    violations = ()
+    if adiabatic:
+        status = AdiabaticStatus.QUASI_STATIC_ADIABATIC
+    elif all(d > 0.0 for d in diffs):
+        status = AdiabaticStatus.S_INCREASING
+    elif all(d < 0.0 for d in diffs):
+        status = AdiabaticStatus.S_DECREASING
     else:
         status = AdiabaticStatus.S_NONMONOTONE
-        violations = tuple(
-            i for i, d in enumerate(diffs) if d <= 0.0
-        )
+        violations = tuple(i for i, d in enumerate(diffs) if d <= 0.0)
+    leaves_leaf = not adiabatic or drift >= tol
     return AdiabaticReport(
-        status,
-        max_heat,
-        drift,
-        s_samples[0],
-        s_samples[-1],
-        leaves_leaf=True,
-        violations=violations,
+        status, max_heat, drift, s_samples[0], s_samples[-1], leaves_leaf, violations
     )

@@ -561,6 +561,12 @@ def test_a_name_or_key_given_twice_exits_two_at_the_second(
     assert_exits_two_at(tmp_path, command, source, old, new, where, message)
 
 
+IDEAL_GAS_PATHS = (
+    "path direct:\n  segment S = 1 + 3/2*t, V = 1 + t\n"
+    "path dogleg:\n  segment S = 1, V = 1 + t\n  segment S = 1 + 3/2*t, V = 2"
+)
+
+
 @pytest.mark.parametrize(
     "command, source, old, new, where, message",
     [
@@ -604,6 +610,11 @@ def test_a_name_or_key_given_twice_exits_two_at_the_second(
          "map F : Z -> B : a0 = b0, a1 = b0, a2 = b1", "no poset named 'Z'"),
         ("calibrate", "calibrate_two.doc", "fn S2 on G2 : s0 = 3, s1 = 5, s2 = 7\n", "",
          "space G2 coords x", "space 'G2' has no entropy function"),
+        ("path", "ideal_gas.doc", IDEAL_GAS_PATHS, "path big:\n  segment S = 10^400 + t, V = 2",
+         "path big:", "path big: integer division result too large for a float"),
+        ("cycle-audit", "ideal_gas.doc", IDEAL_GAS_PATHS,
+         "path big:\n  segment S = 10^400 + t, V = 2", "path big:",
+         "path big: integer division result too large for a float"),
     ],
 )
 def test_document_errors_name_the_line_that_declared_the_object(
@@ -658,10 +669,14 @@ def test_a_declaration_is_built_before_the_next_is_read(
          "a spec takes a potential or state equations, not both"),
         ("maxwell", "carnot.doc", "pair = p V -", "pair = p V +-", "pair = p V +-",
          "pair needs 'INTENSIVE EXTENSIVE +|-'"),
+        ("axioms", "oracle_space.doc", "state a = 1 1", "state s 1 = 1 1", "state s 1 = 1 1",
+         "state name 's 1' is not one word"),
+        ("axioms", "oracle_space.doc", "state a = 1 1", "state = 1 1", "state = 1 1",
+         "state needs a name"),
     ],
     ids=["form-name", "path-name", "path-trailing-text", "poset-name", "swap-new-name",
          "misspelt-claim", "potential-after-states", "state-after-potential",
-         "energy-after-potential", "two-signs"],
+         "energy-after-potential", "two-signs", "state-name", "state-without-name"],
 )
 def test_a_line_outside_the_format_exits_two_at_its_line(
     tmp_path, command, source, old, new, where, message
@@ -669,6 +684,25 @@ def test_a_line_outside_the_format_exits_two_at_its_line(
     # each was once read as something else: a name with spaces in it, text
     # ignored, a claim never audited, a spec line dropped, or '+-' as '-'
     assert_exits_two_at(tmp_path, command, source, old, new, where, message)
+
+
+BROKEN_PATH = "path broken:\n  segment S = 1 + t, V = 1\n  segment S = 3, V = 1 + t"
+
+
+@pytest.mark.parametrize(
+    "command, source, old, new",
+    [
+        ("cycle-audit", "ideal_gas.doc", IDEAL_GAS_PATHS, BROKEN_PATH),
+        ("path", "maxwell_violation.doc", "state T = V\nstate p = V",
+         "state T = exp(S)\nstate p = V\n\n[paths]\n" + BROKEN_PATH),
+    ],
+    ids=["joins-before-closes", "joins-before-inclusion"],
+)
+def test_a_path_with_two_faults_reports_the_join_first(tmp_path, command, source, old, new):
+    # a path that neither joins up nor closes, or that does not join on a spec
+    # whose energy cannot be reconstructed: the joins are checked first
+    message = "path broken: segments do not join continuously at S"
+    assert_exits_two_at(tmp_path, command, source, old, new, "path broken:", message)
 
 
 @pytest.mark.parametrize(

@@ -892,3 +892,86 @@ def test_path_code_evaluates_no_integrand_node_by_node(monkeypatch):
         for seg in path.segments for e in seg.components.values()
     }
     assert walked and all(id(e) in components for e in walked)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_path_verdicts_match_a_per_form_per_leg_reference(seed):
+    # Every float of the four path verdicts, to the bit, against a reference
+    # that composes, compiles and integrates each form along each leg in turn.
+    from entropykit.thermo import _SAMPLE_TS, _integrate_segment, _leg_coefficient
+
+    rng = random.Random(seed)
+    spec = IDEAL_GAS if seed % 2 else poly_spec(rng)
+    params = {"N": F(rng.randint(2, 4), 2), "R": F(rng.randint(2, 3), 2)}
+    a, b, via = random_state(rng), random_state(rng), random_state(rng)
+    s1, v1 = F(rng.randint(2, 8), 4), F(rng.randint(2, 8), 4)
+    s2, v2 = s1 + F(rng.randint(1, 6), 4), v1 + F(rng.randint(1, 6), 4)
+    points = rng.choice((
+        [a, b], [a, via, b],
+        [{"S": s1, "V": v1}, {"S": s2, "V": v1}, {"S": s2, "V": v2}, {"S": s1, "V": v2},
+         {"S": s1, "V": v1}],
+    ))
+    path = line_path(*points)
+    forms = (Form.d_coord(STD.chart, "U"), heat_form(STD), work_form(STD))
+    inclusion = spec.inclusion(STD)
+    legs = [
+        [_leg_coefficient(inclusion, path, seg, form).compile(params, "t") for form in forms]
+        for seg in path.segments
+    ]
+
+    def integral(k):
+        value = err = 0.0
+        for coeffs in legs:
+            leg_value, leg_err = _integrate_segment(coeffs[k])
+            value += leg_value
+            err += leg_err
+        return value, err
+
+    def bits(*values):
+        return [v.hex() for v in values]
+
+    for k, form in enumerate(forms):
+        got = path_integral(STD, spec, path, form, params)
+        assert bits(got.value, got.error) == bits(*integral(k))
+    du, dq, dw = (integral(k)[0] for k in range(3))
+    balance = first_law_balance(STD, spec, path, params)
+    assert bits(balance.delta_energy, balance.delta_heat, balance.delta_work, balance.residual) \
+        == bits(du, dq, dw, abs(du - (dq - dw)))
+
+    heat = [[float(coeffs[1](t)) for t in _SAMPLE_TS] for coeffs in legs]
+    if points[0] == points[-1]:
+        audit = cycle_audit(STD, spec, path, params)
+        assert bits(audit.heat, audit.work, audit.balance_residual, audit.heat_sample_min) \
+            == bits(dq, dw, abs(dq - dw), min(min(h) for h in heat))
+        assert [bits(leg.max_abs_heat) for leg in audit.legs] \
+            == [bits(max(abs(v) for v in h)) for h in heat]
+    else:
+        with pytest.raises(ThermoError, match="requires a closed path"):
+            cycle_audit(STD, spec, path, params)
+
+    report = adiabatic_entropy_check(STD, spec, path, S_COORD, params)
+    heat_samples, s_samples = [], []
+    for k, (seg, h) in enumerate(zip(path.segments, heat)):
+        s_on_t = S_COORD.subs(seg.components, path.t_chart).compile(params, "t")
+        for t, q in zip(_SAMPLE_TS, h):
+            if k == 0 or t != 0:
+                heat_samples.append(q)
+                s_samples.append(float(s_on_t(t)))
+    max_heat = max(abs(v) for v in heat_samples)
+    drift = max(abs(v - s_samples[0]) for v in s_samples)
+    assert bits(report.max_abs_heat, report.entropy_drift, report.entropy_start,
+                report.entropy_end) == bits(max_heat, drift, s_samples[0], s_samples[-1])
+    diffs = [y - x for x, y in zip(s_samples, s_samples[1:])]
+    increasing = [i for i, d in enumerate(diffs) if d > 0.0]
+    decreasing = [i for i, d in enumerate(diffs) if d < 0.0]
+    if max_heat < 1e-9:
+        want = (AdiabaticStatus.QUASI_STATIC_ADIABATIC, drift >= 1e-9, ())
+    elif len(increasing) == len(diffs):
+        want = (AdiabaticStatus.S_INCREASING, True, ())
+    elif len(decreasing) == len(diffs):
+        want = (AdiabaticStatus.S_DECREASING, True, ())
+    else:
+        violations = tuple(i for i, d in enumerate(diffs) if d <= 0.0)
+        want = (AdiabaticStatus.S_NONMONOTONE, True, violations)
+    assert (report.status, report.leaves_leaf, report.violations) == want
