@@ -31,6 +31,14 @@ triples, consistency pairs and stability quadruples) is a row
 ``tuple(map(rng.choice, pools))`` from one ``random.Random(config.seed)``,
 so a seed fixes the draws and the witnesses.  ``construct_entropy`` and
 ``verify_entropy`` draw nothing.
+
+``calibrate`` solves for the affine constants by Fourier–Motzkin
+elimination on integer rows.  It builds each cross state's glued row once,
+scales every row and the margin by the lcm of their denominators, and then
+combines, compares and reduces rows with int arithmetic only: a direction
+is keyed by its primitive vector (coefficients over their gcd), and a row's
+provenance, the set of input rows it came from, is an int bitmask.  Only
+back-substitution, which reads the point off the stages, uses Fractions.
 """
 
 from __future__ import annotations
@@ -830,10 +838,10 @@ def verify_entropy(
 
 @dataclass(frozen=True)
 class Constraint:
-    """Σ coeffs·vars + const ≤ 0, remembering its origin."""
+    """Σ coeffs·vars + const ≤ 0 on integer coefficients, remembering its origin."""
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[int, ...]
+    const: int
     provenance: frozenset[int]
 
 
@@ -842,69 +850,85 @@ class _Infeasible(Exception):
         self.provenance = provenance
 
 
-def _tighten(constraints) -> list[Constraint]:
-    """Normalize rows and keep only the tightest constraint per halfspace
-    direction; without this, equivalence-heavy systems blow the elimination
-    up combinatorially."""
-    best: dict[tuple, Constraint] = {}
-    for c in constraints:
-        lead = next((a for a in c.coeffs if a != 0), None)
-        if lead is None:
-            if c.const > 0:
-                raise _Infeasible(c.provenance)
+def _tighten(rows) -> list[tuple]:
+    """Keep only the tightest row per halfspace direction; without this,
+    equivalence-heavy systems blow the elimination up combinatorially.
+
+    A row is (int coeffs, int const, provenance).  Its direction is its
+    primitive vector coeffs // g, g = gcd(coeffs), and of two rows in one
+    direction the tighter has the larger const / g, compared by
+    cross-multiplying; a kept row is replaced only by a strictly tighter one.
+    Each kept row is divided by the gcd of its coefficients and const.
+    """
+    best: dict[tuple, tuple] = {}
+    for coeffs, const, provenance in rows:
+        g = math.gcd(*coeffs)
+        if g == 0:
+            if const > 0:
+                raise _Infeasible(provenance)
             continue
-        scale = abs(lead)
-        coeffs = tuple(a / scale for a in c.coeffs)
-        const = c.const / scale
-        kept = best.get(coeffs)
-        if kept is None or const > kept.const:
-            best[coeffs] = Constraint(coeffs, const, c.provenance)
-    return list(best.values())
+        key = coeffs if g == 1 else tuple(a // g for a in coeffs)
+        kept = best.get(key)
+        if kept is not None:
+            (_, kept_const, _), kept_g = kept
+            if const * kept_g <= kept_const * g:
+                continue
+        h = math.gcd(g, const)
+        if h != 1:
+            coeffs, const, g = tuple(a // h for a in coeffs), const // h, g // h
+        best[key] = ((coeffs, const, provenance), g)
+    return [row for row, _ in best.values()]
 
 
 def _fm_solve(constraints: list[Constraint], nvars: int) -> list[Fraction]:
-    """Fourier–Motzkin elimination with provenance; returns a feasible point."""
+    """Fourier–Motzkin elimination over integer rows, with provenance;
+    returns a feasible point.
+
+    A stage row is (int coeffs, int const, provenance), its provenance the
+    bitmask of the input rows it came from.  Rows p and q with opposite
+    signs at the eliminated variable v combine as (−q_v)·p + p_v·q: a
+    positive multiple of the combination of p / |p_v| and q / |q_v|, so it
+    bounds the same halfspace and stays integer.  Each bound of the
+    back-substitution, −rest / coef, is unchanged by a positive scaling of
+    its row, so the point does not depend on how rows were scaled."""
     stages = []
-    current = _tighten(constraints)
+    current = _tighten(
+        (c.coeffs, c.const, sum(1 << i for i in c.provenance)) for c in constraints
+    )
     for var in range(nvars):
         stages.append(current)
-        nxt = []
-        pos = [c for c in current if c.coeffs[var] > 0]
-        neg = [c for c in current if c.coeffs[var] < 0]
-        for c in current:
-            if c.coeffs[var] == 0:
-                nxt.append(c)
-        for p in pos:
-            for q in neg:
-                provenance = p.provenance | q.provenance
-                if len(provenance) > var + 2:
+        nxt = [row for row in current if row[0][var] == 0]
+        pos = [row for row in current if row[0][var] > 0]
+        neg = [row for row in current if row[0][var] < 0]
+        for p_coeffs, p_const, p_prov in pos:
+            scale_q = p_coeffs[var]
+            for q_coeffs, q_const, q_prov in neg:
+                provenance = p_prov | q_prov
+                if provenance.bit_count() > var + 2:
                     # Chernikov's rule: after var + 1 eliminations a row built
                     # from more than var + 2 input rows is implied by the rest,
                     # so each stage keeps its polyhedron and its bounds
                     continue
-                scale_p = -q.coeffs[var]
-                scale_q = p.coeffs[var]
+                scale_p = -q_coeffs[var]
                 coeffs = tuple(
-                    scale_p * a + scale_q * b for a, b in zip(p.coeffs, q.coeffs)
+                    scale_p * a + scale_q * b for a, b in zip(p_coeffs, q_coeffs)
                 )
-                nxt.append(
-                    Constraint(coeffs, scale_p * p.const + scale_q * q.const, provenance)
-                )
+                nxt.append((coeffs, scale_p * p_const + scale_q * q_const, provenance))
         current = _tighten(nxt)
-    for c in current:
-        if c.const > 0:
-            raise _Infeasible(c.provenance)
+    for _, const, provenance in current:
+        if const > 0:
+            raise _Infeasible(provenance)
     assignment: list[Optional[Fraction]] = [None] * nvars
     for var in range(nvars - 1, -1, -1):
         lower = None
         upper = None
-        for c in stages[var]:
-            coef = c.coeffs[var]
+        for coeffs, const, _ in stages[var]:
+            coef = coeffs[var]
             if coef == 0:
                 continue
-            rest = c.const
+            rest = Fraction(const)
             for j in range(var + 1, nvars):
-                rest += c.coeffs[j] * assignment[j]
+                rest += coeffs[j] * assignment[j]
             bound = -rest / coef
             if coef > 0:
                 upper = bound if upper is None else min(upper, bound)
@@ -955,6 +979,12 @@ def calibrate(
     inequalities with the given margin, equivalences become equalities; the
     result is any feasible point, or INFEASIBLE with the subset of cross
     pairs whose inequalities collided.
+
+    Each cross state's glued row is built once.  Every row and the margin
+    are scaled by D, the lcm of all their denominators, so the elimination
+    runs on integer rows: a_i > 0 is the row −D at a_i with const margin·D.
+    A pair's description is written out only when it is part of an
+    INFEASIBLE witness.
     """
     check_margin(margin)
     if not systems:
@@ -973,53 +1003,62 @@ def calibrate(
                     f"cross state {x} lies in space {lbl!r}, which has no entropy function"
                 )
 
-    def glued_row(x: CompositeState):
-        coeffs = [Fraction(0)] * nvars
-        const = Fraction(0)
+    def glued_row(x: CompositeState) -> list[Fraction]:
+        """S(x)'s coefficients at a_1, B_1, … and its constant, last."""
+        row = [Fraction(0)] * (nvars + 1)
         for lam, lbl, name in x.parts:
             i = index[lbl]
             s_val = systems[i][1].value(name)
             if i == 0:
-                const += lam * s_val
+                row[nvars] += lam * s_val
             else:
-                coeffs[2 * (i - 1)] += lam * s_val
-                coeffs[2 * (i - 1) + 1] += lam
-        return coeffs, const
+                row[2 * (i - 1)] += lam * s_val
+                row[2 * (i - 1) + 1] += lam
+        return row
+
+    glued = {x: glued_row(x) for x in uni}
+    common = math.lcm(
+        margin.denominator, *(v.denominator for row in glued.values() for v in row)
+    )
+    for x, row in glued.items():
+        glued[x] = [v.numerator * (common // v.denominator) for v in row]
+    gap = margin.numerator * (common // margin.denominator)
 
     constraints: list[Constraint] = []
-    descriptions: list[str] = []
+    descriptions: list[tuple] = []  # (left, relation, right), joined on demand
 
-    def add(coeffs, const, description):
-        constraints.append(
-            Constraint(tuple(coeffs), const, frozenset({len(descriptions)}))
-        )
+    def add(row, const, description):
+        constraints.append(Constraint(tuple(row), const, frozenset({len(descriptions)})))
         descriptions.append(description)
 
     for i in range(1, len(systems)):
-        coeffs = [Fraction(0)] * nvars
-        coeffs[2 * (i - 1)] = Fraction(-1)
-        add(coeffs, margin, f"a[{labels[i]}] > 0")
+        row = [0] * nvars
+        row[2 * (i - 1)] = -common
+        add(row, gap, (f"a[{labels[i]}]", ">", 0))
     for x, y in itertools.combinations(uni, 2):
         rel = derived_relations(cross, x, y)
         if rel is Relation.INCOMPARABLE:
             continue
-        cx, kx = glued_row(x)
-        cy, ky = glued_row(y)
-        diff = [a - b for a, b in zip(cx, cy)]
-        const = kx - ky
+        diff = [a - b for a, b in zip(glued[x], glued[y])]
+        const = diff.pop()
         if rel is Relation.EQUIVALENT:
-            add(diff, const, f"{x} ∼ {y}")
-            add([-d for d in diff], -const, f"{x} ∼ {y}")
+            add(diff, const, (x, "∼", y))
+            add([-d for d in diff], -const, (x, "∼", y))
         elif rel is Relation.STRICT:
-            add(diff, const + margin, f"{x} ≺≺ {y}")
+            add(diff, const + gap, (x, "≺≺", y))
         else:  # reverse strict
-            add([-d for d in diff], -const + margin, f"{y} ≺≺ {x}")
+            add([-d for d in diff], -const + gap, (y, "≺≺", x))
 
     try:
         point = _fm_solve(constraints, nvars)
     except _Infeasible as bad:
         return CalibrationResult(
-            False, witness=tuple(sorted(descriptions[i] for i in bad.provenance))
+            False,
+            witness=tuple(sorted(
+                "{} {} {}".format(*d)
+                for i, d in enumerate(descriptions)
+                if bad.provenance >> i & 1
+            )),
         )
     coeffs = [(Fraction(1), Fraction(0))]
     for i in range(1, len(systems)):

@@ -15,6 +15,7 @@ import argparse
 import functools
 import io
 import os
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -507,9 +508,13 @@ _INPUT_ERRORS = (UsageError, DocumentError, ExprError, ThermoError, GaloisError,
 
 
 def _error_message(err: Exception) -> str:
+    """err as one line: a line break in its text (QUADPACK's messages have
+    several) becomes one space with the blanks around it."""
     if isinstance(err, _INPUT_ERRORS):
-        return str(err)
-    return f"internal error: {type(err).__name__}: {err}"
+        text = str(err)
+    else:
+        text = f"internal error: {type(err).__name__}: {err}"
+    return re.sub(r"[ \t]*\n[ \t]*", " ", text)
 
 
 def _run_batch(manifest_path: str, opts, out) -> int:

@@ -282,3 +282,148 @@ def reference_construct_entropy(A, space, config):
         for name, x in zip(names, pures)
     }
     return EntropyFn(space.label, values, method="reference", grid_step=config.grid_step)
+
+
+# ---------------------------------------------------------------------------
+# Calibration as it once was: every row in Fractions, each row normalized by
+# its leading coefficient, each cross state's glued row built per pair and
+# every description written out.  The integer elimination in
+# entropykit.access must return the very same point and witness.
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceInfeasible(Exception):
+    def __init__(self, provenance):
+        self.provenance = provenance
+
+
+def _reference_tighten(rows):
+    best = {}
+    for coeffs, const, provenance in rows:
+        lead = next((a for a in coeffs if a != 0), None)
+        if lead is None:
+            if const > 0:
+                raise _ReferenceInfeasible(provenance)
+            continue
+        scale = abs(lead)
+        coeffs = tuple(a / scale for a in coeffs)
+        const = const / scale
+        kept = best.get(coeffs)
+        if kept is None or const > kept[1]:
+            best[coeffs] = (coeffs, const, provenance)
+    return list(best.values())
+
+
+def _reference_fm_solve(rows, nvars):
+    from fractions import Fraction
+
+    stages = []
+    current = _reference_tighten(rows)
+    for var in range(nvars):
+        stages.append(current)
+        nxt = [c for c in current if c[0][var] == 0]
+        pos = [c for c in current if c[0][var] > 0]
+        neg = [c for c in current if c[0][var] < 0]
+        for p in pos:
+            for q in neg:
+                provenance = p[2] | q[2]
+                if len(provenance) > var + 2:
+                    continue
+                scale_p, scale_q = -q[0][var], p[0][var]
+                coeffs = tuple(scale_p * a + scale_q * b for a, b in zip(p[0], q[0]))
+                nxt.append((coeffs, scale_p * p[1] + scale_q * q[1], provenance))
+        current = _reference_tighten(nxt)
+    for c in current:
+        if c[1] > 0:
+            raise _ReferenceInfeasible(c[2])
+    assignment = [None] * nvars
+    for var in range(nvars - 1, -1, -1):
+        lower = upper = None
+        for coeffs, const, _ in stages[var]:
+            coef = coeffs[var]
+            if coef == 0:
+                continue
+            rest = const
+            for j in range(var + 1, nvars):
+                rest += coeffs[j] * assignment[j]
+            bound = -rest / coef
+            if coef > 0:
+                upper = bound if upper is None else min(upper, bound)
+            else:
+                lower = bound if lower is None else max(lower, bound)
+        if lower is not None and upper is not None:
+            assignment[var] = (lower + upper) / 2
+        elif lower is not None:
+            assignment[var] = lower + 1
+        elif upper is not None:
+            assignment[var] = upper - 1
+        else:
+            assignment[var] = Fraction(0)
+    return assignment
+
+
+def reference_calibrate(systems, cross, margin=None):
+    """calibrate on Fraction rows, as it was before the integer elimination."""
+    from fractions import Fraction
+
+    from entropykit.access import (
+        DEFAULT_MARGIN,
+        CalibrationResult,
+        Relation,
+        derived_relations,
+    )
+
+    margin = DEFAULT_MARGIN if margin is None else margin
+    labels = [space.label for space, _ in systems]
+    uni = cross.universe()
+    nvars = 2 * (len(systems) - 1)
+    index = {lbl: i for i, lbl in enumerate(labels)}
+
+    def glued_row(x):
+        coeffs = [Fraction(0)] * nvars
+        const = Fraction(0)
+        for lam, lbl, name in x.parts:
+            i = index[lbl]
+            s_val = systems[i][1].value(name)
+            if i == 0:
+                const += lam * s_val
+            else:
+                coeffs[2 * (i - 1)] += lam * s_val
+                coeffs[2 * (i - 1) + 1] += lam
+        return coeffs, const
+
+    rows, descriptions = [], []
+
+    def add(coeffs, const, description):
+        rows.append((tuple(coeffs), const, frozenset({len(descriptions)})))
+        descriptions.append(description)
+
+    for i in range(1, len(systems)):
+        coeffs = [Fraction(0)] * nvars
+        coeffs[2 * (i - 1)] = Fraction(-1)
+        add(coeffs, margin, f"a[{labels[i]}] > 0")
+    for x, y in itertools.combinations(uni, 2):
+        rel = derived_relations(cross, x, y)
+        if rel is Relation.INCOMPARABLE:
+            continue
+        cx, kx = glued_row(x)
+        cy, ky = glued_row(y)
+        diff = [a - b for a, b in zip(cx, cy)]
+        const = kx - ky
+        if rel is Relation.EQUIVALENT:
+            add(diff, const, f"{x} ∼ {y}")
+            add([-d for d in diff], -const, f"{x} ∼ {y}")
+        elif rel is Relation.STRICT:
+            add(diff, const + margin, f"{x} ≺≺ {y}")
+        else:
+            add([-d for d in diff], -const + margin, f"{y} ≺≺ {x}")
+    try:
+        point = _reference_fm_solve(rows, nvars)
+    except _ReferenceInfeasible as bad:
+        return CalibrationResult(
+            False, witness=tuple(sorted(descriptions[i] for i in bad.provenance))
+        )
+    coeffs = [(Fraction(1), Fraction(0))]
+    for i in range(1, len(systems)):
+        coeffs.append((point[2 * (i - 1)], point[2 * (i - 1) + 1]))
+    return CalibrationResult(True, tuple(coeffs))

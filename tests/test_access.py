@@ -12,8 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entropykit
-from _oracles import calibration_case, random_oracle_space, reference_construct_entropy
+from _oracles import (
+    calibration_case,
+    random_oracle_space,
+    reference_calibrate,
+    reference_construct_entropy,
+)
 from entropykit import access
+from entropykit.documents import load_document
 from entropykit.expr import Chart, parse
 from entropykit.galois import Poset
 from entropykit.access import (
@@ -39,6 +45,8 @@ from entropykit.access import (
     verify_entropy,
     _composite_pool,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "docs" / "corpus"
 
 
 def space(label, names, scalable=False):
@@ -1139,9 +1147,7 @@ def test_calibrate_keeps_its_points_and_witnesses(case, ok, coefficients, witnes
     assert (result.ok, result.coefficients, result.witness) == (ok, coefficients, witness)
 
 
-def test_calibrate_three_systems_of_six_states_in_bounded_time():
-    # every positive row met every negative one at each stage: this took
-    # about a minute before the elimination dropped redundant rows
+def _calibrate_in_fresh_process(case, timeout):
     tests = Path(__file__).resolve().parent
     src = Path(entropykit.__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -1149,13 +1155,64 @@ def test_calibrate_three_systems_of_six_states_in_bounded_time():
     script = (
         "from _oracles import calibration_case\n"
         "from entropykit.access import calibrate\n"
-        "print(calibrate(*calibration_case(0, 3, 6)).ok)\n"
+        f"result = calibrate(*calibration_case{case!r})\n"
+        "print(result.ok, result.coefficients, result.witness)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=timeout
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "True\n"
+    return done.stdout
+
+
+def test_calibrate_three_systems_of_six_states_in_bounded_time():
+    # every positive row met every negative one at each stage: this took
+    # about a minute before the elimination dropped redundant rows
+    assert _calibrate_in_fresh_process((0, 3, 6), 20).startswith("True ")
+
+
+# four systems of five states: the elimination's stages hold thousands of rows
+CALIBRATION_LARGE_PINS = [
+    ((0, 4, 5), (
+        (F(1), F(0)),
+        (F(143950593, 322000000), F(-1164091459, 257600000)),
+        (F(100731214681, 8568000000), F(41813031577, 1428000000)),
+        (F(143949977, 35000000), F(41174993, 2500000)),
+    )),
+    ((2, 4, 5), (
+        (F(1), F(0)),
+        (F(10750001, 2250000), F(0)),
+        (F(511587543461, 513273600000), F(-87231626523, 30016000000)),
+        (F(7441754231, 16884000000), F(-13190523, 14000000)),
+    )),
+]
+
+
+@pytest.mark.parametrize("case, coefficients", CALIBRATION_LARGE_PINS)
+def test_calibrate_four_systems_of_five_states_in_bounded_time(case, coefficients):
+    assert _calibrate_in_fresh_process(case, 30) == f"True {coefficients!r} ()\n"
+
+
+def _calibration_outcome(result):
+    return result.ok, result.coefficients, result.witness
+
+
+@pytest.mark.parametrize("systems", [1, 2, 3])
+def test_calibrate_matches_the_fraction_elimination(systems):
+    for states, clashes, seed in itertools.product(range(2, 7), range(3), range(10)):
+        case = calibration_case(seed, systems, states, clashes)
+        assert _calibration_outcome(calibrate(*case)) == _calibration_outcome(
+            reference_calibrate(*case)
+        ), (seed, systems, states, clashes)
+
+
+@pytest.mark.parametrize("name", ["calibrate_two.doc", "calibrate_clash.doc"])
+def test_calibrate_matches_the_fraction_elimination_on_the_corpus(name):
+    doc = load_document(str(CORPUS / name))
+    systems = [(doc.spaces[label], S) for label, S in doc.entropies.values()]
+    assert _calibration_outcome(calibrate(systems, doc.cross)) == _calibration_outcome(
+        reference_calibrate(systems, doc.cross)
+    )
 
 
 def test_entropy_oracle_from_expression():

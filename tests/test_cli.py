@@ -816,6 +816,30 @@ def test_deeply_nested_parentheses_exit_two_alone_and_in_batch(tmp_path):
     assert out.count("\nmatched: yes") == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_multi_line_quadrature_message_prints_as_one_line(tmp_path, fmt):
+    text = (CORPUS / "ideal_gas.doc").read_text()
+    text = text.replace("potential = exp(2*S/(3*N*R)) * V^(-2/3)", "potential = 1/(S - 2)^2 + V")
+    text = text.split("[paths]")[0] + "[paths]\npath p0:\n  segment S = 1 + t, V = 1 + t\n"
+    doc = tmp_path / "singular.doc"
+    doc.write_text(text)
+    line_no = text.splitlines().index("path p0:") + 1
+    message = (
+        f"{doc}:{line_no}: path p0: quadrature did not converge: The algorithm does not"
+        " converge.  Roundoff error is detected in the extrapolation table.  It is"
+        " assumed that the requested tolerance cannot be achieved, and that the returned"
+        " result (if full_output = 1) is the best which can be obtained."
+    )
+    assert run_cli("path", str(doc), "--format", fmt) == (2, f"error: {message}\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("path singular.doc 2\n")
+    code, out = run_cli("batch", str(manifest), "--format", fmt)
+    assert code == 0
+    assert f"\nmessage: {message}\n" in out
+    for line in out.splitlines():
+        assert line in ("", "-" * 40) or (": " in line and line == line.rstrip()), line
+
+
 def fresh_cli(*argv):
     """(exit code, stdout) of the CLI in a fresh process with a 1 GiB
     address-space limit and a 30 s timeout, which must write no stderr."""
