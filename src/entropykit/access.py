@@ -16,10 +16,12 @@ two backends: explicit edge lists (closed on demand) and decision-procedure
 oracles, of which the entropy-backed oracle is the workhorse for synthetic
 test systems.
 
-One depth-first closure, ``reachable_sets``, gives each node its up-set; it
-serves ``EdgeRelation.closure`` and ``galois.Poset``.  The CH, entropy
-construction and ``check_axioms`` read answer tables
-``le[i][j] = A.le(xs[i], xs[j])``: each ordered pair asked once.
+One closure, ``closure_masks``, gives each node its up-set and down-set as
+int bitmasks over node indices, from one pass of Tarjan's strongly
+connected components; it serves ``EdgeRelation.closure`` and
+``galois.Poset``.  The CH, entropy construction and ``check_axioms`` read
+answer tables ``le[i][j] = A.le(xs[i], xs[j])``: each ordered pair asked
+once.
 
 Each composed axiom check of a sampled backend lists its cases, keeps those
 whose composites a known universe holds, and reports the first case that
@@ -154,25 +156,95 @@ class CompositeState:
     __repr__ = __str__
 
 
-def reachable_sets(nodes, edges) -> dict:
-    """Reflexive-transitive closure as up-sets: each node maps to the set of
-    nodes reachable from it by edges, itself included (depth-first from
-    every node; edge endpoints must be nodes)."""
-    succ = {n: set() for n in nodes}
-    for a, b in edges:
-        succ[a].add(b)
-    up = {}
-    for start in nodes:
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in succ[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        up[start] = seen
-    return up
+def closure_masks(size: int, edges, seeds=None, components=None):
+    """Reflexive-transitive closure of ``edges`` (index pairs on nodes
+    ``0 .. size-1``) as int bitmasks: ``up[i]`` ORs ``seeds[j]`` over every j
+    reachable from i, itself included, and ``down[i]`` over every j that
+    reaches i.  The default seed of node j is bit j, which makes ``up[i]``
+    the up-set of i and ``down[i]`` its down-set.  Returns
+    ``(up, down, components)``.
+
+    The strongly connected components come out of ``_components`` after
+    every component they reach, so one pass in that order pulls each
+    component's up-mask from its successors, and one pass in the reverse
+    order pushes each component's down-mask on to its successors.  Passing
+    the ``components`` of an earlier call on the same edges skips the
+    search."""
+    succ = [[] for _ in range(size)]
+    for i, j in edges:
+        succ[i].append(j)
+    if seeds is None:
+        seeds = [1 << i for i in range(size)]
+    if components is None:
+        components = _components(succ)
+    up = [0] * size
+    for members in components:
+        mask = 0
+        for i in members:
+            mask |= seeds[i]
+            for j in succ[i]:
+                mask |= up[j]  # 0 while j is in this component
+        for i in members:
+            up[i] = mask
+    down = [0] * size  # until its component's turn, what was pushed on to i
+    for members in reversed(components):
+        mask = 0
+        for i in members:
+            mask |= seeds[i] | down[i]
+        for i in members:
+            down[i] = mask
+            for j in succ[i]:
+                down[j] |= mask
+    return up, down, components
+
+
+def _components(succ) -> list[list[int]]:
+    """The strongly connected components of the graph ``i -> succ[i]``,
+    each listed after every component it reaches (iterative Tarjan 1972)."""
+    size = len(succ)
+    number = [-1] * size  # visiting order; -1 while unvisited, size once placed
+    low = [0] * size
+    stack, components, count = [], [], 0
+    for root in range(size):
+        if number[root] >= 0:
+            continue
+        number[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if number[w] < 0:
+                    number[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if number[w] < low[v]:  # w is on the stack, as a placed w reads size
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        number[w] = size
+                        members.append(w)
+                        if w == v:
+                            break
+                    components.append(members)
+    return components
+
+
+def set_bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +293,11 @@ class EdgeRelation(Accessibility):
 
     def closure(self) -> "EdgeRelation":
         """Reflexive-transitive closure of the edges."""
-        up = reachable_sets(self.nodes, self.edges)
-        closed = ((a, b) for a, seen in up.items() for b in seen)
-        return EdgeRelation(self.nodes, closed, self.supports_scaling)
+        nodes = self.nodes
+        index = {x: i for i, x in enumerate(nodes)}
+        up, _, _ = closure_masks(len(nodes), [(index[a], index[b]) for a, b in self.edges])
+        closed = ((a, nodes[j]) for a, above in zip(nodes, up) for j in set_bits(above))
+        return EdgeRelation(nodes, closed, self.supports_scaling)
 
 
 class MemoizedOracle(Accessibility):

@@ -471,8 +471,11 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
     try:
         result = galois.landauer_check((space1, s1), (space2, s2), f_mapping, g_mapping)
     except GaloisError as err:
-        # a map that is not total or leaves its target space; F is checked first
-        f_whole = all(f_mapping.get(x) in space2.states for x in space1.states)
+        # a map that is not total, leaves its target space or names a state
+        # outside its source space; F is checked first
+        f_whole = f_mapping.keys() == space1.states.keys() and all(
+            f_mapping[x] in space2.states for x in space1.states
+        )
         raise _map_error(doc, "G" if f_whole else "F", err) from None
     idx = report.block("landauer")
     report.add(idx, "verdict", "PASS" if result.ok else "FAIL")

@@ -3,62 +3,66 @@
 
 Pre-orders are first class: adiabatic equivalence makes the thermodynamic
 order a genuine pre-order, so "greatest element" always means greatest up
-to equivalence and any representative may be returned.  Carriers are small
-by design and every check is exhaustive.
+to equivalence and any representative may be returned.  Every check is
+exact over the whole carrier.
 
-``Poset`` closes its relation with ``access.reachable_sets``, the
-depth-first closure under ``EdgeRelation.closure``, and keeps each element's
-up-set and down-set from it.  ``check_monotone``, ``check_galois``,
-``least``/``greatest`` and both adjoint searches read those sets: a subset
-or membership test per element, not a ``Poset.le`` call per pair.  Every
-witness and representative is still the first in carrier (or list) order,
-so the results are those of the pairwise scans.
+``Poset`` closes its relation once with ``access.closure_masks`` and keeps
+each element's up-set and down-set as int bitmasks over carrier indices,
+with the generating edges as index pairs.  The checks read those masks:
+``check_monotone`` tests only the generating edges (the order is their
+reflexive-transitive closure and the target is transitive), and
+``check_galois`` tests the unit a ≤ GF(a) and the counit FG(b) ≤ b, which for
+monotone maps is the adjunction (Davey & Priestley, *Introduction to
+Lattices and Order*).  The adjoint searches close F's (or G's) preimage
+masks along the other poset's order and read each representative off a
+table of the masks.  Where a fast test fails, a scan in carrier order over
+the masks finds the witness, so every witness and representative is still
+the first in carrier (or list) order: the results are those of the pairwise
+scans.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .access import EntropyFn, StateSpace, reachable_sets
+from .access import EntropyFn, StateSpace, closure_masks, set_bits
 
 
 class GaloisError(Exception):
     pass
 
 
-_NOTHING = frozenset()  # the up- and down-set of anything outside the carrier
-
-
 class Poset:
     """Finite pre-ordered set; the relation is closed reflexively and
     transitively at construction.
 
-    Each element keeps its up-set (the elements above it, itself included)
-    and its down-set, both from the closure's depth-first search; the checks
-    below ask membership and subset questions of those sets instead of one
-    ``le`` per pair."""
+    ``_index`` numbers the carrier, ``_edges`` keeps the generating edges as
+    index pairs, and ``_up[i]`` / ``_down[i]`` are the bitmasks of the
+    elements above and below element i, itself included; ``_components``
+    keeps the closure's strongly connected components for closing other
+    masks along the same order.  The closed relation as pairs is built only
+    when ``relation`` is asked for."""
 
-    __slots__ = ("carrier", "_up", "_down", "_relation")
+    __slots__ = ("carrier", "_index", "_edges", "_up", "_down", "_components", "_relation")
 
     def __init__(self, carrier: Sequence, relation):
         carrier = tuple(carrier)
-        if len(set(carrier)) != len(carrier):
+        index = {x: i for i, x in enumerate(carrier)}
+        if len(index) != len(carrier):
             raise GaloisError("carrier elements must be distinct")
-        members = set(carrier)
-        edges = list(relation)
-        for a, b in edges:
-            if a not in members or b not in members:
+        edges = []
+        for a, b in relation:
+            if a not in index or b not in index:
                 raise GaloisError(f"relation edge ({a}, {b}) outside carrier")
-        up = reachable_sets(carrier, edges)
-        down = {x: set() for x in carrier}
-        for x, above in up.items():
-            for y in above:
-                down[y].add(x)
+            edges.append((index[a], index[b]))
+        up, down, components = closure_masks(len(carrier), edges)
         object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "_up", up)  # sets, never changed after this
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_edges", tuple(edges))
+        object.__setattr__(self, "_up", up)  # never changed after this
         object.__setattr__(self, "_down", down)
+        object.__setattr__(self, "_components", components)
         object.__setattr__(self, "_relation", None)
 
     def __setattr__(self, *a):
@@ -68,30 +72,46 @@ class Poset:
     def relation(self) -> frozenset:
         """The closed relation as (x, y) pairs, x ≤ y; built on first use."""
         if self._relation is None:
-            pairs = frozenset((x, y) for x, above in self._up.items() for y in above)
+            carrier = self.carrier
+            pairs = frozenset(
+                (x, carrier[j]) for x, above in zip(carrier, self._up) for j in set_bits(above)
+            )
             object.__setattr__(self, "_relation", pairs)
         return self._relation
 
     def le(self, x, y) -> bool:
-        return y in self._up.get(x, _NOTHING)
+        index = self._index
+        try:
+            return self._up[index[x]] >> index[y] & 1 == 1
+        except KeyError:  # x or y outside the carrier
+            return False
 
     def equivalent(self, x, y) -> bool:
         return self.le(x, y) and self.le(y, x)
 
     @property
     def total(self) -> bool:
-        return all(
-            self.le(x, y) or self.le(y, x)
-            for x, y in itertools.combinations(self.carrier, 2)
-        )
+        everything = (1 << len(self.carrier)) - 1
+        return all(up | down == everything for up, down in zip(self._up, self._down))
 
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        return self is other or self._up == other._up
+        if self is other or self.carrier == other.carrier:
+            return self._up == other._up
+        if self._index.keys() != other._index.keys():
+            return False
+        # the other's generating edges, closed in this carrier's numbering
+        to_mine = [self._index[x] for x in other.carrier]
+        edges = [(to_mine[i], to_mine[j]) for i, j in other._edges]
+        return self._up == closure_masks(len(self.carrier), edges)[0]
 
     def __hash__(self):
-        return hash((frozenset(self.carrier), self.relation))
+        # the size of each element's up- and down-set does not depend on
+        # the carrier order, so equal posets hash alike
+        return hash(frozenset(zip(
+            self.carrier, map(int.bit_count, self._up), map(int.bit_count, self._down)
+        )))
 
     def __repr__(self):
         edges = sorted(
@@ -106,20 +126,31 @@ class Poset:
 
     def least(self, xs: Sequence):
         """The first of xs below all of xs, or None."""
-        need = frozenset(xs)
-        up = self._up
-        return next((x for x in xs if need <= up.get(x, _NOTHING)), None)
+        return self._first_holding_all(xs, self._up)
 
     def greatest(self, xs: Sequence):
         """The first of xs above all of xs, or None."""
-        need = frozenset(xs)
-        down = self._down
-        return next((x for x in xs if need <= down.get(x, _NOTHING)), None)
+        return self._first_holding_all(xs, self._down)
+
+    def _first_holding_all(self, xs: Sequence, masks: list[int]):
+        index = self._index
+        if not all(x in index for x in xs):
+            return None  # no mask holds an element outside the carrier
+        need = 0
+        for x in xs:
+            need |= 1 << index[x]
+        return next((x for x in xs if masks[index[x]] & need == need), None)
 
     def join(self, x, y):
         """A least upper bound up to equivalence, or None."""
-        above = self._up.get(x, _NOTHING) & self._up.get(y, _NOTHING)
-        return self.least([z for z in self.carrier if z in above])
+        i, j = self._index.get(x), self._index.get(y)
+        if i is None or j is None:
+            return None
+        up = self._up
+        above = up[i] & up[j]
+        return next(
+            (self.carrier[k] for k in set_bits(above) if up[k] & above == above), None
+        )
 
 
 def poset_from_entropy(space: StateSpace, S: EntropyFn) -> Poset:
@@ -137,22 +168,47 @@ class MonotoneResult:
     witness: Optional[tuple] = None  # (x, y) with x ≤ y but F(x) ≰ F(y)
 
 
+def _image(src: Poset, dst: Poset, mapping: Mapping) -> list[int]:
+    """The index in dst of each src element's image, in carrier order."""
+    index = dst._index
+    return [index[mapping[x]] for x in src.carrier]
+
+
+def _closed_preimages(image: list[int], dst: Poset) -> tuple[list[int], list[int]]:
+    """For each element t of dst, the bitmask of the source elements whose
+    image is above t, and the bitmask of those whose image is below t."""
+    preimages = [0] * len(dst.carrier)
+    for i, t in enumerate(image):
+        preimages[t] |= 1 << i
+    up, down, _ = closure_masks(len(dst.carrier), dst._edges, preimages, dst._components)
+    return up, down
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def check_monotone(src: Poset, dst: Poset, mapping: Mapping) -> MonotoneResult:
     """x ≤ y ⇒ F(x) ≤ F(y).  The witness is the first failing x in carrier
     order with its first failing y, the pair a scan of carrier × carrier
-    finds first."""
+    finds first.  The mapping must send each source element, and nothing
+    else, into the target."""
     for x in src.carrier:
         if x not in mapping:
             raise GaloisError(f"mapping is not total: {x!r} unmapped")
-        if mapping[x] not in dst._up:
+        if mapping[x] not in dst._index:
             raise GaloisError(f"{mapping[x]!r} is outside the target carrier")
-    image = mapping.__getitem__
-    for x in src.carrier:
-        above = src._up[x]
-        reached = dst._up[mapping[x]]
-        if not reached.issuperset(map(image, above)):
-            y = next(y for y in src.carrier if y in above and mapping[y] not in reached)
-            return MonotoneResult(False, (x, y))
+    if len(mapping) != len(src.carrier):
+        extra = next(x for x in mapping if x not in src._index)
+        raise GaloisError(f"{extra!r} is outside the source carrier")
+    image = _image(src, dst, mapping)
+    up = dst._up
+    if not all(up[image[i]] >> image[j] & 1 for i, j in src._edges):
+        reached = _closed_preimages(image, dst)[0]  # the y with F(y) ≥ t
+        for x, above, t in zip(src.carrier, src._up, image):
+            missed = above & ~reached[t]
+            if missed:
+                return MonotoneResult(False, (x, src.carrier[_lowest(missed)]))
     return MonotoneResult(True)
 
 
@@ -188,23 +244,27 @@ class GaloisResult:
 
 
 def check_galois(F: MonotoneMap, G: MonotoneMap) -> GaloisResult:
-    """Exhaustive adjunction check: F(a) ≤ b ⇔ a ≤ G(b) for all pairs."""
+    """The adjunction F(a) ≤ b ⇔ a ≤ G(b) for all pairs.  For monotone F
+    and G it holds exactly when the unit a ≤ GF(a) and the counit
+    FG(b) ≤ b do; when one fails, the first failing pair in carrier order
+    is the witness."""
     if F.source != G.target or F.target != G.source:
         raise GaloisError("F and G must run between the same two posets")
     A, B = F.source, F.target
-    f, g = F.mapping, G.mapping
-    preimage = {a: [] for a in A.carrier}  # a -> the b with G(b) = a
-    for b in B.carrier:
-        preimage[g[b]].append(b)
-    for a in A.carrier:
-        forward = B._up[f[a]]  # the b with F(a) ≤ b
-        backward = {b for v in A._up[a] for b in preimage[v]}  # the b with a ≤ G(b)
-        if forward != backward:
-            b = next(b for b in B.carrier if (b in forward) != (b in backward))
-            direction = "F(a) ≤ b but a ≰ G(b)" if b in forward else "a ≤ G(b) but F(a) ≰ b"
-            return GaloisResult(False, (a, b, direction))
-    unit = all(g[f[a]] in A._up[a] for a in A.carrier)
-    counit = all(b in B._up[f[g[b]]] for b in B.carrier)
+    f, g = _image(A, B, F.mapping), _image(B, A, G.mapping)
+    unit = all(up >> g[t] & 1 for up, t in zip(A._up, f))
+    counit = all(B._up[f[s]] >> j & 1 for j, s in enumerate(g))
+    if not (unit and counit):
+        backward = _closed_preimages(g, A)[0]  # the b with a ≤ G(b)
+        for a, t, back in zip(A.carrier, f, backward):
+            forward = B._up[t]  # the b with F(a) ≤ b
+            if forward != back:
+                j = _lowest(forward ^ back)
+                if forward >> j & 1:
+                    direction = "F(a) ≤ b but a ≰ G(b)"
+                else:
+                    direction = "a ≤ G(b) but F(a) ≰ b"
+                return GaloisResult(False, (a, B.carrier[j], direction))
     return GaloisResult(True, None, unit, counit)
 
 
@@ -220,31 +280,37 @@ class AdjointResult:
 
 def right_adjoint(F: MonotoneMap) -> AdjointResult:
     """G(b) = a greatest element of {a : F(a) ≤ b}, when one exists for
-    every b (greatest in the pre-order sense; any representative)."""
+    every b (greatest in the pre-order sense; the first in carrier order).
+
+    As F is monotone, {a : F(a) ≤ b} is a down-set, and an element is
+    greatest in a down-set exactly when its own down-set is the whole of
+    it: the representative is the lowest index with that down-mask."""
     A, B = F.source, F.target
-    f = F.mapping
-    mapping = {}
-    for b in B.carrier:
-        below = B._down[b]
-        greatest = A.greatest([a for a in A.carrier if f[a] in below])
-        if greatest is None:
-            return AdjointResult(None, b)
-        mapping[b] = greatest
-    return AdjointResult(MonotoneMap(B, A, mapping))
+    below = _closed_preimages(_image(A, B, F.mapping), B)[1]  # the a with F(a) ≤ b
+    return _adjoint(B, A, below, A._down)
 
 
 def left_adjoint(G: MonotoneMap) -> AdjointResult:
     """F(a) = a least element of {b : a ≤ G(b)}, dual to right_adjoint."""
     B, A = G.source, G.target
-    g = G.mapping
+    above = _closed_preimages(_image(B, A, G.mapping), A)[0]  # the b with a ≤ G(b)
+    return _adjoint(A, B, above, B._up)
+
+
+def _adjoint(source: Poset, target: Poset, candidates: list[int], masks: list[int]):
+    """Send each source element to the lowest target index whose mask is
+    its candidate mask; without one, the first such source element is the
+    witness."""
+    first = {}
+    for i, mask in enumerate(masks):
+        first.setdefault(mask, i)
     mapping = {}
-    for a in A.carrier:
-        above = A._up[a]
-        least = B.least([b for b in B.carrier if g[b] in above])
-        if least is None:
-            return AdjointResult(None, a)
-        mapping[a] = least
-    return AdjointResult(MonotoneMap(A, B, mapping))
+    for x, wanted in zip(source.carrier, candidates):
+        i = first.get(wanted)
+        if i is None:
+            return AdjointResult(None, x)
+        mapping[x] = target.carrier[i]
+    return AdjointResult(MonotoneMap(source, target, mapping))
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,23 @@ def pairwise_left_adjoint(G):
     return AdjointResult(MonotoneMap(A, B, mapping))
 
 
+def warshall_closure(nodes, edges):
+    """The reflexive-transitive closure of edges on nodes, as a set of
+    pairs, by Warshall's algorithm on a boolean matrix."""
+    index = {x: i for i, x in enumerate(nodes)}
+    n = len(nodes)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        reach[index[a]][index[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                row, via = reach[i], reach[k]
+                for j in range(n):
+                    row[j] = row[j] or via[j]
+    return {(nodes[i], nodes[j]) for i in range(n) for j in range(n) if reach[i][j]}
+
+
 def random_preorder(rng, labels):
     """A pre-order on shuffled labels whose equivalence classes are planted:
     labels fall into random blocks, each block is closed into a cycle, and

@@ -402,6 +402,21 @@ def test_space_with_no_coordinates_exits_two_at_its_line(tmp_path, command):
          "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one, p3 = one",
          "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one",
          "mapping is not total: 'p3' unmapped"),
+        ("galois", "chains.doc", "map F : A -> B : a0 = b0, a1 = b0, a2 = b1",
+         "map F : A -> B : a0 = b0, a1 = b0, a2 = b1, a9 = b1",
+         "'a9' is outside the source carrier"),
+        ("adjoint", "chains.doc", "map F : A -> B : a0 = b0, a1 = b0, a2 = b1",
+         "map F : A -> B : a0 = b0, a1 = b0, a2 = b1, a9 = b1",
+         "'a9' is outside the source carrier"),
+        ("galois", "chains.doc", "map G : B -> A : b0 = a1, b1 = a2",
+         "map G : B -> A : b0 = a1, b1 = a2, zz = a1", "'zz' is outside the source carrier"),
+        ("landauer", "landauer_bit.doc", "map F : bit -> phys : zero = p0, one = p2",
+         "map F : bit -> phys : zero = p0, one = p2, zz = p0",
+         "'zz' is outside the source carrier"),
+        ("landauer", "landauer_bit.doc",
+         "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one, p3 = one",
+         "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one, p3 = one, zz = zero",
+         "'zz' is outside the source carrier"),
         ("axioms", "raw_chain.doc", "closure = false", "closure = ture",
          "closure must be true/false, yes/no or 1/0, got 'ture'"),
         ("axioms", "raw_chain.doc", "closure = false", "scaling = maybe",
@@ -840,24 +855,70 @@ def test_a_multi_line_quadrature_message_prints_as_one_line(tmp_path, fmt):
         assert line in ("", "-" * 40) or (": " in line and line == line.rstrip()), line
 
 
-def fresh_cli(*argv):
-    """(exit code, stdout) of the CLI in a fresh process with a 1 GiB
-    address-space limit and a 30 s timeout, which must write no stderr."""
+def fresh_cli(*argv, memory=2**30, timeout=30):
+    """(exit code, stdout) of the CLI in a fresh process with an
+    address-space limit of ``memory`` bytes (1 GiB) and a timeout of
+    ``timeout`` seconds (30), which must write no stderr."""
     src = Path(entropykit.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     script = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({memory}, {memory}))\n"
         "from entropykit.cli import run\n"
         "sys.exit(run(sys.argv[1:]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        capture_output=True, text=True, env=env, timeout=30,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert done.stderr == ""
     return done.returncode, done.stdout
+
+
+def large_poset_document(path, kind, n=3000):
+    """Posets A and B, both the same n-element pre-order, with F and G the
+    identity between them.  'chain': a0 < a1 < ...; 'zigzag': the chain and
+    each edge reversed, so all n are equivalent; 'back-two': the chain and
+    a(2k) < a(2k-2), so all but the last element (n even) are equivalent."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if kind == "zigzag":
+        edges += [(i + 1, i) for i in range(n - 1)]
+    elif kind == "back-two":
+        edges += [(i, i - 2) for i in range(2, n, 2)]
+    lines = ["[posets]"]
+    for name, letter in (("A", "a"), ("B", "b")):
+        carrier = " ".join(f"{letter}{i}" for i in range(n))
+        relation = ", ".join(f"{letter}{i}<{letter}{j}" for i, j in edges)
+        lines.append(f"poset {name} : {carrier} : {relation}")
+    lines.append("[maps]")
+    lines.append("map F : A -> B : " + ", ".join(f"a{i} = b{i}" for i in range(n)))
+    lines.append("map G : B -> A : " + ", ".join(f"b{i} = a{i}" for i in range(n)))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["chain", "zigzag", "back-two"])
+def test_galois_and_adjoint_on_3000_elements_stay_bounded(tmp_path, kind):
+    # a size-sweep point: the per-element closure into sets once took seconds
+    # and more than 1 GB here; 256 MiB of address space and 10 s are plenty
+    # for the bitmask closure
+    n = 3000
+    doc = large_poset_document(tmp_path / f"{kind}.doc", kind, n)
+    code, out = fresh_cli("galois", str(doc), memory=2**28, timeout=10)
+    assert code == 0
+    assert "\nverdict: PASS\nunit: OK\ncounit: OK\nclosure-operator: OK\n" in out
+    code, out = fresh_cli("adjoint", str(doc), memory=2**28, timeout=10)
+    assert code == 0
+    # the right adjoint of the identity sends b_i to the first element of
+    # a_i's class in carrier order
+    expected = {
+        "chain": [f"a{i}" for i in range(n)],
+        "zigzag": ["a0"] * n,
+        "back-two": ["a0"] * (n - 1) + [f"a{n - 1}"],
+    }[kind]
+    lines = "".join(f"G(b{i}): {a}\n" for i, a in enumerate(expected))
+    assert f"\nverdict: FOUND\n{lines}galois: PASS\n" in out
 
 
 def test_commands_import_only_the_standard_library():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from entropykit.access import EntropyFn, StateSpace
+from entropykit.access import CompositeState, EdgeRelation, EntropyFn, StateSpace
 from entropykit.galois import (
     GaloisError,
     MonotoneMap,
@@ -33,6 +33,7 @@ from _oracles import (
     random_monotone_map,
     random_poset,
     random_preorder,
+    warshall_closure,
 )
 
 
@@ -88,6 +89,8 @@ def test_check_monotone_basics():
     assert not r.ok and r.witness == ("0", "1")
     with pytest.raises(GaloisError):
         MonotoneMap(chain, chain, {"0": "1", "1": "0"})
+    with pytest.raises(GaloisError, match="'2' is outside the source carrier"):
+        check_monotone(chain, chain, {"0": "0", "2": "1", "1": "1"})
 
 
 # -- galois connections ---------------------------------------------------------------
@@ -266,6 +269,85 @@ def test_up_set_routes_return_the_pairwise_witnesses_and_representatives():
     # every branch ran often: classes, failing maps, found and missing
     # adjoints, failing pairs
     assert len(seen) == 7 and min(seen.values()) >= 30, seen
+
+
+def test_mask_closure_matches_warshall():
+    # random relations with cycles and self-loops, read through every Poset
+    # query and through EdgeRelation.closure
+    rng = random.Random(27)
+    for _ in range(150):
+        n = rng.randint(0, 30)
+        labels = [f"e{i}" for i in range(n)]
+        density = rng.choice((0.02, 0.06, 0.15))
+        edges = [(a, b) for a in labels for b in labels if rng.random() < density]
+        closed = warshall_closure(labels, edges)
+
+        def le(x, y):
+            return (x, y) in closed
+
+        def least(xs):
+            return next((x for x in xs if all(le(x, y) for y in xs)), None)
+
+        def greatest(xs):
+            return next((x for x in xs if all(le(y, x) for y in xs)), None)
+
+        p = Poset(labels, edges)
+        assert p.relation == closed
+        outside = labels + ["zz"]
+        assert all(p.le(x, y) == le(x, y) for x in outside for y in outside)
+        for _ in range(10):
+            x, y = rng.choice(outside), rng.choice(outside)
+            above = [z for z in labels if le(x, z) and le(y, z)]
+            assert p.join(x, y) == least(above)
+        lists = [[], ["zz"]] + [
+            [rng.choice(labels) for _ in range(rng.randint(1, 6))] for _ in range(8) if labels
+        ]
+        if labels:
+            lists += [[labels[0]] * 3, [rng.choice(labels), "zz"]]
+        for xs in lists:
+            assert p.least(xs) == least(xs)
+            assert p.greatest(xs) == greatest(xs)
+        shuffled = rng.sample(labels, n)
+        q = Poset(shuffled, rng.sample(edges, len(edges)))
+        assert p == q and q == p and hash(p) == hash(q)
+        missing = [(a, b) for a in labels for b in labels if not le(a, b)]
+        if missing:
+            r = Poset(shuffled, edges + [rng.choice(missing)])
+            assert p != r and r != p
+        nodes = [CompositeState.pure("G", x) for x in labels]
+        node = dict(zip(labels, nodes))
+        relation = EdgeRelation(nodes, [(node[a], node[b]) for a, b in edges])
+        assert relation.closure().edges == {(node[a], node[b]) for a, b in closed}
+
+
+def test_first_failing_edge_is_not_the_monotone_witness():
+    # the generating edge y < z fails first in edge order, but the pairwise
+    # scan meets x ≤ z (a closed pair, not an edge) first
+    src = Poset(("x", "y", "z"), [("y", "z"), ("x", "y")])
+    dst = Poset.chain(("0", "1"))
+    mapping = {"x": "1", "y": "1", "z": "0"}
+    result = check_monotone(src, dst, mapping)
+    assert result == pairwise_check_monotone(src, dst, mapping)
+    assert result.witness == ("x", "z")
+
+
+@pytest.mark.parametrize(
+    "g, witness",
+    [
+        # unit a ≤ GF(a) holds, counit FG(0) = 1 ≰ 0 fails
+        ({"0": "1", "1": "1"}, ("1", "0", "a ≤ G(b) but F(a) ≰ b")),
+        # unit 1 ≰ GF(1) = 0 fails, counit holds
+        ({"0": "0", "1": "0"}, ("1", "1", "F(a) ≤ b but a ≰ G(b)")),
+    ],
+    ids=["counit-fails", "unit-fails"],
+)
+def test_a_failing_unit_or_counit_gives_the_pairwise_witness(g, witness):
+    chain = Poset.chain(("0", "1"))
+    F = MonotoneMap.identity(chain)
+    G = MonotoneMap(chain, chain, g)
+    result = check_galois(F, G)
+    assert result == pairwise_check_galois(F, G)
+    assert result.witness == witness
 
 
 def test_poset_equality_reads_the_closed_relation():
