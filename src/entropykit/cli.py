@@ -24,7 +24,7 @@ from . import access, forms, galois, thermo
 from .access import DEFAULT_MARGIN, AxiomConfig, AxiomStatus, ConstructionImpossible
 from .documents import CONFIG_KEYS, Document, DocumentError, load_document
 from .expr import Confidence, ExprError, ZeroTestConfig
-from .galois import GaloisError, MonotoneMap, Poset
+from .galois import GaloisError, MapError, MonotoneMap, Poset
 from .thermo import DEFAULT_QUADRATURE, QuadratureConfig, ThermoError
 
 COMMANDS = {}
@@ -394,36 +394,39 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
 # ---------------------------------------------------------------------------
 
 
-def _poset(doc: Document, name: str) -> Poset:
-    carrier, edges = doc.posets[name]
-    try:
-        return Poset(carrier, edges)
-    except GaloisError as err:
-        raise DocumentError(str(err), doc.path, doc.poset_lines[name]) from None
-
-
 def _map_error(doc: Document, name: str, err) -> DocumentError:
     """An error (or its message) met on a declared map, at that map's line."""
     return DocumentError(str(err), doc.path, doc.map_lines[name])
 
 
-def _poset_map(doc: Document, name: str) -> MonotoneMap:
-    _require(name in doc.maps, f"no map named {name!r}")
-    src, dst, mapping = doc.maps[name]
-    for end in (src, dst):
-        if end not in doc.posets:
-            raise _map_error(doc, name, f"no poset named {end!r}")
-    source, target = _poset(doc, src), _poset(doc, dst)
-    try:
-        return MonotoneMap(source, target, mapping)
-    except GaloisError as err:
-        raise _map_error(doc, name, err) from None
+def _poset_maps(doc: Document, names) -> list[MonotoneMap]:
+    """The named maps, each checked once between posets each built once; a
+    fault is raised at the line that declares it."""
+    posets = {}
+    maps = []
+    for name in names:
+        _require(name in doc.maps, f"no map named {name!r}")
+        src, dst, mapping = doc.maps[name]
+        for end in (src, dst):
+            if end not in doc.posets:
+                raise _map_error(doc, name, f"no poset named {end!r}")
+        for end in (src, dst):
+            if end not in posets:
+                carrier, edges = doc.posets[end]
+                try:
+                    posets[end] = Poset(carrier, edges)
+                except GaloisError as err:
+                    raise DocumentError(str(err), doc.path, doc.poset_lines[end]) from None
+        try:
+            maps.append(MonotoneMap(posets[src], posets[dst], mapping))
+        except MapError as err:
+            raise _map_error(doc, name, err) from None
+    return maps
 
 
 @command("galois")
 def cmd_galois(doc: Document, settings: Settings, report: Report):
-    F = _poset_map(doc, "F")
-    G = _poset_map(doc, "G")
+    F, G = _poset_maps(doc, ["F", "G"])
     result = galois.check_galois(F, G)
     idx = report.block("galois")
     report.add(idx, "verdict", "PASS" if result.ok else "FAIL")
@@ -440,7 +443,8 @@ def cmd_galois(doc: Document, settings: Settings, report: Report):
 
 @command("adjoint")
 def cmd_adjoint(doc: Document, settings: Settings, report: Report):
-    F = _poset_map(doc, "F")
+    # a declared G is checked as galois checks it, though the search replaces it
+    F = _poset_maps(doc, ["F", "G"] if "G" in doc.maps else ["F"])[0]
     result = galois.right_adjoint(F)
     idx = report.block("adjoint")
     if not result.found:
@@ -461,8 +465,7 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
     _require(len(doc.entropies) >= 2, "landauer needs two entropy systems")
     _require("F" in doc.maps and "G" in doc.maps, "landauer needs maps F and G")
     (label1, s1), (label2, s2) = list(doc.entropies.values())[:2]
-    f_src, f_dst, f_mapping = doc.maps["F"]
-    g_src, g_dst, g_mapping = doc.maps["G"]
+    (f_src, f_dst, f_mapping), (g_src, g_dst, g_mapping) = doc.maps["F"], doc.maps["G"]
     _require(
         (f_src, f_dst) == (label1, label2) and (g_src, g_dst) == (label2, label1),
         "maps F and G must run between the two entropy spaces",
@@ -470,13 +473,8 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
     space1, space2 = doc.spaces[label1], doc.spaces[label2]
     try:
         result = galois.landauer_check((space1, s1), (space2, s2), f_mapping, g_mapping)
-    except GaloisError as err:
-        # a map that is not total, leaves its target space or names a state
-        # outside its source space; F is checked first
-        f_whole = f_mapping.keys() == space1.states.keys() and all(
-            f_mapping[x] in space2.states for x in space1.states
-        )
-        raise _map_error(doc, "G" if f_whole else "F", err) from None
+    except MapError as err:
+        raise _map_error(doc, err.name, err) from None
     idx = report.block("landauer")
     report.add(idx, "verdict", "PASS" if result.ok else "FAIL")
     if result.stage:
@@ -484,11 +482,7 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
     if result.witness is not None:
         report.add(idx, "witness", ", ".join(str(w) for w in result.witness))
     for state, s_abstract, s_real in result.rows:
-        report.add(
-            idx,
-            f"realization-entropy {state}",
-            f"abstract={s_abstract} realized={s_real}",
-        )
+        report.add(idx, f"realization-entropy {state}", f"abstract={s_abstract} realized={s_real}")
     report.set_status(idx, result.ok)
 
 
@@ -516,7 +510,7 @@ def _error_message(err: Exception) -> str:
     if isinstance(err, _INPUT_ERRORS):
         text = str(err)
     else:
-        text = f"internal error: {type(err).__name__}: {err}"
+        text = f"internal error: {type(err).__name__}" + (f": {err}" if str(err) else "")
     return re.sub(r"[ \t]*\n[ \t]*", " ", text)
 
 

@@ -19,6 +19,11 @@ table of the masks.  Where a fast test fails, a scan in carrier order over
 the masks finds the witness, so every witness and representative is still
 the first in carrier (or list) order: the results are those of the pairwise
 scans.
+
+``poset_from_entropy`` sorts the states by entropy and links each to the
+next, and back as well where the two values tie: about n generating edges
+whose closure is the total pre-order S(x) ≤ S(y), in the space's own
+carrier order.
 """
 
 from __future__ import annotations
@@ -31,6 +36,16 @@ from .access import EntropyFn, StateSpace, closure_masks, set_bits
 
 class GaloisError(Exception):
     pass
+
+
+class MapError(GaloisError):
+    """A map that is not total, leaves its target, names an element outside
+    its source or, with a ``witness`` pair, breaks the order; ``name`` is the
+    map's name where the check that raised it knows one."""
+
+    def __init__(self, message, witness=None, name=None):
+        super().__init__(message)
+        self.witness, self.name = witness, name
 
 
 class Poset:
@@ -156,9 +171,11 @@ class Poset:
 def poset_from_entropy(space: StateSpace, S: EntropyFn) -> Poset:
     """The (total) pre-order the entropy values induce on the states."""
     names = space.names()
-    rel = [
-        (x, y) for x in names for y in names if S.value(x) <= S.value(y)
-    ]
+    value = {x: S.value(x) for x in names}
+    ranked = sorted(names, key=value.__getitem__)
+    rel = []
+    for x, y in zip(ranked, ranked[1:]):
+        rel += [(x, y), (y, x)] if value[x] == value[y] else [(x, y)]
     return Poset(names, rel)
 
 
@@ -195,12 +212,12 @@ def check_monotone(src: Poset, dst: Poset, mapping: Mapping) -> MonotoneResult:
     else, into the target."""
     for x in src.carrier:
         if x not in mapping:
-            raise GaloisError(f"mapping is not total: {x!r} unmapped")
+            raise MapError(f"mapping is not total: {x!r} unmapped")
         if mapping[x] not in dst._index:
-            raise GaloisError(f"{mapping[x]!r} is outside the target carrier")
+            raise MapError(f"{mapping[x]!r} is outside the target carrier")
     if len(mapping) != len(src.carrier):
         extra = next(x for x in mapping if x not in src._index)
-        raise GaloisError(f"{extra!r} is outside the source carrier")
+        raise MapError(f"{extra!r} is outside the source carrier")
     image = _image(src, dst, mapping)
     up = dst._up
     if not all(up[image[i]] >> image[j] & 1 for i, j in src._edges):
@@ -222,10 +239,8 @@ class MonotoneMap:
         object.__setattr__(self, "mapping", dict(self.mapping))
         result = check_monotone(self.source, self.target, self.mapping)
         if not result.ok:
-            raise GaloisError(
-                f"map is not monotone: {result.witness[0]!r} ≤ {result.witness[1]!r} "
-                "is not preserved"
-            )
+            x, y = result.witness
+            raise MapError(f"map is not monotone: {x!r} ≤ {y!r} is not preserved", (x, y))
 
     def __call__(self, x):
         return self.mapping[x]
@@ -323,15 +338,8 @@ class ClosureReport:
 
     @property
     def ok(self) -> bool:
-        return all(
-            (
-                self.inflationary,
-                self.monotone,
-                self.idempotent,
-                self.kernel_deflationary,
-                self.kernel_idempotent,
-            )
-        )
+        return (self.inflationary and self.monotone and self.idempotent
+                and self.kernel_deflationary and self.kernel_idempotent)
 
 
 def closure_report(F: MonotoneMap, G: MonotoneMap) -> ClosureReport:
@@ -369,28 +377,26 @@ def landauer_check(
     The realization map F and abstraction map G must be monotone for the
     entropy-induced orders and form a Galois connection:
     S₂(Fc) ≤ S₂(d) ⇔ S₁(c) ≤ S₁(Gd).  The report lists, per abstract
-    state c, the entropy S₂(Fc) booked at the realization level.
+    state c, the entropy S₂(Fc) booked at the realization level.  Each map
+    is checked once, F first; a map that is not total or leaves its spaces
+    raises a MapError named 'F' or 'G'.
     """
-    space1, s1 = sys1
-    space2, s2 = sys2
-    p1 = poset_from_entropy(space1, s1)
-    p2 = poset_from_entropy(space2, s2)
-    mono_f = check_monotone(p1, p2, f_mapping)
-    if not mono_f.ok:
-        return LandauerReport(
-            False, None, witness=mono_f.witness, stage="realization map not monotone"
-        )
-    mono_g = check_monotone(p2, p1, g_mapping)
-    if not mono_g.ok:
-        return LandauerReport(
-            False, None, witness=mono_g.witness, stage="abstraction map not monotone"
-        )
-    F = MonotoneMap(p1, p2, f_mapping)
-    G = MonotoneMap(p2, p1, g_mapping)
+    (space1, s1), (space2, s2) = sys1, sys2
+    p1, p2 = poset_from_entropy(space1, s1), poset_from_entropy(space2, s2)
+    maps = []
+    for name, role, source, target, mapping in (
+        ("F", "realization", p1, p2, f_mapping), ("G", "abstraction", p2, p1, g_mapping)
+    ):
+        try:
+            maps.append(MonotoneMap(source, target, mapping))
+        except MapError as err:
+            if err.witness is None:
+                raise MapError(str(err), name=name) from None
+            stage = f"{role} map not monotone"
+            return LandauerReport(False, None, witness=err.witness, stage=stage)
+    F, G = maps
     result = check_galois(F, G)
-    rows = tuple(
-        (c, s1.value(c), s2.value(F(c))) for c in p1.carrier
-    )
+    rows = tuple((c, s1.value(c), s2.value(F(c))) for c in p1.carrier)
     if not result.ok:
         return LandauerReport(False, result, rows, result.witness, "adjunction fails")
     return LandauerReport(True, result, rows)

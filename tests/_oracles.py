@@ -6,6 +6,7 @@ from entropykit.galois import (
     AdjointResult,
     GaloisError,
     GaloisResult,
+    LandauerReport,
     MonotoneMap,
     MonotoneResult,
     Poset,
@@ -171,6 +172,31 @@ def pairwise_check_galois(F, G):
     unit = all(A.le(a, G(F(a))) for a in A.carrier)
     counit = all(B.le(F(G(b)), b) for b in B.carrier)
     return GaloisResult(True, None, unit, counit)
+
+
+def pairwise_poset_from_entropy(space, S):
+    """The entropy pre-order with every pair S(x) ≤ S(y) as a generating edge."""
+    names = space.names()
+    return Poset(names, [(x, y) for x in names for y in names if S.value(x) <= S.value(y)])
+
+
+def reference_landauer_check(sys1, sys2, f_mapping, g_mapping):
+    """landauer_check on the pairwise entropy posets, with each map's
+    monotonicity and the adjunction decided by the pairwise scans."""
+    (space1, s1), (space2, s2) = sys1, sys2
+    p1, p2 = pairwise_poset_from_entropy(space1, s1), pairwise_poset_from_entropy(space2, s2)
+    for role, src, dst, mapping in (
+        ("realization", p1, p2, f_mapping), ("abstraction", p2, p1, g_mapping)
+    ):
+        mono = pairwise_check_monotone(src, dst, mapping)
+        if not mono.ok:
+            return LandauerReport(False, None, witness=mono.witness, stage=f"{role} map not monotone")
+    F, G = MonotoneMap(p1, p2, f_mapping), MonotoneMap(p2, p1, g_mapping)
+    result = pairwise_check_galois(F, G)
+    rows = tuple((c, s1.value(c), s2.value(F(c))) for c in p1.carrier)
+    if not result.ok:
+        return LandauerReport(False, result, rows, result.witness, "adjunction fails")
+    return LandauerReport(True, result, rows)
 
 
 def antisymmetric(poset):

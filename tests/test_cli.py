@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import pytest
 
 import entropykit
 from entropykit import thermo
-from entropykit.cli import Report, build_parser, run
+from entropykit.cli import Report, _error_message, build_parser, run
 from entropykit.documents import DocumentError, load_document, parse_document
 from entropykit.forms import Confidence
+from entropykit.galois import GaloisError
 
 CORPUS = Path(__file__).resolve().parent.parent / "docs" / "corpus"
 
@@ -409,6 +411,14 @@ def test_space_with_no_coordinates_exits_two_at_its_line(tmp_path, command):
          "map F : A -> B : a0 = b0, a1 = b0, a2 = b1, a9 = b1",
          "'a9' is outside the source carrier"),
         ("galois", "chains.doc", "map G : B -> A : b0 = a1, b1 = a2",
+         "map G : B -> A : b0 = a1, b1 = a2, zz = a1", "'zz' is outside the source carrier"),
+        # adjoint checks a declared G as galois does, though its search replaces it
+        ("adjoint", "chains.doc", "map G : B -> A : b0 = a1, b1 = a2",
+         "map G : B -> A : b0 = a2, b1 = a0",
+         "map is not monotone: 'b0' ≤ 'b1' is not preserved"),
+        ("adjoint", "chains.doc", "map G : B -> A : b0 = a1, b1 = a2",
+         "map G : B -> A : b0 = a1", "mapping is not total: 'b1' unmapped"),
+        ("adjoint", "chains.doc", "map G : B -> A : b0 = a1, b1 = a2",
          "map G : B -> A : b0 = a1, b1 = a2, zz = a1", "'zz' is outside the source carrier"),
         ("landauer", "landauer_bit.doc", "map F : bit -> phys : zero = p0, one = p2",
          "map F : bit -> phys : zero = p0, one = p2, zz = p0",
@@ -921,6 +931,60 @@ def test_galois_and_adjoint_on_3000_elements_stay_bounded(tmp_path, kind):
     assert f"\nverdict: FOUND\n{lines}galois: PASS\n" in out
 
 
+@pytest.mark.parametrize(
+    "command, source, checks, posets",
+    [
+        ("landauer", "landauer_bit.doc", 2, 2),  # F and G
+        ("galois", "chains.doc", 3, 2),  # F, G and the closure G∘F
+        ("adjoint", "chains.doc", 3, 2),  # F, the declared G and the adjoint found
+    ],
+)
+def test_categorical_commands_build_each_poset_and_check_each_map_once(
+    monkeypatch, command, source, checks, posets
+):
+    from entropykit import galois
+
+    calls = Counter()
+    check_monotone, poset_init = galois.check_monotone, galois.Poset.__init__
+
+    def counted_check(*args):
+        calls["check_monotone"] += 1
+        return check_monotone(*args)
+
+    def counted_init(self, *args):
+        calls["Poset"] += 1
+        poset_init(self, *args)
+
+    monkeypatch.setattr(galois, "check_monotone", counted_check)
+    monkeypatch.setattr(galois.Poset, "__init__", counted_init)
+    assert run_cli(command, str(CORPUS / source))[0] == 0
+    assert calls == {"check_monotone": checks, "Poset": posets}
+
+
+def test_landauer_on_3000_states_stays_bounded(tmp_path):
+    # two entropy systems of n states with the identity maps between them:
+    # the pairwise entropy order once built about 9 M edges here, and the
+    # sorted one builds n - 1
+    n = 3000
+    lines = ["[states]"]
+    for label in ("A", "B"):
+        lines.append(f"space {label} coords x")
+        lines += [f"state {label.lower()}{i} = {i}" for i in range(n)]
+    lines.append("[entropy]")
+    for label in ("A", "B"):
+        values = ", ".join(f"{label.lower()}{i} = {i}" for i in range(n))
+        lines.append(f"fn S{label} on {label} : {values}")
+    lines.append("[maps]")
+    lines.append("map F : A -> B : " + ", ".join(f"a{i} = b{i}" for i in range(n)))
+    lines.append("map G : B -> A : " + ", ".join(f"b{i} = a{i}" for i in range(n)))
+    doc = tmp_path / "landauer.doc"
+    doc.write_text("\n".join(lines) + "\n")
+    code, out = fresh_cli("landauer", str(doc), memory=2**28, timeout=10)
+    assert code == 0
+    assert "\nverdict: PASS\n" in out
+    assert f"\nrealization-entropy a{n - 1}: abstract={n - 1} realized={n - 1}\n" in out
+
+
 def test_commands_import_only_the_standard_library():
     # a fresh process; what its start-up loaded (site hooks) is not counted,
     # and path integrals load the in-repo quadrature
@@ -1029,6 +1093,19 @@ def test_single_command_with_unexpected_error_prints_no_traceback(monkeypatch):
     code, out = run_cli("maxwell", str(CORPUS / "ideal_gas.doc"))
     assert code == 2
     assert out == "error: internal error: KeyError: 'T'\n"
+
+
+@pytest.mark.parametrize(
+    "err, message",
+    [
+        (MemoryError(), "internal error: MemoryError"),
+        (KeyError("T"), "internal error: KeyError: 'T'"),
+        (RuntimeError("two\n  lines"), "internal error: RuntimeError: two lines"),
+        (GaloisError("carrier elements must be distinct"), "carrier elements must be distinct"),
+    ],
+)
+def test_error_message_has_no_empty_text_part(err, message):
+    assert _error_message(err) == message
 
 
 def test_quadrature_domain_error_names_the_path_line_alone_and_in_batch(tmp_path):

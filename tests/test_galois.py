@@ -29,10 +29,12 @@ from _oracles import (
     pairwise_greatest,
     pairwise_least,
     pairwise_left_adjoint,
+    pairwise_poset_from_entropy,
     pairwise_right_adjoint,
     random_monotone_map,
     random_poset,
     random_preorder,
+    reference_landauer_check,
     warshall_closure,
 )
 
@@ -76,6 +78,58 @@ def test_poset_from_entropy_is_order_invariant():
         "G", {n: 5 * S.value(n) + 7 for n in sp.names()}
     )
     assert poset_from_entropy(sp, S) == poset_from_entropy(sp, squashed)
+
+
+def random_entropy_system(rng, label, size):
+    """A space of size states and an entropy on it drawn from a small pool of
+    negative, zero and fractional values, so that ties are common."""
+    names = [f"{label}{k}" for k in range(size)]
+    rng.shuffle(names)
+    values = {n: F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for n in names}
+    return space(label, names), EntropyFn(label, values)
+
+
+def test_sorted_entropy_order_matches_the_pairwise_one():
+    rng = random.Random(28)
+    for size in range(1, 31):
+        for _ in range(4):
+            sp, S = random_entropy_system(rng, "s", size)
+            p, q = poset_from_entropy(sp, S), pairwise_poset_from_entropy(sp, S)
+            assert p.carrier == q.carrier == sp.names()
+            assert p == q and p.relation == q.relation and p.total
+
+
+def test_landauer_check_matches_the_pairwise_reference():
+    rng = random.Random(2028)
+    stages = Counter()
+    for _ in range(300):
+        sys1 = random_entropy_system(rng, "c", rng.randint(1, 8))
+        sys2 = random_entropy_system(rng, "d", rng.randint(1, 8))
+        p1 = pairwise_poset_from_entropy(*sys1)
+        p2 = pairwise_poset_from_entropy(*sys2)
+        if rng.random() < 0.5:
+            f_mapping = random_monotone_map(rng, p1, p2).mapping
+        else:
+            f_mapping = {c: rng.choice(p2.carrier) for c in p1.carrier}
+        monotone = check_monotone(p1, p2, f_mapping).ok
+        right = right_adjoint(MonotoneMap(p1, p2, f_mapping)) if monotone else None
+        pick = rng.random()
+        if right is not None and right.found and pick < 0.4:
+            g_mapping = right.map.mapping
+        elif pick < 0.7:
+            g_mapping = random_monotone_map(rng, p2, p1).mapping
+        else:
+            g_mapping = {d: rng.choice(p1.carrier) for d in p2.carrier}
+        got = landauer_check(sys1, sys2, f_mapping, g_mapping)
+        want = reference_landauer_check(sys1, sys2, f_mapping, g_mapping)
+        assert (got.ok, got.stage, got.witness, got.rows) == (
+            want.ok, want.stage, want.witness, want.rows
+        )
+        stages[got.stage] += 1
+    # every outcome is met: a pass, each map not monotone, a failed adjunction
+    assert set(stages) == {
+        None, "realization map not monotone", "abstraction map not monotone", "adjunction fails"
+    }
 
 
 # -- monotone maps -----------------------------------------------------------------
