@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from . import access, forms, galois, thermo
 from .access import DEFAULT_MARGIN, AxiomConfig, AxiomStatus, ConstructionImpossible
-from .documents import CONFIG_KEYS, Document, DocumentError, load_document
-from .expr import Confidence, ExprError, ZeroTestConfig
-from .galois import GaloisError, MapError, MonotoneMap, Poset
-from .thermo import DEFAULT_QUADRATURE, QuadratureConfig, ThermoError
+from .documents import CONFIG_KEYS, INPUT_ERRORS, Document, DocumentError, at_line, load_document
+from .expr import Confidence, ZeroTestConfig
+from .galois import MapError, MonotoneMap, Poset
+from .thermo import DEFAULT_QUADRATURE, QuadratureConfig
 
 COMMANDS = {}
 
@@ -228,10 +228,8 @@ def _path_verdicts(doc: Document, settings: Settings, verdict):
     _require(not missing, f"numeric command needs values for parameters {missing}")
     params = dict(doc.param_values)
     for name, path in doc.paths.items():
-        try:
+        with at_line(doc, doc.lines["path", name], f"path {name}: "):
             result = verdict(tc, spec, path, params, settings.quad)
-        except (ThermoError, ExprError, OverflowError) as err:
-            raise DocumentError(f"path {name}: {err}", doc.path, doc.path_lines[name]) from None
         yield name, result
 
 
@@ -367,7 +365,7 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
     _require(doc.cross is not None, "document has no [cross] section")
     if doc.cross.universe() is None:  # an oracle: no finite set of states
         message = "calibrate needs [cross] edges, not an oracle"
-        raise DocumentError(message, doc.path, doc.cross_line)
+        raise DocumentError(message, doc.path, doc.lines["oracle", "cross"])
     systems = [
         (doc.spaces[label], S) for label, S in doc.entropies.values()
     ]
@@ -375,7 +373,7 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
     for label in doc.spaces:  # each space's states are all cross nodes
         if label not in valued:
             message = f"space {label!r} has no entropy function"
-            raise DocumentError(message, doc.path, doc.space_lines[label])
+            raise DocumentError(message, doc.path, doc.lines["space", label])
     result = access.calibrate(systems, doc.cross, margin=settings.margin)
     idx = report.block("calibrate")
     report.add(idx, "verdict", "FEASIBLE" if result.ok else "INFEASIBLE")
@@ -394,11 +392,6 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
 # ---------------------------------------------------------------------------
 
 
-def _map_error(doc: Document, name: str, err) -> DocumentError:
-    """An error (or its message) met on a declared map, at that map's line."""
-    return DocumentError(str(err), doc.path, doc.map_lines[name])
-
-
 def _poset_maps(doc: Document, names) -> list[MonotoneMap]:
     """The named maps, each checked once between posets each built once; a
     fault is raised at the line that declares it."""
@@ -407,20 +400,16 @@ def _poset_maps(doc: Document, names) -> list[MonotoneMap]:
     for name in names:
         _require(name in doc.maps, f"no map named {name!r}")
         src, dst, mapping = doc.maps[name]
+        line = doc.lines["map", name]
         for end in (src, dst):
             if end not in doc.posets:
-                raise _map_error(doc, name, f"no poset named {end!r}")
+                raise DocumentError(f"no poset named {end!r}", doc.path, line)
         for end in (src, dst):
             if end not in posets:
-                carrier, edges = doc.posets[end]
-                try:
-                    posets[end] = Poset(carrier, edges)
-                except GaloisError as err:
-                    raise DocumentError(str(err), doc.path, doc.poset_lines[end]) from None
-        try:
+                with at_line(doc, doc.lines["poset", end]):
+                    posets[end] = Poset(*doc.posets[end])
+        with at_line(doc, line):
             maps.append(MonotoneMap(posets[src], posets[dst], mapping))
-        except MapError as err:
-            raise _map_error(doc, name, err) from None
     return maps
 
 
@@ -465,16 +454,15 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
     _require(len(doc.entropies) >= 2, "landauer needs two entropy systems")
     _require("F" in doc.maps and "G" in doc.maps, "landauer needs maps F and G")
     (label1, s1), (label2, s2) = list(doc.entropies.values())[:2]
-    (f_src, f_dst, f_mapping), (g_src, g_dst, g_mapping) = doc.maps["F"], doc.maps["G"]
-    _require(
-        (f_src, f_dst) == (label1, label2) and (g_src, g_dst) == (label2, label1),
-        "maps F and G must run between the two entropy spaces",
-    )
-    space1, space2 = doc.spaces[label1], doc.spaces[label2]
+    for name, ends in (("F", (label1, label2)), ("G", (label2, label1))):
+        if doc.maps[name][:2] != ends:
+            message = "maps F and G must run between the two entropy spaces"
+            raise DocumentError(message, doc.path, doc.lines["map", name])
+    systems = (doc.spaces[label1], s1), (doc.spaces[label2], s2)
     try:
-        result = galois.landauer_check((space1, s1), (space2, s2), f_mapping, g_mapping)
+        result = galois.landauer_check(*systems, doc.maps["F"][2], doc.maps["G"][2])
     except MapError as err:
-        raise _map_error(doc, err.name, err) from None
+        raise DocumentError(str(err), doc.path, doc.lines["map", err.name]) from None
     idx = report.block("landauer")
     report.add(idx, "verdict", "PASS" if result.ok else "FAIL")
     if result.stage:
@@ -500,8 +488,7 @@ def _run_single(command_name: str, doc_path: str, opts, report: Report) -> None:
 
 
 # Errors that report a bad input or document; anything else is a defect.
-_INPUT_ERRORS = (UsageError, DocumentError, ExprError, ThermoError, GaloisError,
-                access.AccessError, OSError, ValueError)
+_INPUT_ERRORS = (UsageError, DocumentError, OSError, *INPUT_ERRORS)
 
 
 def _error_message(err: Exception) -> str:
@@ -523,18 +510,14 @@ def _run_batch(manifest_path: str, opts, out) -> int:
             if not body:
                 continue
             parts = body.split()
-            where = f"{manifest_path}:{line_no}"
             if len(parts) != 3:
-                raise UsageError(
-                    f"{where}: manifest line needs 'COMMAND DOC EXPECTED_EXIT':"
-                    f" {body!r}"
-                )
+                message = f"manifest line needs 'COMMAND DOC EXPECTED_EXIT': {body!r}"
+                raise DocumentError(message, manifest_path, line_no)
             try:
                 expected = int(parts[2])
             except ValueError:
-                raise UsageError(
-                    f"{where}: expected exit must be an integer, got {parts[2]!r}"
-                ) from None
+                message = f"expected exit must be an integer, got {parts[2]!r}"
+                raise DocumentError(message, manifest_path, line_no) from None
             entries.append((parts[0], os.path.join(base, parts[1]), expected))
     all_ok = True
     chunks = []

@@ -14,6 +14,11 @@ full before the next is read.  ``_after`` reads each row of [entropy],
 [posets], [maps] and [transform] as ``fn``, ``poset``, ``map`` or ``swap``
 and the rest.  Other rows are ``key = value``, or, in [relation] and
 [cross], ``edge`` and ``node`` rows.
+
+Every error names its file and line.  The guard ``at_line`` raises any of
+``INPUT_ERRORS``, the library's errors for a bad input, again as a
+``DocumentError`` at the line of the declaration being built or checked;
+``Document.lines`` holds each named declaration's line by (keyword, name).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .access import (
 )
 from .expr import Chart, Expr, ExprError, ZeroTestConfig, parse as parse_expr
 from .forms import Form
+from .galois import GaloisError
 from .thermo import LegendreSpec, PathSegment, ProcessPath, ThermoChart, ThermoError
 
 
@@ -43,6 +49,23 @@ class DocumentError(Exception):
         super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
+
+
+INPUT_ERRORS = (ExprError, ThermoError, AccessError, GaloisError, ValueError, OverflowError)
+
+
+class at_line:
+    """Raises an input error met in its body again as a DocumentError at doc's line."""
+
+    def __init__(self, doc: "Document", line: int, prefix: str = ""):
+        self.doc, self.line, self.prefix = doc, line, prefix
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, err, tb):
+        if isinstance(err, INPUT_ERRORS):
+            raise DocumentError(self.prefix + str(err), self.doc.path, self.line) from None
 
 
 @dataclass
@@ -54,19 +77,15 @@ class Document:
     spec: Optional[LegendreSpec] = None
     forms: dict = field(default_factory=dict)
     paths: dict = field(default_factory=dict)
-    path_lines: dict = field(default_factory=dict)  # path name -> its 'path' line
     spaces: dict = field(default_factory=dict)
-    space_lines: dict = field(default_factory=dict)  # space label -> its 'space' line
     relation: Optional[Accessibility] = None
     entropies: dict = field(default_factory=dict)  # name -> (space label, EntropyFn)
     posets: dict = field(default_factory=dict)  # name -> (carrier, edges)
-    poset_lines: dict = field(default_factory=dict)  # poset name -> its 'poset' line
     maps: dict = field(default_factory=dict)  # name -> (src, dst, mapping)
-    map_lines: dict = field(default_factory=dict)  # map name -> its 'map' line
     transforms: list = field(default_factory=list)  # (swap names, new name)
     cross: Optional[Accessibility] = None
-    cross_line: int = 0  # the [cross] 'oracle' line, if the relation is an oracle
     config: dict = field(default_factory=dict)
+    lines: dict = field(default_factory=dict)  # (keyword, name) -> its line, as ('map', 'F')
 
     def expr_chart(self, line: int) -> Chart:
         if self.thermo_chart is not None:
@@ -174,12 +193,12 @@ def parse_document(text: str, path: str = "<doc>") -> Document:
     _parse_forms(doc, pending["forms"], header.get("forms", 0))
     _parse_paths(doc, pending["paths"], header.get("paths", 0))
     _parse_states(doc, pending["states"])
-    doc.relation, _ = _parse_relation(doc, pending["relation"])
+    doc.relation = _parse_relation(doc, pending["relation"], "relation")
     _parse_entropy(doc, pending["entropy"])
     _parse_posets(doc, pending["posets"])
     _parse_maps(doc, pending["maps"])
     _parse_transforms(doc, pending["transform"])
-    doc.cross, doc.cross_line = _parse_relation(doc, pending["cross"])
+    doc.cross = _parse_relation(doc, pending["cross"], "cross")
     return doc
 
 
@@ -249,7 +268,7 @@ def _parse_chart(doc: Document, rows, header: int):
             heat, heat_line = value, line_no
         else:
             raise DocumentError(f"unknown chart key {key!r}", doc.path, line_no)
-    try:
+    with at_line(doc, header):
         if coords is not None:
             doc.chart = Chart(coords, params)
         elif energy is not None or pairs:
@@ -270,8 +289,6 @@ def _parse_chart(doc: Document, rows, header: int):
                         f"heat pair {heat!r} not found", doc.path, heat_line
                     )
             doc.thermo_chart = ThermoChart(energy, tuple(pairs), params, heat=heat_idx)
-    except (ExprError, ThermoError) as err:
-        raise DocumentError(str(err), doc.path, header) from None
 
 
 CONFIG_KEYS = {  # each [config] key, with the settings it feeds (they reject a bad value)
@@ -296,17 +313,13 @@ def _parse_config(doc: Document, rows):
             )
         else:
             raise DocumentError(f"unknown config key {key!r}", doc.path, line_no)
-        try:
+        with at_line(doc, line_no):
             CONFIG_KEYS[key](**{key: doc.config[key]})
-        except (AccessError, ExprError) as err:
-            raise DocumentError(str(err), doc.path, line_no) from None
 
 
 def _expr(doc: Document, text: str, chart: Chart, line_no: int) -> Expr:
-    try:
+    with at_line(doc, line_no):
         return parse_expr(text, chart)
-    except ExprError as err:
-        raise DocumentError(str(err), doc.path, line_no) from None
 
 
 def _parse_spec(doc: Document, rows, header: int):
@@ -334,7 +347,7 @@ def _parse_spec(doc: Document, rows, header: int):
         if potential is not None and (equations or energy is not None):
             message = "a spec takes a potential or state equations, not both"
             raise DocumentError(message, doc.path, line_no)
-    try:
+    with at_line(doc, header):
         if potential is not None:
             doc.spec = LegendreSpec.from_potential(potential)
         elif equations:
@@ -343,8 +356,6 @@ def _parse_spec(doc: Document, rows, header: int):
             raise ThermoError("spec needs a potential or state equations")
         if doc.thermo_chart is not None:
             doc.spec._validate(doc.thermo_chart)
-    except ThermoError as err:
-        raise DocumentError(str(err), doc.path, header) from None
 
 
 def _parse_forms(doc: Document, rows, header: int):
@@ -374,10 +385,8 @@ def _parse_forms(doc: Document, rows, header: int):
             raise DocumentError(
                 f"form {name!r} mixes degrees {sorted(degrees)}", doc.path, form_line
             )
-        try:
+        with at_line(doc, form_line):
             doc.forms[name] = Form(chart, degrees.pop() if degrees else 1, coeffs)
-        except (ValueError, ExprError) as err:
-            raise DocumentError(str(err), doc.path, form_line) from None
 
 
 def _parse_paths(doc: Document, rows, header: int):
@@ -389,10 +398,10 @@ def _parse_paths(doc: Document, rows, header: int):
         if head is not None:
             path_line, rest = head
             name_text, _, trail = rest.partition(":")
-            name = _name(doc, doc.path_lines, "path", name_text, path_line)
+            name = _name(doc, doc.paths, "path", name_text, path_line)
             if trail.strip():
                 raise DocumentError(f"unexpected text after 'path {name}:'", doc.path, path_line)
-            doc.path_lines[name] = path_line
+            doc.lines["path", name] = path_line
         segments = []
         for line_no, text in body:
             word, rest = _head(text)
@@ -415,10 +424,8 @@ def _parse_paths(doc: Document, rows, header: int):
             segments.append(PathSegment(comps, claim))
         if not segments:
             raise DocumentError(f"path {name!r} has no segments", doc.path, path_line)
-        try:
+        with at_line(doc, path_line):
             doc.paths[name] = ProcessPath(doc.thermo_chart.base_chart, tuple(segments))
-        except ThermoError as err:
-            raise DocumentError(str(err), doc.path, path_line) from None
 
 
 def _parse_states(doc: Document, rows):
@@ -431,7 +438,8 @@ def _parse_states(doc: Document, rows):
                 raise DocumentError(message, doc.path, space_line)
             label = _new(doc, doc.spaces, "space", tokens[0], space_line)
             scalable = tokens[-1] == "scalable"
-            coords = tuple(tokens[2 : len(tokens) - scalable])
+            with at_line(doc, space_line):  # names an oracle expression can read
+                coords = Chart(tokens[2 : len(tokens) - scalable]).coords
             if not coords:
                 raise DocumentError(f"space {label!r} has no coordinates", doc.path, space_line)
         states: dict = {}
@@ -449,7 +457,7 @@ def _parse_states(doc: Document, rows):
         if not states:
             raise DocumentError(f"space {label!r} has no states", doc.path, space_line)
         doc.spaces[label] = StateSpace(label, coords, states, scalable)
-        doc.space_lines[label] = space_line
+        doc.lines["space", label] = space_line
 
 
 def _resolve_state(doc: Document, token: str, line_no: int) -> CompositeState:
@@ -481,12 +489,12 @@ def _flag(body: str, path: str, line_no: int) -> bool:
     return _FLAGS[value.lower()]
 
 
-def _parse_relation(doc: Document, rows) -> tuple[Optional[Accessibility], int]:
-    """A [relation] or [cross] section's relation, with its 'oracle' line (0
-    for edges).  'edge' and 'node' are first words; 'closure', 'scaling' and
+def _parse_relation(doc: Document, rows, section: str) -> Optional[Accessibility]:
+    """A [relation] or [cross] section's relation; an oracle's line goes to
+    doc.lines.  'edge' and 'node' are first words; 'closure', 'scaling' and
     'oracle' are keys, each exactly the text before '='."""
     if not rows:
-        return None, 0
+        return None
     edges = []
     nodes = []
     flags = {"closure": True, "scaling": False}
@@ -510,7 +518,7 @@ def _parse_relation(doc: Document, rows) -> tuple[Optional[Accessibility], int]:
             flags[key] = _flag(body, doc.path, line_no)
         elif key == "oracle":
             _, oracle_text = _key_value(body, doc.path, line_no)
-            oracle_line = line_no
+            oracle_line = doc.lines["oracle", section] = line_no
         else:
             raise DocumentError(
                 f"unexpected line in relation section: {body!r}", doc.path, line_no
@@ -519,15 +527,13 @@ def _parse_relation(doc: Document, rows) -> tuple[Optional[Accessibility], int]:
         spaces = list(doc.spaces.values())
         if not spaces:
             raise DocumentError("oracle relation needs [states]", doc.path, oracle_line)
-        expr = _expr(doc, oracle_text, Chart(spaces[0].coords), oracle_line)
-        try:
-            return EntropyOracle.from_expression(spaces, expr), oracle_line
-        except AccessError as err:
-            raise DocumentError(str(err), doc.path, oracle_line) from None
+        with at_line(doc, oracle_line):
+            expr = parse_expr(oracle_text, Chart(spaces[0].coords))
+            return EntropyOracle.from_expression(spaces, expr)
     pure = [CompositeState.pure(lbl, n) for lbl, sp in doc.spaces.items() for n in sp.names()]
     ends = [end for edge in edges for end in edge]
     rel = EdgeRelation([*nodes, *ends, *pure], edges, supports_scaling=flags["scaling"])
-    return (rel.closure() if flags["closure"] else rel), 0
+    return rel.closure() if flags["closure"] else rel
 
 
 def _parse_entropy(doc: Document, rows):
@@ -573,7 +579,7 @@ def _parse_posets(doc: Document, rows):
             a, b = piece.split("<", 1)
             edges.append((a.strip(), b.strip()))
         doc.posets[name] = (carrier, edges)
-        doc.poset_lines[name] = line_no
+        doc.lines["poset", name] = line_no
 
 
 def _parse_maps(doc: Document, rows):
@@ -591,7 +597,7 @@ def _parse_maps(doc: Document, rows):
             raise DocumentError("map needs 'SRC -> DST', each one word", doc.path, line_no)
         (src,), (dst,) = ends
         doc.maps[name] = (src, dst, _assignments(doc, assigns, line_no))
-        doc.map_lines[name] = line_no
+        doc.lines["map", name] = line_no
 
 
 def _parse_transforms(doc: Document, rows):
@@ -604,4 +610,7 @@ def _parse_transforms(doc: Document, rows):
         swaps = head.split()
         if not swaps:
             raise DocumentError("swap line names no pairs", doc.path, line_no)
+        if words and doc.thermo_chart is not None:
+            with at_line(doc, line_no):  # the chart the transform builds on NEW
+                Chart((words[1],) + doc.thermo_chart.chart.coords[1:], doc.thermo_chart.params)
         doc.transforms.append((tuple(swaps), words[1] if words else None))

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -427,6 +428,22 @@ def test_space_with_no_coordinates_exits_two_at_its_line(tmp_path, command):
          "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one, p3 = one",
          "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one, p3 = one, zz = zero",
          "'zz' is outside the source carrier"),
+        ("landauer", "landauer_bit.doc",
+         "map G : phys -> bit : p0 = zero, p1 = zero, p2 = one, p3 = one",
+         "map G : phys -> phys : p0 = zero, p1 = zero, p2 = one, p3 = one",
+         "maps F and G must run between the two entropy spaces"),
+        # a space's coordinates are checked where declared, oracle or not
+        ("ch", "oracle_space.doc", "space Gamma coords u v scalable",
+         "space Gamma coords u u scalable", "duplicate name 'u'"),
+        ("ch", "oracle_space.doc", "space Gamma coords u v scalable",
+         "space Gamma coords ln v scalable", "'ln' is reserved for the function syntax"),
+        ("axioms", "raw_chain.doc", "space Gamma coords x", "space Gamma coords x x",
+         "duplicate name 'x'"),
+        # a transform's new potential name, against the chart it joins
+        ("potential", "potentials.doc", "swap S : name F", "swap S : name ln",
+         "'ln' is reserved for the function syntax"),
+        ("potential", "potentials.doc", "swap V : name H", "swap V : name V",
+         "duplicate name 'V'"),
         ("axioms", "raw_chain.doc", "closure = false", "closure = ture",
          "closure must be true/false, yes/no or 1/0, got 'ture'"),
         ("axioms", "raw_chain.doc", "closure = false", "scaling = maybe",
@@ -800,6 +817,37 @@ def test_one_line_mutations_of_the_corpus_exit_cleanly(monkeypatch):
                     sign in out for sign in ("internal error", "Traceback", ":0:")
                 ):
                     bad.append((command, source, kind, i + 1, code, out[-200:]))
+    assert bad == []
+
+
+# Errors about something a document lacks, which no line declares, and the
+# transform's `no pair named`, whose text the golden batch files pin.
+UNLOCATED = ("document has no ", "document declares no ", "no map named ", "landauer needs ",
+             "numeric command needs values ", "no pair named ")
+
+
+def test_every_error_of_a_one_word_change_names_its_line(monkeypatch):
+    # each word of each line of four documents, one per layer, replaced by
+    # 'x' and then by the reserved 'ln': an exit-2 error names the file and
+    # a line, unless it is about something absent
+    texts = in_memory_documents(monkeypatch)
+    runs, bad = 0, []
+    for command, source in [("landauer", "landauer_bit.doc"), ("potential", "potentials.doc"),
+                            ("ch", "oracle_space.doc"), ("galois", "chains.doc")]:
+        lines = (CORPUS / source).read_text().splitlines()
+        for i, line in enumerate(lines):
+            words = line.split()
+            for j, new in [(j, new) for j in range(len(words)) for new in ("x", "ln")]:
+                changed = " ".join(words[:j] + [new] + words[j + 1:])
+                texts[source] = "\n".join(lines[:i] + [changed] + lines[i + 1:])
+                code, out = run_cli(command, source)
+                runs += 1
+                if code == 2 and not (
+                    re.match(rf"error: {re.escape(source)}:[1-9][0-9]*: ", out)
+                    or out.startswith(tuple(f"error: {text}" for text in UNLOCATED))
+                ):
+                    bad.append((command, source, changed, out))
+    assert runs == 508
     assert bad == []
 
 
