@@ -550,13 +550,10 @@ def _intransitive_triple(le) -> Optional[tuple[int, int, int]]:
     is transitive iff every j in i's up-set has its up-set inside i's."""
     up = [sum(1 << j for j, yes in enumerate(row) if yes) for row in le]
     for i, mine in enumerate(up):
-        rest = mine
-        while rest:
-            j = (rest & -rest).bit_length() - 1  # the lowest index left
+        for j in set_bits(mine):
             outside = up[j] & ~mine
             if outside:
-                return i, j, (outside & -outside).bit_length() - 1
-            rest &= rest - 1
+                return i, j, next(set_bits(outside))
     return None
 
 
@@ -595,9 +592,9 @@ def check_axioms(
 
     Other backends are sampled.  Every ordered pair of the test pool is put
     to ``A.le`` exactly once, up front, and the checks read their pool
-    premises from that table.  On a pool too large for every triple,
-    transitivity scans the whole table once the sampled triples pass, so
-    its verdict holds for every triple of the pool.  Consistency, scaling,
+    premises from that table.  Transitivity scans the whole table once, for
+    every triple of the pool; past MAX_TRIPLES the first failing one of a
+    seeded sample of triples, if any, is its witness.  Consistency, scaling,
     splitting and stability each take three steps:
 
     1. list the check's cases (drawn, where there are too many);
@@ -646,19 +643,15 @@ def check_axioms(
     witness = next(((pool[i],) for i in idx if not le[i][i]), None)
     results = [_result("reflexivity", witness, True)]
 
-    triples = _bounded_product((idx, idx, idx), MAX_TRIPLES, rng)
-    witness = next(
-        (
-            (pool[i], pool[j], pool[k])
-            for i, j, k in triples
-            if le[i][j] and le[j][k] and not le[i][k]
-        ),
-        None,
-    )
-    if witness is None and len(triples) < len(pool) ** 3:
+    found = None
+    if len(pool) ** 3 > MAX_TRIPLES:  # the first failing drawn triple stays the witness
+        triples = _bounded_product((idx, idx, idx), MAX_TRIPLES, rng)
+        found = next(
+            ((i, j, k) for i, j, k in triples if le[i][j] and le[j][k] and not le[i][k]), None
+        )
+    if found is None:
         found = _intransitive_triple(le)
-        if found is not None:
-            witness = tuple(pool[i] for i in found)
+    witness = None if found is None else tuple(pool[i] for i in found)
     results.append(_result("transitivity", witness, True))
 
     # consistency: X ≺ X' and Y ≺ Y' ⇒ (X,Y) ≺ (X',Y')
@@ -964,7 +957,8 @@ def _fm_solve(constraints: list[Constraint], nvars: int) -> list[Fraction]:
     positive multiple of the combination of p / |p_v| and q / |q_v|, so it
     bounds the same halfspace and stays integer.  Each bound of the
     back-substitution, −rest / coef, is unchanged by a positive scaling of
-    its row, so the point does not depend on how rows were scaled."""
+    its row, so the point does not depend on how rows were scaled.  The last
+    stage's rows are all zero: ``_tighten`` raises on any that is infeasible."""
     stages = []
     current = _tighten(
         (c.coeffs, c.const, sum(1 << i for i in c.provenance)) for c in constraints
@@ -989,9 +983,6 @@ def _fm_solve(constraints: list[Constraint], nvars: int) -> list[Fraction]:
                 )
                 nxt.append((coeffs, scale_p * p_const + scale_q * q_const, provenance))
         current = _tighten(nxt)
-    for _, const, provenance in current:
-        if const > 0:
-            raise _Infeasible(provenance)
     assignment: list[Optional[Fraction]] = [None] * nvars
     for var in range(nvars - 1, -1, -1):
         lower = None

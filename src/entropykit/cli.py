@@ -5,8 +5,8 @@ Exit codes: 0 all verdicts pass, 1 at least one failure, 2 usage or parse
 error, 3 no failures but at least one verdict rests on sampling
 (probably-zero) rather than structural certainty.
 
-A check's CERTAIN or SAMPLED is decided in one place, expr.first_nonzero,
-and a verdict's status in one place, Report.set_status.
+CERTAIN or SAMPLED comes from expr.first_nonzero or forms._nonvanishing,
+and a verdict's status from one place, Report.set_status.
 """
 
 from __future__ import annotations

@@ -550,11 +550,13 @@ def _parse_entropy(doc: Document, rows):
             key: _fraction(value, doc.path, line_no)
             for key, value in _assignments(doc, assigns, line_no).items()
         }
-        missing = set(doc.spaces[label].names()) - set(values)
-        if missing:
-            raise DocumentError(
-                f"entropy {name!r} misses states {sorted(missing)}", doc.path, line_no
-            )
+        names = set(doc.spaces[label].names())
+        for fault, odd in (
+            ("misses states", names - values.keys()),
+            (f"values states outside {label!r}:", values.keys() - names),
+        ):
+            if odd:
+                raise DocumentError(f"entropy {name!r} {fault} {sorted(odd)}", doc.path, line_no)
         doc.entropies[name] = (label, EntropyFn(label, values))
 
 

@@ -31,9 +31,10 @@ free symbol once, and its result has the type and the bits of evaluate's at
 every point, errors included.
 
 is_zero decides whether an expression vanishes, structurally or by seeded
-sampling.  first_nonzero is the one place a zero test becomes a Confidence:
+sampling.  first_nonzero turns a residual's zero tests into a Confidence:
 CERTAIN when every test it ran was structural or found a nonzero value,
-SAMPLED when a vanishing verdict rests on samples.
+SAMPLED when a vanishing verdict rests on samples; forms._nonvanishing
+does the same for a factor that must not vanish.
 """
 
 from __future__ import annotations
@@ -292,8 +293,6 @@ def _expr_key(e: "Expr"):
 
 def _nth_root(n: int, k: int) -> Optional[int]:
     """Exact k-th root of a non-negative integer, or None."""
-    if n < 0:
-        return None
     if n in (0, 1):
         return n
     try:
@@ -322,11 +321,7 @@ MAX_POWER_BITS = 10_000
 
 
 def _const_pow(c: Fraction, q: Fraction) -> tuple[Fraction, Optional[Fraction]]:
-    """c**q split into (exact rational part, leftover base or None)."""
-    if c == 0:
-        if q <= 0:
-            raise ExprError("zero raised to a non-positive power")
-        return Fraction(0), None
+    """c**q split into (exact rational part, leftover base or None); c ≠ 0."""
     bits = max(c.numerator.bit_length(), c.denominator.bit_length())
     # |c^q| needs at most |q|·bits bits; ±1 stays ±1 whatever q is
     if bits > 1 and abs(q.numerator) * bits > MAX_POWER_BITS * q.denominator:
@@ -423,9 +418,7 @@ class Expr:
 
     @staticmethod
     def _monomial(chart: Chart, coeff: Fraction, pairs) -> "Expr":
-        """One coeff * product-of-powers term, normalized (may expand)."""
-        if coeff == 0:
-            return Expr(chart, ())
+        """One coeff ≠ 0 times a product of powers, normalized (may expand)."""
         fmap: dict = {}
         keyed: dict = {}
         for b, x in pairs:

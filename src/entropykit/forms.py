@@ -8,8 +8,8 @@ confidence flag because transcendental coefficients make exact zero testing
 inconclusive; CERTAIN means every underlying zero test was structural,
 SAMPLED means at least one relied on random-point evaluation.  Every
 residual check (here and in thermo) reduces its verdict to "does each of
-these coefficients vanish?" and decides CERTAIN vs SAMPLED in one place,
-expr.first_nonzero.
+these coefficients vanish?" and decides CERTAIN vs SAMPLED in
+expr.first_nonzero, or in _nonvanishing for a factor that must not vanish.
 """
 
 from __future__ import annotations
@@ -262,8 +262,6 @@ def pullback(f: SmoothMap, a: Form) -> Form:
         raise ExprError("form does not live on the map's target chart")
     src = f.source
     mapping = dict(f.components)
-    if a.degree == 0:
-        return Form.from_expr(a.coefficient(()).subs(mapping, src))
     # Only the target coordinates the form's index tuples name are
     # differentiated, each partial once (Form drops zero coefficients).
     differentials = {

@@ -56,10 +56,10 @@ class Poset:
     index pairs, and ``_up[i]`` / ``_down[i]`` are the bitmasks of the
     elements above and below element i, itself included; ``_components``
     keeps the closure's strongly connected components for closing other
-    masks along the same order.  The closed relation as pairs is built only
-    when ``relation`` is asked for."""
+    masks along the same order.  ``relation`` builds the closed relation as
+    pairs on each call."""
 
-    __slots__ = ("carrier", "_index", "_edges", "_up", "_down", "_components", "_relation")
+    __slots__ = ("carrier", "_index", "_edges", "_up", "_down", "_components")
 
     def __init__(self, carrier: Sequence, relation):
         carrier = tuple(carrier)
@@ -78,21 +78,17 @@ class Poset:
         object.__setattr__(self, "_up", up)  # never changed after this
         object.__setattr__(self, "_down", down)
         object.__setattr__(self, "_components", components)
-        object.__setattr__(self, "_relation", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poset is immutable")
 
     @property
     def relation(self) -> frozenset:
-        """The closed relation as (x, y) pairs, x ≤ y; built on first use."""
-        if self._relation is None:
-            carrier = self.carrier
-            pairs = frozenset(
-                (x, carrier[j]) for x, above in zip(carrier, self._up) for j in set_bits(above)
-            )
-            object.__setattr__(self, "_relation", pairs)
-        return self._relation
+        """The closed relation as (x, y) pairs, x ≤ y; built on each call."""
+        carrier = self.carrier
+        return frozenset(
+            (x, carrier[j]) for x, above in zip(carrier, self._up) for j in set_bits(above)
+        )
 
     def le(self, x, y) -> bool:
         index = self._index
@@ -201,10 +197,6 @@ def _closed_preimages(image: list[int], dst: Poset) -> tuple[list[int], list[int
     return up, down
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def check_monotone(src: Poset, dst: Poset, mapping: Mapping) -> MonotoneResult:
     """x ≤ y ⇒ F(x) ≤ F(y).  The witness is the first failing x in carrier
     order with its first failing y, the pair a scan of carrier × carrier
@@ -225,7 +217,7 @@ def check_monotone(src: Poset, dst: Poset, mapping: Mapping) -> MonotoneResult:
         for x, above, t in zip(src.carrier, src._up, image):
             missed = above & ~reached[t]
             if missed:
-                return MonotoneResult(False, (x, src.carrier[_lowest(missed)]))
+                return MonotoneResult(False, (x, src.carrier[next(set_bits(missed))]))
     return MonotoneResult(True)
 
 
@@ -274,7 +266,7 @@ def check_galois(F: MonotoneMap, G: MonotoneMap) -> GaloisResult:
         for a, t, back in zip(A.carrier, f, backward):
             forward = B._up[t]  # the b with F(a) ≤ b
             if forward != back:
-                j = _lowest(forward ^ back)
+                j = next(set_bits(forward ^ back))
                 if forward >> j & 1:
                     direction = "F(a) ≤ b but a ≰ G(b)"
                 else:

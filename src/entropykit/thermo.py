@@ -267,7 +267,6 @@ def check_legendre(
     state-equation specs are checked through the mixed-partial conditions,
     reconstructing X₀ when they pass.
     """
-    spec._validate(tc)
     eqs = spec.state_equations(tc)
     identities = _maxwell(tc, eqs, config)
     failures = tuple(

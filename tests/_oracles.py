@@ -254,6 +254,19 @@ def warshall_closure(nodes, edges):
     return {(nodes[i], nodes[j]) for i in range(n) for j in range(n) if reach[i][j]}
 
 
+def first_intransitive_triple(pool, le):
+    """The first (x, y, z) of pool³ in index order with le(x, y) and
+    le(y, z) but not le(x, z), asking le of every triple; None if none."""
+    return next(
+        (
+            (x, y, z)
+            for x, y, z in itertools.product(pool, repeat=3)
+            if le(x, y) and le(y, z) and not le(x, z)
+        ),
+        None,
+    )
+
+
 def random_preorder(rng, labels):
     """A pre-order on shuffled labels whose equivalence classes are planted:
     labels fall into random blocks, each block is closed into a cycle, and

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import entropykit
 from _oracles import (
     calibration_case,
+    first_intransitive_triple,
     random_oracle_space,
     reference_calibrate,
     reference_construct_entropy,
@@ -653,6 +654,25 @@ def test_transitivity_on_a_large_universe_is_decided_exhaustively(n, data):
         return
     assert result.status is AxiomStatus.FAIL
     assert tuple(p.parts[0][2] for p in result.witness) in violations
+
+
+@given(st.integers(1, 8), st.sampled_from(["open", "closed", "oracle"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_transitivity_witness_is_the_first_failing_triple_of_a_small_pool(n, backend, data):
+    # at most 8³ = MAX_TRIPLES triples: none is drawn, and the whole-table
+    # scan alone gives the witness of every backend
+    names = [f"s{k}" for k in range(n)]
+    pairs = list(itertools.product(names, repeat=2))
+    held = {pq for pq in pairs if data.draw(st.booleans())}
+    if backend == "oracle":
+        A = MemoizedOracle(lambda x, y: (x.parts[0][2], y.parts[0][2]) in held)
+        pool = [pure("G", a) for a in names]
+    else:
+        A = edge_relation("G", names, held, close=backend == "closed")
+        pool = list(A.universe())
+    result = check_axioms(A, [space("G", names)])["transitivity"]
+    assert result.witness == first_intransitive_triple(pool, A.le)
+    assert result.status is (AxiomStatus.PASS if result.witness is None else AxiomStatus.FAIL)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -444,6 +444,12 @@ def test_space_with_no_coordinates_exits_two_at_its_line(tmp_path, command):
          "'ln' is reserved for the function syntax"),
         ("potential", "potentials.doc", "swap V : name H", "swap V : name V",
          "duplicate name 'V'"),
+        # an entropy values its own space's states, no fewer and no more
+        ("entropy-verify", "entropy_ok.doc", "fn S on Gamma : a = 0, b = 1, c = 2",
+         "fn S on Gamma : a = 0, b = 1", "entropy 'S' misses states ['c']"),
+        ("entropy-verify", "entropy_ok.doc", "fn S on Gamma : a = 0, b = 1, c = 2",
+         "fn S on Gamma : a = 0, b = 1, c = 2, zz = 9",
+         "entropy 'S' values states outside 'Gamma': ['zz']"),
         ("axioms", "raw_chain.doc", "closure = false", "closure = ture",
          "closure must be true/false, yes/no or 1/0, got 'ture'"),
         ("axioms", "raw_chain.doc", "closure = false", "scaling = maybe",
@@ -458,6 +464,43 @@ def test_order_document_errors_name_file_and_line(tmp_path, command, source, old
     code, out = run_cli(command, str(doc))
     assert code == 2
     assert out == f"error: {doc}:{line_no}: {message}\n"
+
+
+def test_a_node_row_adds_a_state_with_no_edge(tmp_path):
+    doc = tmp_path / "node.doc"
+    doc.write_text(
+        "[states]\nspace G coords x\nstate a = 0\nstate b = 1\nstate c = 2\n\n"
+        "[relation]\nnode c\nedge a b\n"
+    )
+    assert [str(x) for x in load_document(doc).relation.universe()] == ["G.c", "G.a", "G.b"]
+    code, out = run_cli("ch", str(doc))
+    assert code == 1
+    assert "\nverdict: NOT_TOTAL\nincomparable: G.a vs G.c\nincomparable: G.b vs G.c\n" in out
+
+
+TWO_WAY = (
+    "[states]\nspace G coords x scalable\nstate a = 0\nstate b = 1\n\n"
+    "[relation]\nscaling = true\nedge a b\nedge b a\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, code, block",
+    [
+        (TWO_WAY, 0, "method: reference\ndegenerate: yes\ngrid-step: 1/64\n"
+         "S(a): 0\nS(b): 0\nverified: yes\nstatus: pass"),
+        (TWO_WAY + "closure = false\n", 1,
+         "verdict: CONSTRUCTION_IMPOSSIBLE\nwitness: G.a\nstatus: fail"),
+    ],
+    ids=["degenerate", "not-reflexive"],
+)
+def test_entropy_construct_on_two_equivalent_states(tmp_path, text, code, block):
+    # closed, a ~ b gets the degenerate entropy; unclosed, a ≺ a is missing
+    doc = tmp_path / "two_way.doc"
+    doc.write_text(text)
+    got, out = run_cli("entropy-construct", str(doc))
+    assert got == code
+    assert f"\ncheck: entropy-construct\nspace: G\n{block}\n\n" in out
 
 
 @pytest.mark.parametrize(
@@ -728,6 +771,14 @@ def test_a_line_outside_the_format_exits_two_at_its_line(
     assert_exits_two_at(tmp_path, command, source, old, new, where, message)
 
 
+def test_path_without_a_heat_pair_exits_two_at_the_path_line(tmp_path):
+    # ΔU needs no heat pair and is integrated first; ΔQ then fails
+    message = "path direct: chart does not designate a heat pair"
+    assert_exits_two_at(
+        tmp_path, "path", "ideal_gas.doc", "heat = T", "heat = none", "path direct:", message
+    )
+
+
 BROKEN_PATH = "path broken:\n  segment S = 1 + t, V = 1\n  segment S = 3, V = 1 + t"
 
 
@@ -735,14 +786,16 @@ BROKEN_PATH = "path broken:\n  segment S = 1 + t, V = 1\n  segment S = 3, V = 1 
     "command, source, old, new",
     [
         ("cycle-audit", "ideal_gas.doc", IDEAL_GAS_PATHS, BROKEN_PATH),
+        ("path", "ideal_gas.doc", IDEAL_GAS_PATHS, BROKEN_PATH),
         ("path", "maxwell_violation.doc", "state T = V\nstate p = V",
          "state T = exp(S)\nstate p = V\n\n[paths]\n" + BROKEN_PATH),
     ],
-    ids=["joins-before-closes", "joins-before-inclusion"],
+    ids=["joins-before-closes", "joins", "joins-before-inclusion"],
 )
 def test_a_path_with_two_faults_reports_the_join_first(tmp_path, command, source, old, new):
-    # a path that neither joins up nor closes, or that does not join on a spec
-    # whose energy cannot be reconstructed: the joins are checked first
+    # a path that neither joins up nor closes (path, which needs no cycle,
+    # reports the same join), or that does not join on a spec whose energy
+    # cannot be reconstructed: the joins are checked first
     message = "path broken: segments do not join continuously at S"
     assert_exits_two_at(tmp_path, command, source, old, new, "path broken:", message)
 

@@ -154,6 +154,9 @@ def test_parse_power_forms():
     assert parse("x^(1/2) * x^(1/2)", XY) == XY.var("x")
     assert parse("x^(-1) * x", XY) == XY.one()
     assert parse("(8/27)^(2/3)", XY) == XY.const(F(4, 9))
+    # past the float range a root is found by integer Newton steps
+    assert parse("(2^2000)^(1/2)", XY) == parse("2^1000", XY)
+    assert parse("(2^2000 + 1)^(1/2)", XY).as_constant() is None  # stays opaque
 
 
 def test_opaque_power_algebra():

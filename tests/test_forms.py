@@ -589,6 +589,16 @@ def test_scaling_symmetry_recovers_factor():
     assert r.factor == JET.const(3)
 
 
+def test_a_map_to_one_point_has_a_vanishing_factor():
+    # φ*ω = 0 for the constant map, so the multiplier is exactly 0
+    chart = Chart(("x", "z", "p"))
+    phi = SmoothMap(chart, chart, {"x": chart.one(), "z": chart.one(), "p": chart.zero()})
+    omega = dx(chart, "z") - dx(chart, "x").scale(chart.var("p"))
+    r = contact_symmetry_check(phi, omega)
+    assert (r.status, r.confidence) == (SymmetryStatus.NOT_SYMMETRY, Confidence.CERTAIN)
+    assert r.witness == ("factor vanishes", None)
+
+
 def test_symmetry_check_rejects_zero_form():
     with pytest.raises(ValueError):
         contact_symmetry_check(SmoothMap.identity(JET), Form.zero(JET, 1))

@@ -332,6 +332,12 @@ def test_empty_swap_returns_inputs():
 def test_unknown_pair_rejected():
     with pytest.raises(ThermoError):
         legendre_transform(STD, ["Q"])
+    with pytest.raises(ThermoError, match="no pair with index 5"):
+        legendre_transform(STD, [5])
+
+
+def test_a_pair_is_selected_by_index_as_by_name():
+    assert legendre_transform(STD, [1]) == legendre_transform(STD, ["V"])
 
 
 def test_transform_is_involution_per_pair():
