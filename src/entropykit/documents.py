@@ -236,6 +236,11 @@ def _parse_params(doc: Document, rows):
         if "=" in body:
             key, value = _key_value(body, doc.path, line_no)
             value = _fraction(value, doc.path, line_no)
+            # the algebra takes every parameter positive: (c^2)^(1/2) is c
+            if value <= 0:
+                raise DocumentError(
+                    f"param {key} must be positive, got {value}", doc.path, line_no
+                )
         else:
             key, value = body, None
         doc.param_values[_new(doc, doc.param_values, "param", key, line_no)] = value

@@ -4,7 +4,11 @@ Expressions are kept in a canonical expanded form: a sum of terms, each a
 rational coefficient times a product of base factors raised to rational
 exponents.  A base factor is a coordinate, a named positive parameter, an
 ln/exp atom, or an opaque power of a multi-term expression.  All symbolic
-arithmetic is exact (fractions.Fraction).
+arithmetic is exact: every coefficient and exponent is an int where it is
+whole and a fractions.Fraction only where it is not (_whole), so the common
+products and sums of whole numbers are int operations.  An int and the
+Fraction of the same value compare, hash and print alike, so keys, order
+and printed forms do not depend on which one a term holds.
 
 Each operation (sum, parsed sum, product, derivative, substitution) collects
 all the terms of its result first and then merges and sorts them once.  A
@@ -75,6 +79,19 @@ class SamplingError(ExprError):
     """Random sampling kept hitting domain errors; zero test is unresolved."""
 
 
+# A coefficient or an exponent: an int where it is whole, else a Fraction.
+Rational = Union[int, Fraction]
+
+
+def _whole(q: Rational) -> Rational:
+    """q as an int where it is whole; an int or a Fraction q is canonical
+    after this (int + - * int is an int, so only a result with a Fraction
+    operand, or a Fraction built from input, needs it)."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = ("ln", "exp")
 
@@ -119,10 +136,11 @@ class Chart:
     def var(self, name: str) -> "Expr":
         if name not in self:
             raise ExprError(f"{name!r} is not declared on this chart")
-        return Expr(self, (_Term(Fraction(1), ((name, Fraction(1)),)),))
+        return Expr(self, (_Term(1, ((name, 1),)),))
 
     def const(self, value) -> "Expr":
-        value = Fraction(value)
+        if type(value) is not int:
+            value = _whole(Fraction(value))
         if value == 0:
             return Expr(self, ())
         return Expr(self, (_Term(value, ()),))
@@ -160,7 +178,8 @@ _Base = Union[str, _Ln, _Exp, _Pow]
 
 class _Term:
     """coeff times the product of its factors, each (base, exponent) in
-    canonical order.
+    canonical order.  coeff and each exponent are Rationals: an int where
+    whole, a Fraction where not.
 
     key is the term's merge and sort key in Expr._build: one _key_entry per
     factor, then _TERM_END.  It depends only on the chart's coordinates, and
@@ -171,7 +190,7 @@ class _Term:
 
     __slots__ = ("coeff", "factors", "key")
 
-    def __init__(self, coeff: Fraction, factors: tuple[tuple[_Base, Fraction], ...],
+    def __init__(self, coeff: Rational, factors: tuple[tuple[_Base, Rational], ...],
                  key: Optional[tuple] = None):
         self.coeff = coeff
         self.factors = factors
@@ -205,11 +224,9 @@ def _base_key(base: _Base, chart: Chart):
 _TERM_END = ((1,),)
 
 
-def _key_entry(base_key, x: Fraction) -> tuple:
-    """The key entry of a factor with exponent x: (0, base_key, -x), with -x
-    an int where it is whole (it compares, hashes and sorts as the Fraction
-    would, and hashes faster)."""
-    return (0, base_key, -x.numerator if x.denominator == 1 else -x)
+def _key_entry(base_key, x: Rational) -> tuple:
+    """The key entry of a factor with exponent x: (0, base_key, -x)."""
+    return (0, base_key, -x)
 
 
 def _term_key(t: _Term, chart: Chart) -> tuple:
@@ -227,6 +244,8 @@ def _mul_terms(t1: _Term, t2: _Term) -> Optional[_Term]:
     the summed exponent makes of it)."""
     f1, f2 = t1.factors, t2.factors
     coeff = t1.coeff * t2.coeff
+    if type(coeff) is not int:
+        coeff = _whole(coeff)
     if not f1:
         return _Term(coeff, f2, t2.key)
     if not f2:
@@ -251,6 +270,8 @@ def _mul_terms(t1: _Term, t2: _Term) -> Optional[_Term]:
             if isinstance(b, _Pow):
                 return None
             x = f1[i][1] + f2[j][1]
+            if type(x) is not int:
+                x = _whole(x)
             if x:
                 factors.append((b, x))
                 keys.append(_key_entry(e1[1], x))
@@ -273,7 +294,7 @@ def _square_pairs(terms: tuple[_Term, ...]):
     merges symmetrically and _monomial sums exponents by key)."""
     for i, t1 in enumerate(terms):
         yield t1, t1
-        twice = _Term(2 * t1.coeff, t1.factors, t1.key)
+        twice = _Term(_whole(2 * t1.coeff), t1.factors, t1.key)
         for t2 in terms[i + 1:]:
             yield twice, t2
 
@@ -292,22 +313,24 @@ def _expr_key(e: "Expr"):
 
 
 def _nth_root(n: int, k: int) -> Optional[int]:
-    """Exact k-th root of a non-negative integer, or None."""
-    if n in (0, 1):
+    """Exact k-th root of a non-negative integer, or None.
+
+    Integer Newton from an upper bound, 2^ceil(bits/k), descends to the floor
+    of the root at any size (a float first guess misses perfect powers past
+    about 2^106).  A root r >= 2 has r^k >= 2^k, so an n >= 2 of at most k
+    bits has none, and r^(k-1) stays within n's size."""
+    if n < 2:
         return n
-    try:
-        r = round(n ** (1.0 / k))
-    except OverflowError:
-        r = 1 << -(-n.bit_length() // k)  # integer Newton from an upper bound
-        while True:
-            step = ((k - 1) * r + n // r ** (k - 1)) // k
-            if step >= r:
-                break
-            r = step
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    bits = n.bit_length()
+    if bits <= k:
+        return None
+    r = 1 << -(-bits // k)
+    while True:
+        step = ((k - 1) * r + n // r ** (k - 1)) // k
+        if step >= r:
+            break
+        r = step
+    return r if r**k == n else None
 
 
 # Powers are checked against these budgets before any work is done: an
@@ -320,23 +343,26 @@ MAX_EXPANSION_TERMS = 1000
 MAX_POWER_BITS = 10_000
 
 
-def _const_pow(c: Fraction, q: Fraction) -> tuple[Fraction, Optional[Fraction]]:
-    """c**q split into (exact rational part, leftover base or None); c ≠ 0."""
+def _const_pow(c: Rational, q: Rational) -> tuple[Rational, Optional[Rational]]:
+    """c**q split into (exact rational part, leftover base or None); c ≠ 0.
+
+    An int c to a negative int q goes through Fraction, as int ** -n is a
+    float."""
     bits = max(c.numerator.bit_length(), c.denominator.bit_length())
     # |c^q| needs at most |q|·bits bits; ±1 stays ±1 whatever q is
     if bits > 1 and abs(q.numerator) * bits > MAX_POWER_BITS * q.denominator:
         raise ExprError(
             f"constant power ({c})^({q}) exceeds the budget of {MAX_POWER_BITS} bits"
         )
-    if q.denominator == 1:
-        return c ** int(q), None
+    if type(q) is int:
+        return _whole(c**q if q > 0 else Fraction(c) ** q), None
     if c < 0:
         raise ExprError("negative constant under a fractional power")
     pn = _nth_root(c.numerator, q.denominator)
     pd = _nth_root(c.denominator, q.denominator)
     if pn is not None and pd is not None:
-        return Fraction(pn, pd) ** q.numerator, None
-    return Fraction(1), c
+        return _whole(Fraction(pn, pd) ** q.numerator), None
+    return 1, c
 
 
 class Expr:
@@ -374,9 +400,9 @@ class Expr:
     def is_zero_expr(self) -> bool:
         return not self.terms
 
-    def as_constant(self) -> Optional[Fraction]:
+    def as_constant(self) -> Optional[Rational]:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and not self.terms[0].factors:
             return self.terms[0].coeff
         return None
@@ -412,23 +438,27 @@ class Expr:
                 continue
             k = _term_key(t, chart)
             old = merged.get(k)
-            merged[k] = t if old is None else _Term(old.coeff + t.coeff, old.factors, k)
+            if old is not None:
+                c = old.coeff + t.coeff
+                t = _Term(c if type(c) is int else _whole(c), old.factors, k)
+            merged[k] = t
         live = sorted(k for k, t in merged.items() if t.coeff)
         return Expr(chart, tuple(merged[k] for k in live))
 
     @staticmethod
-    def _monomial(chart: Chart, coeff: Fraction, pairs) -> "Expr":
-        """One coeff ≠ 0 times a product of powers, normalized (may expand)."""
+    def _monomial(chart: Chart, coeff: Rational, pairs) -> "Expr":
+        """One coeff ≠ 0 times a product of powers, normalized (may expand);
+        coeff and the exponents may be any Rationals, whole Fractions too."""
         fmap: dict = {}
         keyed: dict = {}
         for b, x in pairs:
             k = _base_key(b, chart)
             keyed[k] = b
-            fmap[k] = fmap.get(k, Fraction(0)) + x
+            fmap[k] = fmap.get(k, 0) + x
         factors = []
         expansions = []
         for k in sorted(fmap):
-            b, x = keyed[k], fmap[k]
+            b, x = keyed[k], _whole(fmap[k])
             if x == 0:
                 continue
             if isinstance(b, _Pow):
@@ -439,11 +469,11 @@ class Expr:
                     if left is not None:
                         factors.append((_Pow(b.base.chart.const(left)), x))
                     continue
-                if x.denominator == 1 and x >= 0:
-                    expansions.append(b.base ** int(x))
+                if type(x) is int and x > 0:
+                    expansions.append(b.base**x)
                     continue
             factors.append((b, x))
-        out = Expr(chart, (_Term(coeff, tuple(factors)),))
+        out = Expr(chart, (_Term(_whole(coeff), tuple(factors)),))
         for ex in expansions:
             out = out * ex
         return out
@@ -478,7 +508,7 @@ class Expr:
     def __rsub__(self, other):
         return self._lift(other) + (-self)
 
-    def _scaled(self, c: Fraction) -> "Expr":
+    def _scaled(self, c: Rational) -> "Expr":
         """self times the coefficient c of a constant term, never 0 in
         canonical form: scaling moves no term's key, so the terms keep their
         keys and order."""
@@ -486,7 +516,8 @@ class Expr:
             return self
         chart = self.chart
         return Expr(chart, tuple(
-            _Term(t.coeff * c, t.factors, _term_key(t, chart)) for t in self.terms
+            _Term(_whole(t.coeff * c), t.factors, _term_key(t, chart))
+            for t in self.terms
         ))
 
     def __mul__(self, other):
@@ -521,14 +552,14 @@ class Expr:
         if c is not None:
             if c == 0:
                 raise ExprError("division by zero constant")
-            return self * self.chart.const(Fraction(1) / c)
-        return self * other ** Fraction(-1)
+            return self._scaled(_whole(Fraction(1, c)))
+        return self * other ** -1
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __pow__(self, exponent):
-        q = Fraction(exponent)
+        q = exponent if type(exponent) is int else _whole(Fraction(exponent))
         chart = self.chart
         if q == 0:
             return chart.one()
@@ -545,19 +576,19 @@ class Expr:
             if left is not None:
                 pairs.append((_Pow(chart.const(left)), q))
             return Expr._monomial(chart, part, pairs)
-        if q.denominator == 1 and q > 0:
+        if type(q) is int and q > 0:
             n = len(self.terms)
-            if math.comb(n + int(q) - 1, n - 1) > MAX_EXPANSION_TERMS:
+            if math.comb(n + q - 1, n - 1) > MAX_EXPANSION_TERMS:
                 raise ExprError(
                     f"expanding a sum of {n} terms to the power {q} exceeds "
                     f"the budget of {MAX_EXPANSION_TERMS} terms"
                 )
-            half = self ** (int(q) // 2)
+            half = self ** (q // 2)
             out = half * half
-            if int(q) % 2:
+            if q % 2:
                 out = out * self
             return out
-        return Expr._monomial(chart, Fraction(1), [(_Pow(self), q)])
+        return Expr._monomial(chart, 1, [(_Pow(self), q)])
 
     # -- calculus ------------------------------------------------------------
 
@@ -582,7 +613,7 @@ class Expr:
                     else:
                         factors = t.factors[:i] + t.factors[i + 1:]
                         key = k[:i] + k[i + 1:]
-                    pieces.append(_Term(t.coeff * x, factors, key))
+                    pieces.append(_Term(_whole(t.coeff * x), factors, key))
                     continue
                 db = self._base_diff(b, name)
                 if db.is_zero_expr():
@@ -600,11 +631,9 @@ class Expr:
         """Derivative of an ln, exp or opaque power base."""
         chart = self.chart
         if isinstance(b, _Ln):
-            return b.arg.diff(name) * b.arg ** Fraction(-1)
+            return b.arg.diff(name) * b.arg ** -1
         if isinstance(b, _Exp):
-            return b.arg.diff(name) * Expr._monomial(
-                chart, Fraction(1), [(b, Fraction(1))]
-            )
+            return b.arg.diff(name) * Expr._monomial(chart, 1, [(b, 1)])
         return b.base.diff(name)
 
     # -- substitution and evaluation ------------------------------------------
@@ -684,7 +713,7 @@ class Expr:
         left to right, so only a leading run may fold), later ones become
         constant factors, and the terms before the first one that depends on
         var are summed.  Those constants are kept as float: every value that
-        depends on a float v is a float, and Python computes a Fraction c
+        depends on a float v is a float, and Python computes a rational c
         times or plus a float x as float(c) times or plus x.  So a Fraction v
         does not get evaluate's exact value.
         """
@@ -720,7 +749,7 @@ class Expr:
             pieces.insert(0, str(mag))
         return "*".join(pieces)
 
-    def _render_factor(self, b: _Base, x: Fraction) -> str:
+    def _render_factor(self, b: _Base, x: Rational) -> str:
         if isinstance(b, str):
             base = b
         elif isinstance(b, _Ln):
@@ -753,16 +782,18 @@ def _exp_value(v):
         raise DomainError("exp overflow") from None
 
 
-def _pow_value(base, q: Fraction):
-    """base ** q: exact for a rational base and an integer q whose result has
-    at most MAX_POWER_BITS bits (as in _const_pow), else in floating point."""
-    if isinstance(base, (int, Fraction)) and q.denominator == 1:
+def _pow_value(base, q: Rational):
+    """base ** q: exact (a Fraction) for a rational base and an integer q
+    whose result has at most MAX_POWER_BITS bits (as in _const_pow), else in
+    floating point."""
+    if type(q) is int and isinstance(base, (int, Fraction)):
         if base == 0 and q < 0:
             raise DomainError("zero base with negative exponent")
-        base = Fraction(base)
+        if type(base) is not Fraction:
+            base = Fraction(base)
         bits = max(base.numerator.bit_length(), base.denominator.bit_length())
-        if bits <= 1 or abs(q.numerator) * bits <= MAX_POWER_BITS:
-            return base ** q.numerator
+        if bits <= 1 or abs(q) * bits <= MAX_POWER_BITS:
+            return base**q
         if q < 0:
             base, q = 1 / base, -q
         # q > 0 is whole, so a base past the float range has a power past it
@@ -774,7 +805,7 @@ def _pow_value(base, q: Fraction):
     return _float_pow(float(base), q)
 
 
-def _float_pow(fb: float, q: Fraction, qf: Optional[float] = None) -> float:
+def _float_pow(fb: float, q: Rational, qf: Optional[float] = None) -> float:
     """fb ** q in floating point; qf is float(q) when the caller has it."""
     if fb == 0.0:
         if q < 0:
@@ -867,7 +898,7 @@ def _compile_term(e: Expr, t: _Term, params, var: str):
     return None, run
 
 
-def _compile_factor(e: Expr, b: _Base, x: Fraction, params, var: str):
+def _compile_factor(e: Expr, b: _Base, x: Rational, params, var: str):
     """(b ** x, None) when it is computed here, else (None, function of v)."""
     if not _depends(b, var):
         try:
@@ -897,13 +928,13 @@ def _compile_base(b: _Base, params, var: str):
 def ln(e: Expr) -> Expr:
     if e == e.chart.one():
         return e.chart.zero()
-    return Expr._monomial(e.chart, Fraction(1), [(_Ln(e), Fraction(1))])
+    return Expr._monomial(e.chart, 1, [(_Ln(e), 1)])
 
 
 def exp(e: Expr) -> Expr:
     if e.is_zero_expr():
         return e.chart.one()
-    return Expr._monomial(e.chart, Fraction(1), [(_Exp(e), Fraction(1))])
+    return Expr._monomial(e.chart, 1, [(_Exp(e), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -1177,7 +1208,7 @@ class _Parser:
             return e ** self.exponent()
         return e
 
-    def exponent(self) -> Fraction:
+    def exponent(self) -> Rational:
         parens = bool(self.accept_op("("))
         sign = -1 if self.accept_op("-") else 1
         kind, lexeme, _, _ = self.peek()
@@ -1196,7 +1227,7 @@ class _Parser:
                 raise ParseError("zero denominator in exponent", line, col)
         if parens:
             self.expect_op(")")
-        return Fraction(sign * num, den)
+        return sign * num if den == 1 else _whole(Fraction(sign * num, den))
 
     def base(self) -> Expr:
         kind, lexeme, line, col = self.advance()

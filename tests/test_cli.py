@@ -92,6 +92,37 @@ def test_exit_zero_on_pass():
     assert "verdict: OK" in text
 
 
+def test_frobenius_sees_a_large_perfect_square_root_exactly(tmp_path):
+    # ((R^2)^(1/2) - R)*x dy is zero: the form is dz, integrable, and the
+    # root of R^2 (past 2^106) must be found exactly for the verdict to be
+    # certain and right
+    r = 889862090649785494436976022
+    doc = tmp_path / "big_root.doc"
+    doc.write_text(
+        f"[chart]\ncoords = x y z\n\n[forms]\nform q : z = 1, y = (({r}^2)^(1/2) - {r})*x\n"
+    )
+    code, text = run_cli("frobenius", str(doc))
+    assert code == 0
+    assert "verdict: INTEGRABLE\ncertainty: certain\nobstruction: 0\n" in text
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "-3/2"])
+def test_non_positive_param_exits_two_at_its_line(tmp_path, value):
+    # with c = -1, (c^2)^(1/2) simplifies to c and the path read ΔU = -1
+    # where the true change is +1
+    doc = tmp_path / "negative_param.doc"
+    doc.write_text(
+        f"[params]\nc = {value}\n\n"
+        "[chart]\nenergy = U\npair = T S +\npair = p V -\nheat = T\n\n"
+        "[spec]\npotential = (c^2)^(1/2)*S + V\n\n"
+        "[paths]\npath leg:\n  segment S = 1 + t, V = 1\n"
+    )
+    code, text = run_cli("path", str(doc))
+    assert code == 2
+    assert text == f"error: {doc}:2: param c must be positive, got {value}\n"
+    assert "delta-energy" not in text
+
+
 def test_exit_one_on_failure():
     code, text = run_cli("frobenius", str(CORPUS / "cartan_form.doc"))
     assert code == 1

@@ -25,7 +25,7 @@ from entropykit.expr import (
     parse,
 )
 # the canonical order and the cached term keys are checked directly
-from entropykit.expr import _Term, _base_key, _term_key
+from entropykit.expr import _Pow, _Term, _base_key, _nth_root, _term_key
 
 XY = Chart(("x", "y"))
 GIBBS = Chart(("U", "S", "V", "T", "p"))
@@ -789,3 +789,107 @@ def test_compiled_expr_stays_exact_on_rationals():
     # a leg free of t keeps evaluate's exact constant, even at a float t
     f = parse("a + 1/2", TAB).compile({"a": F(1, 3)}, "t")
     assert f(0.25) == F(5, 6) and type(f(0.25)) is F
+
+
+# -- number representation ----------------------------------------------------------
+
+
+def numbers_of(e):
+    """Every coefficient and exponent of e, with those of its ln, exp and
+    opaque-power arguments."""
+    for t in e.terms:
+        yield t.coeff
+        for b, x in t.factors:
+            yield x
+            if not isinstance(b, str):
+                yield from numbers_of(b.base if isinstance(b, _Pow) else b.arg)
+
+
+def assert_whole_numbers_are_ints(e):
+    for q in numbers_of(e):
+        assert type(q) is int or (type(q) is F and q.denominator != 1), (str(e), repr(q))
+
+
+def fraction_value(e, point):
+    """A sum of symbol powers at a point, computed over Fraction in
+    evaluate's order: a whole power exactly, any other in floating point."""
+    total = F(0)
+    for t in e.terms:
+        val = F(t.coeff)
+        for b, x in t.factors:
+            val = val * F(point[b]) ** F(x)
+        total = total + val
+    return total
+
+
+@given(st.sampled_from([small_sums, polynomials, t_sums]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_whole_coefficients_and_exponents_are_ints(sums, data):
+    p, q = data.draw(sums()), data.draw(sums())
+    chart = p.chart
+    name = data.draw(st.sampled_from(chart.coords))
+    k = data.draw(st.sampled_from(T_EXPONENTS + [F(4, 2), F(-6, 3)]))
+    ops = [lambda: p * q, lambda: p * p, lambda: p + q, lambda: p - q,
+           lambda: p ** k, lambda: p.diff(name), lambda: p.subs({name: q})]
+    point = {n: data.draw(st.fractions(1, 5, max_denominator=7))
+             for n in chart.coords + chart.params}
+    for op in ops:
+        try:
+            got = op()
+        except ExprError:  # an expansion budget, or zero to a negative power
+            continue
+        assert_whole_numbers_are_ints(got)
+        if all(isinstance(b, str) for t in got.terms for b, _ in t.factors):
+            value, want = got.evaluate(point), fraction_value(got, point)
+            assert type(value) is type(want) and value == want, (str(got), point)
+            if all(type(x) is int for t in got.terms for _, x in t.factors):
+                assert type(value) is F
+
+
+def test_whole_number_hazards():
+    x = XY.var("x")
+    # an int to a negative int power is a float in Python; here it is 1/8
+    eighth = parse("2^(-3)", XY)
+    assert eighth == XY.const(2) ** -3
+    assert type(eighth.as_constant()) is F and eighth.as_constant() == F(1, 8)
+    # a fractional power of a whole coefficient, and whole exponents from
+    # fractional ones
+    for e in (parse("(4*x^2)^(-1/2)", XY), parse("1/(2*x)", XY), 1 / (2 * x)):
+        assert e.terms == (_Term(F(1, 2), (("x", -1),)),)
+        assert type(e.terms[0].factors[0][1]) is int
+        assert str(e) == "1/2*x^(-1)"
+    for e in (x**2 / x**2, parse("(x^2)/(x^2)", XY), parse("2^(1/2)*2^(1/2)", XY) / 2,
+              parse("(x+y)^(-1)*(x+y)^(1/2)*(x+y)^(1/2)", XY), XY.const(F(4, 4))):
+        assert e.terms == (_Term(1, ()),) and type(e.terms[0].coeff) is int
+    assert parse("x^(4/2)", XY).terms == (_Term(1, (("x", 2),)),)
+    for e in (eighth, x**2 / x**2, 1 / (2 * x), parse("x^(4/2)", XY)):
+        assert_whole_numbers_are_ints(e)
+        value = e.evaluate({"x": F(3)})
+        assert type(value) is F
+    assert eighth.evaluate({}) == F(1, 8) and (x**2 / x**2).evaluate({"x": F(3)}) == 1
+
+
+@given(st.integers(2, 9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_nth_root_is_exact_for_perfect_powers_up_to_300_bits(k, data):
+    r = data.draw(st.integers(1, 2 ** (300 // k)))
+    n = r**k
+    assert _nth_root(n, k) == r
+    # (r + 1)^k - r^k > 1 for r >= 1 and k >= 2
+    assert _nth_root(n + 1, k) is None
+
+
+def test_fractional_power_of_a_large_perfect_square_is_exact():
+    # a float first guess at the root of r^2 misses r past about 2^106
+    r = 889862090649785494436976022
+    assert _nth_root(r**2, 2) == r and _nth_root(r**2 + 1, 2) is None
+    e = parse(f"({r}^2)^(1/2) - {r}", XY)
+    assert e.is_zero_expr()
+    assert is_zero(e).verdict is ZeroVerdict.CERTAIN_ZERO
+
+
+def test_root_of_an_index_past_the_base_size_is_left_opaque():
+    # an n >= 2 has no k-th root once k reaches its bit length; the root
+    # search once raised 2 to the k-th power here, running out of memory
+    assert _nth_root(2, 10**20) is None
+    assert str(parse("2^(1/99999999999999999999)", XY)) == "(2)^(1/99999999999999999999)"
