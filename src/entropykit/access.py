@@ -54,10 +54,10 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .expr import Expr, ExprError
+from .expr import Expr, ExprError, InputError
 
 
-class AccessError(Exception):
+class AccessError(InputError):
     pass
 
 

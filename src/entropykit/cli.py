@@ -7,6 +7,14 @@ error, 3 no failures but at least one verdict rests on sampling
 
 CERTAIN or SAMPLED comes from expr.first_nonzero or forms._nonvanishing,
 and a verdict's status from one place, Report.set_status.
+
+A command imports what it calls from forms, thermo, access or galois when
+it runs, and documents loads the layers its sections build, so a run loads
+only what its command and document reach.  Each such import names the
+module (``from .thermo import ...``): ``from . import thermo`` would load
+it unseen by ``-X importtime``, whose log the layer tests read.  No module
+imports this one: run as ``python -m entropykit.cli`` it is ``__main__``,
+and a second import would build it twice.
 """
 
 from __future__ import annotations
@@ -17,15 +25,16 @@ import io
 import os
 import re
 import sys
-from collections import namedtuple
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import access, forms, galois, thermo
-from .access import DEFAULT_MARGIN, AxiomConfig, AxiomStatus, ConstructionImpossible
-from .documents import CONFIG_KEYS, INPUT_ERRORS, Document, DocumentError, at_line, load_document
-from .expr import Confidence, ZeroTestConfig
-from .galois import MapError, MonotoneMap, Poset
-from .thermo import DEFAULT_QUADRATURE, QuadratureConfig
+from .documents import (
+    CONFIG_KEYS, INPUT_ERRORS, Document, DocumentError, Settings, at_line, load_document,
+)
+from .expr import Confidence
+
+if TYPE_CHECKING:
+    from .galois import MonotoneMap
 
 COMMANDS = {}
 
@@ -86,29 +95,6 @@ class Report:
         return "\n\n".join("\n".join(rule + lines) for lines in sections) + "\n"
 
 
-# what the checks of one run read: a config per layer and calibrate's margin
-Settings = namedtuple("Settings", "zero axiom quad margin")
-
-
-def _settings(opts, config: dict) -> Settings:
-    """Merge a document's [config] with the flags, a flag winning, and build
-    every check's settings; a key that neither sets keeps its default."""
-    flags = {k: v for k, v in vars(opts).items() if k in CONFIG_KEYS and v is not None}
-    merged = {**config, **flags}
-
-    def fields(target):
-        return {k: v for k, v in merged.items() if CONFIG_KEYS[k] is target}
-
-    tol = merged.get("tol")
-    return Settings(
-        ZeroTestConfig(seed=opts.seed, **fields(ZeroTestConfig)),
-        AxiomConfig(seed=opts.seed, **fields(AxiomConfig)),
-        DEFAULT_QUADRATURE if tol is None
-        else QuadratureConfig(sample_tol=tol, balance_tol=tol),
-        merged.get("margin", DEFAULT_MARGIN),
-    )
-
-
 def _require(condition, message):
     if not condition:
         raise UsageError(message)
@@ -129,16 +115,20 @@ def _declared_forms(doc: Document):
     if doc.forms:
         return list(doc.forms.items())
     if doc.thermo_chart is not None:
-        return [("theta", thermo.first_law_form(doc.thermo_chart))]
+        from .thermo import first_law_form
+
+        return [("theta", first_law_form(doc.thermo_chart))]
     raise UsageError("document declares no forms")
 
 
 @command("contact-check")
 def cmd_contact_check(doc: Document, settings: Settings, report: Report):
+    from .forms import contact_check
+
     for name, form in _declared_forms(doc):
         dim = form.chart.dimension
         _require(dim % 2 == 1, f"chart dimension {dim} is even; no contact rank")
-        result = forms.contact_check(form, (dim - 1) // 2, settings.zero)
+        result = contact_check(form, (dim - 1) // 2, settings.zero)
         idx = report.block("contact-check")
         report.add(idx, "form", name)
         report.add(idx, "verdict", result.status.value)
@@ -149,9 +139,11 @@ def cmd_contact_check(doc: Document, settings: Settings, report: Report):
 
 @command("frobenius")
 def cmd_frobenius(doc: Document, settings: Settings, report: Report):
+    from .forms import frobenius_check
+
     for name, form in _declared_forms(doc):
         _require(form.degree == 1, f"form {name!r} is not a 1-form")
-        result = forms.frobenius_check(form, settings.zero)
+        result = frobenius_check(form, settings.zero)
         idx = report.block("frobenius")
         report.add(idx, "form", name)
         report.add(idx, "verdict", result.status.value)
@@ -162,8 +154,10 @@ def cmd_frobenius(doc: Document, settings: Settings, report: Report):
 
 @command("legendre-check")
 def cmd_legendre_check(doc: Document, settings: Settings, report: Report):
+    from .thermo import check_legendre
+
     tc, spec = _thermo_parts(doc)
-    result = thermo.check_legendre(tc, spec, settings.zero)
+    result = check_legendre(tc, spec, settings.zero)
     idx = report.block("legendre-check")
     report.add(idx, "verdict", "OK" if result.ok else "FAIL")
     report.add(idx, "certainty", result.confidence.value)
@@ -183,8 +177,10 @@ def cmd_legendre_check(doc: Document, settings: Settings, report: Report):
 
 @command("maxwell")
 def cmd_maxwell(doc: Document, settings: Settings, report: Report):
+    from .thermo import maxwell_relations
+
     _require(doc.thermo_chart is not None, "document has no thermodynamic chart")
-    identities = thermo.maxwell_relations(doc.thermo_chart, doc.spec, settings.zero)
+    identities = maxwell_relations(doc.thermo_chart, doc.spec, settings.zero)
     for ident in identities:
         idx = report.block("maxwell")
         report.add(idx, "identity", ident.text)
@@ -196,10 +192,12 @@ def cmd_maxwell(doc: Document, settings: Settings, report: Report):
 
 @command("potential")
 def cmd_potential(doc: Document, settings: Settings, report: Report):
+    from .thermo import legendre_transform
+
     _require(doc.thermo_chart is not None, "document has no thermodynamic chart")
     _require(bool(doc.transforms), "document has no [transform] section")
     for swaps, new_name in doc.transforms:
-        result = thermo.legendre_transform(
+        result = legendre_transform(
             doc.thermo_chart, list(swaps), new_name=new_name, config=settings.zero
         )
         idx = report.block("potential")
@@ -235,7 +233,9 @@ def _path_verdicts(doc: Document, settings: Settings, verdict):
 
 @command("path")
 def cmd_path(doc: Document, settings: Settings, report: Report):
-    for name, balance in _path_verdicts(doc, settings, thermo.first_law_balance):
+    from .thermo import first_law_balance
+
+    for name, balance in _path_verdicts(doc, settings, first_law_balance):
         idx = report.block("path")
         report.add(idx, "path", name)
         report.add(idx, "delta-energy", balance.delta_energy)
@@ -247,7 +247,9 @@ def cmd_path(doc: Document, settings: Settings, report: Report):
 
 @command("cycle-audit")
 def cmd_cycle_audit(doc: Document, settings: Settings, report: Report):
-    for name, audit in _path_verdicts(doc, settings, thermo.cycle_audit):
+    from .thermo import cycle_audit
+
+    for name, audit in _path_verdicts(doc, settings, cycle_audit):
         idx = report.block("cycle-audit")
         report.add(idx, "cycle", name)
         report.add(idx, "heat", audit.heat)
@@ -287,9 +289,11 @@ def _relation(doc: Document):
 
 @command("axioms")
 def cmd_axioms(doc: Document, settings: Settings, report: Report):
+    from .access import AxiomStatus, check_axioms
+
     rel = _relation(doc)
     _require(bool(doc.spaces), "document has no [states] section")
-    result = access.check_axioms(rel, list(doc.spaces.values()), settings.axiom)
+    result = check_axioms(rel, list(doc.spaces.values()), settings.axiom)
     for axiom in result.results:
         idx = report.block("axiom")
         report.add(idx, "axiom", axiom.name)
@@ -303,10 +307,12 @@ def cmd_axioms(doc: Document, settings: Settings, report: Report):
 
 @command("ch")
 def cmd_ch(doc: Document, settings: Settings, report: Report):
+    from .access import comparison_hypothesis
+
     rel = _relation(doc)
     _require(bool(doc.spaces), "document has no [states] section")
     for label, space in doc.spaces.items():
-        result = access.comparison_hypothesis(rel, space)
+        result = comparison_hypothesis(rel, space)
         idx = report.block("comparison-hypothesis")
         report.add(idx, "space", label)
         report.add(idx, "verdict", "TOTAL" if result.total else "NOT_TOTAL")
@@ -317,14 +323,16 @@ def cmd_ch(doc: Document, settings: Settings, report: Report):
 
 @command("entropy-construct")
 def cmd_entropy_construct(doc: Document, settings: Settings, report: Report):
+    from .access import ConstructionImpossible, answer_table, construct_entropy, verify_entropy
+
     rel = _relation(doc)
     _require(bool(doc.spaces), "document has no [states] section")
     for label, space in doc.spaces.items():
         idx = report.block("entropy-construct")
         report.add(idx, "space", label)
-        le = access.answer_table(rel, space)
+        le = answer_table(rel, space)
         try:
-            S = access.construct_entropy(rel, space, settings.axiom, le)
+            S = construct_entropy(rel, space, settings.axiom, le)
         except ConstructionImpossible as err:
             report.add(idx, "verdict", "CONSTRUCTION_IMPOSSIBLE")
             report.add(idx, "witness", ", ".join(str(w) for w in err.witness))
@@ -337,17 +345,19 @@ def cmd_entropy_construct(doc: Document, settings: Settings, report: Report):
             report.add(idx, "grid-step", S.grid_step)
         for name in space.names():
             report.add(idx, f"S({name})", S.values[name])
-        verdict = access.verify_entropy(S, rel, space, settings.axiom, le)
+        verdict = verify_entropy(S, rel, space, settings.axiom, le)
         report.add(idx, "verified", "yes" if verdict.ok else "no")
         report.set_status(idx, verdict.ok)
 
 
 @command("entropy-verify")
 def cmd_entropy_verify(doc: Document, settings: Settings, report: Report):
+    from .access import verify_entropy
+
     rel = _relation(doc)
     _require(bool(doc.entropies), "document has no [entropy] section")
     for name, (label, S) in doc.entropies.items():
-        result = access.verify_entropy(S, rel, doc.spaces[label], settings.axiom)
+        result = verify_entropy(S, rel, doc.spaces[label], settings.axiom)
         idx = report.block("entropy-verify")
         report.add(idx, "entropy", name)
         report.add(idx, "space", label)
@@ -361,6 +371,8 @@ def cmd_entropy_verify(doc: Document, settings: Settings, report: Report):
 
 @command("calibrate")
 def cmd_calibrate(doc: Document, settings: Settings, report: Report):
+    from .access import calibrate
+
     _require(bool(doc.entropies), "document has no [entropy] section")
     _require(doc.cross is not None, "document has no [cross] section")
     if doc.cross.universe() is None:  # an oracle: no finite set of states
@@ -374,7 +386,7 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
         if label not in valued:
             message = f"space {label!r} has no entropy function"
             raise DocumentError(message, doc.path, doc.lines["space", label])
-    result = access.calibrate(systems, doc.cross, margin=settings.margin)
+    result = calibrate(systems, doc.cross, margin=settings.margin)
     idx = report.block("calibrate")
     report.add(idx, "verdict", "FEASIBLE" if result.ok else "INFEASIBLE")
     if result.ok:
@@ -395,6 +407,8 @@ def cmd_calibrate(doc: Document, settings: Settings, report: Report):
 def _poset_maps(doc: Document, names) -> list[MonotoneMap]:
     """The named maps, each checked once between posets each built once; a
     fault is raised at the line that declares it."""
+    from .galois import MonotoneMap, Poset
+
     posets = {}
     maps = []
     for name in names:
@@ -415,14 +429,16 @@ def _poset_maps(doc: Document, names) -> list[MonotoneMap]:
 
 @command("galois")
 def cmd_galois(doc: Document, settings: Settings, report: Report):
+    from .galois import check_galois, closure_report
+
     F, G = _poset_maps(doc, ["F", "G"])
-    result = galois.check_galois(F, G)
+    result = check_galois(F, G)
     idx = report.block("galois")
     report.add(idx, "verdict", "PASS" if result.ok else "FAIL")
     if result.ok:
         report.add(idx, "unit", "OK" if result.unit_ok else "FAIL")
         report.add(idx, "counit", "OK" if result.counit_ok else "FAIL")
-        closure = galois.closure_report(F, G)
+        closure = closure_report(F, G)
         report.add(idx, "closure-operator", "OK" if closure.ok else "FAIL")
     else:
         a, b, direction = result.witness
@@ -432,9 +448,11 @@ def cmd_galois(doc: Document, settings: Settings, report: Report):
 
 @command("adjoint")
 def cmd_adjoint(doc: Document, settings: Settings, report: Report):
+    from .galois import check_galois, right_adjoint
+
     # a declared G is checked as galois checks it, though the search replaces it
     F = _poset_maps(doc, ["F", "G"] if "G" in doc.maps else ["F"])[0]
-    result = galois.right_adjoint(F)
+    result = right_adjoint(F)
     idx = report.block("adjoint")
     if not result.found:
         report.add(idx, "verdict", "NONE")
@@ -444,13 +462,15 @@ def cmd_adjoint(doc: Document, settings: Settings, report: Report):
     report.add(idx, "verdict", "FOUND")
     for b in result.map.source.carrier:
         report.add(idx, f"G({b})", result.map(b))
-    check = galois.check_galois(F, result.map)
+    check = check_galois(F, result.map)
     report.add(idx, "galois", "PASS" if check.ok else "FAIL")
     report.set_status(idx, check.ok)
 
 
 @command("landauer")
 def cmd_landauer(doc: Document, settings: Settings, report: Report):
+    from .galois import MapError, landauer_check
+
     _require(len(doc.entropies) >= 2, "landauer needs two entropy systems")
     _require("F" in doc.maps and "G" in doc.maps, "landauer needs maps F and G")
     (label1, s1), (label2, s2) = list(doc.entropies.values())[:2]
@@ -460,7 +480,7 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
             raise DocumentError(message, doc.path, doc.lines["map", name])
     systems = (doc.spaces[label1], s1), (doc.spaces[label2], s2)
     try:
-        result = galois.landauer_check(*systems, doc.maps["F"][2], doc.maps["G"][2])
+        result = landauer_check(*systems, doc.maps["F"][2], doc.maps["G"][2])
     except MapError as err:
         raise DocumentError(str(err), doc.path, doc.lines["map", err.name]) from None
     idx = report.block("landauer")
@@ -479,15 +499,16 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
 # ---------------------------------------------------------------------------
 
 
-def _run_single(command_name: str, doc_path: str, opts, report: Report) -> None:
+def _run_single(command_name: str, doc_path: str, flags: Settings, report: Report) -> None:
     doc = load_document(doc_path)
     idx = report.block("document")
     report.add(idx, "path", doc_path)
     report.add(idx, "command", command_name)
-    COMMANDS[command_name](doc, _settings(opts, doc.config), report)
+    COMMANDS[command_name](doc, flags.under(doc.config), report)
 
 
 # Errors that report a bad input or document; anything else is a defect.
+# INPUT_ERRORS covers every layer's errors without loading a layer.
 _INPUT_ERRORS = (UsageError, DocumentError, OSError, *INPUT_ERRORS)
 
 
@@ -501,7 +522,7 @@ def _error_message(err: Exception) -> str:
     return re.sub(r"[ \t]*\n[ \t]*", " ", text)
 
 
-def _run_batch(manifest_path: str, opts, out) -> int:
+def _run_batch(manifest_path: str, flags: Settings, fmt: str, out) -> int:
     base = os.path.dirname(manifest_path)
     entries = []
     with open(manifest_path, encoding="utf-8") as handle:
@@ -525,7 +546,7 @@ def _run_batch(manifest_path: str, opts, out) -> int:
         report = Report()
         try:
             _require(command_name in COMMANDS, f"unknown command {command_name!r}")
-            _run_single(command_name, doc_path, opts, report)
+            _run_single(command_name, doc_path, flags, report)
             code = report.exit_code()
         except Exception as err:  # one failing entry must not end the batch
             idx = report.block("error")
@@ -533,7 +554,7 @@ def _run_batch(manifest_path: str, opts, out) -> int:
             code = 2
         matched = code == expected
         all_ok = all_ok and matched
-        chunks.append(report.render(opts.format))
+        chunks.append(report.render(fmt))
         tail = (
             f"check: batch-entry\ndocument: {os.path.basename(doc_path)}"
             f"\ncommand: {command_name}\nexit: {code}\nexpected: {expected}"
@@ -583,12 +604,14 @@ def run(argv, out=None) -> int:
     try:
         if opts.seed is None:
             opts.seed = int(os.environ.get("ENTROPYKIT_SEED", "0"))
-        _settings(opts, {})  # every command refuses a bad flag before reading input
+        given = {k: v for k, v in vars(opts).items() if k in CONFIG_KEYS and v is not None}
+        # every command refuses a bad flag before reading input
+        flags = Settings(opts.seed, given).check()
         if opts.command == "batch":
-            code = _run_batch(opts.document, opts, sink)
+            code = _run_batch(opts.document, flags, opts.format, sink)
         else:
             report = Report()
-            _run_single(opts.command, opts.document, opts, report)
+            _run_single(opts.command, opts.document, flags, report)
             sink.write(report.render(opts.format))
             code = report.exit_code()
     except Exception as err:  # a defect gets a message, as in batch, not a traceback

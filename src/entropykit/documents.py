@@ -19,29 +19,29 @@ Every error names its file and line.  The guard ``at_line`` raises any of
 ``INPUT_ERRORS``, the library's errors for a bad input, again as a
 ``DocumentError`` at the line of the declaration being built or checked;
 ``Document.lines`` holds each named declaration's line by (keyword, name).
+``INPUT_ERRORS`` names the layers' errors through their common base
+``expr.InputError``, so the guard loads no layer.
+
+Only ``expr`` is loaded with this module.  Each other layer is imported by
+the first section that builds its objects (a thermodynamic chart, [spec]
+and [paths] load ``thermo``, [forms] ``forms``, [states], [relation],
+[entropy] and [cross] ``access``), and ``Settings`` builds each setting on
+its first read, so a run loads only the layers its document and command
+reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
-from .access import (
-    AccessError,
-    Accessibility,
-    AxiomConfig,
-    CompositeState,
-    EdgeRelation,
-    EntropyFn,
-    EntropyOracle,
-    StateSpace,
-    check_margin,
-)
-from .expr import Chart, Expr, ExprError, ZeroTestConfig, parse as parse_expr
-from .forms import Form
-from .galois import GaloisError
-from .thermo import LegendreSpec, PathSegment, ProcessPath, ThermoChart, ThermoError
+from .expr import Chart, Expr, InputError, ZeroTestConfig, parse as parse_expr
+
+if TYPE_CHECKING:
+    from .access import Accessibility
+    from .thermo import LegendreSpec, ThermoChart
 
 
 class DocumentError(Exception):
@@ -51,7 +51,7 @@ class DocumentError(Exception):
         self.line = line
 
 
-INPUT_ERRORS = (ExprError, ThermoError, AccessError, GaloisError, ValueError, OverflowError)
+INPUT_ERRORS = (InputError, ValueError, OverflowError)
 
 
 class at_line:
@@ -277,6 +277,8 @@ def _parse_chart(doc: Document, rows, header: int):
         if coords is not None:
             doc.chart = Chart(coords, params)
         elif energy is not None or pairs:
+            from .thermo import ThermoChart
+
             if energy is None or not pairs:
                 raise DocumentError(
                     "thermo chart needs both energy and pairs", doc.path, header
@@ -296,10 +298,65 @@ def _parse_chart(doc: Document, rows, header: int):
             doc.thermo_chart = ThermoChart(energy, tuple(pairs), params, heat=heat_idx)
 
 
-CONFIG_KEYS = {  # each [config] key, with the settings it feeds (they reject a bad value)
-    "eps_steps": AxiomConfig, "grid_step": AxiomConfig, "lambda_grid": AxiomConfig,
-    "samples": ZeroTestConfig, "tol": ZeroTestConfig, "margin": check_margin,
+CONFIG_KEYS = {  # each [config] key, with the setting of Settings it feeds
+    "eps_steps": "axiom", "grid_step": "axiom", "lambda_grid": "axiom",
+    "samples": "zero", "tol": "zero", "margin": "margin",
 }
+
+
+class Settings:
+    """What the checks of a run read, from the given [config] keys and
+    flags: ``zero`` (a ZeroTestConfig), ``axiom`` (an AxiomConfig), ``quad``
+    (a QuadratureConfig, whose tolerances are ``tol``) and calibrate's
+    ``margin``; a key not given keeps its default.  Each is built on its
+    first read and kept, so a run loads only the layers its checks read."""
+
+    def __init__(self, seed: int, given: dict):
+        self.seed, self.given = seed, given
+
+    def check(self) -> "Settings":
+        """Build each setting a given key feeds: a bad value raises here,
+        before any check runs."""
+        fed = {CONFIG_KEYS[key] for key in self.given}
+        for name in ("zero", "axiom", "margin"):
+            if name in fed:
+                getattr(self, name)
+        return self
+
+    def under(self, config: dict) -> "Settings":
+        """These settings over a document's [config], a given key winning;
+        themselves, with what they have built, when config is empty."""
+        return Settings(self.seed, {**config, **self.given}) if config else self
+
+    def _fields(self, name: str) -> dict:
+        return {k: v for k, v in self.given.items() if CONFIG_KEYS[k] == name}
+
+    @cached_property
+    def zero(self) -> ZeroTestConfig:
+        return ZeroTestConfig(seed=self.seed, **self._fields("zero"))
+
+    @cached_property
+    def axiom(self):
+        from .access import AxiomConfig
+
+        return AxiomConfig(seed=self.seed, **self._fields("axiom"))
+
+    @cached_property
+    def quad(self):
+        from .thermo import DEFAULT_QUADRATURE, QuadratureConfig
+
+        tol = self.given.get("tol")
+        if tol is None:
+            return DEFAULT_QUADRATURE
+        return QuadratureConfig(sample_tol=tol, balance_tol=tol)
+
+    @cached_property
+    def margin(self) -> Fraction:
+        from .access import DEFAULT_MARGIN, check_margin
+
+        margin = self.given.get("margin", DEFAULT_MARGIN)
+        check_margin(margin)
+        return margin
 
 
 def _parse_config(doc: Document, rows):
@@ -319,7 +376,7 @@ def _parse_config(doc: Document, rows):
         else:
             raise DocumentError(f"unknown config key {key!r}", doc.path, line_no)
         with at_line(doc, line_no):
-            CONFIG_KEYS[key](**{key: doc.config[key]})
+            Settings(0, {key: doc.config[key]}).check()
 
 
 def _expr(doc: Document, text: str, chart: Chart, line_no: int) -> Expr:
@@ -332,6 +389,8 @@ def _parse_spec(doc: Document, rows, header: int):
     is one; an error of the spec as a whole is located at its header."""
     if not rows:
         return
+    from .thermo import LegendreSpec, ThermoError
+
     base = doc.base_chart(header)
     potential = None
     equations = {}
@@ -366,6 +425,8 @@ def _parse_spec(doc: Document, rows, header: int):
 def _parse_forms(doc: Document, rows, header: int):
     if not rows:
         return
+    from .forms import Form
+
     chart = doc.expr_chart(header)
     for head, body in _blocks(rows, "form"):
         if head is None:
@@ -399,6 +460,8 @@ def _parse_paths(doc: Document, rows, header: int):
         return
     if doc.thermo_chart is None:
         raise DocumentError("paths need a thermodynamic chart", doc.path, header)
+    from .thermo import PathSegment, ProcessPath
+
     for head, body in _blocks(rows, "path"):
         if head is not None:
             path_line, rest = head
@@ -434,6 +497,10 @@ def _parse_paths(doc: Document, rows, header: int):
 
 
 def _parse_states(doc: Document, rows):
+    if not rows:
+        return
+    from .access import StateSpace
+
     for head, body in _blocks(rows, "space"):
         if head is not None:
             space_line, rest = head
@@ -465,13 +532,14 @@ def _parse_states(doc: Document, rows):
         doc.lines["space", label] = space_line
 
 
-def _resolve_state(doc: Document, token: str, line_no: int) -> CompositeState:
+def _resolve_state(doc: Document, token: str, line_no: int) -> tuple[str, str]:
+    """The (space label, state name) a state token names."""
     token = token.strip()
     if "." in token:
         label, name = token.split(".", 1)
         if label not in doc.spaces or name not in doc.spaces[label].states:
             raise DocumentError(f"unknown state {token!r}", doc.path, line_no)
-        return CompositeState.pure(label, name)
+        return label, name
     hits = [lbl for lbl, sp in doc.spaces.items() if token in sp.states]
     if len(hits) != 1:
         raise DocumentError(
@@ -479,7 +547,7 @@ def _resolve_state(doc: Document, token: str, line_no: int) -> CompositeState:
             doc.path,
             line_no,
         )
-    return CompositeState.pure(hits[0], token)
+    return hits[0], token
 
 
 _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -500,6 +568,9 @@ def _parse_relation(doc: Document, rows, section: str) -> Optional[Accessibility
     'oracle' are keys, each exactly the text before '='."""
     if not rows:
         return None
+    from .access import CompositeState, EdgeRelation, EntropyOracle
+
+    pure = CompositeState.pure
     edges = []
     nodes = []
     flags = {"closure": True, "scaling": False}
@@ -515,9 +586,9 @@ def _parse_relation(doc: Document, rows, section: str) -> Optional[Accessibility
             ends = rest.split()
             if len(ends) != 2:
                 raise DocumentError("expected 'edge FROM TO'", doc.path, line_no)
-            edges.append(tuple(_resolve_state(doc, end, line_no) for end in ends))
+            edges.append(tuple(pure(*_resolve_state(doc, end, line_no)) for end in ends))
         elif word == "node":
-            nodes.append(_resolve_state(doc, rest, line_no))
+            nodes.append(pure(*_resolve_state(doc, rest, line_no)))
         elif key in flags:
             given.add(_new(doc, given, "relation key", key, line_no))
             flags[key] = _flag(body, doc.path, line_no)
@@ -535,13 +606,17 @@ def _parse_relation(doc: Document, rows, section: str) -> Optional[Accessibility
         with at_line(doc, oracle_line):
             expr = parse_expr(oracle_text, Chart(spaces[0].coords))
             return EntropyOracle.from_expression(spaces, expr)
-    pure = [CompositeState.pure(lbl, n) for lbl, sp in doc.spaces.items() for n in sp.names()]
+    states = [pure(lbl, n) for lbl, sp in doc.spaces.items() for n in sp.names()]
     ends = [end for edge in edges for end in edge]
-    rel = EdgeRelation([*nodes, *ends, *pure], edges, supports_scaling=flags["scaling"])
+    rel = EdgeRelation([*nodes, *ends, *states], edges, supports_scaling=flags["scaling"])
     return rel.closure() if flags["closure"] else rel
 
 
 def _parse_entropy(doc: Document, rows):
+    if not rows:
+        return
+    from .access import EntropyFn
+
     for line_no, body in rows:
         rest = _after(doc, "fn NAME on SPACE : state = value, ...", body, line_no)
         head, _, assigns = rest.partition(":")

@@ -43,7 +43,6 @@ does the same for a factor that must not vanish.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
@@ -54,7 +53,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 
-class ExprError(Exception):
+class InputError(Exception):
+    """Base of each layer's error for a bad input (ExprError, ThermoError,
+    AccessError, GaloisError): a guard catches all of them through this one
+    class, without loading a layer that could not have raised."""
+
+
+class ExprError(InputError):
     """Base error for expression construction and evaluation."""
 
 
@@ -1001,7 +1006,9 @@ def _purely_rational(e: Expr) -> bool:
 
 def stable_rng(e: Expr, seed: int) -> random.Random:
     """RNG seeded from the canonical form, stable across runs and processes."""
-    digest = hashlib.sha256(
+    from hashlib import sha256  # only sampled zero tests load it
+
+    digest = sha256(
         f"{seed}|{e.chart.coords}|{e.chart.params}|{e}".encode()
     ).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -1209,6 +1216,8 @@ class _Parser:
         return e
 
     def exponent(self) -> Rational:
+        """A signed integer, or in parentheses a signed rational: x^2/3 is
+        (x^2)/3, and x^(2/3) the power."""
         parens = bool(self.accept_op("("))
         sign = -1 if self.accept_op("-") else 1
         kind, lexeme, _, _ = self.peek()
@@ -1217,7 +1226,7 @@ class _Parser:
         self.advance()
         num = int(lexeme)
         den = 1
-        if self.accept_op("/"):
+        if parens and self.accept_op("/"):
             kind, lexeme, line, col = self.peek()
             if kind != "num":
                 self.error("expected an integer denominator")

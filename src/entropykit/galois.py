@@ -32,9 +32,10 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .access import EntropyFn, StateSpace, closure_masks, set_bits
+from .expr import InputError
 
 
-class GaloisError(Exception):
+class GaloisError(InputError):
     pass
 
 

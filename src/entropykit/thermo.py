@@ -28,6 +28,7 @@ from .expr import (
     Confidence,
     DomainError,
     Expr,
+    InputError,
     ZeroTestConfig,
     DEFAULT_ZERO_CONFIG,
     first_nonzero,
@@ -45,7 +46,7 @@ from .forms import (
 )
 
 
-class ThermoError(Exception):
+class ThermoError(InputError):
     pass
 
 

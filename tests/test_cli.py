@@ -12,7 +12,7 @@ import pytest
 
 import entropykit
 from entropykit import thermo
-from entropykit.cli import Report, _error_message, build_parser, run
+from entropykit.cli import COMMANDS, Report, _error_message, build_parser, run
 from entropykit.documents import DocumentError, load_document, parse_document
 from entropykit.forms import Confidence
 from entropykit.galois import GaloisError
@@ -1141,6 +1141,114 @@ def test_commands_import_only_the_standard_library():
     )
     assert done.stderr == ""
     assert done.stdout == "0\n0\nTrue\n"
+
+
+# The entropykit layers each command's own code loads.  CI reads this table
+# through entry_layers to check the installed console script.
+COMMAND_LAYERS = {
+    "contact-check": {"forms"},
+    "frobenius": {"forms"},
+    "legendre-check": {"forms", "thermo"},
+    "maxwell": {"forms", "thermo"},
+    "potential": {"forms", "thermo"},
+    "path": {"forms", "thermo", "quadpack"},
+    "cycle-audit": {"forms", "thermo", "quadpack"},
+    "axioms": {"access"},
+    "ch": {"access"},
+    "entropy-construct": {"access"},
+    "entropy-verify": {"access"},
+    "calibrate": {"access"},
+    "galois": {"access", "galois"},
+    "adjoint": {"access", "galois"},
+    "landauer": {"access", "galois"},
+}
+
+
+def entry_layers(command: str, doc, expected: int) -> set:
+    """The entropykit modules a cold run of one manifest entry loads, cli
+    aside: the package, documents and expr on every run, forms and thermo
+    for a document with a thermodynamic chart, and the command's row unless
+    the document exits 2 before the command runs."""
+    layers = {"documents", "expr"}
+    if re.search(r"(?m)^energy\s*=", Path(doc).read_text()):
+        layers |= {"forms", "thermo"}
+    if expected != 2:
+        layers |= COMMAND_LAYERS[command]
+    return {"entropykit", *(f"entropykit.{name}" for name in layers)}
+
+
+def importtime_modules(stderr: str) -> set:
+    """The entropykit modules a ``-X importtime`` log names."""
+    return set(re.findall(r"(?m)^import time:.*\| +(entropykit\S*)$", stderr))
+
+
+def manifest_rows():
+    """Each manifest entry as (command, document, expected exit)."""
+    rows = [r.split("#", 1)[0].split() for r in (CORPUS / "manifest.txt").read_text().splitlines()]
+    return [(c, d, int(e)) for c, d, e in filter(None, rows)]
+
+
+def cold_run(*args):
+    src = Path(entropykit.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_command_table_covers_every_command():
+    assert set(COMMAND_LAYERS) == set(COMMANDS)
+    assert {command for command, _, _ in manifest_rows()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "command, doc, expected", manifest_rows(), ids=lambda v: str(v)
+)
+def test_cold_command_loads_only_its_layers(command, doc, expected):
+    # run as the bench's cold probes run it; as __main__, cli must never be
+    # imported again under its own name
+    done = cold_run("-X", "importtime", "-m", "entropykit.cli", command, str(CORPUS / doc))
+    assert done.returncode == expected
+    assert importtime_modules(done.stderr) == entry_layers(command, CORPUS / doc, expected)
+
+
+def test_package_import_loads_no_layer_until_a_name_is_read():
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    print(' '.join(sorted(m for m in sys.modules if m.startswith('entropykit'))))\n"
+        "import entropykit\n"
+        "loaded()\n"
+        "from entropykit import Poset\n"
+        "loaded()\n"
+        "entropykit.thermo\n"
+        "loaded()\n"
+    )
+    done = cold_run("-c", script)
+    assert done.stderr == ""
+    assert done.stdout.splitlines() == [
+        "entropykit",
+        "entropykit entropykit.access entropykit.expr entropykit.galois",
+        "entropykit entropykit.access entropykit.expr entropykit.forms "
+        "entropykit.galois entropykit.thermo",
+    ]
+
+
+def test_every_package_export_imports_by_name():
+    assert len(entropykit.__all__) == len(set(entropykit.__all__)) == 77
+    for name in entropykit.__all__:
+        namespace = {}
+        exec(f"from entropykit import {name}", namespace)
+        value = namespace[name]
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(entropykit.__all__) < set(dir(entropykit))
+    assert "__version__" in dir(entropykit)
+    assert entropykit.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="has no attribute 'Nothing'"):
+        entropykit.Nothing
+    with pytest.raises(ImportError):
+        exec("from entropykit import Nothing", {})
 
 
 def test_huge_powers_exit_two_alone_and_in_batch(tmp_path):

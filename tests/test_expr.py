@@ -159,6 +159,25 @@ def test_parse_power_forms():
     assert parse("(2^2000 + 1)^(1/2)", XY).as_constant() is None  # stays opaque
 
 
+def test_unparenthesised_exponent_is_a_signed_integer():
+    # a bare exponent ends at its digits: the division after it divides the
+    # power, and only ^(p/q) is a rational exponent
+    x, y = XY.var("x"), XY.var("y")
+    assert parse("x^2/3", XY) == x**2 * XY.const(F(1, 3))
+    assert parse("x^2/3", XY) != parse("x^(2/3)", XY)
+    assert parse("x^2/y", XY) == x**2 * y ** (-1)
+    assert parse("x^-2/3", XY) == x ** (-2) * XY.const(F(1, 3))
+    assert parse("2^3/4", XY) == XY.const(2)
+    # the parenthesised and the signed forms keep their meaning
+    assert parse("x^(2/3)", XY) == x ** F(2, 3)
+    assert parse("x^(-2/3)", XY) == x ** F(-2, 3)
+    assert parse("x^(-2)", XY) == parse("x^-2", XY) == x ** (-2)
+    with pytest.raises(ParseError, match="expected an integer denominator"):
+        parse("x^(2/y)", XY)
+    with pytest.raises(ParseError, match="zero denominator in exponent"):
+        parse("x^(2/0)", XY)
+
+
 def test_opaque_power_algebra():
     ch = Chart(("x", "y"))
     x, y = ch.var("x"), ch.var("y")
