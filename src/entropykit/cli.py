@@ -514,9 +514,12 @@ _INPUT_ERRORS = (UsageError, DocumentError, OSError, *INPUT_ERRORS)
 
 def _error_message(err: Exception) -> str:
     """err as one line: a line break in its text (QUADPACK's messages have
-    several) becomes one space with the blanks around it."""
+    several) becomes one space with the blanks around it.  Running out of
+    memory is no defect of the program: it reads "out of memory"."""
     if isinstance(err, _INPUT_ERRORS):
         text = str(err)
+    elif isinstance(err, MemoryError):
+        text = "out of memory"
     else:
         text = f"internal error: {type(err).__name__}" + (f": {err}" if str(err) else "")
     return re.sub(r"[ \t]*\n[ \t]*", " ", text)

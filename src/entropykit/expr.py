@@ -28,11 +28,22 @@ negation), and a substitution into one term is that term's product.
 
 Numeric values come from Expr.evaluate, exact where the expression and the
 point allow it (a Fraction) and floating point past ln, exp, fractional
-powers and integer powers beyond MAX_POWER_BITS.  Expr.compile turns an
+powers and integer powers beyond MAX_POWER_BITS.  Its value is that of a
+fold over Fractions, term by term and factor by factor, of the same type
+and to the bit, errors included; but while the fold is exact it keeps each
+term's product and the sum as an unreduced int numerator and denominator,
+and builds one Fraction per call, at the end.  Expr.compile turns an
 expression with all but one symbol fixed into a one-argument function, as
 quadrature and path sampling need: it computes what does not depend on the
 free symbol once, and its result has the type and the bits of evaluate's at
 every point, errors included.
+
+Every verdict is a claim on the open positive orthant: the canonical form
+rewrites (x^a)^b to x^(a*b) and (x*y)^q to x^q*y^q, which hold only for
+positive x and y, and is_zero samples only positive points.  A document's
+parameter value of 0 or less is refused; path legs are not yet checked
+against this, so a leg through a non-positive coordinate is evaluated on
+the rewritten expression.
 
 is_zero decides whether an expression vanishes, structurally or by seeded
 sampling.  first_nonzero turns a residual's zero tests into a Confidence:
@@ -686,14 +697,51 @@ class Expr:
         return b.base.subs(mapping, out_chart)
 
     def evaluate(self, env: Mapping[str, Union[Fraction, float, int]]):
-        """Numeric value at a point; exact Fraction when the tree allows it."""
-        total = Fraction(0)
+        """Numeric value at a point: exact (a Fraction) when the tree allows
+        it, else a float.
+
+        The value, with its type and its bits, is that of folding each
+        term's coefficient and factor powers left to right, and then the
+        terms onto Fraction(0), over Fractions.  While that fold is exact, a
+        term's product and the sum are unreduced int pairs instead (the
+        sum's denominator is the lcm of the terms' denominators, not their
+        product), and one Fraction is built at the end.  Where a factor
+        power is a float (_inexact_pow), the term goes on from float(its
+        exact part), n / d, which is float(Fraction(n, d)) to the bit and
+        raises the same OverflowError; so does the sum at its first float
+        term.  An int coefficient that meets a float factor first converts
+        as int * float does, as in the fold.
+        """
+        sn, sd = 0, 1  # the exact sum of the terms so far, sd > 0
+        total = None  # the sum, from its first float term on
         for t in self.terms:
-            val = t.coeff
+            c = t.coeff
+            n, d = (c, 1) if type(c) is int else c.as_integer_ratio()
+            val = None  # the term's product, from its first float factor on
+            first = True  # no factor folded yet: the product is c itself
             for b, x in t.factors:
-                val = val * _pow_value(self._base_value(b, env), x)
-            total = total + val
-        return total
+                v = self._base_value(b, env)
+                p = _exact_pow(v, x)
+                if p is None:
+                    f = _inexact_pow(v, x)
+                    val = val * f if val is not None else (c if first else n / d) * f
+                elif val is None:
+                    n *= p[0]
+                    d *= p[1]
+                else:
+                    val = val * (p[0] / p[1])
+                first = False
+            if val is not None:
+                total = sn / sd + val if total is None else total + val
+            elif total is not None:
+                total = total + (c if first else n / d)
+            elif d == sd:
+                sn += n
+            else:
+                g = math.gcd(sd, d)
+                sn = sn * (d // g) + n * (sd // g)
+                sd = sd // g * d
+        return Fraction(sn, sd) if total is None else total
 
     def _base_value(self, b: _Base, env):
         if isinstance(b, str):
@@ -787,18 +835,37 @@ def _exp_value(v):
         raise DomainError("exp overflow") from None
 
 
+def _exact_pow(base, q: Rational) -> Optional[tuple[int, int]]:
+    """base ** q as an unreduced int pair (numerator, denominator > 0) for a
+    rational base and an int q whose result has at most MAX_POWER_BITS bits
+    (as in _const_pow); None for any other, which _inexact_pow takes."""
+    if type(q) is not int or not isinstance(base, (int, Fraction)):
+        return None
+    n, d = (base, 1) if type(base) is int else base.as_integer_ratio()
+    bits = max(n.bit_length(), d.bit_length())
+    if bits > 1 and abs(q) * bits > MAX_POWER_BITS:
+        return None
+    if q == 1:
+        return n, d
+    if q >= 0:
+        return n**q, d**q
+    if n == 0:
+        raise DomainError("zero base with negative exponent")
+    if n < 0:
+        n, d = -n, -d
+    return d**-q, n**-q
+
+
 def _pow_value(base, q: Rational):
-    """base ** q: exact (a Fraction) for a rational base and an integer q
-    whose result has at most MAX_POWER_BITS bits (as in _const_pow), else in
-    floating point."""
+    """base ** q: exact (a Fraction) where _exact_pow allows it, else a float."""
+    p = _exact_pow(base, q)
+    return _inexact_pow(base, q) if p is None else Fraction(*p)
+
+
+def _inexact_pow(base, q: Rational) -> float:
+    """base ** q in floating point, where _exact_pow gives None."""
     if type(q) is int and isinstance(base, (int, Fraction)):
-        if base == 0 and q < 0:
-            raise DomainError("zero base with negative exponent")
-        if type(base) is not Fraction:
-            base = Fraction(base)
-        bits = max(base.numerator.bit_length(), base.denominator.bit_length())
-        if bits <= 1 or abs(q) * bits <= MAX_POWER_BITS:
-            return base**q
+        base = Fraction(base)
         if q < 0:
             base, q = 1 / base, -q
         # q > 0 is whole, so a base past the float range has a power past it
@@ -878,17 +945,30 @@ def _compile_sum(e: Expr, params, var: str):
 
 def _compile_term(e: Expr, t: _Term, params, var: str):
     """(value, None) for a term computed here, else (None, function of v)."""
-    val = t.coeff
+    c = t.coeff
+    n, d = (c, 1) if type(c) is int else c.as_integer_ratio()
+    val = None  # as in Expr.evaluate
     factors = t.factors
     i = 0
     for b, x in factors:
         if _depends(b, var):
             break
         try:
-            val = val * _pow_value(e._base_value(b, params), x)
+            v = e._base_value(b, params)
+            p = _exact_pow(v, x)
+            if p is None:
+                f = _inexact_pow(v, x)
+                val = val * f if val is not None else (c if i == 0 else n / d) * f
+            elif val is None:
+                n *= p[0]
+                d *= p[1]
+            else:
+                val = val * (p[0] / p[1])
         except _EVAL_ERRORS:
             break
         i += 1
+    if val is None:
+        val = c if i == 0 else Fraction(n, d)
     if i == len(factors):
         return val, None
     steps = [_compile_factor(e, b, x, params, var) for b, x in factors[i:]]
@@ -911,17 +991,17 @@ def _compile_factor(e: Expr, b: _Base, x: Rational, params, var: str):
             return _as_float(p), None
         except _EVAL_ERRORS:
             return None, lambda v: _pow_value(e._base_value(b, params), x)
-    base = _compile_base(b, params, var)
     try:
         xf = float(x)
     except OverflowError:
         xf = None
+    if isinstance(b, str):  # var itself
+        return None, lambda v: _float_pow(v, x, xf)
+    base = _compile_base(b, params, var)
     return None, lambda v: _float_pow(base(v), x, xf)
 
 
 def _compile_base(b: _Base, params, var: str):
-    if isinstance(b, str):
-        return lambda v: v
     if isinstance(b, _Pow):
         return _compile_sum(b.base, params, var)
     arg = _compile_sum(b.arg, params, var)

@@ -1,7 +1,18 @@
-"""Shared independent oracles and random generators for order-theoretic tests."""
+"""Shared independent oracles and random generators for the tests."""
 
 import itertools
+from fractions import Fraction
 
+from entropykit.expr import (
+    MAX_POWER_BITS,
+    DomainError,
+    ExprError,
+    _exp_value,
+    _float_pow,
+    _ln_value,
+    _Exp,
+    _Ln,
+)
 from entropykit.galois import (
     AdjointResult,
     GaloisError,
@@ -483,3 +494,49 @@ def reference_calibrate(systems, cross, margin=None):
     for i in range(1, len(systems)):
         coeffs.append((point[2 * (i - 1)], point[2 * (i - 1) + 1]))
     return CalibrationResult(True, tuple(coeffs))
+
+
+def reference_evaluate(e, env):
+    """Expr.evaluate as a fold over Fractions: each term's coefficient times
+    its factor powers left to right, then the terms, starting from
+    Fraction(0).  Nested ln, exp and opaque-power bases evaluate through this
+    function too, so it shares only the domain checks with the library."""
+    total = Fraction(0)
+    for t in e.terms:
+        val = t.coeff
+        for b, x in t.factors:
+            val = val * _reference_pow_value(_reference_base_value(b, env), x)
+        total = total + val
+    return total
+
+
+def _reference_base_value(b, env):
+    if isinstance(b, str):
+        try:
+            return env[b]
+        except KeyError:
+            raise ExprError(f"no value bound for symbol {b!r}") from None
+    if isinstance(b, _Ln):
+        return _ln_value(reference_evaluate(b.arg, env))
+    if isinstance(b, _Exp):
+        return _exp_value(reference_evaluate(b.arg, env))
+    return reference_evaluate(b.base, env)
+
+
+def _reference_pow_value(base, q):
+    if type(q) is int and isinstance(base, (int, Fraction)):
+        if base == 0 and q < 0:
+            raise DomainError("zero base with negative exponent")
+        if type(base) is not Fraction:
+            base = Fraction(base)
+        bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+        if bits <= 1 or abs(q) * bits <= MAX_POWER_BITS:
+            return base**q
+        if q < 0:
+            base, q = 1 / base, -q
+        try:
+            fb = float(base)
+        except OverflowError:
+            raise DomainError("power overflow") from None
+        return _float_pow(fb, q)
+    return _float_pow(float(base), q)

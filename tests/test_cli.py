@@ -1335,13 +1335,25 @@ def test_single_command_with_unexpected_error_prints_no_traceback(monkeypatch):
     assert out == "error: internal error: KeyError: 'T'\n"
 
 
+def test_running_out_of_memory_exits_two_without_calling_it_internal(monkeypatch):
+    from entropykit import cli
+
+    def exhausted(doc, opts, report):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "maxwell", exhausted)
+    code, out = run_cli("maxwell", str(CORPUS / "ideal_gas.doc"))
+    assert (code, out) == (2, "error: out of memory\n")
+
+
 @pytest.mark.parametrize(
     "err, message",
     [
-        (MemoryError(), "internal error: MemoryError"),
+        (MemoryError(), "out of memory"),
         (KeyError("T"), "internal error: KeyError: 'T'"),
         (RuntimeError("two\n  lines"), "internal error: RuntimeError: two lines"),
         (GaloisError("carrier elements must be distinct"), "carrier elements must be distinct"),
+        (MemoryError("cannot allocate"), "out of memory"),
     ],
 )
 def test_error_message_has_no_empty_text_part(err, message):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import entropykit
+from _oracles import reference_evaluate
 from entropykit.expr import (
     Chart,
     DomainError,
@@ -808,6 +809,138 @@ def test_compiled_expr_stays_exact_on_rationals():
     # a leg free of t keeps evaluate's exact constant, even at a float t
     f = parse("a + 1/2", TAB).compile({"a": F(1, 3)}, "t")
     assert f(0.25) == F(5, 6) and type(f(0.25)) is F
+
+
+# -- exact evaluation against a frozen reference ------------------------------------
+
+# evaluate keeps its exact parts as int pairs; reference_evaluate folds over
+# Fractions throughout.  The compiled functions cannot stand in for it, since
+# they are checked against evaluate itself
+EV = Chart(("x", "y"), ("a",))
+EV_ATOMS = ["x", "y", "a", "x + y", "x - a", "ln(x)", "ln(x + y)", "exp(y)",
+            "exp(a*x)", "(x + 1)^(1/2)", "(x*y + a)^(-1)", "(x + y)^(2/3)",
+            "ln(exp(x) + a)", "(y^2 + a)^(-3)"]
+EV_EXPONENTS = [1, 2, 3, -1, -2, -3, 5001, F(1, 2), F(-2, 3), F(3, 2)]
+# coefficients past the float range now and then
+EV_COEFFS = st.sampled_from([10**400, F(-1, 10**400)] + [None] * 6).flatmap(
+    lambda c: st.fractions(-5, 5, max_denominator=6) if c is None else st.just(c)
+)
+EV_VALUES = st.one_of(
+    st.fractions(-3, 3, max_denominator=7),
+    st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False),
+    st.sampled_from([0, 0.0, -0.0, 2, F(10**200), F(-1, 3**700), 1e300, -1e-300]),
+)
+
+
+@st.composite
+def ev_sums(draw):
+    e = EV.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        t = EV.const(draw(EV_COEFFS))
+        for _ in range(draw(st.integers(0, 3))):
+            atom = parse(draw(st.sampled_from(EV_ATOMS)), EV)
+            try:
+                t = t * atom ** draw(st.sampled_from(EV_EXPONENTS))
+            except ExprError:  # an expansion or constant budget
+                pass
+        e = e + t
+    return e
+
+
+def assert_evaluate_matches_reference(e, point):
+    want = outcome(lambda: reference_evaluate(e, point))
+    assert outcome(lambda: e.evaluate(point)) == want, (str(e), point)
+    return want
+
+
+@given(ev_sums(), st.fixed_dictionaries({name: EV_VALUES for name in ("x", "y", "a")}))
+@settings(max_examples=400, deadline=None)
+def test_evaluate_matches_the_fraction_fold(e, point):
+    # the same type and value (a float by its bits, so -0.0 is not 0.0), or
+    # the same error class and text
+    assert_evaluate_matches_reference(e, point)
+
+
+XYZ = Chart(("x", "y", "z"))
+
+
+@pytest.mark.parametrize(
+    "text, point, want",
+    [
+        # |q|·bits exactly at MAX_POWER_BITS stays exact; one past is a float
+        ("x^5000", {"x": F(3)}, ("returns", F, F(3) ** 5000)),
+        ("x^(-5000)", {"x": F(-3)}, ("returns", F, F(1, 3**5000))),
+        ("x^10", {"x": F(2**999 + 1, 3)}, ("returns", F, F(2**999 + 1, 3) ** 10)),
+        ("x^5001", {"x": F(1, 3)}, ("returns", float, "0x0.0p+0")),
+        ("x^11", {"x": F(2**999 + 1)}, ("raises", DomainError, "power overflow")),
+        ("x^5001*y", {"x": 3, "y": F(0)}, ("raises", DomainError, "power overflow")),
+        # 0^-1 before a float factor and after one: the same error, and the
+        # first error in factor order where the float factor raises too
+        ("x^(-1)*y", {"x": F(0), "y": 1.5},
+         ("raises", DomainError, "zero base with negative exponent")),
+        ("x*y^(-1)", {"x": 1.5, "y": 0},
+         ("raises", DomainError, "zero base with negative exponent")),
+        ("x^(-1)*ln(y)", {"x": F(0), "y": -1.0},
+         ("raises", DomainError, "zero base with negative exponent")),
+        ("x^(1/2)*y^(-1)", {"x": -1.0, "y": F(0)},
+         ("raises", DomainError, "negative base with fractional exponent")),
+        # a negative base to a negative odd power: the sign moves to the
+        # numerator, also where a float factor follows
+        ("x^(-3)", {"x": F(-2, 3)}, ("returns", F, F(-27, 8))),
+        ("x^(-3)*y", {"x": F(-2, 3), "y": 1.0}, ("returns", float, (-3.375).hex())),
+        ("x^(-1)*y + 1", {"x": F(-1, 3), "y": 0.0}, ("returns", float, (1.0).hex())),
+        # no denominator turns negative, or the zero exact sum would read
+        # -0.0 here, and -0.0 + -1*0.0 is -0.0
+        ("x^(-1)*y - z", {"x": F(-1), "y": F(0), "z": 0.0},
+         ("returns", float, (0.0).hex())),
+        # an exact part past the float range meets a float factor: Fraction's
+        # conversion error, or an int coefficient's own
+        ("x^400*y", {"x": F(10), "y": 1.5},
+         ("raises", OverflowError, "integer division result too large for a float")),
+        ("10^400*y", {"y": 1.5},
+         ("raises", OverflowError, "int too large to convert to float")),
+        ("10^400*y", {"y": F(3, 2)}, ("returns", F, F(3, 2) * 10**400)),
+        ("y + 10^400", {"y": 1.5},
+         ("raises", OverflowError, "int too large to convert to float")),
+        ("y + 10^400*z", {"y": 1.5, "z": F(1)},
+         ("raises", OverflowError, "integer division result too large for a float")),
+        ("x^400*y^(-400) + z", {"x": F(10), "y": F(10), "z": 0.5},
+         ("returns", float, (1.5).hex())),
+        # float factors before, between and after exact ones; exact terms
+        # before the first float term
+        ("x*y^2*z^(-1)", {"x": 0.1, "y": F(1, 3), "z": 0.7},
+         ("returns", float, (0.1 * float(F(1, 9)) * (1 / 0.7)).hex())),
+        ("x^2*y*z^3", {"x": F(2, 7), "y": 0.3, "z": F(-5, 3)},
+         ("returns", float, (float(F(4, 49)) * 0.3 * float(F(-125, 27))).hex())),
+        ("x^2 + y + z + 1/3", {"x": F(1, 7), "y": F(2, 9), "z": 0.1},
+         ("returns", float, (float(F(1, 49) + F(2, 9)) + 0.1 + float(F(1, 3))).hex())),
+        # the sum starts from the exact 0, so a -0.0 term sums to 0.0
+        ("x + y", {"x": F(0), "y": -0.0}, ("returns", float, (0.0).hex())),
+        ("x*y", {"x": -0.0, "y": F(1)}, ("returns", float, (0.0).hex())),
+        # the empty sum is the Fraction 0, not the int
+        ("0", {}, ("returns", F, F(0))),
+    ],
+)
+def test_evaluate_edge_cases(text, point, want):
+    e = parse(text, XYZ)
+    assert assert_evaluate_matches_reference(e, point) == want
+
+
+def test_nested_bases_evaluate_through_evaluate(monkeypatch):
+    # the bench counts Expr.evaluate calls: one per expression, nested ln,
+    # exp and opaque-power bases included
+    calls = []
+    evaluate = Expr.evaluate
+
+    def counted(self, env):
+        calls.append(str(self))
+        return evaluate(self, env)
+
+    monkeypatch.setattr(Expr, "evaluate", counted)
+    e = parse("x*ln(x + y) + exp(ln(y))*(x + y)^(1/2) + (x^2 + 1)^(-1)", XY)
+    e.evaluate({"x": F(1), "y": 2.0})
+    assert sorted(calls) == sorted([str(e), "x + y", "y", "ln(y)", "x + y", "x^2 + 1"])
 
 
 # -- number representation ----------------------------------------------------------
