@@ -11,20 +11,26 @@ Fraction of the same value compare, hash and print alike, so keys, order
 and printed forms do not depend on which one a term holds.
 
 Each operation (sum, parsed sum, product, derivative, substitution) collects
-all the terms of its result first and then merges and sorts them once.  A
-term keeps its merge and sort key once it is computed.  A product of an
-m-term and an n-term sum merges the already sorted factors of each of its
-m*n pairs of terms and reuses their keys; the square of an n-term sum builds
-each of its n*(n+1)/2 distinct pairs once, with twice the coefficient where
-the two terms differ, and an integer power of a sum is a chain of such
-products, by repeated squaring.  Substitution builds a term's unmapped
-coordinates and parameters as one monomial, and substitutes, raises and
-multiplies in only its mapped symbols and its ln/exp/opaque-power bases.
-Three cases skip the merge and sort, since an operand is already canonical:
-a product with a constant scales the other operand's coefficients and keeps
-its terms' keys and order (a product by 1 is the other operand itself), a
-sum with zero is the other operand (so a difference with zero is it or its
-negation), and a substitution into one term is that term's product.
+all the terms of its result first and then merges and sorts them once, in
+Expr._build.  The merge runs on int numerators and denominators: like terms
+with one denominator add their numerators, others add over the lcm of the
+two denominators (one gcd, as Expr.evaluate sums), and each term of the
+result gets one coefficient at the end, an int where it is whole, else one
+reduced Fraction.  A term keeps its merge and sort key once it is computed.
+A product of an m-term and an n-term sum merges the already sorted factors
+of each of its m*n pairs of terms and reuses their keys, and multiplies
+their numerators and denominators as ints, unreduced; the square of an
+n-term sum builds each of its n*(n+1)/2 distinct pairs once, with twice the
+numerator where the two terms differ, and an integer power of a sum is a
+chain of such products, by repeated squaring.  Substitution builds a
+term's unmapped coordinates and parameters as one monomial, and
+substitutes, raises and multiplies in only its mapped symbols and its
+ln/exp/opaque-power bases.  Three cases skip the merge and sort, since an
+operand is already canonical: a product with a constant scales the other
+operand's coefficients and keeps its terms' keys and order (a product by 1
+is the other operand itself), a sum with zero is the other operand (so a
+difference with zero is it or its negation), and a substitution into one
+term is that term's product.
 
 Numeric values come from Expr.evaluate, exact where the expression and the
 point allow it (a Fraction) and floating point past ln, exp, fractional
@@ -254,24 +260,30 @@ def _term_key(t: _Term, chart: Chart) -> tuple:
     return k
 
 
-def _mul_terms(t1: _Term, t2: _Term) -> Optional[_Term]:
-    """t1*t2 as one canonical term, both keyed, by merging their sorted
-    factors; None where a base of both is a _Pow (_monomial decides what
-    the summed exponent makes of it)."""
-    f1, f2 = t1.factors, t2.factors
-    coeff = t1.coeff * t2.coeff
-    if type(coeff) is not int:
-        coeff = _whole(coeff)
+def _pieces(terms: Iterable[_Term], chart: Chart):
+    """Each term as a piece of Expr._build: (n, d, factors, key), its
+    coefficient n/d as an int pair with d > 0, and its key."""
+    for t in terms:
+        n, d = t.coeff.as_integer_ratio()
+        yield n, d, t.factors, _term_key(t, chart)
+
+
+def _mul_terms(p1: tuple, p2: tuple) -> Optional[tuple]:
+    """The product of two pieces as one piece: the coefficient (n1*n2,
+    d1*d2), unreduced, and the merge of their sorted factors and keys; None
+    where a base of both is a _Pow (_monomial decides what the summed
+    exponent makes of it)."""
+    n1, d1, f1, k1 = p1
+    n2, d2, f2, k2 = p2
     if not f1:
-        return _Term(coeff, f2, t2.key)
+        return n1 * n2, d1 * d2, f2, k2
     if not f2:
-        return _Term(coeff, f1, t1.key)
-    k1, k2 = t1.key, t2.key
-    n1, n2 = len(f1), len(f2)
+        return n1 * n2, d1 * d2, f1, k1
+    m1, m2 = len(f1), len(f2)
     factors = []
     keys = []
     i = j = 0
-    while i < n1 and j < n2:
+    while i < m1 and j < m2:
         e1, e2 = k1[i], k2[j]
         if e1[1] < e2[1]:
             factors.append(f1[i])
@@ -293,26 +305,42 @@ def _mul_terms(t1: _Term, t2: _Term) -> Optional[_Term]:
                 keys.append(_key_entry(e1[1], x))
             i += 1
             j += 1
-    if i < n1:
+    if i < m1:
         factors.extend(f1[i:])
-        keys.extend(k1[i:n1])
-    elif j < n2:
+        keys.extend(k1[i:m1])
+    elif j < m2:
         factors.extend(f2[j:])
-        keys.extend(k2[j:n2])
+        keys.extend(k2[j:m2])
     keys.append(_TERM_END[0])
-    return _Term(coeff, tuple(factors), tuple(keys))
+    return n1 * n2, d1 * d2, tuple(factors), tuple(keys)
 
 
-def _square_pairs(terms: tuple[_Term, ...]):
-    """The pairs of keyed terms whose products sum to the square of their
-    sum: each term with itself, and each pair i < j once with twice term i's
-    coefficient, since term j times term i is the same product (_mul_terms
+def _square_pairs(pieces: list):
+    """The pairs of pieces whose products sum to the square of their sum:
+    each piece with itself, and each pair i < j once with twice piece i's
+    numerator, since piece j times piece i is the same product (_mul_terms
     merges symmetrically and _monomial sums exponents by key)."""
-    for i, t1 in enumerate(terms):
-        yield t1, t1
-        twice = _Term(_whole(2 * t1.coeff), t1.factors, t1.key)
-        for t2 in terms[i + 1:]:
-            yield twice, t2
+    for i, p1 in enumerate(pieces):
+        yield p1, p1
+        n, d, factors, key = p1
+        twice = (2 * n, d, factors, key)
+        for p2 in pieces[i + 1:]:
+            yield twice, p2
+
+
+def _products(chart: Chart, pairs):
+    """The piece of each pair's product, one at a time, so that Expr._build
+    merges it before the next is made; a pair that shares a _Pow base
+    gives the pieces of its _monomial."""
+    for p1, p2 in pairs:
+        p = _mul_terms(p1, p2)
+        if p is None:
+            n1, d1, f1, _ = p1
+            n2, d2, f2, _ = p2
+            mono = Expr._monomial(chart, Fraction(n1 * n2, d1 * d2), f1 + f2)
+            yield from _pieces(mono.terms, chart)
+        else:
+            yield p
 
 
 def _expr_key(e: "Expr"):
@@ -442,24 +470,42 @@ class Expr:
     # -- construction core ---------------------------------------------------
 
     @staticmethod
-    def _build(chart: Chart, terms: Iterable[_Term]) -> "Expr":
+    def _build(chart: Chart, pieces: Iterable[tuple]) -> "Expr":
         """Merge like terms and sort them into canonical order.
 
-        The merge key doubles as the sort key: factors by base, higher
-        exponent first, and a term after any term whose factors extend it.
+        Each piece is a term as (n, d, factors, key) (_pieces, _mul_terms):
+        its coefficient n/d, unreduced, with d > 0.  Pieces with one key
+        merge as int pairs: equal denominators add their numerators, others
+        go over their lcm, through one gcd.  Each surviving term gets one
+        coefficient at the end, an int where it is whole, else one reduced
+        Fraction.  The merge key doubles as the sort key: factors by base,
+        higher exponent first, and a term after any term whose factors
+        extend it.
         """
         merged: dict = {}
-        for t in terms:
-            if t.coeff == 0:
-                continue
-            k = _term_key(t, chart)
+        for n, d, factors, k in pieces:
             old = merged.get(k)
-            if old is not None:
-                c = old.coeff + t.coeff
-                t = _Term(c if type(c) is int else _whole(c), old.factors, k)
-            merged[k] = t
-        live = sorted(k for k, t in merged.items() if t.coeff)
-        return Expr(chart, tuple(merged[k] for k in live))
+            if old is None:
+                merged[k] = [n, d, factors]
+            elif old[1] == d:
+                old[0] += n
+            else:
+                od = old[1]
+                g = math.gcd(od, d)
+                old[0] = old[0] * (d // g) + n * (od // g)
+                old[1] = od // g * d
+        terms = []
+        for k in sorted(merged):
+            n, d, factors = merged[k]
+            if n:
+                terms.append(_Term(n if d == 1 else _whole(Fraction(n, d)), factors, k))
+        return Expr(chart, tuple(terms))
+
+    @staticmethod
+    def _sum(chart: Chart, exprs: Iterable["Expr"]) -> "Expr":
+        """The sum of expressions on chart, merged and sorted once."""
+        terms = itertools.chain.from_iterable(e.terms for e in exprs)
+        return Expr._build(chart, _pieces(terms, chart))
 
     @staticmethod
     def _monomial(chart: Chart, coeff: Rational, pairs) -> "Expr":
@@ -509,7 +555,7 @@ class Expr:
             return self
         if not self.terms:
             return other
-        return Expr._build(self.chart, self.terms + other.terms)
+        return Expr._sum(self.chart, (self, other))
 
     __radd__ = __add__
 
@@ -543,22 +589,12 @@ class Expr:
         if len(self.terms) == 1 and not self.terms[0].factors:
             return other._scaled(self.terms[0].coeff)
         chart = self.chart
-        for t in self.terms + other.terms:
-            _term_key(t, chart)
+        left = list(_pieces(self.terms, chart))
         if other is self:
-            pairs = _square_pairs(self.terms)
+            pairs = _square_pairs(left)
         else:
-            pairs = itertools.product(self.terms, other.terms)
-        pieces = []
-        for t1, t2 in pairs:
-            t = _mul_terms(t1, t2)
-            if t is None:
-                pieces.extend(Expr._monomial(
-                    chart, t1.coeff * t2.coeff, t1.factors + t2.factors
-                ).terms)
-            else:
-                pieces.append(t)
-        return Expr._build(chart, pieces)
+            pairs = itertools.product(left, _pieces(other.terms, chart))
+        return Expr._build(chart, _products(chart, pairs))
 
     __rmul__ = __mul__
 
@@ -621,6 +657,8 @@ class Expr:
                         continue
                     # d/dname of name^x: the term with exponent x - 1, built
                     # and keyed directly (the other factors are canonical)
+                    n, d = t.coeff.as_integer_ratio()
+                    xn, xd = x.as_integer_ratio()
                     k = _term_key(t, chart)
                     x1 = x - 1
                     if x1:
@@ -629,7 +667,7 @@ class Expr:
                     else:
                         factors = t.factors[:i] + t.factors[i + 1:]
                         key = k[:i] + k[i + 1:]
-                    pieces.append(_Term(_whole(t.coeff * x), factors, key))
+                    pieces.append((n * xn, d * xd, factors, key))
                     continue
                 db = self._base_diff(b, name)
                 if db.is_zero_expr():
@@ -640,7 +678,7 @@ class Expr:
                     [p for j, p in enumerate(t.factors) if j != i]
                     + [(b, x - 1)],
                 )
-                pieces.extend((rest * db).terms)
+                pieces.extend(_pieces((rest * db).terms, chart))
         return Expr._build(chart, pieces)
 
     def _base_diff(self, b: _Base, name: str) -> "Expr":
@@ -661,7 +699,7 @@ class Expr:
         pass through by name).
         """
         out_chart = chart if chart is not None else self.chart
-        pieces = []
+        vals = []
         for t in self.terms:
             # the unmapped symbols pass through as one monomial, multiplied
             # in last (a string factor meets no _Pow, so the order of products
@@ -680,8 +718,8 @@ class Expr:
             val = mono if val is None else mono * val
             if len(self.terms) == 1:
                 return val  # a product is canonical already
-            pieces.extend(val.terms)
-        return Expr._build(out_chart, pieces)
+            vals.append(val)
+        return Expr._sum(out_chart, vals)
 
     def _base_subs(self, b: _Base, mapping, out_chart: Chart) -> "Expr":
         """What a mapped symbol or an ln, exp or opaque power base becomes."""
@@ -1267,12 +1305,12 @@ class _Parser:
         op = self.accept_op("+", "-")
         if not op:
             return e
-        pieces = list(e.terms)
+        summands = [e]
         while op:
             rhs = self.term()
-            pieces.extend(rhs.terms if op == "+" else (-rhs).terms)
+            summands.append(rhs if op == "+" else -rhs)
             op = self.accept_op("+", "-")
-        return Expr._build(self.chart, pieces)
+        return Expr._sum(self.chart, summands)
 
     def term(self) -> Expr:
         e = self.factor()

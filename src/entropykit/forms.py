@@ -3,13 +3,18 @@ the integrability/non-degeneracy predicates (Frobenius, contact, integrating
 factor, contact symmetry).
 
 Forms are stored sparsely: a degree-k form keeps coefficients only on
-strictly increasing k-tuples of coordinate indices.  Verdicts carry a
-confidence flag because transcendental coefficients make exact zero testing
-inconclusive; CERTAIN means every underlying zero test was structural,
-SAMPLED means at least one relied on random-point evaluation.  Every
-residual check (here and in thermo) reduces its verdict to "does each of
-these coefficients vanish?" and decides CERTAIN vs SAMPLED in
-expr.first_nonzero, or in _nonvanishing for a factor that must not vanish.
+strictly increasing k-tuples of coordinate indices.  wedge and d collect
+every piece that lands on an index and merge them into its coefficient once,
+and d differentiates a coefficient only in the coordinates it contains (the
+others add nothing).
+
+Verdicts carry a confidence flag because transcendental coefficients make
+exact zero testing inconclusive; CERTAIN means every underlying zero test
+was structural, SAMPLED means at least one relied on random-point
+evaluation.  Every residual check (here and in thermo) reduces its verdict
+to "does each of these coefficients vanish?" and decides CERTAIN vs SAMPLED
+in expr.first_nonzero, or in _nonvanishing for a factor that must not
+vanish.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ class Form:
 
     Form(...) checks every index tuple and coefficient chart.  The forms
     that arithmetic, wedge and d build from other forms come from
-    Form._built, which skips those checks (its inputs passed them) and only
-    drops zero coefficients.
+    Form._built (through Form._summed for wedge and d), which skips those
+    checks (its inputs passed them) and only drops zero coefficients.
     """
 
     __slots__ = ("chart", "degree", "coeffs")
@@ -87,6 +92,15 @@ class Form:
         object.__setattr__(out, "degree", degree)
         object.__setattr__(out, "coeffs", {i: c for i, c in coeffs.items() if c.terms})
         return out
+
+    @classmethod
+    def _summed(cls, chart: Chart, degree: int, pieces: dict) -> "Form":
+        """A form whose coefficient at each index is the sum of its list of
+        pieces, merged once."""
+        return cls._built(chart, degree, {
+            idx: es[0] if len(es) == 1 else Expr._sum(chart, es)
+            for idx, es in pieces.items()
+        })
 
     def __setattr__(self, *a):
         raise AttributeError("Form is immutable")
@@ -168,35 +182,36 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         if self.chart != other.chart:
             raise ExprError("chart mismatch between forms")
-        out: dict[tuple[int, ...], Expr] = {}
+        pieces: dict[tuple[int, ...], list[Expr]] = {}
         for li, lc in self.coeffs.items():
             for ri, rc in other.coeffs.items():
                 merged = _merge_indices(li, ri)
                 if merged is None:
                     continue
                 sign, idx = merged
-                piece = lc * rc if sign > 0 else -(lc * rc)
-                old = out.get(idx)
-                out[idx] = piece if old is None else old + piece
-        return Form._built(self.chart, self.degree + other.degree, out)
+                piece = lc * rc
+                pieces.setdefault(idx, []).append(piece if sign > 0 else -piece)
+        return Form._summed(self.chart, self.degree + other.degree, pieces)
 
     def d(self) -> "Form":
-        """Exterior derivative."""
+        """Exterior derivative; a coordinate the coefficient does not
+        contain adds nothing, so it is not differentiated."""
         chart = self.chart
-        out: dict[tuple[int, ...], Expr] = {}
+        pieces: dict[tuple[int, ...], list[Expr]] = {}
         for idx, coeff in self.coeffs.items():
+            symbols = coeff.free_symbols()
             for j, name in enumerate(chart.coords):
-                dc = coeff.diff(name)
-                if dc.is_zero_expr():
+                if name not in symbols:
                     continue
                 merged = _merge_indices((j,), idx)
                 if merged is None:
                     continue
+                dc = coeff.diff(name)
+                if dc.is_zero_expr():
+                    continue
                 sign, new_idx = merged
-                piece = dc if sign > 0 else -dc
-                old = out.get(new_idx)
-                out[new_idx] = piece if old is None else old + piece
-        return Form._built(chart, self.degree + 1, out)
+                pieces.setdefault(new_idx, []).append(dc if sign > 0 else -dc)
+        return Form._summed(chart, self.degree + 1, pieces)
 
     def __str__(self):
         if not self.coeffs:

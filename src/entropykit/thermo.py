@@ -204,7 +204,7 @@ class LegendreSpec:
 def _antiderivative(e: Expr, x: str) -> Expr:
     """Term-wise antiderivative in x; each term must be a monomial in x."""
     chart = e.chart
-    pieces = []
+    summands = []
     xvar = chart.var(x)
     for term in e.terms:
         power = Fraction(0)
@@ -220,10 +220,10 @@ def _antiderivative(e: Expr, x: str) -> Expr:
                 )
             rest = rest * piece
         if power == -1:
-            pieces.extend((rest * ln(xvar)).terms)
+            summands.append(rest * ln(xvar))
         else:
-            pieces.extend((rest * xvar ** (power + 1) / (power + 1)).terms)
-    return Expr._build(chart, pieces)
+            summands.append(rest * xvar ** (power + 1) / (power + 1))
+    return Expr._sum(chart, summands)
 
 
 def _reconstruct_energy(tc: ThermoChart, eqs: Mapping[str, Expr]) -> Expr:
@@ -635,6 +635,18 @@ def first_law_balance(
 _SAMPLE_TS = tuple(k / 63 for k in range(64))
 
 
+def _sampler(coeff, t0: float):
+    """coeff, a leg coefficient compiled in t, or where it is constant in t
+    a function that returns its float.  Expr.compile gives a float wherever
+    the value depends on the float t, so a value at t0 that is not a float
+    is the leg's exact constant: it is converted here once, not per sample."""
+    value = coeff(t0)
+    if type(value) is float:
+        return coeff
+    value = float(value)
+    return lambda t: value
+
+
 @dataclass(frozen=True)
 class LegAudit:
     index: int
@@ -677,7 +689,8 @@ def cycle_audit(
     for i, (seg, (heat, work)) in enumerate(legs(heat_form(tc), work_form(tc))):
         q_total += _integrate_segment(heat)[0]
         w_total += _integrate_segment(work)[0]
-        samples = [float(heat(t)) for t in _SAMPLE_TS]
+        heat_at = _sampler(heat, _SAMPLE_TS[0])
+        samples = [float(heat_at(t)) for t in _SAMPLE_TS]
         q_min = min(q_min, min(samples))
         max_abs = max(abs(v) for v in samples)
         audits.append(LegAudit(i, seg.claim, max_abs, max_abs < cfg.sample_tol))
@@ -740,7 +753,8 @@ def adiabatic_entropy_check(
     for k, (seg, (heat,)) in enumerate(legs(qf)):
         s_on_t = entropy.subs(seg.components, path.t_chart).compile(params, T_CHART_NAME)
         ts = _SAMPLE_TS[1:] if k else _SAMPLE_TS
-        samples += [(float(heat(t)), float(s_on_t(t))) for t in ts]
+        heat_at, s_at = _sampler(heat, ts[0]), _sampler(s_on_t, ts[0])
+        samples += [(float(heat_at(t)), float(s_at(t))) for t in ts]
     heat_samples, s_samples = zip(*samples)
     max_heat = max(abs(v) for v in heat_samples)
     drift = max(abs(v - s_samples[0]) for v in s_samples)

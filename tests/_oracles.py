@@ -1,17 +1,25 @@
 """Shared independent oracles and random generators for the tests."""
 
+import contextlib
 import itertools
 from fractions import Fraction
 
 from entropykit.expr import (
     MAX_POWER_BITS,
     DomainError,
+    Expr,
     ExprError,
+    _TERM_END,
     _exp_value,
     _float_pow,
+    _key_entry,
     _ln_value,
+    _term_key,
+    _whole,
     _Exp,
     _Ln,
+    _Pow,
+    _Term,
 )
 from entropykit.galois import (
     AdjointResult,
@@ -540,3 +548,133 @@ def _reference_pow_value(base, q):
             raise DomainError("power overflow") from None
         return _float_pow(fb, q)
     return _float_pow(float(base), q)
+
+
+# ---------------------------------------------------------------------------
+# Products and sums as they once were: every pair product's coefficient a
+# Fraction (or int) product, and every merge in the build a Fraction sum
+# brought back to an int where whole.  Expr.__mul__ and Expr.__add__ must
+# give the very same terms, coefficient types, keys and printed forms.
+# ---------------------------------------------------------------------------
+
+
+def reference_build(chart, terms):
+    merged: dict = {}
+    for t in terms:
+        if t.coeff == 0:
+            continue
+        k = _term_key(t, chart)
+        old = merged.get(k)
+        if old is not None:
+            c = old.coeff + t.coeff
+            t = _Term(c if type(c) is int else _whole(c), old.factors, k)
+        merged[k] = t
+    live = sorted(k for k, t in merged.items() if t.coeff)
+    return Expr(chart, tuple(merged[k] for k in live))
+
+
+def _reference_mul_terms(t1, t2):
+    f1, f2 = t1.factors, t2.factors
+    coeff = t1.coeff * t2.coeff
+    if type(coeff) is not int:
+        coeff = _whole(coeff)
+    if not f1:
+        return _Term(coeff, f2, t2.key)
+    if not f2:
+        return _Term(coeff, f1, t1.key)
+    k1, k2 = t1.key, t2.key
+    n1, n2 = len(f1), len(f2)
+    factors = []
+    keys = []
+    i = j = 0
+    while i < n1 and j < n2:
+        e1, e2 = k1[i], k2[j]
+        if e1[1] < e2[1]:
+            factors.append(f1[i])
+            keys.append(e1)
+            i += 1
+        elif e2[1] < e1[1]:
+            factors.append(f2[j])
+            keys.append(e2)
+            j += 1
+        else:
+            b = f2[j][0]
+            if isinstance(b, _Pow):
+                return None
+            x = f1[i][1] + f2[j][1]
+            if type(x) is not int:
+                x = _whole(x)
+            if x:
+                factors.append((b, x))
+                keys.append(_key_entry(e1[1], x))
+            i += 1
+            j += 1
+    if i < n1:
+        factors.extend(f1[i:])
+        keys.extend(k1[i:n1])
+    elif j < n2:
+        factors.extend(f2[j:])
+        keys.extend(k2[j:n2])
+    keys.append(_TERM_END[0])
+    return _Term(coeff, tuple(factors), tuple(keys))
+
+
+def _reference_square_pairs(terms):
+    for i, t1 in enumerate(terms):
+        yield t1, t1
+        twice = _Term(_whole(2 * t1.coeff), t1.factors, t1.key)
+        for t2 in terms[i + 1:]:
+            yield twice, t2
+
+
+def reference_mul(self, other):
+    other = self._lift(other)
+    if len(other.terms) == 1 and not other.terms[0].factors:
+        return self._scaled(other.terms[0].coeff)
+    if len(self.terms) == 1 and not self.terms[0].factors:
+        return other._scaled(self.terms[0].coeff)
+    chart = self.chart
+    for t in self.terms + other.terms:
+        _term_key(t, chart)
+    if other is self:
+        pairs = _reference_square_pairs(self.terms)
+    else:
+        pairs = itertools.product(self.terms, other.terms)
+    pieces = []
+    for t1, t2 in pairs:
+        t = _reference_mul_terms(t1, t2)
+        if t is None:
+            pieces.extend(Expr._monomial(
+                chart, t1.coeff * t2.coeff, t1.factors + t2.factors
+            ).terms)
+        else:
+            pieces.append(t)
+    return reference_build(chart, pieces)
+
+
+def reference_add(self, other):
+    other = self._lift(other)
+    if not other.terms:
+        return self
+    if not self.terms:
+        return other
+    return reference_build(self.chart, self.terms + other.terms)
+
+
+ARITHMETIC = {"__mul__": reference_mul, "__rmul__": reference_mul,
+              "__add__": reference_add, "__radd__": reference_add}
+
+
+@contextlib.contextmanager
+def reference_arithmetic():
+    """Within it, every product and sum of two Exprs is reference_mul's or
+    reference_add's: the products of a power by squaring and of _monomial's
+    expansions too."""
+    saved = {name: Expr.__dict__[name] for name in ARITHMETIC}
+    for name, fn in ARITHMETIC.items():
+        setattr(Expr, name, fn)
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(Expr, name, fn)

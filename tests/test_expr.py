@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import entropykit
-from _oracles import reference_evaluate
+from _oracles import reference_arithmetic, reference_evaluate
 from entropykit.expr import (
     Chart,
     DomainError,
@@ -26,7 +26,7 @@ from entropykit.expr import (
     parse,
 )
 # the canonical order and the cached term keys are checked directly
-from entropykit.expr import _Pow, _Term, _base_key, _nth_root, _term_key
+from entropykit.expr import _Pow, _Term, _base_key, _nth_root, _pieces, _term_key
 
 XY = Chart(("x", "y"))
 GIBBS = Chart(("U", "S", "V", "T", "p"))
@@ -465,7 +465,7 @@ def monomial_route_diff(p, name):
                 [f for j, f in enumerate(t.factors) if j != i] + [(b, x - 1)],
             )
             pieces.extend((rest * db).terms)
-    return Expr._build(p.chart, pieces)
+    return Expr._build(p.chart, _pieces(pieces, p.chart))
 
 
 def folded_subs(p, mapping, chart=None):
@@ -546,7 +546,7 @@ def test_single_pass_matches_pairwise_fold(p, q, name, substitute, k, c):
         (zero + p, list(zero.terms + p.terms)),
         (p - zero, list(p.terms + zero.terms)),
     ]:
-        assert_same_canonical_form(got, Expr._build(XY, want))
+        assert_same_canonical_form(got, Expr._build(XY, _pieces(want, XY)))
         assert_keys_are_fresh(got)
     n = len(p.terms)
     if n > 1 and math.comb(n + k - 1, n - 1) > MAX_EXPANSION_TERMS:
@@ -941,6 +941,77 @@ def test_nested_bases_evaluate_through_evaluate(monkeypatch):
     e = parse("x*ln(x + y) + exp(ln(y))*(x + y)^(1/2) + (x^2 + 1)^(-1)", XY)
     e.evaluate({"x": F(1), "y": 2.0})
     assert sorted(calls) == sorted([str(e), "x + y", "y", "ln(y)", "x + y", "x^2 + 1"])
+
+
+# -- products and sums against a frozen reference -----------------------------------
+
+# Expr.__mul__ and Expr.__add__ merge coefficients as unreduced int pairs;
+# within reference_arithmetic they are the Fraction merges they replaced.
+
+
+def assert_same_terms(got, want):
+    """Term by term the same coefficient, of the same type, the same factors
+    and key; and the same printed form."""
+    def described(e):
+        return [(type(t.coeff), t.coeff, t.factors, t.key) for t in e.terms]
+
+    assert described(got) == described(want), (str(got), str(want))
+    assert str(got) == str(want)
+
+
+def assert_arithmetic_matches_reference(op):
+    with reference_arithmetic():
+        want = outcome(op)
+    got = outcome(op)
+    if want[0] == "raises":  # an expansion budget, or zero to a negative power
+        assert got == want
+    else:
+        assert got[0] == "returns"
+        assert_same_terms(got[2], want[2])
+    return got
+
+
+@given(st.sampled_from([small_sums, polynomials, t_sums]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_products_and_sums_match_the_fraction_merge(sums, data):
+    p, q = data.draw(sums()), data.draw(sums())
+    c1, c2 = (data.draw(st.fractions(-7, 7, max_denominator=10)) for _ in range(2))
+    k = data.draw(st.sampled_from([2, 3, 4, -1, F(1, 2), F(-3, 2)]))
+    for op in (lambda: p * q, lambda: p * p, lambda: p + q, lambda: p - q,
+               lambda: p ** k, lambda: (p * c1 + q) * (q * c2 - p)):
+        assert_arithmetic_matches_reference(op)
+
+
+X, Y = XY.var("x"), XY.var("y")
+ROOT = (X + Y) ** F(1, 2)
+
+
+@pytest.mark.parametrize("op, want", [
+    # a sum that cancels is the empty sum; a whole sum of halves the int 1
+    (lambda: X / 2 - X / 2, "0"),
+    (lambda: X / 2 + X / 2, "x"),
+    # denominators 6 and 10 meet over their lcm 30: 8/30 reduces to 4/15,
+    # in a sum and among a product's pairs (1/2*1/5 and 1/2*1/3)
+    (lambda: X / 6 + X / 10, "4/15*x"),
+    (lambda: (X / 2 + Y / 2) * (X / 3 + Y / 5), "1/6*x^2 + 4/15*x*y + 1/10*y^2"),
+    # negative numerators, to a Fraction and to a whole number
+    (lambda: (X / 3 - Y / 2) * (X / 2 - Y / 3), "1/6*x^2 - 13/36*x*y + 1/6*y^2"),
+    (lambda: -X / 4 - 3 * X / 4, "-x"),
+    # squares: each pair of distinct terms once, with twice the numerator
+    (lambda: (X / 2 + Y / 3) ** 2, "1/4*x^2 + 1/3*x*y + 1/9*y^2"),
+    (lambda: (X / 2 - Y / 3 + F(1, 6)) * (X / 2 - Y / 3 + F(1, 6)),
+     "1/4*x^2 - 1/3*x*y + 1/6*x + 1/9*y^2 - 1/9*y + 1/36"),
+    # pairs whose shared _Pow base goes through _monomial: its pieces merge
+    # with those already accumulated (x/2 with -x/12 here)
+    (lambda: ROOT * ROOT, "x + y"),
+    (lambda: (X / 3 + ROOT / 2) * (ROOT - F(1, 4)),
+     "1/3*x*(x + y)^(1/2) + 5/12*x + 1/2*y - 1/8*(x + y)^(1/2)"),
+    (lambda: (ROOT / 2 - X) ** 2, "x^2 - x*(x + y)^(1/2) + 1/4*x + 1/4*y"),
+])
+def test_products_and_sums_edge_cases(op, want):
+    got = assert_arithmetic_matches_reference(op)[2]
+    assert str(got) == want
+    assert all(type(t.coeff) is int or t.coeff.denominator != 1 for t in got.terms)
 
 
 # -- number representation ----------------------------------------------------------

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from _oracles import reference_arithmetic
 from entropykit import expr
-from entropykit.expr import Chart, ExprError, parse
+from entropykit.expr import Chart, Expr, ExprError, parse
 from entropykit.forms import (
     Confidence,
     ContactStatus,
@@ -20,6 +21,8 @@ from entropykit.forms import (
     pullback,
     verify_integrating_factor,
 )
+from entropykit.forms import _merge_indices
+from test_expr import assert_same_terms
 
 XYZ = Chart(("x", "y", "z"))
 GIBBS = Chart(("U", "S", "V", "T", "p"))
@@ -148,6 +151,69 @@ def test_form_refuses_bad_indices_and_foreign_coefficients(degree, idx, chart, e
 # -- wedge -----------------------------------------------------------------------
 
 
+def folded_wedge(a, b):
+    """a ∧ b with each product added into its index as it comes."""
+    out = {}
+    for li, lc in a.coeffs.items():
+        for ri, rc in b.coeffs.items():
+            merged = _merge_indices(li, ri)
+            if merged is not None:
+                sign, idx = merged
+                piece = lc * rc if sign > 0 else -(lc * rc)
+                out[idx] = out[idx] + piece if idx in out else piece
+    return {i: c for i, c in out.items() if c.terms}
+
+
+def folded_d(a):
+    """d a with every coordinate differentiated and each derivative added
+    into its index as it comes."""
+    out = {}
+    for idx, coeff in a.coeffs.items():
+        for j, name in enumerate(a.chart.coords):
+            dc = coeff.diff(name)
+            merged = _merge_indices((j,), idx)
+            if merged is not None and dc.terms:
+                sign, new_idx = merged
+                piece = dc if sign > 0 else -dc
+                out[new_idx] = out[new_idx] + piece if new_idx in out else piece
+    return {i: c for i, c in out.items() if c.terms}
+
+
+def assert_same_coefficients(got, want):
+    assert sorted(got.coeffs) == sorted(want)
+    for idx, coeff in got.coeffs.items():
+        assert_same_terms(coeff, want[idx])
+
+
+def test_wedge_and_d_merge_each_coefficient_once_as_the_fold_does():
+    # every piece of an index merged at once gives the terms, coefficient
+    # types, keys and printed form of adding them in one by one under the
+    # Fraction merges
+    rng = random.Random(41)
+    for _ in range(40):
+        p = rng.randint(0, 2)
+        a, b = mixed_form(rng, XYZ, p), mixed_form(rng, XYZ, rng.randint(0, 3 - p))
+        a = a.scale(parse(rng.choice(["1", "3/10", "x/6 - y/4"]), XYZ))
+        with reference_arithmetic():
+            wedge, d = folded_wedge(a, b), folded_d(a)
+        assert_same_coefficients(a.wedge(b), wedge)
+        assert_same_coefficients(a.d(), d)
+
+
+def test_wedge_pieces_that_cancel_leave_no_index():
+    # θ ∧ θ: the pieces at each index cancel, so every index leaves the form
+    a, b = parse("x/2 + y/3", XYZ), parse("x/6 - z/10", XYZ)
+    theta = Form.one_form(XYZ, {"x": a, "y": b, "z": parse("y", XYZ)})
+    assert theta.wedge(theta).coeffs == {}
+    # (x/2 dx + x dy + dz) ∧ (y/2 dx + y dy): x/2*y and -x*y/2 meet at (x, y)
+    # and cancel there; the pieces at (x, z) and (y, z) stay
+    left = Form.one_form(XYZ, {"x": parse("x/2", XYZ), "y": parse("x", XYZ), "z": XYZ.one()})
+    right = Form.one_form(XYZ, {"x": parse("y/2", XYZ), "y": parse("y", XYZ)})
+    got = left.wedge(right)
+    assert sorted(got.coeffs) == [(0, 2), (1, 2)]
+    assert str(got) == "-1/2*y*dx∧dz - y*dy∧dz"
+
+
 def test_wedge_self_annihilates():
     assert dx(XYZ, "x").wedge(dx(XYZ, "x")).is_zero_form()
 
@@ -234,6 +300,23 @@ def test_d_of_first_law_form():
     d = theta.d()
     # -dT∧dS + dp∧dV reindexed over (U,S,V,T,p)
     assert d == Form(GIBBS, 2, {(1, 3): GIBBS.one(), (2, 4): -GIBBS.one()})
+
+
+def test_d_differentiates_only_the_coordinates_a_coefficient_contains(monkeypatch):
+    calls = []
+    real_diff = Expr.diff
+
+    def recording_diff(self, name):
+        calls.append((str(self), name))
+        return real_diff(self, name)
+
+    monkeypatch.setattr(Expr, "diff", recording_diff)
+    omega = Form.one_form(XYZ, {"y": parse("x*z + y", XYZ), "z": parse("exp(y)", XYZ)})
+    assert str(omega.d()) == "z*dx∧dy + (-x + exp(y))*dy∧dz"
+    # y on dy and z on dz add nothing to d: their derivatives are not taken
+    assert [c for c in calls if c[0] in ("x*z + y", "exp(y)")] == [
+        ("x*z + y", "x"), ("x*z + y", "z"), ("exp(y)", "y")
+    ]
 
 
 def test_dd_is_zero_on_random_forms():

@@ -521,6 +521,23 @@ def test_cycle_audit_requires_closed_path():
         )
 
 
+def test_a_leg_constant_in_t_is_converted_to_float_once(monkeypatch):
+    # a compiled leg coefficient free of t returns its exact constant at
+    # every t; the audits' samples take its float once
+    from entropykit.thermo import _SAMPLE_TS, _sampler
+
+    tchart = Chart(("t",), ("a",))
+    constant = parse("a/3 + 1", tchart).compile({"a": F(1, 2)}, "t")
+    moving = parse("a*t + 1", tchart).compile({"a": F(1, 2)}, "t")
+    conversions = []
+    to_float = F.__float__
+    monkeypatch.setattr(F, "__float__", lambda q: conversions.append(q) or to_float(q))
+    at = _sampler(constant, _SAMPLE_TS[0])
+    assert [float(at(t)) for t in _SAMPLE_TS] == [7 / 6] * len(_SAMPLE_TS)
+    assert conversions == [F(7, 6)]
+    assert _sampler(moving, _SAMPLE_TS[0]) is moving
+
+
 # -- adiabatic / entropy checks ------------------------------------------------------------
 
 
