@@ -776,8 +776,11 @@ def construct_entropy(
     Requires the comparison hypothesis; plain backends get the class-rank
     entropy, scalable ones the two-reference construction: S(X) is the
     largest grid λ with ((1−λ)X₀, λX₁) ≺ X for a fixed strict pair X₀ ≺≺ X₁.
-    The grid is λ = k·step for k < ⌈1/step⌉, then λ = 1.  le is the space's
-    answer_table, asked here when not given.
+    The grid is λ = k·step for k < ⌈1/step⌉, then λ = 1.  A scalable backend
+    whose known universe lacks a reference composite cannot be asked about
+    it, and gets the class-rank entropy too, as ``check_axioms`` skips the
+    cases such a universe cannot hold.  le is the space's answer_table,
+    asked here when not given.
 
     An ``EntropyOracle`` (the exact class, as in ``check_axioms``) reads
     S(X) off its totals: with λ* = (S(X) − S(X₀)) / (S(X₁) − S(X₀)) it is 1
@@ -834,6 +837,9 @@ def construct_entropy(
             for lam in reversed(inner)
         ]
         references.append((Fraction(0), lo))
+        universe = A.universe()
+        if universe is not None and not set(universe).issuperset(r for _, r in references):
+            return EntropyFn(space.label, rank_of, method="rank")
         values = {
             name: next((lam for lam, ref in references if A.le(ref, x)), Fraction(0))
             for name, x in zip(names, pures)

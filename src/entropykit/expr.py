@@ -1049,7 +1049,10 @@ def _compile_base(b: _Base, params, var: str):
 
 
 def ln(e: Expr) -> Expr:
-    if e == e.chart.one():
+    c = e.as_constant()
+    if c is not None and c <= 0:
+        raise ExprError(f"ln of a non-positive constant: ln({c})")
+    if c == 1:
         return e.chart.zero()
     return Expr._monomial(e.chart, 1, [(_Ln(e), 1)])
 

@@ -252,23 +252,8 @@ class SmoothMap:
                 raise ExprError(f"component for {name!r} is not on the source chart")
         object.__setattr__(self, "components", comps)
 
-    @classmethod
-    def identity(cls, chart: Chart) -> "SmoothMap":
-        return cls(chart, chart, {n: chart.var(n) for n in chart.coords})
-
     def __call__(self, name: str) -> Expr:
         return self.components[name]
-
-    def compose(self, inner: "SmoothMap") -> "SmoothMap":
-        """self ∘ inner (apply inner first)."""
-        if inner.target != self.source:
-            raise ExprError("charts do not line up for composition")
-        mapping = dict(inner.components)
-        return SmoothMap(
-            inner.source,
-            self.target,
-            {n: e.subs(mapping, inner.source) for n, e in self.components.items()},
-        )
 
 
 def pullback(f: SmoothMap, a: Form) -> Form:

@@ -101,11 +101,6 @@ class Poset:
     def equivalent(self, x, y) -> bool:
         return self.le(x, y) and self.le(y, x)
 
-    @property
-    def total(self) -> bool:
-        everything = (1 << len(self.carrier)) - 1
-        return all(up | down == everything for up, down in zip(self._up, self._down))
-
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
@@ -130,39 +125,6 @@ class Poset:
             (a, b) for a, b in self.relation if a != b
         )
         return f"Poset({list(self.carrier)}, {edges})"
-
-    @classmethod
-    def chain(cls, labels: Sequence) -> "Poset":
-        labels = tuple(labels)
-        return cls(labels, [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)])
-
-    def least(self, xs: Sequence):
-        """The first of xs below all of xs, or None."""
-        return self._first_holding_all(xs, self._up)
-
-    def greatest(self, xs: Sequence):
-        """The first of xs above all of xs, or None."""
-        return self._first_holding_all(xs, self._down)
-
-    def _first_holding_all(self, xs: Sequence, masks: list[int]):
-        index = self._index
-        if not all(x in index for x in xs):
-            return None  # no mask holds an element outside the carrier
-        need = 0
-        for x in xs:
-            need |= 1 << index[x]
-        return next((x for x in xs if masks[index[x]] & need == need), None)
-
-    def join(self, x, y):
-        """A least upper bound up to equivalence, or None."""
-        i, j = self._index.get(x), self._index.get(y)
-        if i is None or j is None:
-            return None
-        up = self._up
-        above = up[i] & up[j]
-        return next(
-            (self.carrier[k] for k in set_bits(above) if up[k] & above == above), None
-        )
 
 
 def poset_from_entropy(space: StateSpace, S: EntropyFn) -> Poset:
@@ -237,10 +199,6 @@ class MonotoneMap:
 
     def __call__(self, x):
         return self.mapping[x]
-
-    @classmethod
-    def identity(cls, poset: Poset) -> "MonotoneMap":
-        return cls(poset, poset, {x: x for x in poset.carrier})
 
 
 @dataclass(frozen=True)

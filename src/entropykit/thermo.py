@@ -690,7 +690,7 @@ def cycle_audit(
         q_total += _integrate_segment(heat)[0]
         w_total += _integrate_segment(work)[0]
         heat_at = _sampler(heat, _SAMPLE_TS[0])
-        samples = [float(heat_at(t)) for t in _SAMPLE_TS]
+        samples = [heat_at(t) for t in _SAMPLE_TS]
         q_min = min(q_min, min(samples))
         max_abs = max(abs(v) for v in samples)
         audits.append(LegAudit(i, seg.claim, max_abs, max_abs < cfg.sample_tol))
@@ -754,7 +754,7 @@ def adiabatic_entropy_check(
         s_on_t = entropy.subs(seg.components, path.t_chart).compile(params, T_CHART_NAME)
         ts = _SAMPLE_TS[1:] if k else _SAMPLE_TS
         heat_at, s_at = _sampler(heat, ts[0]), _sampler(s_on_t, ts[0])
-        samples += [(float(heat_at(t)), float(s_at(t))) for t in ts]
+        samples += [(heat_at(t), s_at(t)) for t in ts]
     heat_samples, s_samples = zip(*samples)
     max_heat = max(abs(v) for v in heat_samples)
     drift = max(abs(v - s_samples[0]) for v in s_samples)

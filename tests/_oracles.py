@@ -21,6 +21,7 @@ from entropykit.expr import (
     _Pow,
     _Term,
 )
+from entropykit.forms import SmoothMap
 from entropykit.galois import (
     AdjointResult,
     GaloisError,
@@ -232,6 +233,21 @@ def pairwise_least(poset, xs):
 
 def pairwise_greatest(poset, xs):
     return next((x for x in xs if all(poset.le(y, x) for y in xs)), None)
+
+
+def pairwise_join(poset, x, y):
+    """The first upper bound of x and y below all of their upper bounds, or
+    None."""
+    above = [z for z in poset.carrier if poset.le(x, z) and poset.le(y, z)]
+    return pairwise_least(poset, above)
+
+
+def pairwise_total(poset):
+    """Every two elements are comparable."""
+    return all(
+        poset.le(x, y) or poset.le(y, x)
+        for x, y in itertools.combinations(poset.carrier, 2)
+    )
 
 
 def pairwise_right_adjoint(F):
@@ -502,6 +518,18 @@ def reference_calibrate(systems, cross, margin=None):
     for i in range(1, len(systems)):
         coeffs.append((point[2 * (i - 1)], point[2 * (i - 1) + 1]))
     return CalibrationResult(True, tuple(coeffs))
+
+
+def compose_smooth_maps(outer, inner):
+    """outer ∘ inner (apply inner first), by substituting inner's components
+    into outer's."""
+    assert inner.target == outer.source
+    mapping = dict(inner.components)
+    return SmoothMap(
+        inner.source,
+        outer.target,
+        {n: e.subs(mapping, inner.source) for n, e in outer.components.items()},
+    )
 
 
 def reference_evaluate(e, env):

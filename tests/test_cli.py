@@ -534,6 +534,24 @@ def test_entropy_construct_on_two_equivalent_states(tmp_path, text, code, block)
     assert f"\ncheck: entropy-construct\nspace: G\n{block}\n\n" in out
 
 
+def test_entropy_construct_on_a_scalable_edge_relation_ranks_its_classes(tmp_path):
+    # the relation's universe holds no reference composite ((1−λ)a, λc), so
+    # the scan cannot ask about one: the classes get their ranks, as the
+    # axioms check skips the cases such a universe cannot hold
+    doc = tmp_path / "scalable_chain.doc"
+    doc.write_text(
+        "[states]\nspace Gamma coords x scalable\nstate a = 0\nstate b = 1\nstate c = 2\n\n"
+        "[relation]\nscaling = true\nedge a b\nedge b c\n"
+    )
+    code, out = run_cli("entropy-construct", str(doc))
+    assert code == 0, out
+    assert (
+        "\ncheck: entropy-construct\nspace: Gamma\nmethod: rank\n"
+        "S(a): 0\nS(b): 1\nS(c): 2\nverified: yes\nstatus: pass\n\n"
+    ) in out
+    assert [run_cli(command, str(doc))[0] for command in ("axioms", "ch")] == [0, 0]
+
+
 @pytest.mark.parametrize(
     "command, source, old, added",
     [
@@ -618,6 +636,24 @@ def test_relation_and_path_keywords_match_exactly(
 ):
     # a word that only starts with a keyword was once taken for it
     assert_exits_two_at(tmp_path, command, source, old, new, where, message)
+
+
+@pytest.mark.parametrize(
+    "coefficient, message",
+    [
+        ("1 + ln(x - x)", "ln of a non-positive constant: ln(0)"),
+        ("x*ln(x - x)", "ln of a non-positive constant: ln(0)"),
+        ("ln(1 - 2)", "ln of a non-positive constant: ln(-1)"),
+    ],
+    ids=["plus-one", "times-x", "negative"],
+)
+@pytest.mark.parametrize("command", ["frobenius", "contact-check"])
+def test_ln_of_a_non_positive_constant_exits_two_at_its_form(
+    tmp_path, command, coefficient, message
+):
+    # refused where the form is read, not where a zero test or d meets it
+    line = f"form omega : z = {coefficient}, x = 0 - y"
+    assert_exits_two_at(tmp_path, command, None, None, COORDS_XYZ + line + "\n", line, message)
 
 
 @pytest.mark.parametrize(
@@ -1210,6 +1246,7 @@ def test_cold_command_loads_only_its_layers(command, doc, expected):
     # imported again under its own name
     done = cold_run("-X", "importtime", "-m", "entropykit.cli", command, str(CORPUS / doc))
     assert done.returncode == expected
+    assert "Traceback" not in done.stderr
     assert importtime_modules(done.stderr) == entry_layers(command, CORPUS / doc, expected)
 
 
@@ -1615,7 +1652,7 @@ show(check_axioms(raw.closure(), [near_tie]))
 
 GALOIS_REPORTS = """
 import random
-from _oracles import random_monotone_map, random_preorder
+from _oracles import pairwise_greatest, pairwise_least, random_monotone_map, random_preorder
 from entropykit.galois import *
 
 rng = random.Random(606)
@@ -1624,7 +1661,7 @@ for _ in range(40):
     dst = random_preorder(rng, [f"b{i}" for i in range(rng.randint(1, 7))])
     anything = {x: rng.choice(dst.carrier) for x in src.carrier}
     print(check_monotone(src, dst, anything))
-    print(src.least(list(src.carrier)), dst.greatest(list(dst.carrier)))
+    print(pairwise_least(src, list(src.carrier)), pairwise_greatest(dst, list(dst.carrier)))
     F = random_monotone_map(rng, src, dst)
     G = random_monotone_map(rng, dst, src)
     for result in (right_adjoint(F), left_adjoint(G)):

@@ -99,6 +99,15 @@ def test_parser_nesting_is_bounded():
     assert (err.value.line, err.value.col) == (1, 4 * n + 1)
 
 
+def test_ln_of_a_non_positive_constant_is_refused():
+    xyz = Chart(("x", "y", "z"))
+    for text, shown in (("ln(x - x)", "0"), ("ln(1 - 2)", "-1"), ("y*ln(-1/2)", "-1/2")):
+        with pytest.raises(ExprError, match=rf"ln of a non-positive constant: ln\({shown}\)"):
+            parse(text, xyz)
+    assert parse("ln(3 - 2)", xyz).is_zero_expr()
+    assert str(parse("ln(1/2)", xyz)) == "ln(1/2)"
+
+
 def test_power_budgets_hold_at_their_edges(monkeypatch):
     from entropykit import expr
 

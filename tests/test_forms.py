@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from _oracles import reference_arithmetic
+from _oracles import compose_smooth_maps, reference_arithmetic
 from entropykit import expr
 from entropykit.expr import Chart, Expr, ExprError, parse
 from entropykit.forms import (
@@ -418,7 +418,7 @@ def test_pullback_functoriality():
             },
         )
         a = random_poly_form(rng, XYZ, rng.randint(0, 2))
-        assert pullback(f, pullback(g, a)) == pullback(g.compose(f), a)
+        assert pullback(f, pullback(g, a)) == pullback(compose_smooth_maps(g, f), a)
 
 
 def pullback_every_differential(f, a):
@@ -684,7 +684,8 @@ def test_a_map_to_one_point_has_a_vanishing_factor():
 
 def test_symmetry_check_rejects_zero_form():
     with pytest.raises(ValueError):
-        contact_symmetry_check(SmoothMap.identity(JET), Form.zero(JET, 1))
+        identity = SmoothMap(JET, JET, {n: JET.var(n) for n in JET.coords})
+        contact_symmetry_check(identity, Form.zero(JET, 1))
 
 
 # -- certainty propagation --------------------------------------------------------------

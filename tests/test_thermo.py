@@ -523,7 +523,8 @@ def test_cycle_audit_requires_closed_path():
 
 def test_a_leg_constant_in_t_is_converted_to_float_once(monkeypatch):
     # a compiled leg coefficient free of t returns its exact constant at
-    # every t; the audits' samples take its float once
+    # every t; the audits' samples take its float once, and every sample
+    # is a float as it comes
     from entropykit.thermo import _SAMPLE_TS, _sampler
 
     tchart = Chart(("t",), ("a",))
@@ -533,7 +534,9 @@ def test_a_leg_constant_in_t_is_converted_to_float_once(monkeypatch):
     to_float = F.__float__
     monkeypatch.setattr(F, "__float__", lambda q: conversions.append(q) or to_float(q))
     at = _sampler(constant, _SAMPLE_TS[0])
-    assert [float(at(t)) for t in _SAMPLE_TS] == [7 / 6] * len(_SAMPLE_TS)
+    samples = [at(t) for t in _SAMPLE_TS] + [moving(t) for t in _SAMPLE_TS]
+    assert samples[: len(_SAMPLE_TS)] == [7 / 6] * len(_SAMPLE_TS)
+    assert {type(v) for v in samples} == {float}
     assert conversions == [F(7, 6)]
     assert _sampler(moving, _SAMPLE_TS[0]) is moving
 
@@ -746,6 +749,7 @@ def random_state(rng):
 
 def test_leg_coefficients_match_pullback_through_composed_map():
     # Each leg's dt-coefficient is the very Expr the composed-map pullback gives.
+    from _oracles import compose_smooth_maps
     from entropykit.forms import SmoothMap, pullback
     from entropykit.thermo import _leg_coefficient
 
@@ -763,8 +767,9 @@ def test_leg_coefficients_match_pullback_through_composed_map():
         for path in (line_path(a, b), line_path(a, via, b), carnot_rectangle(s1, s2, v1, v2)):
             inclusion = spec.inclusion(STD)
             for seg in path.segments:
-                full_map = spec.inclusion(STD).compose(
-                    SmoothMap(path.t_chart, path.base_chart, seg.components)
+                full_map = compose_smooth_maps(
+                    spec.inclusion(STD),
+                    SmoothMap(path.t_chart, path.base_chart, seg.components),
                 )
                 for form in forms:
                     got = _leg_coefficient(inclusion, path, seg, form)
