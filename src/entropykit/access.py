@@ -23,10 +23,12 @@ connected components; it serves ``EdgeRelation.closure`` and
 answer tables ``le[i][j] = A.le(xs[i], xs[j])``: each ordered pair asked
 once.
 
-Each composed axiom check of a sampled backend lists its cases, keeps those
-whose composites a known universe holds, and reports the first case that
-fails; one helper, ``_result``, turns that into FAIL, PASS or
-NOT_APPLICABLE for every axiom and for ``verify_entropy``'s monotonicity.
+The four composed axiom checks of a sampled backend (consistency, scaling,
+splitting, stability) run through one case runner in ``check_axioms``: it
+lists a check's cases, keeps those whose composites a known universe holds,
+and reports the first case that fails.  One helper, ``_result``, turns a
+witness into FAIL, PASS or NOT_APPLICABLE for every axiom and for
+``verify_entropy``'s monotonicity.
 
 Every seeded sample of ``check_axioms`` (the composite pool, the sampled
 triples, consistency pairs and stability quadruples) is a row
@@ -59,10 +61,6 @@ from .expr import Expr, ExprError, InputError
 
 class AccessError(InputError):
     pass
-
-
-class OracleMismatchError(AccessError):
-    """A memoized oracle answered the same query differently."""
 
 
 class ConstructionImpossible(AccessError):
@@ -137,8 +135,8 @@ class CompositeState:
         return self._hash
 
     @classmethod
-    def pure(cls, space: str, name: str, scale=1) -> "CompositeState":
-        return cls(((Fraction(scale), space, name),))
+    def pure(cls, space: str, name: str) -> "CompositeState":
+        return cls(((Fraction(1), space, name),))
 
     def compose(self, other: "CompositeState") -> "CompositeState":
         return CompositeState(self.parts + other.parts)
@@ -301,22 +299,17 @@ class EdgeRelation(Accessibility):
 
 
 class MemoizedOracle(Accessibility):
-    """Wrap a decision procedure; answers are cached and, when recheck is
-    set, re-queried to detect nondeterminism."""
+    """Wrap a decision procedure; each query's answer is cached."""
 
     supports_scaling = True
 
-    def __init__(self, fn: Callable[[CompositeState, CompositeState], bool],
-                 recheck: bool = False):
+    def __init__(self, fn: Callable[[CompositeState, CompositeState], bool]):
         self.fn = fn
-        self.recheck = recheck
         self.memo: dict = {}
 
     def le(self, x, y) -> bool:
         key = (x, y)
         if key in self.memo:
-            if self.recheck and self.fn(x, y) != self.memo[key]:
-                raise OracleMismatchError(f"oracle changed its answer on {x} ≺ {y}")
             return self.memo[key]
         answer = bool(self.fn(x, y))
         self.memo[key] = answer
@@ -595,19 +588,14 @@ def check_axioms(
     premises from that table.  Transitivity scans the whole table once, for
     every triple of the pool; past MAX_TRIPLES the first failing one of a
     seeded sample of triples, if any, is its witness.  Consistency, scaling,
-    splitting and stability each take three steps:
-
-    1. list the check's cases (drawn, where there are too many);
-    2. keep those whose composites a known universe holds (``testable``;
-       on an unknown universe every case is kept and nothing is built);
-    3. take the first case that fails as the witness, asking ``A.le`` only
-       there, case by case; stability asks the ε-sides of a pair with
-       X ⊀ Y one by one and stops at the first that fails.
-
-    ``_result`` turns the witness, and whether any case was kept, into
-    FAIL, PASS or NOT_APPLICABLE.  Scaling, splitting and stability only
-    make sense for backends that support scaled composites; on plain edge
-    relations they come back NOT_APPLICABLE.  Stability quantifies a limit
+    splitting and stability run through one local runner, ``first_failure``:
+    it keeps the cases whose composites a known universe holds and takes
+    the first that fails as the witness, asking ``A.le`` only there.
+    Stability asks the ε-sides of a pair with X ⊀ Y one by one and stops at
+    the first that fails.  Consistency pairs are drawn before stability
+    quadruples, from the one seeded generator.  Scaling, splitting and
+    stability only make sense for backends that support scaled composites;
+    on plain edge relations they come back NOT_APPLICABLE.  Stability quantifies a limit
     ε → 0⁺, which a finite run can only approximate; its verdict always
     carries the LIMIT_APPROXIMATED caveat.
     """
@@ -633,13 +621,6 @@ def check_axioms(
     idx = range(len(pool))
     le = [[A.le(x, y) for y in pool] for x in pool]  # le[i][j]: pool[i] ≺ pool[j]
 
-    def testable(cases, composites) -> list:
-        """The cases whose composites(*case), built one at a time, the known
-        universe holds; every case, with nothing built, when it is unknown."""
-        if known is None:
-            return cases
-        return [c for c in cases if all(x in known for x in composites(*c))]
-
     witness = next(((pool[i],) for i in idx if not le[i][i]), None)
     results = [_result("reflexivity", witness, True)]
 
@@ -654,23 +635,34 @@ def check_axioms(
     witness = None if found is None else tuple(pool[i] for i in found)
     results.append(_result("transitivity", witness, True))
 
+    def first_failure(name, cases, composites, fails, caveats=(), untested=()):
+        """Append the verdict of one composed check, in three steps:
+
+        1. ``cases`` lists the check's cases (drawn, where there are too many);
+        2. keep those whose composites(*case), built one at a time, a known
+           universe holds (every case, with nothing built, if it is unknown);
+        3. call fails(*case), which asks ``A.le`` and returns the case's
+           witness or None, on the kept cases in order up to the first witness.
+
+        ``untested`` joins the caveats when no case is kept.
+        """
+        if known is not None:
+            cases = [c for c in cases if all(x in known for x in composites(*c))]
+        witness = next(filter(None, itertools.starmap(fails, cases)), None)
+        results.append(_result(name, witness, cases, caveats if cases else caveats + untested))
+
     # consistency: X ≺ X' and Y ≺ Y' ⇒ (X,Y) ≺ (X',Y')
     def joined(p, q):
         return (pool[a].compose(pool[b]) for a, b in zip(p, q))
 
     accessible = [(i, j) for i in idx for j in idx if le[i][j]]
-    cases = testable(
-        _bounded_product((accessible, accessible), MAX_CONSISTENCY_PAIRS, rng), joined
+    first_failure(
+        "consistency",
+        _bounded_product((accessible, accessible), MAX_CONSISTENCY_PAIRS, rng),
+        joined,
+        lambda p, q: None if A.le(*joined(p, q)) else tuple(pool[i] for i in p + q),
+        untested=_NO_INSTANCES,
     )
-    witness = next(
-        (
-            (pool[i], pool[ip], pool[k], pool[kp])
-            for (i, ip), (k, kp) in cases
-            if not A.le(*joined((i, ip), (k, kp)))
-        ),
-        None,
-    )
-    results.append(_result("consistency", witness, cases, () if cases else _NO_INSTANCES))
 
     if not scaled:
         return AxiomReport(tuple(results) + _UNSCALED)
@@ -679,36 +671,28 @@ def check_axioms(
     def grown(lam, i, j):
         return pool[i].scale(lam), pool[j].scale(lam)
 
-    cases = testable(
+    first_failure(
+        "scaling-invariance",
         [(lam, i, j) for lam in config.lambda_grid for i in pure_idx for j in pure_idx],
         grown,
-    )
-    witness = next(
-        (
-            (lam, pool[i], pool[j])
-            for lam, i, j in cases
-            if le[i][j] and not A.le(*grown(lam, i, j))
+        lambda lam, i, j: (
+            (lam, pool[i], pool[j]) if le[i][j] and not A.le(*grown(lam, i, j)) else None
         ),
-        None,
     )
-    results.append(_result("scaling-invariance", witness, cases))
 
     # splitting recombination: X ∼ (λX, (1−λ)X) for λ in (0,1)
     def split(lam, x):
         return (x.scale(lam).compose(x.scale(1 - lam)),)
 
     fractions_01 = [l for l in config.lambda_grid if 0 < l < 1] or [Fraction(1, 2)]
-    cases = testable([(lam, x) for lam in fractions_01 for x in pures], split)
-    witness = next(
-        (
-            (lam, x)
-            for lam, x in cases
-            for s in split(lam, x)
-            if not (A.le(x, s) and A.le(s, x))
+    first_failure(
+        "splitting-recombination",
+        [(lam, x) for lam in fractions_01 for x in pures],
+        split,
+        lambda lam, x: (
+            None if all(A.le(x, s) and A.le(s, x) for s in split(lam, x)) else (lam, x)
         ),
-        None,
     )
-    results.append(_result("splitting-recombination", witness, cases))
 
     # stability: (X, εZ) ≺ (Y, εZ') for all scheduled ε ⇒ X ≺ Y
     schedule = [Fraction(1, 2**k) for k in range(1, config.eps_steps + 1)]
@@ -717,19 +701,17 @@ def check_axioms(
         for eps in schedule:
             yield pool[i].compose(z.scale(eps)), pool[j].compose(zp.scale(eps))
 
-    cases = testable(
+    first_failure(
+        "stability",
         _bounded_product((idx, idx, pures, pures), MAX_STABILITY_QUADRUPLES, rng),
         lambda *q: itertools.chain.from_iterable(eps_sides(*q)),
-    )
-    witness = next(
-        (
+        lambda i, j, z, zp: (
             (pool[i], pool[j], z, zp)
-            for i, j, z, zp in cases
             if not le[i][j] and all(itertools.starmap(A.le, eps_sides(i, j, z, zp)))
+            else None
         ),
-        None,
+        _STABILITY_CAVEATS,
     )
-    results.append(_result("stability", witness, cases, _STABILITY_CAVEATS))
     return AxiomReport(tuple(results))
 
 

@@ -606,7 +606,11 @@ def run(argv, out=None) -> int:
     sink = io.StringIO() if opts.out else out
     try:
         if opts.seed is None:
-            opts.seed = int(os.environ.get("ENTROPYKIT_SEED", "0"))
+            seed = os.environ.get("ENTROPYKIT_SEED", "0")
+            try:
+                opts.seed = int(seed)
+            except ValueError:
+                raise UsageError(f"ENTROPYKIT_SEED must be an integer, got {seed!r}") from None
         given = {k: v for k, v in vars(opts).items() if k in CONFIG_KEYS and v is not None}
         # every command refuses a bad flag before reading input
         flags = Settings(opts.seed, given).check()

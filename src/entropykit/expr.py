@@ -1379,13 +1379,6 @@ class _Parser:
         raise ParseError(f"unexpected {lexeme!r}", line, col)
 
 
-def parse(text: str, chart: Chart, params=None) -> Expr:
-    """Parse an expression string over the chart's coordinates and parameters.
-
-    Extra parameter names may be supplied ad hoc; they extend the chart's
-    own parameter list for this expression.
-    """
-    if params:
-        merged = tuple(dict.fromkeys(tuple(chart.params) + tuple(params)))
-        chart = Chart(chart.coords, merged)
+def parse(text: str, chart: Chart) -> Expr:
+    """Parse an expression string over the chart's coordinates and parameters."""
     return _Parser(text, chart).parse()

@@ -375,6 +375,151 @@ def reference_construct_entropy(A, space, config):
     return EntropyFn(space.label, values, method="reference", grid_step=config.grid_step)
 
 
+def reference_check_axioms(A, spaces, config):
+    """check_axioms as it once was: consistency, scaling, splitting and
+    stability each list their cases, keep those a known universe holds
+    (``testable``) and take the first that fails as the witness, written out
+    four times.  The one case runner of entropykit.access must give the very
+    same report and put the very same queries to A.le, in the same order."""
+    import random
+
+    from entropykit import access
+    from entropykit.access import (
+        _BY_CONSTRUCTION,
+        _NO_INSTANCES,
+        _STABILITY_CAVEATS,
+        _UNSCALED,
+        AxiomReport,
+        EntropyOracle,
+        _bounded_product,
+        _composite_pool,
+        _intransitive_triple,
+        _pures,
+        _result,
+    )
+
+    scaled = A.supports_scaling and all(sp.scalable for sp in spaces)
+    if type(A) is EntropyOracle and spaces:
+        for x in _pures(*spaces):
+            A._sum(x)  # raises for the first state with no value
+        return AxiomReport(_BY_CONSTRUCTION if scaled else _BY_CONSTRUCTION[:3] + _UNSCALED)
+    rng = random.Random(config.seed)
+    universe = A.universe()
+    if universe is None:
+        known = None
+        pures = _pures(*spaces)
+        pure_idx = range(len(pures))
+        pool = pures + (_composite_pool(pures, config, rng) if scaled else [])
+    else:
+        known = set(universe)
+        pool = list(universe)
+        pure_idx = [
+            i for i, p in enumerate(pool) if len(p.parts) == 1 and p.parts[0][0] == 1
+        ]
+        pures = [pool[i] for i in pure_idx]
+    idx = range(len(pool))
+    le = [[A.le(x, y) for y in pool] for x in pool]  # le[i][j]: pool[i] ≺ pool[j]
+
+    def testable(cases, composites) -> list:
+        """The cases whose composites(*case), built one at a time, the known
+        universe holds; every case, with nothing built, when it is unknown."""
+        if known is None:
+            return cases
+        return [c for c in cases if all(x in known for x in composites(*c))]
+
+    witness = next(((pool[i],) for i in idx if not le[i][i]), None)
+    results = [_result("reflexivity", witness, True)]
+
+    found = None
+    if len(pool) ** 3 > access.MAX_TRIPLES:  # the first failing drawn triple stays the witness
+        triples = _bounded_product((idx, idx, idx), access.MAX_TRIPLES, rng)
+        found = next(
+            ((i, j, k) for i, j, k in triples if le[i][j] and le[j][k] and not le[i][k]), None
+        )
+    if found is None:
+        found = _intransitive_triple(le)
+    witness = None if found is None else tuple(pool[i] for i in found)
+    results.append(_result("transitivity", witness, True))
+
+    # consistency: X ≺ X' and Y ≺ Y' ⇒ (X,Y) ≺ (X',Y')
+    def joined(p, q):
+        return (pool[a].compose(pool[b]) for a, b in zip(p, q))
+
+    accessible = [(i, j) for i in idx for j in idx if le[i][j]]
+    cases = testable(
+        _bounded_product((accessible, accessible), access.MAX_CONSISTENCY_PAIRS, rng), joined
+    )
+    witness = next(
+        (
+            (pool[i], pool[ip], pool[k], pool[kp])
+            for (i, ip), (k, kp) in cases
+            if not A.le(*joined((i, ip), (k, kp)))
+        ),
+        None,
+    )
+    results.append(_result("consistency", witness, cases, () if cases else _NO_INSTANCES))
+
+    if not scaled:
+        return AxiomReport(tuple(results) + _UNSCALED)
+
+    # scaling invariance: λ > 0 and X ≺ Y ⇒ λX ≺ λY
+    def grown(lam, i, j):
+        return pool[i].scale(lam), pool[j].scale(lam)
+
+    cases = testable(
+        [(lam, i, j) for lam in config.lambda_grid for i in pure_idx for j in pure_idx],
+        grown,
+    )
+    witness = next(
+        (
+            (lam, pool[i], pool[j])
+            for lam, i, j in cases
+            if le[i][j] and not A.le(*grown(lam, i, j))
+        ),
+        None,
+    )
+    results.append(_result("scaling-invariance", witness, cases))
+
+    # splitting recombination: X ∼ (λX, (1−λ)X) for λ in (0,1)
+    def split(lam, x):
+        return (x.scale(lam).compose(x.scale(1 - lam)),)
+
+    fractions_01 = [l for l in config.lambda_grid if 0 < l < 1] or [Fraction(1, 2)]
+    cases = testable([(lam, x) for lam in fractions_01 for x in pures], split)
+    witness = next(
+        (
+            (lam, x)
+            for lam, x in cases
+            for s in split(lam, x)
+            if not (A.le(x, s) and A.le(s, x))
+        ),
+        None,
+    )
+    results.append(_result("splitting-recombination", witness, cases))
+
+    # stability: (X, εZ) ≺ (Y, εZ') for all scheduled ε ⇒ X ≺ Y
+    schedule = [Fraction(1, 2**k) for k in range(1, config.eps_steps + 1)]
+
+    def eps_sides(i, j, z, zp):
+        for eps in schedule:
+            yield pool[i].compose(z.scale(eps)), pool[j].compose(zp.scale(eps))
+
+    cases = testable(
+        _bounded_product((idx, idx, pures, pures), access.MAX_STABILITY_QUADRUPLES, rng),
+        lambda *q: itertools.chain.from_iterable(eps_sides(*q)),
+    )
+    witness = next(
+        (
+            (pool[i], pool[j], z, zp)
+            for i, j, z, zp in cases
+            if not le[i][j] and all(itertools.starmap(A.le, eps_sides(i, j, z, zp)))
+        ),
+        None,
+    )
+    results.append(_result("stability", witness, cases, _STABILITY_CAVEATS))
+    return AxiomReport(tuple(results))
+
+
 # ---------------------------------------------------------------------------
 # Calibration as it once was: every row in Fractions, each row normalized by
 # its leading coefficient, each cross state's glued row built per pair and

@@ -331,6 +331,17 @@ def test_exit_two_on_bad_axiom_flags(flags, message, capsys):
             assert (out, err) == (f"error: {message}\n", "")
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_a_bad_seed_variable_is_named(value, monkeypatch):
+    doc = str(CORPUS / "raw_chain.doc")
+    monkeypatch.setenv("ENTROPYKIT_SEED", value)
+    assert run_cli("axioms", doc) == (
+        2, f"error: ENTROPYKIT_SEED must be an integer, got {value!r}\n"
+    )
+    # --seed wins over the variable, which is then not read
+    assert run_cli("axioms", doc, "--seed", "0")[0] == 1
+
+
 def test_config_tol_reaches_the_path_audits(tmp_path):
     doc = tmp_path / "fig2_tol.doc"
     doc.write_text((CORPUS / "fig2_audit.doc").read_text() + "\n[config]\ntol = 3\n")

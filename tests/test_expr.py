@@ -49,13 +49,6 @@ def test_parse_monomial_with_params():
     assert e == ch.const(F(3, 2)) * ch.var("N") * ch.var("R") * ch.var("T")
 
 
-def test_parse_accepts_ad_hoc_parameters():
-    bare = Chart(("T",))
-    e = parse("3/2*N*R*T", bare, params=["N", "R"])
-    assert e.free_symbols() == {"N", "R", "T"}
-    assert e.chart.params == ("N", "R")
-
-
 def test_parse_cancellation_to_zero():
     assert parse("x*y - y*x", XY).is_zero_expr()
 
@@ -809,7 +802,7 @@ def test_compiled_expr_defers_every_domain_error_to_the_call():
         ("t*c", {}, [0.5, 1.5]),  # no value bound for c
     ]
     for text, params, values in cases:
-        e = parse(text, Chart(("t",), ("a",)), params=["c"])
+        e = parse(text, Chart(("t",), ("a", "c")))
         assert_compiled_matches_evaluate(e, params, "t", values)
         assert outcome(lambda: e.compile(params, "t")(values[0]))[0] == "raises"
 
