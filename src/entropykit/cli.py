@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 
 from .documents import (
     CONFIG_KEYS, INPUT_ERRORS, Document, DocumentError, Settings, at_line, load_document,
+    read_text,
 )
 from .expr import Confidence
 
@@ -499,10 +500,9 @@ def cmd_landauer(doc: Document, settings: Settings, report: Report):
 # ---------------------------------------------------------------------------
 
 
-def _run_single(command_name: str, doc_path: str, flags: Settings, report: Report) -> None:
-    doc = load_document(doc_path)
+def _run_single(command_name: str, doc: Document, flags: Settings, report: Report) -> None:
     idx = report.block("document")
-    report.add(idx, "path", doc_path)
+    report.add(idx, "path", doc.path)
     report.add(idx, "command", command_name)
     COMMANDS[command_name](doc, flags.under(doc.config), report)
 
@@ -526,30 +526,38 @@ def _error_message(err: Exception) -> str:
 
 
 def _run_batch(manifest_path: str, flags: Settings, fmt: str, out) -> int:
+    """Run each manifest entry in turn.  Each document is read and parsed
+    once, at the first entry that names its path, and later entries run on
+    the same Document; one that fails to load is not kept, so each entry
+    that names it reports the same error."""
     base = os.path.dirname(manifest_path)
     entries = []
-    with open(manifest_path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            body = raw.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 3:
-                message = f"manifest line needs 'COMMAND DOC EXPECTED_EXIT': {body!r}"
-                raise DocumentError(message, manifest_path, line_no)
-            try:
-                expected = int(parts[2])
-            except ValueError:
-                message = f"expected exit must be an integer, got {parts[2]!r}"
-                raise DocumentError(message, manifest_path, line_no) from None
-            entries.append((parts[0], os.path.join(base, parts[1]), expected))
+    # lines as a text file yields them: a form feed breaks no line here
+    lines = io.StringIO(read_text(manifest_path), newline=None)
+    for line_no, raw in enumerate(lines, start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 3:
+            message = f"manifest line needs 'COMMAND DOC EXPECTED_EXIT': {body!r}"
+            raise DocumentError(message, manifest_path, line_no)
+        try:
+            expected = int(parts[2])
+        except ValueError:
+            message = f"expected exit must be an integer, got {parts[2]!r}"
+            raise DocumentError(message, manifest_path, line_no) from None
+        entries.append((parts[0], os.path.join(base, parts[1]), expected))
+    docs: dict[str, Document] = {}  # entry's document path -> its parse
     all_ok = True
     chunks = []
     for command_name, doc_path, expected in entries:
         report = Report()
         try:
             _require(command_name in COMMANDS, f"unknown command {command_name!r}")
-            _run_single(command_name, doc_path, flags, report)
+            if doc_path not in docs:
+                docs[doc_path] = load_document(doc_path)
+            _run_single(command_name, docs[doc_path], flags, report)
             code = report.exit_code()
         except Exception as err:  # one failing entry must not end the batch
             idx = report.block("error")
@@ -618,7 +626,7 @@ def run(argv, out=None) -> int:
             code = _run_batch(opts.document, flags, opts.format, sink)
         else:
             report = Report()
-            _run_single(opts.command, opts.document, flags, report)
+            _run_single(opts.command, load_document(opts.document), flags, report)
             sink.write(report.render(opts.format))
             code = report.exit_code()
     except Exception as err:  # a defect gets a message, as in batch, not a traceback

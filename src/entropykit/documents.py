@@ -70,6 +70,12 @@ class at_line:
 
 @dataclass
 class Document:
+    """A parsed system document, read-only once ``parse_document`` returns:
+    ``batch`` shares one Document among the entries that name its path, so
+    only this module's parsers write to it.  The objects it holds memoise
+    only pure answers (``EntropyOracle``'s totals, ``ThermoChart``'s
+    charts), which no later reader can tell from a fresh parse."""
+
     path: str = "<doc>"
     chart: Optional[Chart] = None
     thermo_chart: Optional[ThermoChart] = None
@@ -208,9 +214,21 @@ _SECTIONS = (
 )
 
 
+def read_text(path: str) -> str:
+    """path's text as UTF-8, a leading byte-order mark skipped; a byte that
+    is not UTF-8 raises a DocumentError at its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:  # err.object is data past any mark
+        line = err.object.count(b"\n", 0, err.start) + 1
+        message = f"not UTF-8: byte 0x{err.object[err.start]:02x} ({err.reason})"
+        raise DocumentError(message, path, line) from None
+
+
 def load_document(path: str) -> Document:
-    with open(path, encoding="utf-8") as handle:
-        return parse_document(handle.read(), path)
+    return parse_document(read_text(path), path)
 
 
 def _key_value(body: str, path: str, line_no: int) -> tuple[str, str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import os
 import re
@@ -9,6 +10,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entropykit
 from entropykit import thermo
@@ -1719,3 +1721,144 @@ def test_batch_runs_whole_corpus():
     )
     assert code == 0
     assert "all-matched: yes" in text
+
+
+# -- one parse per document in a batch ------------------------------------------
+
+
+def _corpus_entries():
+    lines = (CORPUS / "manifest.txt").read_text().splitlines()
+    rows = filter(None, (line.split("#", 1)[0].split() for line in lines))
+    return [(command, doc, int(expected)) for command, doc, expected in rows]
+
+
+CORPUS_ENTRIES = _corpus_entries()
+BATCH_TAIL = re.compile(
+    r"\ncheck: batch-entry\ndocument: .*\ncommand: .*\nexit: (\d+)\nexpected: .*\nmatched: .*\n\n?"
+)
+
+
+def batch_chunks(out):
+    """(report chunk, exit code) of each entry of a batch's output, in order."""
+    *parts, summary = BATCH_TAIL.split(out)
+    assert summary.startswith("check: batch-summary\n")
+    return list(zip(parts[::2], map(int, parts[1::2])))
+
+
+@functools.cache
+def run_alone(command, doc, fmt):
+    return run_cli(command, doc, "--format", fmt, "--seed", "0")
+
+
+def assert_matches_a_run_alone(entry, command, doc, fmt):
+    """A batch entry's chunk and exit code are the report and code of the
+    same entry run alone, where it parses its document afresh; for an entry
+    that errs, the batch prints the single run's message in an error block."""
+    chunk, code = entry
+    alone_code, alone = run_alone(command, doc, fmt)
+    assert code == alone_code
+    if code == 2:
+        assert f"check: error\nmessage: {alone.removeprefix('error: ')}" in chunk
+    else:
+        assert chunk == alone
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_batch_entries_match_their_runs_alone(fmt):
+    code, out = run_cli("batch", str(CORPUS / "manifest.txt"), "--format", fmt, "--seed", "0")
+    assert code == 0
+    chunks = batch_chunks(out)
+    assert len(chunks) == len(CORPUS_ENTRIES) == 40
+    for (command, doc, _), entry in zip(CORPUS_ENTRIES, chunks):
+        assert_matches_a_run_alone(entry, command, str(CORPUS / doc), fmt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.permutations(CORPUS_ENTRIES), fmt=st.sampled_from(["text", "structured"]))
+def test_shuffled_batch_entries_match_their_runs_alone(tmp_path_factory, order, fmt):
+    # entries that share a document run on one parse of it, in any order: a
+    # command that wrote to the shared Document would change a later entry
+    manifest = tmp_path_factory.mktemp("shuffled") / "manifest.txt"
+    manifest.write_text("".join(f"{c} {CORPUS / d} {e}\n" for c, d, e in order))
+    code, out = run_cli("batch", str(manifest), "--format", fmt, "--seed", "0")
+    assert code == 0
+    chunks = batch_chunks(out)
+    assert len(chunks) == len(order)
+    for (command, doc, _), entry in zip(order, chunks):
+        assert_matches_a_run_alone(entry, command, str(CORPUS / doc), fmt)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """How often documents.parse_document has run, by path."""
+    from entropykit import documents
+
+    counts = Counter()
+    parse = documents.parse_document
+
+    def counting(text, path="<doc>"):
+        counts[path] += 1
+        return parse(text, path)
+
+    monkeypatch.setattr(documents, "parse_document", counting)
+    return counts
+
+
+def test_a_batch_parses_each_document_once(tmp_path, parsed):
+    doc = str(CORPUS / "ideal_gas.doc")
+    manifest = tmp_path / "manifest.txt"
+    commands = ("maxwell", "legendre-check", "contact-check", "path")
+    manifest.write_text("".join(f"{command} {doc} 0\n" for command in commands))
+    code, out = run_cli("batch", str(manifest))
+    assert code == 0 and out.count("\nmatched: yes") == 4
+    assert parsed == {doc: 1}
+    # a single run parses its document on every run
+    for _ in range(2):
+        assert run_cli("maxwell", doc)[0] == 0
+    assert parsed == {doc: 3}
+
+
+def test_a_document_that_fails_to_load_fails_each_entry_that_names_it(tmp_path, parsed):
+    bad, good = CORPUS / "parse_error.doc", CORPUS / "ideal_gas.doc"
+    missing = tmp_path / "no_such.doc"
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        f"maxwell {bad} 2\ncontact-check {missing} 2\nlegendre-check {bad} 2\n"
+        f"maxwell {missing} 2\nmaxwell {good} 0\n"
+    )
+    code, out = run_cli("batch", str(manifest), "--format", "structured")
+    assert code == 0 and "all-matched: yes" in out
+    chunks = [chunk for chunk, _ in batch_chunks(out)]
+    assert chunks[0] == chunks[2] and chunks[1] == chunks[3]
+    assert chunks[0].startswith(f"check: error\nmessage: {bad}:")
+    assert chunks[1].startswith("check: error\nmessage: [Errno 2] No such file or directory")
+    assert chunks[4].startswith(f"check: document\npath: {good}\ncommand: maxwell\n")
+    assert parsed == {str(bad): 2, str(good): 1}
+
+
+@pytest.mark.parametrize("padding", [0, 3000])  # 3,000 comment lines: past one read chunk
+def test_undecodable_bytes_name_their_file_and_line(tmp_path, padding):
+    doc = tmp_path / "bad.doc"
+    doc.write_bytes(b"# pad\n" * padding + b"[params]\nN = 1\xff\n")
+    code, out = run_cli("maxwell", str(doc))
+    assert code == 2
+    assert out == f"error: {doc}:{padding + 2}: not UTF-8: byte 0xff (invalid start byte)\n"
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"# pad\n" * padding + b"maxwell bad.doc 2\nmaxwell bad\xff.doc 2\n")
+    code, out = run_cli("batch", str(manifest))
+    assert code == 2
+    assert out == f"error: {manifest}:{padding + 2}: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    text = (CORPUS / "ideal_gas.doc").read_text()
+    (tmp_path / "plain.doc").write_text(text)
+    (tmp_path / "bom.doc").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    _, plain = run_cli("maxwell", str(tmp_path / "plain.doc"))
+    code, out = run_cli("maxwell", str(tmp_path / "bom.doc"))
+    assert code == 0
+    assert out == plain.replace("plain.doc", "bom.doc")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"\xef\xbb\xbfmaxwell bom.doc 0\n")
+    code, out = run_cli("batch", str(manifest))
+    assert code == 0 and "all-matched: yes" in out
