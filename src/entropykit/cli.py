@@ -122,13 +122,22 @@ def _declared_forms(doc: Document):
     raise UsageError("document declares no forms")
 
 
+def _form_fault(doc: Document, name: str, message: str) -> DocumentError:
+    """message about declared form name, at its line (a thermo chart's
+    derived θ is a 1-form on 2n+1 coordinates, so it meets none)."""
+    return DocumentError(f"form {name}: {message}", doc.path, doc.lines["form", name])
+
+
 @command("contact-check")
 def cmd_contact_check(doc: Document, settings: Settings, report: Report):
     from .forms import contact_check
 
     for name, form in _declared_forms(doc):
         dim = form.chart.dimension
-        _require(dim % 2 == 1, f"chart dimension {dim} is even; no contact rank")
+        if dim % 2 == 0:
+            raise _form_fault(doc, name, f"chart dimension {dim} is even; no contact rank")
+        if form.degree != 1:
+            raise _form_fault(doc, name, "not a 1-form")
         result = contact_check(form, (dim - 1) // 2, settings.zero)
         idx = report.block("contact-check")
         report.add(idx, "form", name)
@@ -143,7 +152,8 @@ def cmd_frobenius(doc: Document, settings: Settings, report: Report):
     from .forms import frobenius_check
 
     for name, form in _declared_forms(doc):
-        _require(form.degree == 1, f"form {name!r} is not a 1-form")
+        if form.degree != 1:
+            raise _form_fault(doc, name, "not a 1-form")
         result = frobenius_check(form, settings.zero)
         idx = report.block("frobenius")
         report.add(idx, "form", name)

@@ -32,6 +32,7 @@ reach.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -178,7 +179,9 @@ def parse_document(text: str, path: str = "<doc>") -> Document:
     # expressions refer to the chart and params declared elsewhere
     pending: dict[str, list[tuple[int, str]]] = {name: [] for name in _SECTIONS}
     header: dict[str, int] = {}  # section -> the line of its first header
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # lines as a text file yields them: only \n, \r\n and \r end one, so a
+    # form feed or U+2028 in a comment breaks no line
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
@@ -471,6 +474,7 @@ def _parse_forms(doc: Document, rows, header: int):
             )
         with at_line(doc, form_line):
             doc.forms[name] = Form(chart, degrees.pop() if degrees else 1, coeffs)
+        doc.lines["form", name] = form_line
 
 
 def _parse_paths(doc: Document, rows, header: int):

@@ -4,9 +4,10 @@ factor, contact symmetry).
 
 Forms are stored sparsely: a degree-k form keeps coefficients only on
 strictly increasing k-tuples of coordinate indices.  wedge and d collect
-every piece that lands on an index and merge them into its coefficient once,
-and d differentiates a coefficient only in the coordinates it contains (the
-others add nothing).
+every piece that lands on an index and merge them into its coefficient once;
+d differentiates a coefficient, and pullback a map component, only in the
+coordinates it contains (the others add nothing).  contact_check's chain
+θ ∧ (dθ)^k carries only the entries that can still reach the top index.
 
 Verdicts carry a confidence flag because transcendental coefficients make
 exact zero testing inconclusive; CERTAIN means every underlying zero test
@@ -57,7 +58,8 @@ class Form:
     """Antisymmetric differential form of fixed degree over a chart.
 
     Form(...) checks every index tuple and coefficient chart.  The forms
-    that arithmetic, wedge and d build from other forms come from
+    that arithmetic, wedge, d and contact_check's chain build from other
+    forms, and thermo.first_law_form from its chart's coordinates, come from
     Form._built (through Form._summed for wedge and d), which skips those
     checks (its inputs passed them) and only drops zero coefficients.
     """
@@ -263,13 +265,15 @@ def pullback(f: SmoothMap, a: Form) -> Form:
     src = f.source
     mapping = dict(f.components)
     # Only the target coordinates the form's index tuples name are
-    # differentiated, each partial once (Form drops zero coefficients).
-    differentials = {
-        i: Form.one_form(
-            src, {x: f.components[f.target.coords[i]].diff(x) for x in src.coords}
+    # differentiated, each partial once and only in the source coordinates
+    # the component contains (every other partial is exactly zero).
+    differentials = {}
+    for i in sorted({i for idx in a.coeffs for i in idx}):
+        comp = f.components[f.target.coords[i]]
+        symbols = comp.free_symbols()
+        differentials[i] = Form.one_form(
+            src, {x: comp.diff(x) for x in src.coords if x in symbols}
         )
-        for i in sorted({i for idx in a.coeffs for i in idx})
-    }
     out = Form.zero(src, a.degree)
     for idx, coeff in a.coeffs.items():
         piece = Form.from_expr(coeff.subs(mapping, src))
@@ -347,18 +351,31 @@ def _nonvanishing(e: Expr, config: ZeroTestConfig):
 
 def contact_check(theta: Form, n: int, config: ZeroTestConfig = DEFAULT_ZERO_CONFIG) -> ContactResult:
     """Non-degeneracy of a candidate contact form: θ ∧ (dθ)^n ≠ 0 on a
-    (2n+1)-dimensional chart."""
+    (2n+1)-dimensional chart.
+
+    An index that no coefficient of dθ carries can reach the top index only
+    through θ, so the chain keeps only the entries of θ and of each
+    θ ∧ (dθ)^k whose index tuple holds every such index; the entries it
+    drops could never reach the top index, and the ones it keeps get the
+    same products in the same order."""
     if theta.degree != 1:
         raise ValueError("contact_check expects a 1-form")
     if theta.chart.dimension != 2 * n + 1:
         raise ValueError(
             f"chart dimension {theta.chart.dimension} does not match 2n+1 for n={n}"
         )
+    chart = theta.chart
     dtheta = theta.d()
-    power = theta
+    needed = set(range(chart.dimension)).difference(*dtheta.coeffs)
+
+    def reaching(form: Form) -> Form:
+        kept = {i: c for i, c in form.coeffs.items() if needed.issubset(i)}
+        return Form._built(chart, form.degree, kept)
+
+    power = reaching(theta)
     for _ in range(n):
-        power = power.wedge(dtheta)
-    top = power.coefficient(tuple(range(theta.chart.dimension)))
+        power = reaching(power.wedge(dtheta))
+    top = power.coefficient(tuple(range(chart.dimension)))
     ok, confidence, witness = _nonvanishing(top, config)
     status = ContactStatus.CONTACT if ok else ContactStatus.DEGENERATE
     return ContactResult(status, confidence, top, witness)

@@ -107,10 +107,10 @@ class ThermoChart:
 def first_law_form(tc: ThermoChart) -> Form:
     """θ = dX₀ − Σ σ_i P_i dX_i on the full 2n+1 chart."""
     chart = tc.chart
-    theta = Form.d_coord(chart, tc.energy)
+    coeffs = {(chart.index(tc.energy),): chart.one()}
     for p, x, s in tc.pairs:
-        theta = theta - Form.d_coord(chart, x).scale(chart.var(p) * s)
-    return theta
+        coeffs[(chart.index(x),)] = chart.var(p) * -s
+    return Form._built(chart, 1, coeffs)
 
 
 def heat_form(tc: ThermoChart) -> Form:

@@ -21,7 +21,13 @@ from entropykit.expr import (
     _Pow,
     _Term,
 )
-from entropykit.forms import SmoothMap
+from entropykit.forms import (
+    ContactResult,
+    ContactStatus,
+    Form,
+    SmoothMap,
+    _nonvanishing,
+)
 from entropykit.galois import (
     AdjointResult,
     GaloisError,
@@ -851,3 +857,79 @@ def reference_arithmetic():
     finally:
         for name, fn in saved.items():
             setattr(Expr, name, fn)
+
+
+# ---------------------------------------------------------------------------
+# Contact checks, pullbacks and first-law forms as they once were: the chain
+# θ ∧ (dθ)^k carried every entry, pullback differentiated each indexed map
+# component in every source coordinate, and θ was chained from d_coord,
+# scale and subtraction one pair at a time.  entropykit.forms and
+# entropykit.thermo must give the very same coefficients, in the same order.
+# ---------------------------------------------------------------------------
+
+
+def reference_contact_check(theta, n, config):
+    """θ ∧ (dθ)^n with every entry of every power wedged."""
+    if theta.degree != 1:
+        raise ValueError("contact_check expects a 1-form")
+    if theta.chart.dimension != 2 * n + 1:
+        raise ValueError(
+            f"chart dimension {theta.chart.dimension} does not match 2n+1 for n={n}"
+        )
+    dtheta = theta.d()
+    power = theta
+    for _ in range(n):
+        power = power.wedge(dtheta)
+    top = power.coefficient(tuple(range(theta.chart.dimension)))
+    ok, confidence, witness = _nonvanishing(top, config)
+    status = ContactStatus.CONTACT if ok else ContactStatus.DEGENERATE
+    return ContactResult(status, confidence, top, witness)
+
+
+def assert_same_form(got, want):
+    """The same degree and, in the same order, coefficients of the same
+    index, key and printed form; and the same printed form."""
+    assert got.degree == want.degree
+    assert [(i, c.key(), str(c)) for i, c in got.coeffs.items()] == [
+        (i, c.key(), str(c)) for i, c in want.coeffs.items()
+    ]
+    assert str(got) == str(want)
+
+
+def assert_same_contact(got, want):
+    """The same status, confidence and witness, and a top coefficient of the
+    same key and printed form."""
+    assert (got.status, got.confidence, got.witness) == (
+        want.status, want.confidence, want.witness
+    )
+    top, ref = got.top_coefficient, want.top_coefficient
+    assert (top.key(), str(top)) == (ref.key(), str(ref))
+
+
+def reference_pullback(f, a):
+    """f*a with every partial of each indexed map component taken, zero or
+    not."""
+    src = f.source
+    mapping = dict(f.components)
+    differentials = {
+        i: Form.one_form(
+            src, {x: f.components[f.target.coords[i]].diff(x) for x in src.coords}
+        )
+        for i in sorted({i for idx in a.coeffs for i in idx})
+    }
+    out = Form.zero(src, a.degree)
+    for idx, coeff in a.coeffs.items():
+        piece = Form.from_expr(coeff.subs(mapping, src))
+        for i in idx:
+            piece = piece.wedge(differentials[i])
+        out = out + piece
+    return out
+
+
+def reference_first_law_form(tc):
+    """θ = dX₀ − Σ σ_i P_i dX_i, subtracted one pair at a time."""
+    chart = tc.chart
+    theta = Form.d_coord(chart, tc.energy)
+    for p, x, s in tc.pairs:
+        theta = theta - Form.d_coord(chart, x).scale(chart.var(p) * s)
+    return theta

@@ -1862,3 +1862,51 @@ def test_a_byte_order_mark_is_skipped(tmp_path):
     manifest.write_bytes(b"\xef\xbb\xbfmaxwell bom.doc 0\n")
     code, out = run_cli("batch", str(manifest))
     assert code == 0 and "all-matched: yes" in out
+
+
+# A form feed, a vertical tab, \x1c-\x1e, U+0085, U+2028 and U+2029 end a line
+# for str.splitlines; in a document, as in a manifest, only \n, \r\n and \r do.
+LINE_BREAKS_THAT_ARE_NOT = ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS_THAT_ARE_NOT)
+def test_only_newlines_end_a_document_line(tmp_path, char):
+    text = (CORPUS / "ideal_gas.doc").read_text()
+    assert text.startswith("# Ideal") and "\nN = 1\n" in text
+    (tmp_path / "plain.doc").write_text("# pagebreak\n" + text.replace("\nN = 1\n", "\nN = 1  # one\n"))
+    (tmp_path / "odd.doc").write_text(
+        f"# page{char}break\n" + text.replace("\nN = 1\n", f"\nN = 1  # o{char}ne\n"),
+        encoding="utf-8",
+    )
+    _, plain = run_cli("maxwell", str(tmp_path / "plain.doc"))
+    code, out = run_cli("maxwell", str(tmp_path / "odd.doc"))
+    assert code == 0
+    assert out == plain.replace("plain.doc", "odd.doc")
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_carriage_returns_keep_the_line_numbers(tmp_path, ending):
+    text = (CORPUS / "ideal_gas.doc").read_text().replace("[spec]", "[spex]")
+    line = text.splitlines().index("[spex]") + 1
+    doc = tmp_path / "ends.doc"
+    doc.write_bytes(text.replace("\n", ending).encode())
+    assert run_cli("maxwell", str(doc)) == (2, f"error: {doc}:{line}: unknown section [spex]\n")
+
+
+@pytest.mark.parametrize("command, coords, form, message", [
+    ("contact-check", "x y z", "w : x y = z, y z = 1", "form w: not a 1-form"),
+    ("frobenius", "x y z", "w : x y = z, y z = 1", "form w: not a 1-form"),
+    ("contact-check", "x y z u", "w : x = z, y = 1",
+     "form w: chart dimension 4 is even; no contact rank"),
+])
+def test_a_form_that_does_not_fit_its_check_exits_two_at_its_line(
+    tmp_path, command, coords, form, message
+):
+    doc = tmp_path / "w.doc"
+    doc.write_text(f"[chart]\ncoords = {coords}\n\n[forms]\n# the form\nform {form}\n")
+    assert run_cli(command, str(doc)) == (2, f"error: {doc}:6: {message}\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{command} w.doc 2\nmaxwell {CORPUS / 'ideal_gas.doc'} 0\n")
+    code, out = run_cli("batch", str(manifest))
+    assert code == 0 and out.count("\nmatched: yes") == 2
+    assert f"check: error\nmessage: {doc}:6: {message}\n" in out

@@ -3,10 +3,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import compose_smooth_maps, reference_arithmetic
+from _oracles import (
+    assert_same_contact,
+    assert_same_form,
+    compose_smooth_maps,
+    reference_arithmetic,
+    reference_contact_check,
+    reference_pullback,
+)
 from entropykit import expr
-from entropykit.expr import Chart, Expr, ExprError, parse
+from entropykit.expr import DEFAULT_ZERO_CONFIG, Chart, Expr, ExprError, parse
 from entropykit.forms import (
     Confidence,
     ContactStatus,
@@ -421,25 +429,6 @@ def test_pullback_functoriality():
         assert pullback(f, pullback(g, a)) == pullback(compose_smooth_maps(g, f), a)
 
 
-def pullback_every_differential(f, a):
-    """pullback that differentiates every target component, read or not."""
-    src = f.source
-    mapping = dict(f.components)
-    if a.degree == 0:
-        return Form.from_expr(a.coefficient(()).subs(mapping, src))
-    differentials = {
-        name: Form.one_form(src, {x: f.components[name].diff(x) for x in src.coords})
-        for name in f.target.coords
-    }
-    out = Form.zero(src, a.degree)
-    for idx, coeff in a.coeffs.items():
-        piece = Form.from_expr(coeff.subs(mapping, src))
-        for i in idx:
-            piece = piece.wedge(differentials[f.target.coords[i]])
-        out = out + piece
-    return out
-
-
 def test_pullback_differentiates_only_indexed_components(monkeypatch):
     from entropykit.expr import Expr
 
@@ -472,13 +461,10 @@ def test_pullback_differentiates_only_indexed_components(monkeypatch):
             },
         )
         for a in (dense, sparse):
-            want = pullback_every_differential(f, a)
+            want = reference_pullback(f, a)
             differentiated.clear()
             got = pullback(f, a)
-            assert got == want
-            assert [(i, c.key(), str(c)) for i, c in got.items()] == [
-                (i, c.key(), str(c)) for i, c in want.items()
-            ]
+            assert_same_form(got, want)
             read = {GIBBS.coords[i] for idx in a.coeffs for i in idx}
             assert {n for n, c in comps.items() if any(e is c for e in differentiated)} == read
 
@@ -761,3 +747,98 @@ def test_contact_symmetry_stops_at_first_certain_nonzero_residual(monkeypatch):
     assert r.confidence is Confidence.CERTAIN
     assert r.witness[0] == (0,)
     assert len(tested) == 1
+
+
+# -- contact checks and pullbacks against their frozen references --------------
+
+# contact_check carries only the entries of θ ∧ (dθ)^k that can still reach the
+# top index, and pullback takes a map component's partials only in the source
+# coordinates it contains; the references in _oracles wedge every entry and
+# take every partial.  Coordinates are x0..x6 (sources) and y0..y6 (targets),
+# with one parameter k.
+
+XS = {d: Chart(tuple(f"x{i}" for i in range(d)), params=("k",)) for d in range(1, 8)}
+YS = {d: Chart(tuple(f"y{i}" for i in range(d)), params=("k",)) for d in range(1, 8)}
+ATOMS = ("{a}", "{a}^2", "{a}*{b}", "exp({a})", "ln({a})", "({a} + {b})^(1/2)",
+         "({a} + 2*{b})^(-1/3)", "{a}^(3/2)")
+
+
+@st.composite
+def coefficients(draw, chart, names, max_terms=2, positive=False):
+    """A coefficient in the coordinates names and the parameter k: a
+    constant, or a sum of products of polynomial, exp, ln and opaque-power
+    atoms (with positive multipliers only if positive, so that it can stand
+    inside ln or a root)."""
+    scales = ["1", "3/5", "k"] if positive else ["1", "(-3)", "2/7", "(-k)"]
+    if not names:
+        return parse(draw(st.sampled_from(scales)), chart)
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        factors = [draw(st.sampled_from(scales))]
+        for _ in range(draw(st.integers(1, 2))):
+            a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+            factors.append(draw(st.sampled_from(ATOMS)).format(a=a, b=b))
+        terms.append("*".join(factors))
+    return parse(" + ".join(terms), chart)
+
+
+@st.composite
+def contact_candidates(draw):
+    """(θ, n) on a (2n+1)-chart.  Each index in a drawn set gets a
+    coefficient in its own coordinate alone or a constant, and no other
+    coefficient contains its coordinate, so no term of dθ carries it; the
+    other coefficients each contain a drawn handful of the other coordinates,
+    so dθ comes out sparse or dense."""
+    n = draw(st.integers(0, 3))
+    chart = XS[2 * n + 1]
+    coords = chart.coords
+    carried_by_none = draw(st.sets(st.integers(0, 2 * n), max_size=2))
+    live = [c for i, c in enumerate(coords) if i not in carried_by_none]
+    dense = draw(st.booleans())
+    coeffs = {}
+    for i, name in enumerate(coords):
+        if not (dense or draw(st.booleans())):
+            continue
+        if i in carried_by_none:
+            names = [name] if draw(st.booleans()) else []
+        else:
+            names = draw(st.lists(st.sampled_from(live), max_size=3, unique=True))
+        coeffs[i,] = draw(coefficients(chart, names, max_terms=2 if n < 2 else 1))
+    return Form(chart, 1, coeffs), n
+
+
+@given(contact_candidates())
+@settings(max_examples=200, deadline=None)
+def test_contact_check_matches_the_full_chain_reference(case):
+    theta, n = case
+    assert_same_contact(
+        contact_check(theta, n), reference_contact_check(theta, n, DEFAULT_ZERO_CONFIG)
+    )
+
+
+@st.composite
+def pullback_cases(draw):
+    """A smooth map from a 1- to 4-dimensional chart onto a 1- to
+    7-dimensional one, whose components each contain a drawn few source
+    coordinates (none for a constant), and a form of degree 0-3 on a few
+    index tuples of the target with coefficients in its coordinates."""
+    src = XS[draw(st.integers(1, 4))]
+    dst = YS[draw(st.integers(1, 7))]
+    comps = {}
+    for name in dst.coords:
+        names = draw(st.lists(st.sampled_from(src.coords), max_size=2, unique=True))
+        comps[name] = draw(coefficients(src, names, positive=True))
+    degree = draw(st.integers(0, min(3, dst.dimension)))
+    combos = list(itertools.combinations(range(dst.dimension), degree))
+    coeffs = {}
+    for idx in draw(st.lists(st.sampled_from(combos), min_size=1, max_size=4, unique=True)):
+        names = draw(st.lists(st.sampled_from(dst.coords), max_size=2, unique=True))
+        coeffs[idx] = draw(coefficients(dst, names, max_terms=1))
+    return SmoothMap(src, dst, comps), Form(dst, degree, coeffs)
+
+
+@given(pullback_cases())
+@settings(max_examples=200, deadline=None)
+def test_pullback_matches_the_every_partial_reference(case):
+    f, a = case
+    assert_same_form(pullback(f, a), reference_pullback(f, a))

@@ -6,8 +6,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropykit.expr import Chart, Expr, parse
-from entropykit.forms import Confidence, ContactStatus, Form, SymmetryStatus
+from _oracles import (
+    assert_same_contact,
+    assert_same_form,
+    reference_contact_check,
+    reference_first_law_form,
+    reference_pullback,
+)
+from entropykit.expr import DEFAULT_ZERO_CONFIG, Chart, Expr, parse
+from entropykit.forms import Confidence, ContactStatus, Form, SymmetryStatus, contact_check
 from entropykit.thermo import (
     AdiabaticStatus,
     LegendreSpec,
@@ -85,6 +92,66 @@ def test_first_law_form_with_chemical_potential():
     from entropykit.forms import contact_check
 
     assert contact_check(theta, 3).contact
+
+
+@st.composite
+def thermo_cases(draw):
+    """A chart of 1-5 (P_i, X_i, ±1) pairs, a potential on its extensive
+    coordinates, and a nonempty set of pairs to swap."""
+    n = draw(st.integers(1, 5))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    heat = draw(st.sampled_from([None, *range(n)]))
+    tc = ThermoChart(
+        "U", tuple((f"P{i}", f"X{i}", s) for i, s in enumerate(signs)), ("N",), heat
+    )
+    xs = tc.extensives
+    atoms = ["{a}^2*{b}", "exp({a}/N)", "ln({a})*{b}", "({a} + {b})^(1/2)", "N*{a}^(-2/3)"]
+    potential = " + ".join(
+        draw(st.sampled_from(atoms)).format(a=draw(st.sampled_from(xs)), b=draw(st.sampled_from(xs)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    swap = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return tc, parse(potential, tc.base_chart), sorted(swap)
+
+
+@given(thermo_cases())
+@settings(max_examples=150, deadline=None)
+def test_first_law_form_matches_the_chained_reference(case):
+    # θ built in one step is the chained θ, in the same order; so are the
+    # contact verdict on it, the Legendre residual Φ*θ and a transform's θ̃
+    # and its contact verdict
+    tc, potential, swap = case
+    theta, want = first_law_form(tc), reference_first_law_form(tc)
+    assert_same_form(theta, want)
+    reference = reference_contact_check(want, tc.n, DEFAULT_ZERO_CONFIG)
+    assert_same_contact(contact_check(theta, tc.n), reference)
+    transformed = legendre_transform(tc, swap)
+    want_new = reference_first_law_form(transformed.chart)
+    assert_same_form(transformed.form, want_new)
+    reference = reference_contact_check(want_new, tc.n, DEFAULT_ZERO_CONFIG)
+    assert_same_contact(transformed.contact, reference)
+    spec = LegendreSpec.from_potential(potential)
+    residual = check_legendre(tc, spec).residual
+    assert residual is not None
+    assert_same_form(residual, reference_pullback(spec.inclusion(tc), want))
+
+
+def test_contact_check_of_a_four_pair_first_law_form_makes_32_products(monkeypatch):
+    # no term of dθ carries dU, so the chain keeps only dU ∧ (dθ)^k: 4, 12,
+    # 12 and 4 products, where wedging every entry made 80
+    tc = ThermoChart("U", tuple((f"P{i}", f"X{i}", (-1) ** i) for i in range(4)))
+    theta = first_law_form(tc)
+    products = []
+    real_mul = Expr.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Expr, "__mul__", counting_mul)
+    result = contact_check(theta, 4)
+    assert len(products) == 32
+    assert result.contact and str(result.top_coefficient) == "24"
 
 
 def test_heat_plus_work_decomposition():
