@@ -887,8 +887,14 @@ def reference_contact_check(theta, n, config):
 
 
 def assert_same_form(got, want):
-    """The same degree and, in the same order, coefficients of the same
-    index, key and printed form; and the same printed form."""
+    """Equal forms (the same chart, degree and indexed coefficients, each
+    coefficient on the same chart) with, in the same order, coefficients of
+    the same index, key and printed form; and the same printed form."""
+    assert got == want
+    assert got.chart == want.chart
+    assert [c.chart for c in got.coeffs.values()] == [
+        c.chart for c in want.coeffs.values()
+    ]
     assert got.degree == want.degree
     assert [(i, c.key(), str(c)) for i, c in got.coeffs.items()] == [
         (i, c.key(), str(c)) for i, c in want.coeffs.items()

@@ -464,6 +464,7 @@ def test_pullback_differentiates_only_indexed_components(monkeypatch):
             want = reference_pullback(f, a)
             differentiated.clear()
             got = pullback(f, a)
+            assert got == want
             assert_same_form(got, want)
             read = {GIBBS.coords[i] for idx in a.coeffs for i in idx}
             assert {n for n, c in comps.items() if any(e is c for e in differentiated)} == read
