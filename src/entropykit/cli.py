@@ -229,12 +229,17 @@ def cmd_potential(doc: Document, settings: Settings, report: Report):
 
 
 def _path_verdicts(doc: Document, settings: Settings, verdict):
-    """(name, verdict on it) for each declared path in turn.  An error met on
-    a path, a value past the float range too, is placed at the path's line."""
+    """(name, verdict on it) for each declared path in turn.  A parameter
+    with no value is placed at the first such parameter's line, and an error
+    met on a path, a value past the float range too, at the path's line."""
     tc, spec = _thermo_parts(doc)
     _require(bool(doc.paths), "document has no [paths] section")
     missing = sorted(k for k, v in doc.param_values.items() if v is None)
-    _require(not missing, f"numeric command needs values for parameters {missing}")
+    if missing:
+        raise DocumentError(
+            f"numeric command needs values for parameters {missing}",
+            doc.path, min(doc.lines["param", k] for k in missing),
+        )
     params = dict(doc.param_values)
     for name, path in doc.paths.items():
         with at_line(doc, doc.lines["path", name], f"path {name}: "):

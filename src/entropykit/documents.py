@@ -265,6 +265,7 @@ def _parse_params(doc: Document, rows):
         else:
             key, value = body, None
         doc.param_values[_new(doc, doc.param_values, "param", key, line_no)] = value
+        doc.lines["param", key] = line_no
 
 
 def _parse_chart(doc: Document, rows, header: int):

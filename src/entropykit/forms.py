@@ -59,7 +59,8 @@ class Form:
 
     Form(...) checks every index tuple and coefficient chart.  The forms
     that arithmetic, wedge, d and contact_check's chain build from other
-    forms, and thermo.first_law_form from its chart's coordinates, come from
+    forms, thermo.first_law_form from its chart's coordinates and
+    thermo.check_legendre's residual from its spec's base chart, come from
     Form._built (through Form._summed for wedge and d), which skips those
     checks (its inputs passed them) and only drops zero coefficients.
     """

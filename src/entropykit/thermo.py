@@ -6,6 +6,11 @@ Sign convention, fixed once: θ = dX₀ − Σ σ_i P_i dX_i with the heat pair
 entering as σ = +1 (so θ = dU − TdS + pdV on the standard chart) and
 Q = σ_h P_h dX_h, W = −Σ_{i≠h} σ_i P_i dX_i, giving θ = dX₀ − Q + W.
 
+A Legendre spec is the graph Φ(X) = (E(X), X, P(X)) over the extensive
+coordinates, so `check_legendre` reads Φ*θ = Σ_i (∂E/∂X_i − σ_i P_i) dX_i
+off it: on a potential spec (P_i = σ_i ∂E/∂X_i) that is the zero form by
+construction, and on a state-equation spec one difference per pair.
+
 Every path verdict takes one leg walk, `_walk`: it checks that the path
 joins up (and, for a cycle, closes) in the chart's extensive coordinates,
 builds the one inclusion Φ of the Legendre manifold, and hands the verdict
@@ -267,6 +272,12 @@ def check_legendre(
     Potential-form specs also report the induced equations of state;
     state-equation specs are checked through the mixed-partial conditions,
     reconstructing X₀ when they pass.
+
+    Φ is the graph X ↦ (E(X), X, P(X)), so the residual is read off it as
+    Φ*θ = Σ_i (∂E/∂X_i − σ_i P_i) dX_i, with no general pullback.  On a
+    potential spec P_i = σ_i ∂E/∂X_i and σ_i² = 1, so every coefficient
+    cancels term by term: the residual is the zero form by construction and
+    the verdict keeps the confidence the mixed partials gave.
     """
     eqs = spec.state_equations(tc)
     identities = _maxwell(tc, eqs, config)
@@ -285,8 +296,13 @@ def check_legendre(
         reconstructed = False
     if energy is None:
         return LegendreReport(True, confidence, eqs, None, False)
-    phi = LegendreSpec.from_state_equations(eqs, energy=energy).inclusion(tc)
-    residual = pullback(phi, first_law_form(tc))
+    base = tc.base_chart
+    if spec.equations is None:
+        residual = Form.zero(base, 1)
+    else:
+        residual = Form._built(base, 1, {
+            (base.index(x),): energy.diff(x) - eqs[p] * s for p, x, s in tc.pairs
+        })
     witness, confidence = first_nonzero(residual.items(), config, confidence)
     return LegendreReport(
         witness is None, confidence, eqs, energy, reconstructed, residual=residual

@@ -956,7 +956,7 @@ def test_one_line_mutations_of_the_corpus_exit_cleanly(monkeypatch):
 # Errors about something a document lacks, which no line declares, and the
 # transform's `no pair named`, whose text the golden batch files pin.
 UNLOCATED = ("document has no ", "document declares no ", "no map named ", "landauer needs ",
-             "numeric command needs values ", "no pair named ")
+             "no pair named ")
 
 
 def test_every_error_of_a_one_word_change_names_its_line(monkeypatch):
@@ -1891,6 +1891,29 @@ def test_carriage_returns_keep_the_line_numbers(tmp_path, ending):
     doc = tmp_path / "ends.doc"
     doc.write_bytes(text.replace("\n", ending).encode())
     assert run_cli("maxwell", str(doc)) == (2, f"error: {doc}:{line}: unknown section [spex]\n")
+
+
+@pytest.mark.parametrize("command", ["path", "cycle-audit"])
+@pytest.mark.parametrize("unset, message", [
+    (["N"], "['N']"),
+    (["R", "N"], "['N', 'R']"),
+])
+def test_a_parameter_with_no_value_stops_a_numeric_command_at_its_line(
+    tmp_path, command, unset, message
+):
+    # the error names the first such parameter's line, here N = 1's
+    text = (CORPUS / "ideal_gas.doc").read_text()
+    for name in unset:
+        text = text.replace(f"\n{name} = 1\n", f"\n{name}\n")
+    doc = tmp_path / "gas.doc"
+    doc.write_text(text)
+    want = f"{doc}:3: numeric command needs values for parameters {message}"
+    assert run_cli(command, str(doc)) == (2, f"error: {want}\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{command} gas.doc 2\nmaxwell gas.doc 0\n")
+    code, out = run_cli("batch", str(manifest))
+    assert code == 0 and out.count("\nmatched: yes") == 2
+    assert f"check: error\nmessage: {want}\n" in out
 
 
 @pytest.mark.parametrize("command, coords, form, message", [

@@ -13,6 +13,8 @@ from _oracles import (
     reference_first_law_form,
     reference_pullback,
 )
+from entropykit import forms, thermo
+from entropykit.documents import load_document
 from entropykit.expr import DEFAULT_ZERO_CONFIG, Chart, Expr, parse
 from entropykit.forms import Confidence, ContactStatus, Form, SymmetryStatus, contact_check
 from entropykit.thermo import (
@@ -34,6 +36,7 @@ from entropykit.thermo import (
     work_form,
 )
 
+CORPUS = Path(__file__).resolve().parent.parent / "docs" / "corpus"
 STD = ThermoChart("U", (("T", "S", 1), ("p", "V", -1)), params=("N", "R"), heat=0)
 PARAMS = {"N": F(1), "R": F(1)}
 
@@ -118,9 +121,10 @@ def thermo_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_first_law_form_matches_the_chained_reference(case):
     # θ built in one step is the chained θ, in the same order; so are the
-    # contact verdict on it, the Legendre residual Φ*θ and a transform's θ̃
-    # and its contact verdict
-    tc, potential, swap = case
+    # contact verdict on it and a transform's θ̃ and its contact verdict
+    # (test_legendre_residual_matches_the_pullback_reference draws these
+    # cases for the Legendre residual Φ*θ)
+    tc, _, swap = case
     theta, want = first_law_form(tc), reference_first_law_form(tc)
     assert_same_form(theta, want)
     reference = reference_contact_check(want, tc.n, DEFAULT_ZERO_CONFIG)
@@ -130,10 +134,6 @@ def test_first_law_form_matches_the_chained_reference(case):
     assert_same_form(transformed.form, want_new)
     reference = reference_contact_check(want_new, tc.n, DEFAULT_ZERO_CONFIG)
     assert_same_contact(transformed.contact, reference)
-    spec = LegendreSpec.from_potential(potential)
-    residual = check_legendre(tc, spec).residual
-    assert residual is not None
-    assert_same_form(residual, reference_pullback(spec.inclusion(tc), want))
 
 
 def test_contact_check_of_a_four_pair_first_law_form_makes_32_products(monkeypatch):
@@ -270,6 +270,70 @@ def test_check_legendre_certain_failures_are_certain_and_in_pair_order():
         ("OK", Confidence.SAMPLED),
         ("FAIL", Confidence.CERTAIN),
     ]
+
+
+def assert_residual_is_the_pullback(tc, spec):
+    """check_legendre's residual, read off the graph, is Φ*θ pulled back
+    with every partial along the inclusion of its equations and energy."""
+    report = check_legendre(tc, spec)
+    if report.energy is None:  # a Maxwell failure, or no energy to rebuild
+        assert report.residual is None
+        return report
+    phi = LegendreSpec.from_state_equations(
+        report.equations_of_state, energy=report.energy
+    ).inclusion(tc)
+    assert_same_form(report.residual, reference_pullback(phi, reference_first_law_form(tc)))
+    return report
+
+
+@given(thermo_cases())
+@settings(max_examples=150, deadline=None)
+def test_legendre_residual_matches_the_pullback_reference(case):
+    # each potential spec three ways: as a potential (the reference is then
+    # the zero form), as its state equations with X₀ rebuilt, and as its
+    # state equations with the potential given
+    tc, potential, _ = case
+    report = assert_residual_is_the_pullback(tc, LegendreSpec.from_potential(potential))
+    assert report.ok and report.residual == Form.zero(tc.base_chart, 1)
+    eqs = report.equations_of_state
+    assert_residual_is_the_pullback(tc, LegendreSpec.from_state_equations(eqs))
+    given_energy = LegendreSpec.from_state_equations(eqs, energy=potential)
+    assert assert_residual_is_the_pullback(tc, given_energy).ok
+
+
+def test_legendre_residual_of_fixed_specs_matches_the_pullback_reference():
+    doc = load_document(str(CORPUS / "ideal_gas_entropy.doc"))
+    assert assert_residual_is_the_pullback(doc.thermo_chart, doc.spec).reconstructed
+    assert assert_residual_is_the_pullback(STD, SAMPLED_SPEC).confidence is Confidence.SAMPLED
+    # a given energy that is not the potential leaves a nonzero residual
+    wrong = LegendreSpec.from_state_equations(
+        SAMPLED_SPEC.equations, energy=parse("S*V + S", STD.base_chart)
+    )
+    assert not assert_residual_is_the_pullback(STD, wrong).ok
+
+
+def test_check_legendre_on_a_potential_spec_pulls_nothing_back(monkeypatch):
+    # the residual of a potential spec is zero by construction: no θ is
+    # built and nothing is pulled back
+    tc = ThermoChart("U", (("T", "S", 1), ("p", "V", -1), ("mu", "M", -1)), ("N",), 0)
+    spec = LegendreSpec.from_potential(parse("S^2*V + N*M*ln(V) + S*M^3", tc.base_chart))
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(forms, "pullback", counting("pullback", forms.pullback))
+    monkeypatch.setattr(thermo, "pullback", counting("pullback", thermo.pullback))
+    monkeypatch.setattr(
+        thermo, "first_law_form", counting("first_law_form", thermo.first_law_form)
+    )
+    report = check_legendre(tc, spec)
+    assert calls == []
+    assert report.ok and report.confidence is Confidence.CERTAIN
+    assert report.residual == Form.zero(tc.base_chart, 1)
 
 # -- Maxwell relations ---------------------------------------------------------------
 
