@@ -50,13 +50,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .expr import Expr, ExprError, InputError
+from .expr import Expr, ExprError, InputError, record
 
 
 class AccessError(InputError):
@@ -69,24 +68,24 @@ class ConstructionImpossible(AccessError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
+@record
 class StateSpace:
-    label: str
-    coords: tuple[str, ...]
-    states: Mapping[str, tuple[Fraction, ...]]
-    scalable: bool = False
-
-    def __post_init__(self):
-        if not self.states:
-            raise AccessError(f"state space {self.label!r} has no states")
+    def __init__(
+        self,
+        label: str,
+        coords: tuple[str, ...],
+        states: Mapping[str, tuple[Fraction, ...]],
+        scalable: bool = False,
+    ):
+        if not states:
+            raise AccessError(f"state space {label!r} has no states")
         clean = {}
-        for name, vec in self.states.items():
+        for name, vec in states.items():
             vec = tuple(Fraction(v) for v in vec)
-            if len(vec) != len(self.coords):
+            if len(vec) != len(coords):
                 raise AccessError(f"state {name!r} has the wrong dimension")
             clean[name] = vec
-        object.__setattr__(self, "states", clean)
-        object.__setattr__(self, "coords", tuple(self.coords))
+        vars(self).update(label=label, coords=tuple(coords), states=clean, scalable=scalable)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.states)
@@ -398,10 +397,12 @@ def derived_relations(A: Accessibility, x: CompositeState, y: CompositeState) ->
     return Relation.INCOMPARABLE
 
 
-@dataclass(frozen=True)
+@record
 class CHResult:
-    total: bool
-    incomparable: tuple[tuple[CompositeState, CompositeState], ...]
+    def __init__(
+        self, total: bool, incomparable: tuple[tuple[CompositeState, CompositeState], ...]
+    ):
+        vars(self).update(total=total, incomparable=incomparable)
 
 
 def _pures(*spaces: StateSpace) -> list[CompositeState]:
@@ -446,17 +447,22 @@ class AxiomStatus(Enum):
     NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-@dataclass(frozen=True)
+@record
 class AxiomResult:
-    name: str
-    status: AxiomStatus
-    witness: Optional[tuple] = None
-    caveats: tuple[str, ...] = ()
+    def __init__(
+        self,
+        name: str,
+        status: AxiomStatus,
+        witness: Optional[tuple] = None,
+        caveats: tuple[str, ...] = (),
+    ):
+        vars(self).update(name=name, status=status, witness=witness, caveats=caveats)
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
-    results: tuple[AxiomResult, ...]
+    def __init__(self, results: tuple[AxiomResult, ...]):
+        vars(self).update(results=results)
 
     def __getitem__(self, name: str) -> AxiomResult:
         for r in self.results:
@@ -479,26 +485,30 @@ MAX_GRID_POINTS = 10_000
 MAX_EPS_STEPS = 1_000  # the smallest stability ε is 2^-MAX_EPS_STEPS
 
 
-@dataclass(frozen=True)
+@record
 class AxiomConfig:
-    lambda_grid: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2), Fraction(3))
-    eps_steps: int = 6
-    seed: int = 0
-    grid_step: Fraction = Fraction(1, 64)
-
-    def __post_init__(self):
-        if not self.lambda_grid or any(lam <= 0 for lam in self.lambda_grid):
-            listed = " ".join(str(lam) for lam in self.lambda_grid) or "nothing"
+    def __init__(
+        self,
+        lambda_grid: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2), Fraction(3)),
+        eps_steps: int = 6,
+        seed: int = 0,
+        grid_step: Fraction = Fraction(1, 64),
+    ):
+        vars(self).update(
+            lambda_grid=lambda_grid, eps_steps=eps_steps, seed=seed, grid_step=grid_step
+        )
+        if not lambda_grid or any(lam <= 0 for lam in lambda_grid):
+            listed = " ".join(str(lam) for lam in lambda_grid) or "nothing"
             raise AccessError(f"lambda_grid needs positive scales, got {listed}")
-        if self.eps_steps < 1:
-            raise AccessError(f"eps_steps must be at least 1, got {self.eps_steps}")
-        if self.eps_steps > MAX_EPS_STEPS:
-            raise AccessError(f"eps_steps must be at most {MAX_EPS_STEPS}, got {self.eps_steps}")
-        if self.grid_step <= 0:
-            raise AccessError(f"grid_step must be positive, got {self.grid_step}")
-        if self.grid_step * MAX_GRID_POINTS < 1:  # more than that many points below 1
+        if eps_steps < 1:
+            raise AccessError(f"eps_steps must be at least 1, got {eps_steps}")
+        if eps_steps > MAX_EPS_STEPS:
+            raise AccessError(f"eps_steps must be at most {MAX_EPS_STEPS}, got {eps_steps}")
+        if grid_step <= 0:
+            raise AccessError(f"grid_step must be positive, got {grid_step}")
+        if grid_step * MAX_GRID_POINTS < 1:  # more than that many points below 1
             raise AccessError(
-                f"grid_step must be at least 1/{MAX_GRID_POINTS}, got {self.grid_step}"
+                f"grid_step must be at least 1/{MAX_GRID_POINTS}, got {grid_step}"
             )
 
 
@@ -720,20 +730,22 @@ def check_axioms(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EntropyFn:
     """Per-state entropy values, extended to composites additively and
     extensively."""
 
-    space: str
-    values: Mapping[str, Fraction]
-    method: str = "rank"
-    degenerate: bool = False
-    grid_step: Optional[Fraction] = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", {n: Fraction(v) for n, v in self.values.items()}
+    def __init__(
+        self,
+        space: str,
+        values: Mapping[str, Fraction],
+        method: str = "rank",
+        degenerate: bool = False,
+        grid_step: Optional[Fraction] = None,
+    ):
+        vars(self).update(
+            space=space, values={n: Fraction(v) for n, v in values.items()}, method=method,
+            degenerate=degenerate, grid_step=grid_step,
         )
 
     def value(self, x) -> Fraction:
@@ -835,11 +847,14 @@ _ADDITIVE = AxiomResult("additivity", AxiomStatus.PASS)  # by EntropyFn.value
 _EXTENSIVE = AxiomResult("extensivity", AxiomStatus.PASS)
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
-    monotonicity: AxiomResult
-    additivity: AxiomResult
-    extensivity: AxiomResult
+    def __init__(
+        self, monotonicity: AxiomResult, additivity: AxiomResult, extensivity: AxiomResult
+    ):
+        vars(self).update(
+            monotonicity=monotonicity, additivity=additivity, extensivity=extensivity
+        )
 
     @property
     def ok(self) -> bool:
@@ -891,13 +906,12 @@ def verify_entropy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Constraint:
     """Σ coeffs·vars + const ≤ 0 on integer coefficients, remembering its origin."""
 
-    coeffs: tuple[int, ...]
-    const: int
-    provenance: frozenset[int]
+    def __init__(self, coeffs: tuple[int, ...], const: int, provenance: frozenset[int]):
+        vars(self).update(coeffs=coeffs, const=const, provenance=provenance)
 
 
 class _Infeasible(Exception):
@@ -998,11 +1012,15 @@ def _fm_solve(constraints: list[Constraint], nvars: int) -> list[Fraction]:
     return assignment
 
 
-@dataclass(frozen=True)
+@record
 class CalibrationResult:
-    ok: bool
-    coefficients: tuple[tuple[Fraction, Fraction], ...] = ()  # (a_i, B_i) per system
-    witness: tuple = ()  # conflicting cross-pair descriptions when infeasible
+    def __init__(
+        self,
+        ok: bool,
+        coefficients: tuple[tuple[Fraction, Fraction], ...] = (),  # (a_i, B_i) per system
+        witness: tuple = (),  # conflicting cross-pair descriptions when infeasible
+    ):
+        vars(self).update(ok=ok, coefficients=coefficients, witness=witness)
 
     def glued_value(self, systems, x: CompositeState) -> Fraction:
         by_label = {space.label: (i, S) for i, (space, S) in enumerate(systems)}

@@ -33,7 +33,6 @@ reach.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
@@ -69,7 +68,6 @@ class at_line:
             raise DocumentError(self.prefix + str(err), self.doc.path, self.line) from None
 
 
-@dataclass
 class Document:
     """A parsed system document, read-only once ``parse_document`` returns:
     ``batch`` shares one Document among the entries that name its path, so
@@ -77,22 +75,23 @@ class Document:
     only pure answers (``EntropyOracle``'s totals, ``ThermoChart``'s
     charts), which no later reader can tell from a fresh parse."""
 
-    path: str = "<doc>"
-    chart: Optional[Chart] = None
-    thermo_chart: Optional[ThermoChart] = None
-    param_values: dict = field(default_factory=dict)
-    spec: Optional[LegendreSpec] = None
-    forms: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
-    spaces: dict = field(default_factory=dict)
-    relation: Optional[Accessibility] = None
-    entropies: dict = field(default_factory=dict)  # name -> (space label, EntropyFn)
-    posets: dict = field(default_factory=dict)  # name -> (carrier, edges)
-    maps: dict = field(default_factory=dict)  # name -> (src, dst, mapping)
-    transforms: list = field(default_factory=list)  # (swap names, new name)
-    cross: Optional[Accessibility] = None
-    config: dict = field(default_factory=dict)
-    lines: dict = field(default_factory=dict)  # (keyword, name) -> its line, as ('map', 'F')
+    def __init__(self, path: str = "<doc>"):
+        self.path = path
+        self.chart: Optional[Chart] = None
+        self.thermo_chart: Optional[ThermoChart] = None
+        self.param_values: dict = {}
+        self.spec: Optional[LegendreSpec] = None
+        self.forms: dict = {}
+        self.paths: dict = {}
+        self.spaces: dict = {}
+        self.relation: Optional[Accessibility] = None
+        self.entropies: dict = {}  # name -> (space label, EntropyFn)
+        self.posets: dict = {}  # name -> (carrier, edges)
+        self.maps: dict = {}  # name -> (src, dst, mapping)
+        self.transforms: list = []  # (swap names, new name)
+        self.cross: Optional[Accessibility] = None
+        self.config: dict = {}
+        self.lines: dict = {}  # (keyword, name) -> its line, as ('map', 'F')
 
     def expr_chart(self, line: int) -> Chart:
         if self.thermo_chart is not None:

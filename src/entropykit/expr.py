@@ -64,9 +64,9 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -114,11 +114,51 @@ def _whole(q: Rational) -> Rational:
     return q.numerator
 
 
+def record(cls):
+    """Make cls an immutable value class.  Its ``__init__`` stores each of
+    its parameters under the parameter's name (one ``vars(self).update``);
+    this adds an ``__eq__`` (same class, equal parameter values), a
+    ``__hash__`` and a ``__repr__`` over those values, in parameter order,
+    and a ``__setattr__`` and ``__delattr__`` that refuse.  A method the
+    class defines itself is kept.  The methods are closures over the names
+    read from ``__init__``'s code, so defining a record compiles nothing."""
+    code = cls.__init__.__code__
+    names = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__):
+        # a class that defines __eq__ alone has __hash__ = None
+        if vars(cls).get(method.__name__) is None:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = ("ln", "exp")
 
 
-@dataclass(frozen=True)
+@record
 class Chart:
     """Ordered coordinate names plus named positive parameters.
 
@@ -126,14 +166,10 @@ class Chart:
     monomials and the basis orientation of differential forms.
     """
 
-    coords: tuple[str, ...]
-    params: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        params = tuple(self.params)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "params", params)
+    def __init__(self, coords: tuple[str, ...], params: tuple[str, ...] = ()):
+        coords = tuple(coords)
+        params = tuple(params)
+        vars(self).update(coords=coords, params=params)
         seen = set()
         for name in coords + params:
             if not _IDENT_RE.match(name):
@@ -143,6 +179,13 @@ class Chart:
             if name in seen:
                 raise ExprError(f"duplicate name {name!r}")
             seen.add(name)
+
+    def __eq__(self, other):
+        if self is other:  # most comparisons are of one chart with itself
+            return True
+        if other.__class__ is Chart:
+            return self.coords == other.coords and self.params == other.params
+        return NotImplemented
 
     @property
     def dimension(self) -> int:
@@ -174,17 +217,19 @@ class Chart:
         return self.const(1)
 
 
-@dataclass(frozen=True)
+@record
 class _Ln:
-    arg: "Expr"
+    def __init__(self, arg: Expr):
+        vars(self).update(arg=arg)
 
 
-@dataclass(frozen=True)
+@record
 class _Exp:
-    arg: "Expr"
+    def __init__(self, arg: Expr):
+        vars(self).update(arg=arg)
 
 
-@dataclass(frozen=True)
+@record
 class _Pow:
     """Opaque power base: a multi-term (or irreducible constant) expression.
 
@@ -192,7 +237,8 @@ class _Pow:
     by exponent addition.
     """
 
-    base: "Expr"
+    def __init__(self, base: Expr):
+        vars(self).update(base=base)
 
 
 _Base = Union[str, _Ln, _Exp, _Pow]
@@ -1082,17 +1128,21 @@ class ZeroVerdict(Enum):
         return self is not ZeroVerdict.PROBABLY_ZERO
 
 
-@dataclass(frozen=True)
-class ZeroTestConfig:
-    samples: int = 16
-    tol: float = 1e-9
-    seed: int = 0
+MAX_SAMPLES = 10_000  # the most points a zero test draws
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ExprError(f"samples must be at least 1, got {self.samples}")
-        if not self.tol >= 0:  # also refuses nan, which no sample would exceed
-            raise ExprError(f"tol must be non-negative, got {self.tol}")
+
+@record
+class ZeroTestConfig:
+    def __init__(self, samples: int = 16, tol: float = 1e-9, seed: int = 0):
+        vars(self).update(samples=samples, tol=tol, seed=seed)
+        if samples < 1:
+            raise ExprError(f"samples must be at least 1, got {samples}")
+        if samples > MAX_SAMPLES:
+            raise ExprError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+        if not tol >= 0:  # also refuses nan, which no sample would exceed
+            raise ExprError(f"tol must be non-negative, got {tol}")
+        if tol == math.inf:  # which every sample would pass
+            raise ExprError(f"tol must be finite, got {tol}")
 
 
 # bounds of the zero tests' sample points and of their domain-error redraws
@@ -1104,11 +1154,12 @@ MAX_RETRIES = 100
 DEFAULT_ZERO_CONFIG = ZeroTestConfig()
 
 
-@dataclass(frozen=True)
+@record
 class ZeroResult:
-    verdict: ZeroVerdict
-    witness: Optional[dict] = None
-    value: Optional[float] = None
+    def __init__(
+        self, verdict: ZeroVerdict, witness: Optional[dict] = None, value: Optional[float] = None
+    ):
+        vars(self).update(verdict=verdict, witness=witness, value=value)
 
     @property
     def zero(self) -> bool:

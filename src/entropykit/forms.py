@@ -20,7 +20,6 @@ vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -33,6 +32,7 @@ from .expr import (
     ZeroTestConfig,
     DEFAULT_ZERO_CONFIG,
     first_nonzero,
+    record,
     sample_values,
 )
 
@@ -237,23 +237,19 @@ class Form:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
+@record
 class SmoothMap:
     """Map between charts given by one source-chart expression per target
     coordinate; parameters pass through by name."""
 
-    source: Chart
-    target: Chart
-    components: Mapping[str, Expr]
-
-    def __post_init__(self):
-        comps = dict(self.components)
-        if set(comps) != set(self.target.coords):
+    def __init__(self, source: Chart, target: Chart, components: Mapping[str, Expr]):
+        comps = dict(components)
+        vars(self).update(source=source, target=target, components=comps)
+        if set(comps) != set(target.coords):
             raise ExprError("smooth map must define every target coordinate")
         for name, e in comps.items():
-            if e.chart != self.source:
+            if e.chart != source:
                 raise ExprError(f"component for {name!r} is not on the source chart")
-        object.__setattr__(self, "components", comps)
 
     def __call__(self, name: str) -> Expr:
         return self.components[name]
@@ -294,12 +290,18 @@ class FrobeniusStatus(Enum):
     NOT_INTEGRABLE = "NOT_INTEGRABLE"
 
 
-@dataclass(frozen=True)
+@record
 class FrobeniusResult:
-    status: FrobeniusStatus
-    confidence: Confidence
-    obstruction: Form  # q ∧ dq
-    witness: Optional[tuple[tuple[int, ...], Expr]] = None
+    def __init__(
+        self,
+        status: FrobeniusStatus,
+        confidence: Confidence,
+        obstruction: Form,  # q ∧ dq
+        witness: Optional[tuple[tuple[int, ...], Expr]] = None,
+    ):
+        vars(self).update(
+            status=status, confidence=confidence, obstruction=obstruction, witness=witness
+        )
 
     @property
     def integrable(self) -> bool:
@@ -322,12 +324,19 @@ class ContactStatus(Enum):
     DEGENERATE = "DEGENERATE"
 
 
-@dataclass(frozen=True)
+@record
 class ContactResult:
-    status: ContactStatus
-    confidence: Confidence
-    top_coefficient: Expr
-    witness: Optional[dict] = None
+    def __init__(
+        self,
+        status: ContactStatus,
+        confidence: Confidence,
+        top_coefficient: Expr,
+        witness: Optional[dict] = None,
+    ):
+        vars(self).update(
+            status=status, confidence=confidence, top_coefficient=top_coefficient,
+            witness=witness,
+        )
 
     @property
     def contact(self) -> bool:
@@ -388,12 +397,18 @@ class FactorStatus(Enum):
     SINGULAR_FACTOR = "SINGULAR_FACTOR"
 
 
-@dataclass(frozen=True)
+@record
 class IntegratingFactorResult:
-    status: FactorStatus
-    confidence: Confidence
-    residual: Optional[Form] = None
-    witness: Optional[object] = None
+    def __init__(
+        self,
+        status: FactorStatus,
+        confidence: Confidence,
+        residual: Optional[Form] = None,
+        witness: Optional[object] = None,
+    ):
+        vars(self).update(
+            status=status, confidence=confidence, residual=residual, witness=witness
+        )
 
     @property
     def ok(self) -> bool:
@@ -422,12 +437,16 @@ class SymmetryStatus(Enum):
     NOT_SYMMETRY = "NOT_SYMMETRY"
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryResult:
-    status: SymmetryStatus
-    confidence: Confidence
-    factor: Optional[Expr] = None
-    witness: Optional[object] = None
+    def __init__(
+        self,
+        status: SymmetryStatus,
+        confidence: Confidence,
+        factor: Optional[Expr] = None,
+        witness: Optional[object] = None,
+    ):
+        vars(self).update(status=status, confidence=confidence, factor=factor, witness=witness)
 
     @property
     def symmetry(self) -> bool:

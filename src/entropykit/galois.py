@@ -28,11 +28,10 @@ carrier order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .access import EntropyFn, StateSpace, closure_masks, set_bits
-from .expr import InputError
+from .expr import InputError, record
 
 
 class GaloisError(InputError):
@@ -138,10 +137,14 @@ def poset_from_entropy(space: StateSpace, S: EntropyFn) -> Poset:
     return Poset(names, rel)
 
 
-@dataclass(frozen=True)
+@record
 class MonotoneResult:
-    ok: bool
-    witness: Optional[tuple] = None  # (x, y) with x ≤ y but F(x) ≰ F(y)
+    def __init__(
+        self,
+        ok: bool,
+        witness: Optional[tuple] = None,  # (x, y) with x ≤ y but F(x) ≰ F(y)
+    ):
+        vars(self).update(ok=ok, witness=witness)
 
 
 def _image(src: Poset, dst: Poset, mapping: Mapping) -> list[int]:
@@ -184,15 +187,12 @@ def check_monotone(src: Poset, dst: Poset, mapping: Mapping) -> MonotoneResult:
     return MonotoneResult(True)
 
 
-@dataclass(frozen=True)
+@record
 class MonotoneMap:
-    source: Poset
-    target: Poset
-    mapping: Mapping
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        result = check_monotone(self.source, self.target, self.mapping)
+    def __init__(self, source: Poset, target: Poset, mapping: Mapping):
+        mapping = dict(mapping)
+        vars(self).update(source=source, target=target, mapping=mapping)
+        result = check_monotone(source, target, mapping)
         if not result.ok:
             x, y = result.witness
             raise MapError(f"map is not monotone: {x!r} ≤ {y!r} is not preserved", (x, y))
@@ -201,12 +201,16 @@ class MonotoneMap:
         return self.mapping[x]
 
 
-@dataclass(frozen=True)
+@record
 class GaloisResult:
-    ok: bool
-    witness: Optional[tuple] = None  # (a, b, direction)
-    unit_ok: Optional[bool] = None  # a ≤ G(F(a))
-    counit_ok: Optional[bool] = None  # F(G(b)) ≤ b
+    def __init__(
+        self,
+        ok: bool,
+        witness: Optional[tuple] = None,  # (a, b, direction)
+        unit_ok: Optional[bool] = None,  # a ≤ G(F(a))
+        counit_ok: Optional[bool] = None,  # F(G(b)) ≤ b
+    ):
+        vars(self).update(ok=ok, witness=witness, unit_ok=unit_ok, counit_ok=counit_ok)
 
 
 def check_galois(F: MonotoneMap, G: MonotoneMap) -> GaloisResult:
@@ -234,10 +238,14 @@ def check_galois(F: MonotoneMap, G: MonotoneMap) -> GaloisResult:
     return GaloisResult(True, None, unit, counit)
 
 
-@dataclass(frozen=True)
+@record
 class AdjointResult:
-    map: Optional[MonotoneMap]
-    witness: Optional[object] = None  # element whose candidate set failed
+    def __init__(
+        self,
+        map: Optional[MonotoneMap],
+        witness: Optional[object] = None,  # element whose candidate set failed
+    ):
+        vars(self).update(map=map, witness=witness)
 
     @property
     def found(self) -> bool:
@@ -279,13 +287,20 @@ def _adjoint(source: Poset, target: Poset, candidates: list[int], masks: list[in
     return AdjointResult(MonotoneMap(source, target, mapping))
 
 
-@dataclass(frozen=True)
+@record
 class ClosureReport:
-    inflationary: bool  # a ≤ GF(a)
-    monotone: bool
-    idempotent: bool  # GF(GF(a)) ∼ GF(a)
-    kernel_deflationary: bool  # FG(b) ≤ b
-    kernel_idempotent: bool
+    def __init__(
+        self,
+        inflationary: bool,  # a ≤ GF(a)
+        monotone: bool,
+        idempotent: bool,  # GF(GF(a)) ∼ GF(a)
+        kernel_deflationary: bool,  # FG(b) ≤ b
+        kernel_idempotent: bool,
+    ):
+        vars(self).update(
+            inflationary=inflationary, monotone=monotone, idempotent=idempotent,
+            kernel_deflationary=kernel_deflationary, kernel_idempotent=kernel_idempotent,
+        )
 
     @property
     def ok(self) -> bool:
@@ -308,13 +323,17 @@ def closure_report(F: MonotoneMap, G: MonotoneMap) -> ClosureReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class LandauerReport:
-    ok: bool
-    galois: Optional[GaloisResult]
-    rows: tuple = ()  # (state, S1(state), S2(F state)) bookkeeping per state
-    witness: Optional[tuple] = None
-    stage: Optional[str] = None  # which precondition failed
+    def __init__(
+        self,
+        ok: bool,
+        galois: Optional[GaloisResult],
+        rows: tuple = (),  # (state, S1(state), S2(F state)) bookkeeping per state
+        witness: Optional[tuple] = None,
+        stage: Optional[str] = None,  # which precondition failed
+    ):
+        vars(self).update(ok=ok, galois=galois, rows=rows, witness=witness, stage=stage)
 
 
 def landauer_check(

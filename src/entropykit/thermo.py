@@ -22,7 +22,6 @@ same bits as scipy.integrate.quad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +37,7 @@ from .expr import (
     DEFAULT_ZERO_CONFIG,
     first_nonzero,
     ln,
+    record,
 )
 from .forms import (
     ContactResult,
@@ -58,7 +58,7 @@ class ThermoError(InputError):
 T_CHART_NAME = "t"
 
 
-@dataclass(frozen=True)
+@record
 class ThermoChart:
     """Energy coordinate plus (intensive, extensive, sign) pairs.
 
@@ -66,20 +66,21 @@ class ThermoChart:
     standard chart); None means no heat bookkeeping is available.
     """
 
-    energy: str
-    pairs: tuple[tuple[str, str, int], ...]
-    params: tuple[str, ...] = ()
-    heat: Optional[int] = 0
-
-    def __post_init__(self):
-        pairs = tuple((p, x, int(s)) for p, x, s in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(
+        self,
+        energy: str,
+        pairs: tuple[tuple[str, str, int], ...],
+        params: tuple[str, ...] = (),
+        heat: Optional[int] = 0,
+    ):
+        pairs = tuple((p, x, int(s)) for p, x, s in pairs)
+        vars(self).update(energy=energy, pairs=pairs, params=params, heat=heat)
         if not pairs:
             raise ThermoError("a thermodynamic chart needs at least one pair")
         for _, _, s in pairs:
             if s not in (1, -1):
                 raise ThermoError("pair signs must be +1 or -1")
-        if self.heat is not None and not 0 <= self.heat < len(pairs):
+        if heat is not None and not 0 <= heat < len(pairs):
             raise ThermoError("heat pair index out of range")
         # Chart() validates uniqueness of all 2n+1 names.
         self.chart
@@ -143,20 +144,20 @@ def work_form(tc: ThermoChart) -> Form:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LegendreSpec:
     """Candidate submanifold: either the potential X₀ as a function of the
     extensive coordinates, or one expression per intensive coordinate
     (optionally plus X₀)."""
 
-    potential: Optional[Expr] = None
-    equations: Optional[Mapping[str, Expr]] = None
-
-    def __post_init__(self):
-        if self.potential is None and self.equations is None:
+    def __init__(
+        self, potential: Optional[Expr] = None, equations: Optional[Mapping[str, Expr]] = None
+    ):
+        if equations is not None:
+            equations = dict(equations)
+        vars(self).update(potential=potential, equations=equations)
+        if potential is None and equations is None:
             raise ThermoError("spec needs a potential or state equations")
-        if self.equations is not None:
-            object.__setattr__(self, "equations", dict(self.equations))
 
     @classmethod
     def from_potential(cls, e: Expr) -> "LegendreSpec":
@@ -251,15 +252,22 @@ def _reconstruct_energy(tc: ThermoChart, eqs: Mapping[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LegendreReport:
-    ok: bool
-    confidence: Confidence
-    equations_of_state: dict[str, Expr]
-    energy: Optional[Expr]
-    reconstructed: bool
-    failures: tuple = ()  # ((P_i, X_j, P_j, X_i, residual), ...)
-    residual: Optional[Form] = None
+    def __init__(
+        self,
+        ok: bool,
+        confidence: Confidence,
+        equations_of_state: dict[str, Expr],
+        energy: Optional[Expr],
+        reconstructed: bool,
+        failures: tuple = (),  # ((P_i, X_j, P_j, X_i, residual), ...)
+        residual: Optional[Form] = None,
+    ):
+        vars(self).update(
+            ok=ok, confidence=confidence, equations_of_state=equations_of_state,
+            energy=energy, reconstructed=reconstructed, failures=failures, residual=residual,
+        )
 
 
 def check_legendre(
@@ -309,14 +317,21 @@ def check_legendre(
     )
 
 
-@dataclass(frozen=True)
+@record
 class MaxwellIdentity:
-    lhs: tuple[str, str]  # (P_i, X_j)
-    sign: int  # ∂P_i/∂X_j = sign · ∂P_j/∂X_i
-    rhs: tuple[str, str]
-    residual: Optional[Expr] = None
-    verdict: Optional[str] = None  # "OK" | "FAIL" | None when no spec given
-    confidence: Optional[Confidence] = None
+    def __init__(
+        self,
+        lhs: tuple[str, str],  # (P_i, X_j)
+        sign: int,  # ∂P_i/∂X_j = sign · ∂P_j/∂X_i
+        rhs: tuple[str, str],
+        residual: Optional[Expr] = None,
+        verdict: Optional[str] = None,  # "OK" | "FAIL" | None when no spec given
+        confidence: Optional[Confidence] = None,
+    ):
+        vars(self).update(
+            lhs=lhs, sign=sign, rhs=rhs, residual=residual, verdict=verdict,
+            confidence=confidence,
+        )
 
     @property
     def text(self) -> str:
@@ -361,15 +376,22 @@ def _maxwell(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LegendreTransformResult:
-    chart: ThermoChart
-    potential_name: str
-    potential: Expr  # template over the original full chart
-    form: Form  # θ̃ on the transformed chart
-    map: SmoothMap  # contact symmetry on the original chart
-    symmetry: SymmetryResult
-    contact: ContactResult
+    def __init__(
+        self,
+        chart: ThermoChart,
+        potential_name: str,
+        potential: Expr,  # template over the original full chart
+        form: Form,  # θ̃ on the transformed chart
+        map: SmoothMap,  # contact symmetry on the original chart
+        symmetry: SymmetryResult,
+        contact: ContactResult,
+    ):
+        vars(self).update(
+            chart=chart, potential_name=potential_name, potential=potential, form=form,
+            map=map, symmetry=symmetry, contact=contact,
+        )
 
 
 def legendre_transform(
@@ -435,29 +457,28 @@ def legendre_transform(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PathSegment:
     """One smooth leg t ∈ [0,1] → extensive coordinates."""
 
-    components: Mapping[str, Expr]
-    claim: Optional[str] = None  # e.g. "adiabatic" for audited claims
+    def __init__(
+        self,
+        components: Mapping[str, Expr],
+        claim: Optional[str] = None,  # e.g. "adiabatic" for audited claims
+    ):
+        vars(self).update(components=dict(components), claim=claim)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", dict(self.components))
 
-
-@dataclass(frozen=True)
+@record
 class ProcessPath:
-    base_chart: Chart
-    segments: tuple[PathSegment, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
+    def __init__(self, base_chart: Chart, segments: tuple[PathSegment, ...]):
+        segments = tuple(segments)
+        vars(self).update(base_chart=base_chart, segments=segments)
+        if not segments:
             raise ThermoError("a process path needs at least one segment")
         tchart = self.t_chart
-        for seg in self.segments:
-            if set(seg.components) != set(self.base_chart.coords):
+        for seg in segments:
+            if set(seg.components) != set(base_chart.coords):
                 raise ThermoError("segment must define every extensive coordinate")
             for e in seg.components.values():
                 if e.chart != tchart:
@@ -502,10 +523,10 @@ class ProcessPath:
         return PathSegment(comps)
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureConfig:
-    sample_tol: float = 1e-9
-    balance_tol: float = 1e-8
+    def __init__(self, sample_tol: float = 1e-9, balance_tol: float = 1e-8):
+        vars(self).update(sample_tol=sample_tol, balance_tol=balance_tol)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -522,10 +543,10 @@ class QuadratureError(ThermoError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PathIntegral:
-    value: float
-    error: float
+    def __init__(self, value: float, error: float):
+        vars(self).update(value=value, error=error)
 
 
 def _leg_coefficient(
@@ -622,13 +643,16 @@ def path_integral(
     return _integral(legs, form)
 
 
-@dataclass(frozen=True)
+@record
 class FirstLawBalance:
-    delta_energy: float
-    delta_heat: float
-    delta_work: float
-    residual: float
-    ok: bool
+    def __init__(
+        self, delta_energy: float, delta_heat: float, delta_work: float, residual: float,
+        ok: bool,
+    ):
+        vars(self).update(
+            delta_energy=delta_energy, delta_heat=delta_heat, delta_work=delta_work,
+            residual=residual, ok=ok,
+        )
 
 
 def first_law_balance(
@@ -663,12 +687,15 @@ def _sampler(coeff, t0: float):
     return lambda t: value
 
 
-@dataclass(frozen=True)
+@record
 class LegAudit:
-    index: int
-    claim: Optional[str]
-    max_abs_heat: float
-    sampled_adiabatic: bool
+    def __init__(
+        self, index: int, claim: Optional[str], max_abs_heat: float, sampled_adiabatic: bool
+    ):
+        vars(self).update(
+            index=index, claim=claim, max_abs_heat=max_abs_heat,
+            sampled_adiabatic=sampled_adiabatic,
+        )
 
     @property
     def claim_honored(self) -> Optional[bool]:
@@ -677,15 +704,22 @@ class LegAudit:
         return self.sampled_adiabatic
 
 
-@dataclass(frozen=True)
+@record
 class CycleAuditReport:
-    heat: float
-    work: float
-    balance_residual: float
-    balance_ok: bool
-    kelvin_violation: bool
-    heat_sample_min: float
-    legs: tuple[LegAudit, ...]
+    def __init__(
+        self,
+        heat: float,
+        work: float,
+        balance_residual: float,
+        balance_ok: bool,
+        kelvin_violation: bool,
+        heat_sample_min: float,
+        legs: tuple[LegAudit, ...],
+    ):
+        vars(self).update(
+            heat=heat, work=work, balance_residual=balance_residual, balance_ok=balance_ok,
+            kelvin_violation=kelvin_violation, heat_sample_min=heat_sample_min, legs=legs,
+        )
 
 
 def cycle_audit(
@@ -730,15 +764,23 @@ class AdiabaticStatus(Enum):
     S_NONMONOTONE = "S_NONMONOTONE"
 
 
-@dataclass(frozen=True)
+@record
 class AdiabaticReport:
-    status: AdiabaticStatus
-    max_abs_heat: float
-    entropy_drift: float  # max |S(t) - S(0)|
-    entropy_start: float
-    entropy_end: float
-    leaves_leaf: bool
-    violations: tuple = ()  # sample indices breaking monotonicity
+    def __init__(
+        self,
+        status: AdiabaticStatus,
+        max_abs_heat: float,
+        entropy_drift: float,  # max |S(t) - S(0)|
+        entropy_start: float,
+        entropy_end: float,
+        leaves_leaf: bool,
+        violations: tuple = (),  # sample indices breaking monotonicity
+    ):
+        vars(self).update(
+            status=status, max_abs_heat=max_abs_heat, entropy_drift=entropy_drift,
+            entropy_start=entropy_start, entropy_end=entropy_end, leaves_leaf=leaves_leaf,
+            violations=violations,
+        )
 
 
 def adiabatic_entropy_check(

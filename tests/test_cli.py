@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import io
 import os
@@ -16,7 +15,8 @@ import entropykit
 from entropykit import thermo
 from entropykit.cli import COMMANDS, Report, _error_message, build_parser, run
 from entropykit.documents import DocumentError, load_document, parse_document
-from entropykit.forms import Confidence
+from entropykit.expr import MAX_SAMPLES
+from entropykit.forms import Confidence, ContactResult, SymmetryResult
 from entropykit.galois import GaloisError
 
 CORPUS = Path(__file__).resolve().parent.parent / "docs" / "corpus"
@@ -175,7 +175,8 @@ def test_exit_two_on_parse_error():
     "bad",
     ["eps_steps = six", "tol = tiny", "eps_steps = 0", "lambda_grid = 0 1",
      "lambda_grid = 1/2 -2", "samples = 0", "tol = -1", "margin = -1", "margin = 0",
-     "seed = 7", "tol = nan", "eps_steps = 1001", "lambda_grid = 1/0"],
+     "seed = 7", "tol = nan", "eps_steps = 1001", "lambda_grid = 1/0", "samples = 10001",
+     "tol = inf"],
 )
 def test_exit_two_on_bad_config_number_names_file_and_line(tmp_path, bad):
     doc = tmp_path / "bad_config.doc"
@@ -316,6 +317,7 @@ def test_entropy_verify_does_not_depend_on_the_seed(doc):
         (("--lambda-grid", "0,1"), "lambda_grid needs positive scales, got 0 1"),
         (("--tol", "-1"), "tol must be non-negative, got -1.0"),
         (("--tol", "nan"), "tol must be non-negative, got nan"),
+        (("--tol", "inf"), "tol must be finite, got inf"),
         # argparse's usage errors, on stderr
         (("--lambda-grid", "1/0"), "argument --lambda-grid: invalid lambda_grid value: '1/0'"),
         (("--lambda-grid", ""), "argument --lambda-grid: invalid lambda_grid value: ''"),
@@ -1067,6 +1069,34 @@ def fresh_cli(*argv, memory=2**30, timeout=30):
     return done.returncode, done.stdout
 
 
+@pytest.mark.parametrize("samples, code", [(10**8, 2), (MAX_SAMPLES, 3)])
+def test_sample_count_is_bounded_at_its_config_line(tmp_path, samples, code):
+    # every point of this document's residual is drawn: 10^8 samples once ran
+    # past a 20 s timeout
+    text = (CORPUS / "sampled_maxwell.doc").read_text()
+    doc = tmp_path / "samples.doc"
+    doc.write_text(f"{text}\n[config]\nsamples = {samples}\n")
+    got, out = fresh_cli("maxwell", str(doc), timeout=20)
+    assert got == code
+    if code == 2:
+        line_no = len(text.splitlines()) + 3
+        assert out == (
+            f"error: {doc}:{line_no}: samples must be at most {MAX_SAMPLES}, got {samples}\n"
+        )
+    else:
+        assert "status: inconclusive" in out
+
+
+def test_infinite_tol_is_refused_at_its_config_line(tmp_path):
+    # every residual passes an infinite tolerance: kelvin_trap's unbalanced
+    # path once read status: pass, exit 0
+    text = (CORPUS / "kelvin_trap.doc").read_text()
+    doc = tmp_path / "tol.doc"
+    doc.write_text(f"{text}\n[config]\ntol = inf\n")
+    line_no = len(text.splitlines()) + 3
+    assert run_cli("path", str(doc)) == (2, f"error: {doc}:{line_no}: tol must be finite, got inf\n")
+
+
 def large_poset_document(path, kind, n=3000):
     """Posets A and B, both the same n-element pre-order, with F and G the
     identity between them.  'chain': a0 < a1 < ...; 'zigzag': the chain and
@@ -1231,6 +1261,11 @@ def importtime_modules(stderr: str) -> set:
     return set(re.findall(r"(?m)^import time:.*\| +(entropykit\S*)$", stderr))
 
 
+def importtime_names(stderr: str) -> set:
+    """Every module a ``-X importtime`` log names."""
+    return set(re.findall(r"(?m)^import time:.*\| +(\S+)$", stderr))
+
+
 def manifest_rows():
     """Each manifest entry as (command, document, expected exit)."""
     rows = [r.split("#", 1)[0].split() for r in (CORPUS / "manifest.txt").read_text().splitlines()]
@@ -1261,6 +1296,14 @@ def test_cold_command_loads_only_its_layers(command, doc, expected):
     assert done.returncode == expected
     assert "Traceback" not in done.stderr
     assert importtime_modules(done.stderr) == entry_layers(command, CORPUS / doc, expected)
+    # records are built without dataclasses, which would load inspect (and
+    # with it ast, dis and tokenize)
+    assert not importtime_names(done.stderr) & {"dataclasses", "inspect"}
+
+
+def test_no_layer_uses_dataclasses():
+    src = Path(entropykit.__file__).resolve().parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "dataclass" in p.read_text()] == []
 
 
 def test_package_import_loads_no_layer_until_a_name_is_read():
@@ -1496,9 +1539,19 @@ def test_potential_is_inconclusive_when_one_check_is_sampled(monkeypatch, part):
     real = thermo.legendre_transform
 
     def transform(*args, **kwargs):
-        result = real(*args, **kwargs)
-        sampled = dataclasses.replace(getattr(result, part), confidence=Confidence.SAMPLED)
-        return dataclasses.replace(result, **{part: sampled})
+        r = real(*args, **kwargs)
+        contact, symmetry = r.contact, r.symmetry
+        if part == "contact":
+            contact = ContactResult(
+                contact.status, Confidence.SAMPLED, contact.top_coefficient, contact.witness
+            )
+        else:
+            symmetry = SymmetryResult(
+                symmetry.status, Confidence.SAMPLED, symmetry.factor, symmetry.witness
+            )
+        return thermo.LegendreTransformResult(
+            r.chart, r.potential_name, r.potential, r.form, r.map, symmetry, contact
+        )
 
     monkeypatch.setattr(thermo, "legendre_transform", transform)
     code, text = run_cli("potential", str(CORPUS / "potentials.doc"))
