@@ -208,9 +208,7 @@ def cmd_potential(doc: Document, settings: Settings, report: Report):
     _require(doc.thermo_chart is not None, "document has no thermodynamic chart")
     _require(bool(doc.transforms), "document has no [transform] section")
     for swaps, new_name in doc.transforms:
-        result = legendre_transform(
-            doc.thermo_chart, list(swaps), new_name=new_name, config=settings.zero
-        )
+        result = legendre_transform(doc.thermo_chart, list(swaps), new_name=new_name)
         idx = report.block("potential")
         report.add(idx, "name", result.potential_name)
         report.add(idx, "potential", result.potential)

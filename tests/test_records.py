@@ -284,3 +284,10 @@ def test_normalised_fields():
     assert EntropyFn("G", {"a": 1}).values == {"a": F(1)}
     assert LegendreSpec(equations=[("T", Chart(("S",)).var("S"))]).equations.keys() == {"T"}
     assert MonotoneMap(Poset("a", []), Poset("a", []), [("a", "a")]).mapping == {"a": "a"}
+
+
+def test_a_thermo_chart_equals_and_hashes_alike_whatever_sequence_holds_its_params():
+    as_list = ThermoChart("U", (("T", "S", 1),), ["R"])
+    as_tuple = ThermoChart("U", (("T", "S", 1),), ("R",))
+    assert as_list.params == ("R",)
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)

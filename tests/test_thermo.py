@@ -16,7 +16,14 @@ from _oracles import (
 from entropykit import forms, thermo
 from entropykit.documents import load_document
 from entropykit.expr import DEFAULT_ZERO_CONFIG, Chart, Expr, parse
-from entropykit.forms import Confidence, ContactStatus, Form, SymmetryStatus, contact_check
+from entropykit.forms import (
+    Confidence,
+    ContactStatus,
+    Form,
+    SymmetryStatus,
+    contact_check,
+    contact_symmetry_check,
+)
 from entropykit.thermo import (
     AdiabaticStatus,
     LegendreSpec,
@@ -120,20 +127,49 @@ def thermo_cases(draw):
 @given(thermo_cases())
 @settings(max_examples=150, deadline=None)
 def test_first_law_form_matches_the_chained_reference(case):
-    # θ built in one step is the chained θ, in the same order; so are the
-    # contact verdict on it and a transform's θ̃ and its contact verdict
-    # (test_legendre_residual_matches_the_pullback_reference draws these
-    # cases for the Legendre residual Φ*θ)
+    # θ built in one step is the chained θ, in the same order; so is the
+    # contact verdict on it (test_legendre_residual_matches_the_pullback_reference
+    # draws these cases for the Legendre residual Φ*θ, and
+    # test_legendre_transform_verdicts_match_the_general_checks for a
+    # transform's θ̃ and its verdicts)
     tc, _, swap = case
     theta, want = first_law_form(tc), reference_first_law_form(tc)
     assert_same_form(theta, want)
     reference = reference_contact_check(want, tc.n, DEFAULT_ZERO_CONFIG)
     assert_same_contact(contact_check(theta, tc.n), reference)
+
+
+@given(thermo_cases())
+@settings(max_examples=150, deadline=None)
+def test_legendre_transform_verdicts_match_the_general_checks(case):
+    # the symmetry and contact verdicts, built from the swap, are what the
+    # ratio test on φ*θ and the full chain θ̃ ∧ (dθ̃)^n return
+    tc, _, swap = case
     transformed = legendre_transform(tc, swap)
     want_new = reference_first_law_form(transformed.chart)
     assert_same_form(transformed.form, want_new)
     reference = reference_contact_check(want_new, tc.n, DEFAULT_ZERO_CONFIG)
     assert_same_contact(transformed.contact, reference)
+    got, want = transformed.symmetry, contact_symmetry_check(transformed.map, first_law_form(tc))
+    assert (got.status, got.confidence, got.witness) == (want.status, want.confidence, want.witness)
+    assert (got.factor.key(), str(got.factor)) == (want.factor.key(), str(want.factor))
+    assert got == want
+
+
+def test_legendre_transform_neither_pulls_back_nor_wedges(monkeypatch):
+    tc = ThermoChart("U", tuple((f"P{i}", f"X{i}", (-1) ** i) for i in range(4)), ("N",), 0)
+
+    def refuse(*args):
+        raise AssertionError("legendre_transform ran a general check")
+
+    for module, name in ((forms, "pullback"), (thermo, "pullback"),
+                         (forms, "contact_check"), (forms, "contact_symmetry_check")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Form, "wedge", refuse)
+    result = legendre_transform(tc, [0, 2, 3])
+    assert result.contact.contact and result.symmetry.symmetry
+    assert result.contact.confidence is result.symmetry.confidence is Confidence.CERTAIN
+    assert str(result.contact.top_coefficient) == "-24"
 
 
 def test_contact_check_of_a_four_pair_first_law_form_makes_32_products(monkeypatch):
