@@ -275,14 +275,15 @@ def _parse_chart(doc: Document, rows, header: int):
     heat_line = 0
     coords = None
     seen = set()  # coords, energy and heat: each given once
+    pair_names = []  # (line, (intensive, extensive))
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
         if key != "pair":
             seen.add(_new(doc, seen, "chart key", key, line_no))
         if key == "coords":
-            coords = tuple(value.split())
+            coords, coords_line = tuple(value.split()), line_no
         elif key == "energy":
-            energy = value
+            energy, energy_line = value, line_no
         elif key == "pair":
             parts = value.split()
             if len(parts) != 3 or parts[2] not in ("+", "-"):
@@ -290,12 +291,14 @@ def _parse_chart(doc: Document, rows, header: int):
                     "pair needs 'INTENSIVE EXTENSIVE +|-'", doc.path, line_no
                 )
             pairs.append((parts[0], parts[1], 1 if parts[2] == "+" else -1))
+            pair_names.append((line_no, parts[:2]))
         elif key == "heat":
             heat, heat_line = value, line_no
         else:
             raise DocumentError(f"unknown chart key {key!r}", doc.path, line_no)
     with at_line(doc, header):
         if coords is not None:
+            _refuse_reused_names(doc, params, [(coords_line, coords)])
             doc.chart = Chart(coords, params)
         elif energy is not None or pairs:
             from .thermo import ThermoChart
@@ -316,7 +319,20 @@ def _parse_chart(doc: Document, rows, header: int):
                     raise DocumentError(
                         f"heat pair {heat!r} not found", doc.path, heat_line
                     )
+            _refuse_reused_names(doc, params, pair_names + [(energy_line, (energy,))])
             doc.thermo_chart = ThermoChart(energy, tuple(pairs), params, heat=heat_idx)
+
+
+def _refuse_reused_names(doc: Document, params, rows):
+    """Exit 2 at the first of rows, (line, names declared there), that
+    reuses a param or a name of an earlier row: a chart's params come
+    first, then its coords line or its pairs, then its energy."""
+    taken = set(params)
+    for line_no, names in rows:
+        for name in names:
+            if name in taken:
+                raise DocumentError(f"duplicate name {name!r}", doc.path, line_no)
+            taken.add(name)
 
 
 CONFIG_KEYS = {  # each [config] key, with the setting of Settings it feeds

@@ -9,7 +9,11 @@ Q = σ_h P_h dX_h, W = −Σ_{i≠h} σ_i P_i dX_i, giving θ = dX₀ − Q + W.
 A Legendre spec is the graph Φ(X) = (E(X), X, P(X)) over the extensive
 coordinates, so `check_legendre` reads Φ*θ = Σ_i (∂E/∂X_i − σ_i P_i) dX_i
 off it: on a potential spec (P_i = σ_i ∂E/∂X_i) that is the zero form by
-construction, and on a state-equation spec one difference per pair.
+construction, and on a state-equation spec one difference per pair.  Its
+Maxwell identities ∂P_i/∂X_j = σ_iσ_j ∂P_j/∂X_i are, on a potential spec,
+the symmetry of E's second derivatives (Schwarz's theorem), so they hold
+with certainty and are never differentiated or zero-tested; only a
+state-equation spec's identities are computed, and only they may sample.
 
 Every path verdict takes one leg walk, `_walk`: it checks that the path
 joins up (and, for a cycle, closes) in the chart's extensive coordinates,
@@ -285,11 +289,13 @@ def check_legendre(
     Φ is the graph X ↦ (E(X), X, P(X)), so the residual is read off it as
     Φ*θ = Σ_i (∂E/∂X_i − σ_i P_i) dX_i, with no general pullback.  On a
     potential spec P_i = σ_i ∂E/∂X_i and σ_i² = 1, so every coefficient
-    cancels term by term: the residual is the zero form by construction and
-    the verdict keeps the confidence the mixed partials gave.
+    cancels term by term, and the mixed partials agree by Schwarz's theorem:
+    the residual is the zero form and the verdict is OK and CERTAIN, with
+    no second derivative taken and no zero test.  Only a state-equation
+    spec's mixed partials and residual are computed, and only they sample.
     """
     eqs = spec.state_equations(tc)
-    identities = _maxwell(tc, eqs, config)
+    identities = _maxwell(tc, spec, config)
     failures = tuple(
         i.lhs + i.rhs + (i.residual,) for i in identities if i.verdict == "FAIL"
     )
@@ -350,16 +356,22 @@ def maxwell_relations(
     """Identities forced by Φ*dθ = 0, one per basis 2-form dX_i∧dX_j.
 
     Without a spec only the identities are emitted; with one, each carries
-    an exactness verdict for the given equations of state.
+    an exactness verdict.  On a potential spec P_i = σ_i ∂X₀/∂X_i, so each
+    identity is the symmetry of X₀'s second derivatives (Schwarz's theorem):
+    it holds by construction, CERTAIN with a zero residual, and no state
+    equation is built or zero-tested.  Only state-equation specs are
+    differentiated and zero-tested, and only they may sample.
     """
-    eqs = spec.state_equations(tc) if spec is not None else None
-    return _maxwell(tc, eqs, config)
+    if spec is not None:
+        spec._validate(tc)
+    return _maxwell(tc, spec, config)
 
 
 def _maxwell(
-    tc: ThermoChart, eqs: Optional[Mapping[str, Expr]], config: ZeroTestConfig
+    tc: ThermoChart, spec: Optional[LegendreSpec], config: ZeroTestConfig
 ) -> list[MaxwellIdentity]:
-    """maxwell_relations for given (or no) equations of state, in pair order."""
+    """maxwell_relations for a validated spec (or none), in pair order."""
+    eqs = None if spec is None else spec.equations
     out = []
     for i, (pi, xi, si) in enumerate(tc.pairs):
         for pj, xj, sj in tc.pairs[i + 1 :]:
@@ -368,6 +380,8 @@ def _maxwell(
                 residual = eqs[pi].diff(xj) * si - eqs[pj].diff(xi) * sj
                 witness, confidence = first_nonzero([(None, residual)], config)
                 checked = (residual, "OK" if witness is None else "FAIL", confidence)
+            elif spec is not None:  # a potential: ∂²X₀/∂X_j∂X_i = ∂²X₀/∂X_i∂X_j
+                checked = (tc.base_chart.zero(), "OK", Confidence.CERTAIN)
             out.append(MaxwellIdentity((pi, xj), si * sj, (pj, xi), *checked))
     return out
 

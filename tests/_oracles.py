@@ -20,6 +20,7 @@ from entropykit.expr import (
     _Ln,
     _Pow,
     _Term,
+    first_nonzero,
 )
 from entropykit.forms import (
     ContactResult,
@@ -39,6 +40,7 @@ from entropykit.galois import (
     check_galois,
     check_monotone,
 )
+from entropykit.thermo import MaxwellIdentity
 
 
 def galois_partner_sets(F):
@@ -939,3 +941,37 @@ def reference_first_law_form(tc):
     for p, x, s in tc.pairs:
         theta = theta - Form.d_coord(chart, x).scale(chart.var(p) * s)
     return theta
+
+
+def reference_maxwell(tc, spec, config):
+    """maxwell_relations as it once was: with a spec, potential or not, each
+    identity builds the state equations' two mixed partials, subtracts them
+    and zero-tests the residual."""
+    eqs = spec.state_equations(tc) if spec is not None else None
+    out = []
+    for i, (pi, xi, si) in enumerate(tc.pairs):
+        for pj, xj, sj in tc.pairs[i + 1 :]:
+            checked = ()
+            if eqs is not None:
+                residual = eqs[pi].diff(xj) * si - eqs[pj].diff(xi) * sj
+                witness, confidence = first_nonzero([(None, residual)], config)
+                checked = (residual, "OK" if witness is None else "FAIL", confidence)
+            out.append(MaxwellIdentity((pi, xj), si * sj, (pj, xi), *checked))
+    return out
+
+
+def assert_same_identities(got, want):
+    """Equal Maxwell identities, field by field and in the same order, each
+    residual on the same chart with the same key and printed form."""
+    assert got == want
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.lhs, g.sign, g.rhs, g.verdict, g.confidence, g.text) == (
+            w.lhs, w.sign, w.rhs, w.verdict, w.confidence, w.text
+        )
+        if w.residual is None:
+            assert g.residual is None
+        else:
+            assert g.residual.chart == w.residual.chart
+            assert (g.residual.key(), str(g.residual)) == (w.residual.key(), str(w.residual))
+        assert str(g) == str(w)

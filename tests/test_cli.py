@@ -761,8 +761,14 @@ IDEAL_GAS_PATHS = (
          "[paths]", "paths need a thermodynamic chart"),
         ("maxwell", "carnot.doc", "energy = U\n", "", "[chart]",
          "thermo chart needs both energy and pairs"),
-        ("maxwell", "carnot.doc", "pair = p V -", "pair = T V -", "[chart]",
+        ("maxwell", "carnot.doc", "pair = p V -", "pair = T V -", "pair = T V -",
          "duplicate name 'T'"),
+        ("maxwell", "carnot.doc", "energy = U", "energy = S", "energy = S",
+         "duplicate name 'S'"),
+        ("maxwell", "carnot.doc", "pair = p V -", "pair = N V -", "pair = N V -",
+         "duplicate name 'N'"),
+        ("frobenius", None, None, "[params]\nN\n[chart]\ncoords = x N\n", "coords = x N",
+         "duplicate name 'N'"),
         ("maxwell", "carnot.doc", "heat = T", "heat = Q", "heat = Q",
          "heat pair 'Q' not found"),
         ("galois", "chains.doc", "map F : A -> B :", "map F : A -> B x :",

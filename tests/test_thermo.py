@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from _oracles import (
     assert_same_contact,
     assert_same_form,
+    assert_same_identities,
     reference_contact_check,
     reference_first_law_form,
+    reference_maxwell,
     reference_pullback,
 )
 from entropykit import forms, thermo
@@ -104,10 +106,18 @@ def test_first_law_form_with_chemical_potential():
     assert contact_check(theta, 3).contact
 
 
+ATOMS = ["{a}^2*{b}", "exp({a}/N)", "ln({a})*{b}", "({a} + {b})^(1/2)", "N*{a}^(-2/3)"]
+# products inside exp, sums inside ln and under powers, and nested roots
+WIDE_ATOMS = ATOMS + [
+    "exp({a}*{b})", "ln({a} + {b})", "({a} + {b})^(-1)", "exp({a})^2",
+    "(({a} + {b})^(1/2) + N*{b})^(1/3)",
+]
+
+
 @st.composite
-def thermo_cases(draw):
+def thermo_cases(draw, atoms=ATOMS):
     """A chart of 1-5 (P_i, X_i, ±1) pairs, a potential on its extensive
-    coordinates, and a nonempty set of pairs to swap."""
+    coordinates built from 1-3 atoms, and a nonempty set of pairs to swap."""
     n = draw(st.integers(1, 5))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
     heat = draw(st.sampled_from([None, *range(n)]))
@@ -115,7 +125,6 @@ def thermo_cases(draw):
         "U", tuple((f"P{i}", f"X{i}", s) for i, s in enumerate(signs)), ("N",), heat
     )
     xs = tc.extensives
-    atoms = ["{a}^2*{b}", "exp({a}/N)", "ln({a})*{b}", "({a} + {b})^(1/2)", "N*{a}^(-2/3)"]
     potential = " + ".join(
         draw(st.sampled_from(atoms)).format(a=draw(st.sampled_from(xs)), b=draw(st.sampled_from(xs)))
         for _ in range(draw(st.integers(1, 3)))
@@ -372,6 +381,88 @@ def test_check_legendre_on_a_potential_spec_pulls_nothing_back(monkeypatch):
     assert report.residual == Form.zero(tc.base_chart, 1)
 
 # -- Maxwell relations ---------------------------------------------------------------
+
+
+def assert_identities_are_the_reference(tc, potential):
+    """maxwell_relations on the potential spec, on its state equations, on
+    them with the first perturbed by the last extensive coordinate, and on
+    no spec, each equal to the identities differentiated twice."""
+    spec = LegendreSpec.from_potential(potential)
+    eqs = spec.state_equations(tc)
+    perturbed = dict(eqs)
+    perturbed[tc.intensives[0]] = eqs[tc.intensives[0]] + tc.base_chart.var(tc.extensives[-1])
+    specs = (
+        spec, LegendreSpec.from_state_equations(eqs),
+        LegendreSpec.from_state_equations(perturbed), None,
+    )
+    got = [maxwell_relations(tc, s) for s in specs]
+    for identities, s in zip(got, specs):
+        assert_same_identities(identities, reference_maxwell(tc, s, DEFAULT_ZERO_CONFIG))
+    return got[0]
+
+
+@given(thermo_cases(WIDE_ATOMS))
+@settings(max_examples=150, deadline=None)
+def test_maxwell_identities_match_the_twice_differentiated_reference(case):
+    # a potential spec's identities, decided by Schwarz's theorem, are what
+    # differentiating its state equations twice and zero-testing returns
+    tc, potential, _ = case
+    identities = assert_identities_are_the_reference(tc, potential)
+    assert len(identities) == tc.n * (tc.n - 1) // 2
+    assert all(
+        (i.verdict, i.confidence, i.residual) == ("OK", Confidence.CERTAIN, tc.base_chart.zero())
+        for i in identities
+    )
+
+
+def test_maxwell_identities_of_fixed_specs_match_the_twice_differentiated_reference():
+    for name, count in (("ideal_gas.doc", 1), ("three_pair.doc", 3)):
+        doc = load_document(str(CORPUS / name))
+        identities = assert_identities_are_the_reference(doc.thermo_chart, doc.spec.potential)
+        assert len(identities) == count
+    assert_same_identities(
+        maxwell_relations(STD, SAMPLED_SPEC),
+        reference_maxwell(STD, SAMPLED_SPEC, DEFAULT_ZERO_CONFIG),
+    )
+    # a spec on another chart is refused as before, though nothing is built
+    with pytest.raises(ThermoError, match="potential is not on the base chart"):
+        maxwell_relations(STD, LegendreSpec.from_potential(parse("x", Chart(("x",)))))
+    # one pair has no identity to decide
+    one_pair = ThermoChart("U", (("T", "S", 1),))
+    assert assert_identities_are_the_reference(one_pair, parse("S^3", one_pair.base_chart)) == []
+
+
+def test_maxwell_relations_on_a_potential_spec_neither_differentiates_nor_zero_tests(
+    monkeypatch,
+):
+    # the mixed partials of a potential agree by Schwarz's theorem: no state
+    # equation is built and nothing is zero-tested; check_legendre builds
+    # the n state equations it prints and takes no second derivative
+    tc = ThermoChart("U", (("T", "S", 1), ("p", "V", -1), ("mu", "M", -1)), ("N",), 0)
+    spec = LegendreSpec.from_potential(parse("S^2*V + N*M*V^(1/2) + S*M^3", tc.base_chart))
+    calls = []
+    real_diff = Expr.diff
+
+    def counting_diff(self, name):
+        calls.append(name)
+        return real_diff(self, name)
+
+    def refuse(*args):
+        raise AssertionError("maxwell_relations zero-tested a potential spec")
+
+    monkeypatch.setattr(Expr, "diff", counting_diff)
+    monkeypatch.setattr(thermo, "first_nonzero", refuse)
+    identities = maxwell_relations(tc, spec)
+    assert calls == []
+    assert [(i.lhs, i.sign, i.rhs) for i in identities] == [
+        (("T", "V"), -1, ("p", "S")), (("T", "M"), -1, ("mu", "S")), (("p", "M"), 1, ("mu", "V")),
+    ]
+    assert all((i.verdict, i.confidence) == ("OK", Confidence.CERTAIN) for i in identities)
+    monkeypatch.undo()
+    monkeypatch.setattr(Expr, "diff", counting_diff)
+    report = check_legendre(tc, spec)
+    assert calls == ["S", "V", "M"]
+    assert report.ok and report.confidence is Confidence.CERTAIN and report.failures == ()
 
 
 def test_maxwell_identity_for_generic_submanifold():
