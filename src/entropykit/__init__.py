@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "thermo": (
         "AdiabaticStatus", "LegendreSpec", "PathSegment", "ProcessPath",
-        "QuadratureConfig", "ThermoChart", "ThermoError",
+        "ThermoChart", "ThermoError",
         "adiabatic_entropy_check", "check_legendre", "cycle_audit",
         "first_law_balance", "first_law_form", "heat_form",
         "legendre_transform", "maxwell_relations", "path_integral", "work_form",

@@ -227,7 +227,8 @@ def cmd_potential(doc: Document, settings: Settings, report: Report):
 
 
 def _path_verdicts(doc: Document, settings: Settings, verdict):
-    """(name, verdict on it) for each declared path in turn.  A parameter
+    """(name, verdict on it) for each declared path in turn, the verdict
+    given the run's tol (None where no tol is given).  A parameter
     with no value is placed at the first such parameter's line, and an error
     met on a path, a value past the float range too, at the path's line."""
     tc, spec = _thermo_parts(doc)
@@ -241,7 +242,7 @@ def _path_verdicts(doc: Document, settings: Settings, verdict):
     params = dict(doc.param_values)
     for name, path in doc.paths.items():
         with at_line(doc, doc.lines["path", name], f"path {name}: "):
-            result = verdict(tc, spec, path, params, settings.quad)
+            result = verdict(tc, spec, path, params, settings.given.get("tol"))
         yield name, result
 
 

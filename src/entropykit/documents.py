@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
-from .expr import Chart, Expr, InputError, ZeroTestConfig, parse as parse_expr
+from .expr import Chart, Expr, InputError, ZeroTestConfig, check_names, parse as parse_expr
 
 if TYPE_CHECKING:
     from .access import Accessibility
@@ -269,19 +269,21 @@ def _parse_params(doc: Document, rows):
 
 def _parse_chart(doc: Document, rows, header: int):
     params = tuple(doc.param_values)
-    energy = None
+    energy = heat = coords = None
     pairs = []
-    heat: Optional[str] = ""
-    heat_line = 0
-    coords = None
     seen = set()  # coords, energy and heat: each given once
-    pair_names = []  # (line, (intensive, extensive))
+    # (line, names declared there): params first, then the coords row or
+    # each pair row in order; the energy row joins last
+    names = [(doc.lines["param", k], (k,)) for k in params]
     for line_no, body in rows:
         key, value = _key_value(body, doc.path, line_no)
         if key != "pair":
             seen.add(_new(doc, seen, "chart key", key, line_no))
         if key == "coords":
-            coords, coords_line = tuple(value.split()), line_no
+            coords = tuple(value.split())
+            if not coords:
+                raise DocumentError("coords needs at least one name", doc.path, line_no)
+            names.append((line_no, coords))
         elif key == "energy":
             energy, energy_line = value, line_no
         elif key == "pair":
@@ -291,48 +293,51 @@ def _parse_chart(doc: Document, rows, header: int):
                     "pair needs 'INTENSIVE EXTENSIVE +|-'", doc.path, line_no
                 )
             pairs.append((parts[0], parts[1], 1 if parts[2] == "+" else -1))
-            pair_names.append((line_no, parts[:2]))
+            names.append((line_no, parts[:2]))
         elif key == "heat":
+            if not value:
+                raise DocumentError("heat needs a pair's name or none", doc.path, line_no)
             heat, heat_line = value, line_no
         else:
             raise DocumentError(f"unknown chart key {key!r}", doc.path, line_no)
-    with at_line(doc, header):
-        if coords is not None:
-            _refuse_reused_names(doc, params, [(coords_line, coords)])
-            doc.chart = Chart(coords, params)
-        elif energy is not None or pairs:
-            from .thermo import ThermoChart
+        if coords is not None and (pairs or seen & {"energy", "heat"}):
+            message = "a chart takes coords or an energy and pairs, not both"
+            raise DocumentError(message, doc.path, line_no)
+    if coords is not None:
+        _check_names(doc, names)
+        doc.chart = Chart(coords, params)
+    elif energy is not None or pairs or heat is not None:
+        from .thermo import ThermoChart
 
-            if energy is None or not pairs:
+        if energy is None or not pairs:
+            raise DocumentError(
+                "thermo chart needs both energy and pairs", doc.path, header
+            )
+        if heat is None:
+            heat_idx: Optional[int] = 0
+        elif heat.lower() == "none":
+            heat_idx = None
+        else:
+            heat_idx = next(
+                (i for i, (p, x, _) in enumerate(pairs) if heat in (p, x)), -1
+            )
+            if heat_idx < 0:
                 raise DocumentError(
-                    "thermo chart needs both energy and pairs", doc.path, header
+                    f"heat pair {heat!r} not found", doc.path, heat_line
                 )
-            if heat == "":
-                heat_idx: Optional[int] = 0
-            elif heat.lower() == "none":
-                heat_idx = None
-            else:
-                heat_idx = next(
-                    (i for i, (p, x, _) in enumerate(pairs) if heat in (p, x)), -1
-                )
-                if heat_idx < 0:
-                    raise DocumentError(
-                        f"heat pair {heat!r} not found", doc.path, heat_line
-                    )
-            _refuse_reused_names(doc, params, pair_names + [(energy_line, (energy,))])
+        _check_names(doc, names + [(energy_line, (energy,))])
+        with at_line(doc, header):
             doc.thermo_chart = ThermoChart(energy, tuple(pairs), params, heat=heat_idx)
 
 
-def _refuse_reused_names(doc: Document, params, rows):
+def _check_names(doc: Document, rows):
     """Exit 2 at the first of rows, (line, names declared there), that
-    reuses a param or a name of an earlier row: a chart's params come
-    first, then its coords line or its pairs, then its energy."""
-    taken = set(params)
+    declares a name against Chart's rule: not an identifier, a function of
+    the syntax, or a name of its own or an earlier row."""
+    taken = set()
     for line_no, names in rows:
-        for name in names:
-            if name in taken:
-                raise DocumentError(f"duplicate name {name!r}", doc.path, line_no)
-            taken.add(name)
+        with at_line(doc, line_no):
+            check_names(names, taken)
 
 
 CONFIG_KEYS = {  # each [config] key, with the setting of Settings it feeds
@@ -343,10 +348,10 @@ CONFIG_KEYS = {  # each [config] key, with the setting of Settings it feeds
 
 class Settings:
     """What the checks of a run read, from the given [config] keys and
-    flags: ``zero`` (a ZeroTestConfig), ``axiom`` (an AxiomConfig), ``quad``
-    (a QuadratureConfig, whose tolerances are ``tol``) and calibrate's
-    ``margin``; a key not given keeps its default.  Each is built on its
-    first read and kept, so a run loads only the layers its checks read."""
+    flags: ``zero`` (a ZeroTestConfig), ``axiom`` (an AxiomConfig) and
+    calibrate's ``margin``; a key not given keeps its default.  Each is
+    built on its first read and kept, so a run loads only the layers its
+    checks read.  The path verdicts read a given ``tol`` from ``given``."""
 
     def __init__(self, seed: int, given: dict):
         self.seed, self.given = seed, given
@@ -377,15 +382,6 @@ class Settings:
         from .access import AxiomConfig
 
         return AxiomConfig(seed=self.seed, **self._fields("axiom"))
-
-    @cached_property
-    def quad(self):
-        from .thermo import DEFAULT_QUADRATURE, QuadratureConfig
-
-        tol = self.given.get("tol")
-        if tol is None:
-            return DEFAULT_QUADRATURE
-        return QuadratureConfig(sample_tol=tol, balance_tol=tol)
 
     @cached_property
     def margin(self) -> Fraction:

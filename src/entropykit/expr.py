@@ -158,6 +158,19 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = ("ln", "exp")
 
 
+def check_names(names, taken: set) -> None:
+    """A chart's rule for the names it declares: each an identifier, not a
+    function of the syntax, and new; each is added to taken in turn."""
+    for name in names:
+        if not _IDENT_RE.match(name):
+            raise ExprError(f"bad identifier {name!r}")
+        if name in _RESERVED:
+            raise ExprError(f"{name!r} is reserved for the function syntax")
+        if name in taken:
+            raise ExprError(f"duplicate name {name!r}")
+        taken.add(name)
+
+
 @record
 class Chart:
     """Ordered coordinate names plus named positive parameters.
@@ -170,15 +183,7 @@ class Chart:
         coords = tuple(coords)
         params = tuple(params)
         vars(self).update(coords=coords, params=params)
-        seen = set()
-        for name in coords + params:
-            if not _IDENT_RE.match(name):
-                raise ExprError(f"bad identifier {name!r}")
-            if name in _RESERVED:
-                raise ExprError(f"{name!r} is reserved for the function syntax")
-            if name in seen:
-                raise ExprError(f"duplicate name {name!r}")
-            seen.add(name)
+        check_names(coords + params, set())
 
     def __eq__(self, other):
         if self is other:  # most comparisons are of one chart with itself

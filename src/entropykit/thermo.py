@@ -16,10 +16,12 @@ with certainty and are never differentiated or zero-tested; only a
 state-equation spec's identities are computed, and only they may sample.
 
 Every path verdict takes one leg walk, `_walk`: it checks that the path
-joins up (and, for a cycle, closes) in the chart's extensive coordinates,
-builds the one inclusion Φ of the Legendre manifold, and hands the verdict
-each leg with the compiled dt-coefficient of each form pulled back along
-it.  Path integrals run `quadpack.qags`, a port of QUADPACK's QAGS
+joins up in the chart's extensive coordinates (and, for a cycle, that the
+ends this check returns meet), builds the one inclusion Φ of the Legendre
+manifold, and hands the verdict each leg with the compiled dt-coefficient
+of each form pulled back along it.  The audits compare float samples with
+SAMPLE_TOL and residuals with BALANCE_TOL; a run's tol replaces both.
+Path integrals run `quadpack.qags`, a port of QUADPACK's QAGS
 (Piessens, de Doncker-Kapenga, Überhuber and Kahaner, 1983) that gives the
 same bits as scipy.integrate.quad.
 """
@@ -527,13 +529,6 @@ class ProcessPath:
             ends += [start, self.point(seg, Fraction(1), params)]
         return ends[0], ends[-1]
 
-    def is_closed(self, params) -> bool:
-        start, end = self.check_continuity(params)
-        return all(
-            abs(float(start[n]) - float(end[n])) <= CLOSURE_TOL
-            for n in self.base_chart.coords
-        )
-
     @staticmethod
     def line(base_chart: Chart, start: Mapping, end: Mapping) -> PathSegment:
         tchart = Chart((T_CHART_NAME,), base_chart.params)
@@ -545,13 +540,11 @@ class ProcessPath:
         return PathSegment(comps)
 
 
-@record
-class QuadratureConfig:
-    def __init__(self, sample_tol: float = 1e-9, balance_tol: float = 1e-8):
-        vars(self).update(sample_tol=sample_tol, balance_tol=balance_tol)
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# the path audits' thresholds: a heat sample below SAMPLE_TOL counts as
+# zero, and a First-Law residual below BALANCE_TOL balances; a run's tol
+# replaces both
+SAMPLE_TOL = 1e-9
+BALANCE_TOL = 1e-8
 # every path quadrature's tolerances and subdivision limit (scipy.integrate.quad's)
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1.49e-8
@@ -619,12 +612,14 @@ def _integrate_segment(integrand):
 
 def _walk(tc: ThermoChart, spec: LegendreSpec, path: ProcessPath, params, cycle=False):
     """The one walk of every path verdict: check that the path joins up (and,
-    for a cycle, closes) in the chart's extensive coordinates, then build the
-    one inclusion Φ.  Returns Φ and legs(*forms), which yields each segment
-    with the compiled dt-coefficient of each form (built after the checks)."""
-    if not cycle:
-        path.check_continuity(params)
-    elif not path.is_closed(params):
+    for a cycle, that the ends check_continuity returns meet) in the chart's
+    extensive coordinates, then build the one inclusion Φ.  Returns Φ and
+    legs(*forms), which yields each segment with the compiled dt-coefficient
+    of each form (built after the checks)."""
+    start, end = path.check_continuity(params)
+    if cycle and not all(
+        abs(float(start[n]) - float(end[n])) <= CLOSURE_TOL for n in path.base_chart.coords
+    ):
         raise ThermoError("cycle_audit requires a closed path")
     if path.base_chart != tc.base_chart:
         raise ThermoError("path does not live in the chart's extensive coordinates")
@@ -682,15 +677,17 @@ def first_law_balance(
     spec: LegendreSpec,
     path: ProcessPath,
     params: Mapping[str, Fraction],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: Optional[float] = None,
 ) -> FirstLawBalance:
-    """ΔU = ΔQ − ΔW checked by independent quadratures of dX₀, Q and W."""
+    """ΔU = ΔQ − ΔW checked by independent quadratures of dX₀, Q and W; the
+    residual balances below tol, or below BALANCE_TOL where tol is None."""
     _, legs = _walk(tc, spec, path, params)
     du = _integral(legs, Form.d_coord(tc.chart, tc.energy)).value
     dq = _integral(legs, heat_form(tc)).value
     dw = _integral(legs, work_form(tc)).value
     residual = abs(du - (dq - dw))
-    return FirstLawBalance(du, dq, dw, residual, residual < cfg.balance_tol)
+    balance_tol = BALANCE_TOL if tol is None else tol
+    return FirstLawBalance(du, dq, dw, residual, residual < balance_tol)
 
 
 # the audits' sample points on each leg, t = k/63 (each rounded once)
@@ -712,18 +709,12 @@ def _sampler(coeff, t0: float):
 @record
 class LegAudit:
     def __init__(
-        self, index: int, claim: Optional[str], max_abs_heat: float, sampled_adiabatic: bool
+        self, index: int, claim: Optional[str], max_abs_heat: float,
+        claim_honored: Optional[bool],  # None where the leg claims nothing
     ):
         vars(self).update(
-            index=index, claim=claim, max_abs_heat=max_abs_heat,
-            sampled_adiabatic=sampled_adiabatic,
+            index=index, claim=claim, max_abs_heat=max_abs_heat, claim_honored=claim_honored
         )
-
-    @property
-    def claim_honored(self) -> Optional[bool]:
-        if self.claim != "adiabatic":
-            return None
-        return self.sampled_adiabatic
 
 
 @record
@@ -749,11 +740,13 @@ def cycle_audit(
     spec: LegendreSpec,
     cycle: ProcessPath,
     params: Mapping[str, Fraction],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: Optional[float] = None,
 ) -> CycleAuditReport:
     """Audit a closed cycle: ∮Q = ∮W (exactness of dX₀), per-leg adiabatic
     claims, and the Kelvin configuration (heat absorbed everywhere while net
-    work is extracted) that the Second Law forbids."""
+    work is extracted) that the Second Law forbids.  tol replaces both
+    SAMPLE_TOL and BALANCE_TOL; None keeps them."""
+    sample_tol, balance_tol = (SAMPLE_TOL, BALANCE_TOL) if tol is None else (tol, tol)
     q_total = w_total = 0.0
     q_min = float("inf")
     audits = []
@@ -765,14 +758,15 @@ def cycle_audit(
         samples = [heat_at(t) for t in _SAMPLE_TS]
         q_min = min(q_min, min(samples))
         max_abs = max(abs(v) for v in samples)
-        audits.append(LegAudit(i, seg.claim, max_abs, max_abs < cfg.sample_tol))
+        honored = max_abs < sample_tol if seg.claim == "adiabatic" else None
+        audits.append(LegAudit(i, seg.claim, max_abs, honored))
     residual = abs(q_total - w_total)
-    kelvin = q_min >= -cfg.sample_tol and w_total > cfg.balance_tol
+    kelvin = q_min >= -sample_tol and w_total > balance_tol
     return CycleAuditReport(
         q_total,
         w_total,
         residual,
-        residual < cfg.balance_tol,
+        residual < balance_tol,
         kelvin,
         q_min,
         tuple(audits),
@@ -838,8 +832,7 @@ def adiabatic_entropy_check(
     heat_samples, s_samples = zip(*samples)
     max_heat = max(abs(v) for v in heat_samples)
     drift = max(abs(v - s_samples[0]) for v in s_samples)
-    tol = DEFAULT_QUADRATURE.sample_tol
-    adiabatic = max_heat < tol
+    adiabatic = max_heat < SAMPLE_TOL
     diffs = [b - a for a, b in zip(s_samples, s_samples[1:])]
     violations = ()
     if adiabatic:
@@ -851,7 +844,7 @@ def adiabatic_entropy_check(
     else:
         status = AdiabaticStatus.S_NONMONOTONE
         violations = tuple(i for i, d in enumerate(diffs) if d <= 0.0)
-    leaves_leaf = not adiabatic or drift >= tol
+    leaves_leaf = not adiabatic or drift >= SAMPLE_TOL
     return AdiabaticReport(
         status, max_heat, drift, s_samples[0], s_samples[-1], leaves_leaf, violations
     )

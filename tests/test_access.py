@@ -509,6 +509,7 @@ class LoggedEdges(EdgeRelation):
         return super().le(x, y)
 
 
+@pytest.mark.differential
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(2, 12),

@@ -358,6 +358,23 @@ def test_config_tol_reaches_the_path_audits(tmp_path):
     assert lines[:2] + lines[3:] == flag_lines[:2] + flag_lines[3:]
 
 
+def test_tol_replaces_the_balance_threshold_of_path(tmp_path):
+    # kelvin_trap's First-Law residual is 1.5: it fails the default 1e-8 and
+    # tol 1, and passes tol 2, given as a flag or in [config]
+    source = CORPUS / "kelvin_trap.doc"
+    doc = tmp_path / "kelvin_tol.doc"
+    doc.write_text(source.read_text() + "\n[config]\ntol = 2\n")
+    runs = [run_cli("path", str(source)), run_cli("path", str(source), "--tol", "1"),
+            run_cli("path", str(source), "--tol", "2"), run_cli("path", str(doc))]
+    assert [code for code, _ in runs] == [1, 1, 0, 0]
+    for _, out in runs:
+        assert "balance-residual: 1.5\n" in out
+    (_, flag_out), (_, config_out) = runs[2:]
+    lines, flag_lines = config_out.splitlines(), flag_out.splitlines()
+    assert lines[2] == f"path: {doc}"
+    assert lines[:2] + lines[3:] == flag_lines[:2] + flag_lines[3:]
+
+
 def test_cycle_audit_passes_where_the_heat_form_coordinate_is_fixed(tmp_path):
     # S = 0 on both legs, where T = S^(-1/2) has no value; the heat T dS is
     # exactly zero there, so T is never composed and the audit passes
@@ -771,6 +788,38 @@ IDEAL_GAS_PATHS = (
          "duplicate name 'N'"),
         ("maxwell", "carnot.doc", "heat = T", "heat = Q", "heat = Q",
          "heat pair 'Q' not found"),
+        ("maxwell", "ideal_gas.doc", "pair = T S +", "pair = T 1S +", "pair = T 1S +",
+         "bad identifier '1S'"),
+        ("maxwell", "ideal_gas.doc", "pair = p V -", "pair = p exp -", "pair = p exp -",
+         "'exp' is reserved for the function syntax"),
+        ("maxwell", "ideal_gas.doc", "energy = U", "energy = ln", "energy = ln",
+         "'ln' is reserved for the function syntax"),
+        ("maxwell", "ideal_gas.doc", "R = 1", "R = 1\nln = 2", "ln = 2",
+         "'ln' is reserved for the function syntax"),
+        ("maxwell", "ideal_gas.doc", "R = 1", "R = 1\n2x = 2", "2x = 2",
+         "bad identifier '2x'"),
+        ("frobenius", None, None, "[chart]\ncoords = x 2y\n\n[forms]\nform q : x = 1\n",
+         "coords = x 2y", "bad identifier '2y'"),
+        ("frobenius", None, None, "[chart]\ncoords = x exp\n\n[forms]\nform q : x = 1\n",
+         "coords = x exp", "'exp' is reserved for the function syntax"),
+        ("frobenius", None, None, "[chart]\ncoords =\n\n[forms]\nform w:\n", "coords =",
+         "coords needs at least one name"),
+        ("frobenius", None, None, COORDS_XYZ.replace("\n\n", "\nenergy = U\n\n")
+         + "form q : x = 1\n", "energy = U",
+         "a chart takes coords or an energy and pairs, not both"),
+        ("frobenius", None, None, COORDS_XYZ.replace("\n\n", "\npair = T S +\n\n")
+         + "form q : x = 1\n", "pair = T S +",
+         "a chart takes coords or an energy and pairs, not both"),
+        ("frobenius", None, None, COORDS_XYZ.replace("\n\n", "\nheat = T\n\n")
+         + "form q : x = 1\n", "heat = T",
+         "a chart takes coords or an energy and pairs, not both"),
+        ("frobenius", None, None, "[chart]\nheat = none\ncoords = x y z\n\n[forms]\n"
+         "form q : x = 1\n", "coords = x y z",
+         "a chart takes coords or an energy and pairs, not both"),
+        ("maxwell", "ideal_gas.doc", "heat = T", "heat =", "heat =",
+         "heat needs a pair's name or none"),
+        ("legendre-check", None, None, "[chart]\nheat = T\n\n[spec]\npotential = S\n",
+         "[chart]", "thermo chart needs both energy and pairs"),
         ("galois", "chains.doc", "map F : A -> B :", "map F : A -> B x :",
          "map F : A -> B x : a0 = b0, a1 = b0, a2 = b1", "map needs 'SRC -> DST', each one word"),
         ("galois", "chains.doc", "map F : A -> B :", "map F : A -> B -> A :",
@@ -1335,7 +1384,7 @@ def test_package_import_loads_no_layer_until_a_name_is_read():
 
 
 def test_every_package_export_imports_by_name():
-    assert len(entropykit.__all__) == len(set(entropykit.__all__)) == 77
+    assert len(entropykit.__all__) == len(set(entropykit.__all__)) == 76
     for name in entropykit.__all__:
         namespace = {}
         exec(f"from entropykit import {name}", namespace)
@@ -1832,6 +1881,7 @@ def test_batch_entries_match_their_runs_alone(fmt):
         assert_matches_a_run_alone(entry, command, str(CORPUS / doc), fmt)
 
 
+@pytest.mark.differential
 @settings(max_examples=30, deadline=None)
 @given(order=st.permutations(CORPUS_ENTRIES), fmt=st.sampled_from(["text", "structured"]))
 def test_shuffled_batch_entries_match_their_runs_alone(tmp_path_factory, order, fmt):

@@ -856,6 +856,7 @@ def assert_evaluate_matches_reference(e, point):
     return want
 
 
+@pytest.mark.differential
 @given(ev_sums(), st.fixed_dictionaries({name: EV_VALUES for name in ("x", "y", "a")}))
 @settings(max_examples=400, deadline=None)
 def test_evaluate_matches_the_fraction_fold(e, point):
@@ -973,6 +974,7 @@ def assert_arithmetic_matches_reference(op):
     return got
 
 
+@pytest.mark.differential
 @given(st.sampled_from([small_sums, polynomials, t_sums]), st.data())
 @settings(max_examples=300, deadline=None)
 def test_products_and_sums_match_the_fraction_merge(sums, data):

@@ -808,6 +808,7 @@ def contact_candidates(draw):
     return Form(chart, 1, coeffs), n
 
 
+@pytest.mark.differential
 @given(contact_candidates())
 @settings(max_examples=200, deadline=None)
 def test_contact_check_matches_the_full_chain_reference(case):
@@ -838,6 +839,7 @@ def pullback_cases(draw):
     return SmoothMap(src, dst, comps), Form(dst, degree, coeffs)
 
 
+@pytest.mark.differential
 @given(pullback_cases())
 @settings(max_examples=200, deadline=None)
 def test_pullback_matches_the_every_partial_reference(case):

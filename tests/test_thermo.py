@@ -133,6 +133,7 @@ def thermo_cases(draw, atoms=ATOMS):
     return tc, parse(potential, tc.base_chart), sorted(swap)
 
 
+@pytest.mark.differential
 @given(thermo_cases())
 @settings(max_examples=150, deadline=None)
 def test_first_law_form_matches_the_chained_reference(case):
@@ -148,6 +149,7 @@ def test_first_law_form_matches_the_chained_reference(case):
     assert_same_contact(contact_check(theta, tc.n), reference)
 
 
+@pytest.mark.differential
 @given(thermo_cases())
 @settings(max_examples=150, deadline=None)
 def test_legendre_transform_verdicts_match_the_general_checks(case):
@@ -331,6 +333,7 @@ def assert_residual_is_the_pullback(tc, spec):
     return report
 
 
+@pytest.mark.differential
 @given(thermo_cases())
 @settings(max_examples=150, deadline=None)
 def test_legendre_residual_matches_the_pullback_reference(case):
@@ -401,6 +404,7 @@ def assert_identities_are_the_reference(tc, potential):
     return got[0]
 
 
+@pytest.mark.differential
 @given(thermo_cases(WIDE_ATOMS))
 @settings(max_examples=150, deadline=None)
 def test_maxwell_identities_match_the_twice_differentiated_reference(case):
@@ -739,29 +743,25 @@ def test_cycle_audit_honest_cooling_plus_candidate_adiabat():
 
 
 FAKE = ThermoChart("U", (("T", "S", 1), ("p", "V", -1)), heat=0)
+# unphysical state equations (not a Legendre submanifold): temperature
+# changes sign so heat is absorbed on every leg of KELVIN_CYCLE while net
+# work is positive
+KELVIN_SPEC = LegendreSpec.from_state_equations(
+    {"T": parse("S*(3 - 2*V)", FAKE.base_chart), "p": parse("S*V", FAKE.base_chart)}
+)
+KELVIN_CYCLE = ProcessPath(
+    FAKE.base_chart,
+    tuple(
+        ProcessPath.line(FAKE.base_chart, {"S": F(s1), "V": F(v1)}, {"S": F(s2), "V": F(v2)})
+        for (s1, v1), (s2, v2) in [((1, 1), (2, 1)), ((2, 1), (2, 2)), ((2, 2), (1, 2)),
+                                   ((1, 2), (1, 1))]
+    ),
+)
 
 
 def test_cycle_audit_flags_planted_kelvin_violation():
-    # unphysical state equations (not a Legendre submanifold): temperature
-    # changes sign so heat is absorbed on every leg while net work is positive
-    base = FAKE.base_chart
-    spec = LegendreSpec.from_state_equations(
-        {"T": parse("S*(3 - 2*V)", base), "p": parse("S*V", base)}
-    )
-    assert not check_legendre(FAKE, spec).ok
-    cycle = ProcessPath(
-        base,
-        tuple(
-            ProcessPath.line(base, a, b)
-            for a, b in [
-                ({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(1)}),
-                ({"S": F(2), "V": F(1)}, {"S": F(2), "V": F(2)}),
-                ({"S": F(2), "V": F(2)}, {"S": F(1), "V": F(2)}),
-                ({"S": F(1), "V": F(2)}, {"S": F(1), "V": F(1)}),
-            ]
-        ),
-    )
-    report = cycle_audit(FAKE, spec, cycle, {})
+    assert not check_legendre(FAKE, KELVIN_SPEC).ok
+    report = cycle_audit(FAKE, KELVIN_SPEC, KELVIN_CYCLE, {})
     assert report.kelvin_violation
     assert report.heat_sample_min >= -1e-9
     assert report.work > 1.0
@@ -777,6 +777,67 @@ def test_cycle_audit_requires_closed_path():
             line_path({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(1)}),
             PARAMS,
         )
+
+
+def test_cycle_audit_checks_continuity_once_before_closure(monkeypatch):
+    checks = []
+    real_check = ProcessPath.check_continuity
+
+    def counting_check(self, params):
+        checks.append(self)
+        return real_check(self, params)
+
+    monkeypatch.setattr(ProcessPath, "check_continuity", counting_check)
+    # the gap at the second leg's start raises before the open ends are seen
+    gap = line_path({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(1)})
+    gap = ProcessPath(gap.base_chart, gap.segments + line_path(
+        {"S": F(3), "V": F(1)}, {"S": F(3), "V": F(2)}, {"S": F(1), "V": F(1)}).segments)
+    with pytest.raises(ThermoError, match="do not join"):
+        cycle_audit(STD, IDEAL_GAS, gap, PARAMS)
+    assert checks == [gap]
+    checks.clear()
+    rectangle = carnot_rectangle(F(1), F(2), F(1), F(2))
+    assert cycle_audit(STD, IDEAL_GAS, rectangle, PARAMS).balance_ok
+    assert checks == [rectangle]
+
+
+# the least float above 1.5, kelvin_trap's First-Law and cycle residual
+ABOVE_RESIDUAL = math.nextafter(1.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "sample_tol, balance_tol, tol",
+    [(1e-9, 1e-8, None), (2.5, 1.0, None), (1.0, 2.5, None), (1e-9, 1e-8, 0.0),
+     (1e-9, 1e-8, 1.5), (1e-9, 1e-8, ABOVE_RESIDUAL), (1e-9, 1e-8, 2.5)],
+)
+def test_path_audits_compare_with_the_module_thresholds_or_the_given_tol(
+    monkeypatch, sample_tol, balance_tol, tol
+):
+    # tol=None reads SAMPLE_TOL and BALANCE_TOL (set here), and a given tol
+    # replaces both; kelvin_trap's legs have max|Q| 2, 0, 2, 0 and heat and
+    # work 3 and 1.5, so each threshold moves some verdict
+    assert (thermo.SAMPLE_TOL, thermo.BALANCE_TOL) == (1e-9, 1e-8)
+    monkeypatch.setattr(thermo, "SAMPLE_TOL", sample_tol)
+    monkeypatch.setattr(thermo, "BALANCE_TOL", balance_tol)
+    if tol is not None:
+        sample_tol = balance_tol = tol
+    balance = first_law_balance(FAKE, KELVIN_SPEC, KELVIN_CYCLE, {}, tol)
+    assert balance.residual == 1.5
+    assert balance.ok is (1.5 < balance_tol)
+    claimed = ProcessPath(FAKE.base_chart, tuple(
+        PathSegment(seg.components, "adiabatic") for seg in KELVIN_CYCLE.segments))
+    audit = cycle_audit(FAKE, KELVIN_SPEC, claimed, {}, tol)
+    assert (audit.heat, audit.work, audit.balance_residual) == (3.0, 1.5, 1.5)
+    assert audit.balance_ok is (1.5 < balance_tol)
+    assert [leg.max_abs_heat for leg in audit.legs] == [2.0, 0.0, 2.0, 0.0]
+    assert [leg.claim_honored for leg in audit.legs] == [
+        2.0 < sample_tol, 0.0 < sample_tol, 2.0 < sample_tol, 0.0 < sample_tol]
+    assert audit.kelvin_violation is (1.5 > balance_tol)
+    # the entropy check's samples read SAMPLE_TOL alone
+    report = adiabatic_entropy_check(STD, IDEAL_GAS, carnot_rectangle(
+        F(1), F(2), F(1), F(2)), S_COORD, PARAMS)
+    assert (report.status is AdiabaticStatus.QUASI_STATIC_ADIABATIC) is (
+        report.max_abs_heat < thermo.SAMPLE_TOL)
 
 
 def test_a_leg_constant_in_t_is_converted_to_float_once(monkeypatch):
