@@ -5,8 +5,10 @@ Exit codes: 0 all verdicts pass, 1 at least one failure, 2 usage or parse
 error, 3 no failures but at least one verdict rests on sampling
 (probably-zero) rather than structural certainty.
 
-CERTAIN or SAMPLED comes from expr.first_nonzero or forms._nonvanishing,
-and a verdict's status from one place, Report.set_status.
+CERTAIN or SAMPLED comes from expr.first_nonzero, or from
+forms._nonvanishing, which samples a factor only where expr.term_sign
+cannot prove it one-signed; a verdict's status comes from one place,
+Report.set_status.
 
 A command imports what it calls from forms, thermo, access or galois when
 it runs, and documents loads the layers its sections build, so a run loads

@@ -54,8 +54,11 @@ the rewritten expression.
 is_zero decides whether an expression vanishes, structurally or by seeded
 sampling.  first_nonzero turns a residual's zero tests into a Confidence:
 CERTAIN when every test it ran was structural or found a nonzero value,
-SAMPLED when a vanishing verdict rests on samples; forms._nonvanishing
-does the same for a factor that must not vanish.
+SAMPLED when a vanishing verdict rests on samples.  term_sign reads a sign
+on the positive orthant off the terms alone (every term of one sign, every
+factor base positive), and forms._nonvanishing, which turns the test that
+a factor never vanishes into a Confidence, is CERTAIN where term_sign
+decides and samples only where it cannot.
 """
 
 from __future__ import annotations
@@ -1112,6 +1115,29 @@ def exp(e: Expr) -> Expr:
     if e.is_zero_expr():
         return e.chart.one()
     return Expr._monomial(e.chart, 1, [(_Exp(e), 1)])
+
+
+def term_sign(e: Expr) -> int:
+    """+1 or -1 where e has that sign on the open positive orthant by its
+    terms alone, else 0.
+
+    A factor whose base is a coordinate, a parameter, an exp atom, or an
+    opaque power of a base with sign +1 by this rule is positive wherever it
+    is defined, so a term made only of such factors has its coefficient's
+    sign, and a sum of terms that share one sign has it too.  ln factors
+    take either sign, so a term holding one gives 0, as does the zero
+    expression and a sum with terms of both signs.
+    """
+    sign = 0
+    for t in e.terms:
+        s = 1 if t.coeff > 0 else -1
+        if sign not in (0, s):
+            return 0
+        for b, _ in t.factors:
+            if isinstance(b, _Ln) or isinstance(b, _Pow) and term_sign(b.base) != 1:
+                return 0
+        sign = s
+    return sign
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ exact zero testing inconclusive; CERTAIN means every underlying zero test
 was structural, SAMPLED means at least one relied on random-point
 evaluation.  Every residual check (here and in thermo) reduces its verdict
 to "does each of these coefficients vanish?" and decides CERTAIN vs SAMPLED
-in expr.first_nonzero, or in _nonvanishing for a factor that must not
-vanish.
+in expr.first_nonzero.  A factor that must not vanish (contact_check's top
+coefficient, an integrating factor, a symmetry's multiplier) goes to
+_nonvanishing, which is CERTAIN where expr.term_sign proves it one-signed
+on the positive domain and samples it, SAMPLED, everywhere else.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .expr import (
     first_nonzero,
     record,
     sample_values,
+    term_sign,
 )
 
 
@@ -344,14 +347,16 @@ class ContactResult:
 
 
 def _nonvanishing(e: Expr, config: ZeroTestConfig):
-    """(verdict, confidence, witness): does e stay away from zero on samples?
+    """(verdict, confidence, witness): does e stay away from zero?
 
-    A nonzero constant or a single monomial never vanishes on the positive
-    domain; everything else is sampled.
+    The zero expression vanishes, and an e whose terms give it one sign on
+    the positive domain (expr.term_sign: a nonzero constant, or a sum of
+    same-sign terms over coordinates, parameters, exp atoms and powers of
+    positive bases) never does, both CERTAIN; everything else is sampled.
     """
     if e.is_zero_expr():
         return False, Confidence.CERTAIN, None
-    if len(e.terms) == 1 and all(isinstance(b, str) for b, _ in e.terms[0].factors):
+    if term_sign(e):
         return True, Confidence.CERTAIN, None
     for point, value in sample_values(e, config):
         if abs(value) <= config.tol:

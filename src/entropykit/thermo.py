@@ -17,9 +17,12 @@ state-equation spec's identities are computed, and only they may sample.
 
 Every path verdict takes one leg walk, `_walk`: it checks that the path
 joins up in the chart's extensive coordinates (and, for a cycle, that the
-ends this check returns meet), builds the one inclusion Φ of the Legendre
-manifold, and hands the verdict each leg with the compiled dt-coefficient
-of each form pulled back along it.  The audits compare float samples with
+ends this check returns meet), starts one `_Graph` of Φ's components, and
+hands the verdict each leg with the compiled dt-coefficient of each form
+pulled back along it.  The graph builds each state equation on its first
+read, so a verdict builds only those its forms read, once each; and
+`adiabatic_entropy_check` reads Φ*Q = σ_h P_h dX_h off it, with no
+pullback.  The audits compare float samples with
 SAMPLE_TOL and residuals with BALANCE_TOL; a run's tol replaces both.
 Path integrals run `quadpack.qags`, a port of QUADPACK's QAGS
 (Piessens, de Doncker-Kapenga, Überhuber and Kahaner, 1983) that gives the
@@ -53,7 +56,6 @@ from .forms import (
     SmoothMap,
     SymmetryResult,
     SymmetryStatus,
-    pullback,
     verify_integrating_factor,
 )
 
@@ -206,12 +208,35 @@ class LegendreSpec:
         return _reconstruct_energy(tc, self.state_equations(tc))
 
     def inclusion(self, tc: ThermoChart) -> SmoothMap:
-        """Φ: extensive chart → full chart cut out by these equations."""
+        """Φ: extensive chart → full chart cut out by these equations, every
+        component of its _Graph built."""
+        graph = _Graph(tc, self)
+        for p in tc.intensives:
+            graph[p]  # builds a potential spec's state equation
+        return SmoothMap(tc.base_chart, tc.chart, graph)
+
+
+class _Graph(dict):
+    """The components of Φ(X) = (E(X), X, P(X)), by full-chart coordinate.
+    On a potential spec each state equation P_i = σ_i ∂E/∂X_i is built on
+    its first read, so a path verdict builds only those its forms read, once
+    each (LegendreSpec.inclusion reads them all).  The energy is built up
+    front: a state-equation spec reconstructs it here, so a spec whose
+    energy cannot be rebuilt stops every path verdict, whatever its forms
+    read."""
+
+    def __init__(self, tc: ThermoChart, spec: LegendreSpec):
         base = tc.base_chart
-        comps = {x: base.var(x) for x in tc.extensives}
-        comps[tc.energy] = self.energy_expr(tc)
-        comps.update(self.state_equations(tc))
-        return SmoothMap(base, tc.chart, comps)
+        super().__init__({x: base.var(x) for x in tc.extensives})
+        self[tc.energy] = self.energy = spec.energy_expr(tc)
+        if spec.equations is not None:
+            self.update(spec.equations)
+        self.pairs = {p: (x, s) for p, x, s in tc.pairs}
+
+    def __missing__(self, name: str) -> Expr:
+        x, s = self.pairs[name]
+        self[name] = self.energy.diff(x) * s
+        return self[name]
 
 
 def _antiderivative(e: Expr, x: str) -> Expr:
@@ -565,15 +590,15 @@ class PathIntegral:
 
 
 def _leg_coefficient(
-    inclusion: SmoothMap, path: ProcessPath, seg: PathSegment, form: Form
+    comps: Mapping[str, Expr], path: ProcessPath, seg: PathSegment, form: Form
 ) -> Expr:
     """dt-coefficient of a 1-form pulled back along one segment γ of a path
-    on the Legendre manifold, t ↦ Φ(γ(t)): the same Expr as
+    on the Legendre manifold, t ↦ Φ(γ(t)), for Φ's components comps (by
+    full-chart coordinate): the same Expr as
     pullback(Φ ∘ segment map, form).coefficient((0,)), composing only the
     components the form reads (its index coordinates and the free symbols
     of its coefficients).  A coefficient whose index coordinate is fixed
     along the leg contributes exactly zero, so it is not composed at all."""
-    comps = inclusion.components
 
     def on_leg(name: str) -> Expr:
         return comps[name].subs(seg.components, path.t_chart)
@@ -584,7 +609,7 @@ def _leg_coefficient(
         rate = on_leg(coords[i]).diff(T_CHART_NAME)
         if not rate.terms:
             continue
-        mapping = {n: on_leg(n) for n in coeff.free_symbols() if n in comps}
+        mapping = {n: on_leg(n) for n in coeff.free_symbols() if n in coords}
         total = total + coeff.subs(mapping, path.t_chart) * rate
     return total
 
@@ -613,9 +638,10 @@ def _integrate_segment(integrand):
 def _walk(tc: ThermoChart, spec: LegendreSpec, path: ProcessPath, params, cycle=False):
     """The one walk of every path verdict: check that the path joins up (and,
     for a cycle, that the ends check_continuity returns meet) in the chart's
-    extensive coordinates, then build the one inclusion Φ.  Returns Φ and
-    legs(*forms), which yields each segment with the compiled dt-coefficient
-    of each form (built after the checks)."""
+    extensive coordinates, then start the one _Graph of Φ's components,
+    each built on its first read.  Returns the graph and legs(*forms), which
+    yields each segment with the compiled dt-coefficient of each form (built
+    after the checks)."""
     start, end = path.check_continuity(params)
     if cycle and not all(
         abs(float(start[n]) - float(end[n])) <= CLOSURE_TOL for n in path.base_chart.coords
@@ -623,16 +649,16 @@ def _walk(tc: ThermoChart, spec: LegendreSpec, path: ProcessPath, params, cycle=
         raise ThermoError("cycle_audit requires a closed path")
     if path.base_chart != tc.base_chart:
         raise ThermoError("path does not live in the chart's extensive coordinates")
-    inclusion = spec.inclusion(tc)
+    graph = _Graph(tc, spec)
 
     def legs(*forms):
         for seg in path.segments:
             yield seg, [
-                _leg_coefficient(inclusion, path, seg, form).compile(params, T_CHART_NAME)
+                _leg_coefficient(graph, path, seg, form).compile(params, T_CHART_NAME)
                 for form in forms
             ]
 
-    return inclusion, legs
+    return graph, legs
 
 
 def _integral(legs, form: Form) -> PathIntegral:
@@ -799,6 +825,15 @@ class AdiabaticReport:
         )
 
 
+def _graph_heat(tc: ThermoChart, graph: Mapping[str, Expr]) -> Form:
+    """Φ*Q read off the graph: Q = σ_h P_h dX_h pulls back to
+    σ_h P_h(X) dX_h on the base chart, the same Form as
+    pullback(spec.inclusion(tc), heat_form(tc))."""
+    p, x, s = tc.pairs[tc.heat]
+    base = tc.base_chart
+    return Form._built(base, 1, {(base.index(x),): graph[p] * s})
+
+
 def adiabatic_entropy_check(
     tc: ThermoChart,
     spec: LegendreSpec,
@@ -815,10 +850,10 @@ def adiabatic_entropy_check(
     """
     if entropy.chart != tc.base_chart:
         raise ThermoError("entropy must be a function of the extensive coordinates")
-    inclusion, legs = _walk(tc, spec, path, params)
+    graph, legs = _walk(tc, spec, path, params)
     qf = heat_form(tc)
     p, _, _ = tc.pairs[tc.heat]
-    cert = verify_integrating_factor(pullback(inclusion, qf), inclusion(p), entropy)
+    cert = verify_integrating_factor(_graph_heat(tc, graph), graph[p], entropy)
     if not cert.ok:
         raise ThermoError(
             f"Q = T dS not certified for the supplied entropy ({cert.status.value})"

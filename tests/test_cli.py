@@ -1576,6 +1576,17 @@ def test_sampled_failure_is_inconclusive(tmp_path):
     assert code == 3
 
 
+def test_a_one_signed_top_coefficient_is_certain(tmp_path):
+    # exp(x) dz - y dx has the top coefficient exp(x), positive by its terms,
+    # so the CONTACT verdict rests on no sample
+    doc = tmp_path / "exp_contact.doc"
+    doc.write_text("[chart]\ncoords = x y z\n\n[forms]\nform q : z = exp(x), x = -y\n")
+    code, text = run_cli("contact-check", str(doc))
+    assert "\nverdict: CONTACT\ncertainty: certain\ntop-coefficient: exp(x)\n" in text
+    assert "status: pass" in text
+    assert code == 0
+
+
 def test_potential_command_reports_all_rows():
     code, text = run_cli(
         "potential", str(CORPUS / "potentials.doc"), "--format", "structured"

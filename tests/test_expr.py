@@ -24,6 +24,7 @@ from entropykit.expr import (
     is_zero,
     ln,
     parse,
+    term_sign,
 )
 # the canonical order and the cached term keys are checked directly
 from entropykit.expr import _Pow, _Term, _base_key, _nth_root, _pieces, _term_key
@@ -1120,3 +1121,80 @@ def test_root_of_an_index_past_the_base_size_is_left_opaque():
     # search once raised 2 to the k-th power here, running out of memory
     assert _nth_root(2, 10**20) is None
     assert str(parse("2^(1/99999999999999999999)", XY)) == "(2)^(1/99999999999999999999)"
+
+
+# -- term signs on the positive orthant ----------------------------------------------
+
+SIGNS = Chart(("x", "y"), ("a",))
+# factors whose base is positive on the orthant, and (last) ones that are not
+POSITIVE_ATOMS = ("{u}", "{u}^(-2)", "{u}^(3/2)", "a", "exp({u} - 2*{v})", "exp(-{u}*a)",
+                  "({u} + 2*{v})^(-1/2)", "({u} + a*{v}^2)^(1/3)",
+                  "(({u} + {v})^(1/2) + exp(-{v}))^(-3/2)")
+OTHER_ATOMS = ("ln({u})", "({u} - {v})^(1/3)", "(1 - {u})^(-1)", "(exp({u}) - 2)^(1/2)")
+MAGNITUDES = ("1", "2/7", "5", "1/1000000000000")
+
+
+@st.composite
+def signed_sums(draw, one_signed=False):
+    """A sum of 1-3 monomials over SIGNS: a coefficient times 0-3 atoms.
+    With one_signed every coefficient has one sign and every atom a positive
+    base; otherwise signs are drawn per term, shared by half the sums, and
+    some atoms may be ln or a power of a base of either sign."""
+    atoms = POSITIVE_ATOMS if one_signed else POSITIVE_ATOMS + OTHER_ATOMS
+    shared = draw(st.sampled_from(["", "-"]))
+    same = one_signed or draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        sign = shared if same else draw(st.sampled_from(["", "-"]))
+        factors = [sign + draw(st.sampled_from(MAGNITUDES))]
+        for _ in range(draw(st.integers(0, 3))):
+            u, v = draw(st.sampled_from(SIGNS.coords)), draw(st.sampled_from(SIGNS.coords))
+            factors.append(draw(st.sampled_from(atoms)).format(u=u, v=v))
+        terms.append("(" + ")*(".join(factors) + ")")
+    return parse(" + ".join(terms), SIGNS)
+
+
+ORTHANT_POINTS = st.fixed_dictionaries({
+    name: st.builds(F, st.integers(1, 1000), st.integers(100, 1000)) for name in ("x", "y", "a")
+})
+
+
+@pytest.mark.differential
+@given(signed_sums(), st.lists(ORTHANT_POINTS, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_term_sign_is_the_sign_of_every_value(e, points):
+    # wherever the terms decide a sign, exact (or float) evaluation at
+    # rational points of the orthant has it
+    sign = term_sign(e)
+    assert sign in (-1, 0, 1)
+    if sign:
+        for point in points:
+            value = e.evaluate(point)
+            assert (value > 0 if sign > 0 else value < 0), (str(e), point, value)
+
+
+CLAIM_HEAT = (
+    "1/15000000000000*N^(-1)*R^(-1)"
+    "*exp(1/15000000000000*t*N^(-1)*R^(-1) + 2/3*N^(-1)*R^(-1))"
+)
+
+
+@pytest.mark.parametrize(
+    "text, chart, want",
+    [
+        # ln takes either sign: ln(x) < 0 below x = 1
+        ("ln(x)", XY, 0),
+        ("x - 1", XY, 0),
+        # expands to x^2 - 2*x*y + y^2, terms of both signs
+        ("(x - y)^2", XY, 0),
+        ("(x - y)^(1/3)", XY, 0),
+        ("0", XY, 0),
+        ("-2*exp(x)*y^(1/2)", XY, -1),
+        ("(x + y)^(-1/2)", XY, 1),
+        ("x^2 + 1/1000000000000", XY, 1),
+        # the adiabatic-claim document's leg-0 heat coefficient
+        (CLAIM_HEAT, Chart(("t",), ("N", "R")), 1),
+    ],
+)
+def test_term_sign_pinned_cases(text, chart, want):
+    assert term_sign(parse(text, chart)) == want

@@ -14,7 +14,7 @@ from _oracles import (
     reference_pullback,
 )
 from entropykit import expr
-from entropykit.expr import DEFAULT_ZERO_CONFIG, Chart, Expr, ExprError, parse
+from entropykit.expr import DEFAULT_ZERO_CONFIG, Chart, Expr, ExprError, parse, term_sign
 from entropykit.forms import (
     Confidence,
     ContactStatus,
@@ -29,8 +29,8 @@ from entropykit.forms import (
     pullback,
     verify_integrating_factor,
 )
-from entropykit.forms import _merge_indices
-from test_expr import assert_same_terms
+from entropykit.forms import _merge_indices, _nonvanishing
+from test_expr import assert_same_terms, signed_sums
 
 XYZ = Chart(("x", "y", "z"))
 GIBBS = Chart(("U", "S", "V", "T", "p"))
@@ -507,6 +507,14 @@ def test_contact_cartan_form():
     assert r.confidence is Confidence.CERTAIN
 
 
+def test_contact_with_a_one_signed_top_coefficient_is_certain():
+    # exp(x) dz - y dx: the top coefficient exp(x) is positive by its terms
+    theta = Form.one_form(XYZ, {"z": parse("exp(x)", XYZ), "x": parse("-y", XYZ)})
+    r = contact_check(theta, 1)
+    assert (r.status, r.confidence) == (ContactStatus.CONTACT, Confidence.CERTAIN)
+    assert str(r.top_coefficient) == "exp(x)"
+
+
 def test_contact_degenerate_exact_form():
     r = contact_check(dx(XYZ, "z"), 1)
     assert r.status is ContactStatus.DEGENERATE
@@ -598,6 +606,28 @@ def test_integrating_factor_rejects_vanishing_factor():
     assert r.status is FactorStatus.SINGULAR_FACTOR
 
 
+def test_a_small_factor_of_one_sign_is_certain():
+    # 10^-12*exp(x) is below every sample tolerance but never vanishes: its
+    # terms prove it positive, so nothing is sampled
+    xy = Chart(("x", "y"))
+    T = parse("1/1000000000000*exp(x)", xy)
+    r = verify_integrating_factor(dx(xy, "y").scale(T), T, xy.var("y"))
+    assert (r.status, r.confidence) == (FactorStatus.OK, Confidence.CERTAIN)
+
+
+@pytest.mark.differential
+@given(signed_sums(one_signed=True), signed_sums(), st.integers(-12, 12))
+@settings(max_examples=150, deadline=None)
+def test_scaling_a_one_signed_factor_keeps_the_decomposition_certain(T, S, k):
+    # q = T dS at every scale 10^k: q·10^k = (T·10^k) dS stays OK and certain
+    assert term_sign(T)
+    q = Form.from_expr(S).d().scale(T)
+    c = F(10) ** k
+    for form, factor in ((q, T), (q.scale(c), T * c)):
+        r = verify_integrating_factor(form, factor, S)
+        assert (r.status, r.confidence) == (FactorStatus.OK, Confidence.CERTAIN), (str(T), k)
+
+
 # -- contact symmetries ----------------------------------------------------------------
 
 
@@ -677,7 +707,15 @@ def test_symmetry_check_rejects_zero_form():
 
 # -- certainty propagation --------------------------------------------------------------
 # exp(ln(u)) equals u on the positive domain, but the normal form keeps it, so
-# only sampling can judge a residual built from it.
+# only sampling can judge a residual built from it.  exp(ln(u)) is positive by
+# its terms; 2*exp(ln(u)) - u, which equals u, has terms of both signs, so only
+# sampling can judge that it never vanishes.
+
+SAMPLED_Y = "2*exp(ln(y)) - y"
+
+
+def assert_sampled_factor(e):
+    assert _nonvanishing(e, DEFAULT_ZERO_CONFIG)[1:] == (Confidence.SAMPLED, None)
 
 
 def test_integrating_factor_with_sampled_residual_is_sampled():
@@ -690,10 +728,12 @@ def test_integrating_factor_with_sampled_residual_is_sampled():
 
 def test_integrating_factor_certain_failure_overrides_sampled_factor():
     q = dx(XYZ, "x").scale(parse("2*y", XYZ))
-    r = verify_integrating_factor(q, parse("exp(ln(y))", XYZ), XYZ.var("x"))
+    T = parse(SAMPLED_Y, XYZ)
+    assert_sampled_factor(T)
+    r = verify_integrating_factor(q, T, XYZ.var("x"))
     assert r.status is FactorStatus.FAIL
     assert r.confidence is Confidence.CERTAIN
-    assert r.witness == ((0,), parse("2*y - exp(ln(y))", XYZ))
+    assert r.witness == ((0,), parse("3*y - 2*exp(ln(y))", XYZ))
 
 
 def test_frobenius_with_sampled_obstruction_is_sampled():
@@ -719,12 +759,13 @@ def counting_zero_tests(monkeypatch):
 def test_contact_symmetry_with_sampled_multiplier_is_sampled(monkeypatch):
     tested = counting_zero_tests(monkeypatch)
     phi = SmoothMap(
-        JET, JET, {"x": JET.var("x"), "y": parse("exp(ln(y))", JET), "p": JET.var("p")}
+        JET, JET, {"x": JET.var("x"), "y": parse(SAMPLED_Y, JET), "p": JET.var("p")}
     )
     r = contact_symmetry_check(phi, cartan())
     assert r.status is SymmetryStatus.SYMMETRY
     assert r.confidence is Confidence.SAMPLED
-    assert r.factor == parse("exp(ln(y))/y", JET)
+    assert r.factor == parse("2*exp(ln(y))/y - 1", JET)
+    assert_sampled_factor(r.factor)
     assert len(tested) == 2  # one residual per basis index
 
 
@@ -741,9 +782,10 @@ def test_contact_symmetry_stops_at_first_certain_nonzero_residual(monkeypatch):
     # a sampled multiplier does not make a certain residual failure sampled
     tested.clear()
     phi = SmoothMap(
-        JET, JET, {"x": JET.var("x"), "y": parse("exp(ln(y))", JET), "p": parse("2*p", JET)}
+        JET, JET, {"x": JET.var("x"), "y": parse(SAMPLED_Y, JET), "p": parse("2*p", JET)}
     )
     r = contact_symmetry_check(phi, cartan())
+    assert_sampled_factor(r.factor)
     assert r.status is SymmetryStatus.NOT_SYMMETRY
     assert r.confidence is Confidence.CERTAIN
     assert r.witness[0] == (0,)

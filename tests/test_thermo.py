@@ -173,9 +173,9 @@ def test_legendre_transform_neither_pulls_back_nor_wedges(monkeypatch):
     def refuse(*args):
         raise AssertionError("legendre_transform ran a general check")
 
-    for module, name in ((forms, "pullback"), (thermo, "pullback"),
-                         (forms, "contact_check"), (forms, "contact_symmetry_check")):
-        monkeypatch.setattr(module, name, refuse)
+    assert not hasattr(thermo, "pullback")  # thermo imports no pullback to call
+    for name in ("pullback", "contact_check", "contact_symmetry_check"):
+        monkeypatch.setattr(forms, name, refuse)
     monkeypatch.setattr(Form, "wedge", refuse)
     result = legendre_transform(tc, [0, 2, 3])
     assert result.contact.contact and result.symmetry.symmetry
@@ -374,7 +374,7 @@ def test_check_legendre_on_a_potential_spec_pulls_nothing_back(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(forms, "pullback", counting("pullback", forms.pullback))
-    monkeypatch.setattr(thermo, "pullback", counting("pullback", thermo.pullback))
+    assert not hasattr(thermo, "pullback")  # thermo imports no pullback to call
     monkeypatch.setattr(
         thermo, "first_law_form", counting("first_law_form", thermo.first_law_form)
     )
@@ -1084,7 +1084,7 @@ def test_leg_coefficients_match_pullback_through_composed_map():
         s1, v1 = F(rng.randint(2, 8), 4), F(rng.randint(2, 8), 4)
         s2, v2 = s1 + F(rng.randint(1, 6), 4), v1 + F(rng.randint(1, 6), 4)
         for path in (line_path(a, b), line_path(a, via, b), carnot_rectangle(s1, s2, v1, v2)):
-            inclusion = spec.inclusion(STD)
+            inclusion = spec.inclusion(STD).components
             for seg in path.segments:
                 full_map = compose_smooth_maps(
                     spec.inclusion(STD),
@@ -1097,45 +1097,59 @@ def test_leg_coefficients_match_pullback_through_composed_map():
                     assert str(got) == str(want)
 
 
-def test_path_code_builds_one_inclusion_and_composes_only_what_it_reads(monkeypatch):
+def test_path_code_builds_each_state_equation_once_where_a_form_reads_it(monkeypatch):
     from entropykit.expr import Expr
 
-    inclusions = []
+    graphs = []
+    built = []
     composed = []
-    real_inclusion = LegendreSpec.inclusion
+    real_init = thermo._Graph.__init__
+    real_missing = thermo._Graph.__missing__
     real_subs = Expr.subs
 
-    def counting_inclusion(self, tc):
-        phi = real_inclusion(self, tc)
-        inclusions.append(phi)
-        return phi
+    def watching_init(self, tc, spec):
+        real_init(self, tc, spec)
+        graphs.append(self)
+
+    def counting_missing(self, name):
+        built.append(name)
+        return real_missing(self, name)
 
     def counting_subs(self, mapping, chart=None):
-        # a composition substitutes a segment into an inclusion component
+        # a composition substitutes a segment into a component of Φ
         if chart is not None and chart.coords == ("t",):
-            for phi in inclusions:
-                for name, comp in phi.components.items():
+            for graph in graphs:
+                for name, comp in graph.items():
                     if self is comp:
                         segment = tuple(sorted((k, str(v)) for k, v in mapping.items()))
                         composed.append((name, segment))
         return real_subs(self, mapping, chart)
 
-    monkeypatch.setattr(LegendreSpec, "inclusion", counting_inclusion)
+    def refuse(self, tc):
+        raise AssertionError("a path verdict built the whole inclusion")
+
+    monkeypatch.setattr(thermo._Graph, "__init__", watching_init)
+    monkeypatch.setattr(thermo._Graph, "__missing__", counting_missing)
+    monkeypatch.setattr(LegendreSpec, "inclusion", refuse)
     monkeypatch.setattr(Expr, "subs", counting_subs)
     detour = line_path(
         {"S": F(1), "V": F(1)}, {"S": F(2), "V": F(3, 2)}, {"S": F(5, 2), "V": F(2)}
     )
     isentropic = line_path({"S": F(3, 2), "V": F(1)}, {"S": F(3, 2), "V": F(3)})
     rectangle = carnot_rectangle(F(1), F(2), F(1), F(2))
-    for run in (
-        lambda: first_law_balance(STD, IDEAL_GAS, detour, PARAMS),
-        lambda: adiabatic_entropy_check(STD, IDEAL_GAS, isentropic, S_COORD, PARAMS),
-        lambda: cycle_audit(STD, IDEAL_GAS, rectangle, PARAMS),
+    # each state equation is built at most once per verdict, and only where a
+    # form reads it: ΔQ reads T and ΔW reads p, the certificate Q = T dS only T
+    for run, want in (
+        (lambda: first_law_balance(STD, IDEAL_GAS, detour, PARAMS), ["T", "p"]),
+        (lambda: adiabatic_entropy_check(STD, IDEAL_GAS, isentropic, S_COORD, PARAMS), ["T"]),
+        (lambda: cycle_audit(STD, IDEAL_GAS, rectangle, PARAMS), ["T", "p"]),
     ):
-        inclusions.clear()
+        graphs.clear()
+        built.clear()
         composed.clear()
         run()
-        assert len(inclusions) == 1
+        assert len(graphs) == 1
+        assert built == want
         assert composed and len(composed) == len(set(composed))
     # a leg along which a form's coordinate is fixed contributes zero, so its
     # coefficient is not composed: T only where S moves, p only where V moves
@@ -1147,11 +1161,57 @@ def test_path_code_builds_one_inclusion_and_composes_only_what_it_reads(monkeypa
     composed.clear()
     adiabatic_entropy_check(STD, IDEAL_GAS, isentropic, S_COORD, PARAMS)
     assert {name for name, _ in composed} == {"S"}
-    inclusions.clear()
+    # ∫dU reads the energy alone: neither T nor p is built
+    graphs.clear()
+    built.clear()
     composed.clear()
     path_integral(STD, IDEAL_GAS, detour, Form.d_coord(STD.chart, "U"), PARAMS)
+    assert built == []
     assert {name for name, _ in composed} == {"U"}
     assert len(composed) == len(detour.segments)
+
+
+def test_a_spec_whose_energy_cannot_be_rebuilt_stops_every_path_verdict():
+    # exp(S*V) has no term-wise antiderivative in S, so X₀ cannot be rebuilt:
+    # each verdict stops with that error, also one whose forms never read X₀
+    base = STD.base_chart
+    spec = LegendreSpec.from_state_equations({"T": parse("exp(S*V)", base), "p": base.var("V")})
+    path = line_path({"S": F(1), "V": F(1)}, {"S": F(2), "V": F(2)})
+    rectangle = carnot_rectangle(F(1), F(2), F(1), F(2))
+    for run in (
+        lambda: path_integral(STD, spec, path, Form.d_coord(STD.chart, "V"), PARAMS),
+        lambda: first_law_balance(STD, spec, path, PARAMS),
+        lambda: cycle_audit(STD, spec, rectangle, PARAMS),
+        lambda: adiabatic_entropy_check(STD, spec, path, S_COORD, PARAMS),
+    ):
+        with pytest.raises(ThermoError, match="cannot symbolically integrate"):
+            run()
+
+
+@pytest.mark.differential
+@given(thermo_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_heat_read_off_the_graph_is_the_pullback(case, data):
+    # Φ*Q = σ_h P_h dX_h, key for key the pullback of Q along the whole
+    # inclusion: on a potential spec, on its state equations with and
+    # without the potential given, and with the heat equation zero
+    tc, potential, _ = case
+    if tc.heat is None:
+        tc = ThermoChart(tc.energy, tc.pairs, tc.params, data.draw(st.integers(0, tc.n - 1)))
+    spec = LegendreSpec.from_potential(potential)
+    eqs = spec.state_equations(tc)
+    zero_heat = {**eqs, tc.pairs[tc.heat][0]: tc.base_chart.zero()}
+    for s in (
+        spec, LegendreSpec.from_state_equations(eqs),
+        LegendreSpec.from_state_equations(eqs, energy=potential),
+        LegendreSpec.from_state_equations(zero_heat, energy=potential),
+    ):
+        try:
+            graph = thermo._Graph(tc, s)
+        except ThermoError:  # an energy that cannot be rebuilt
+            continue
+        want = forms.pullback(s.inclusion(tc), heat_form(tc))
+        assert_same_form(thermo._graph_heat(tc, graph), want)
 
 
 def test_first_law_balance_keeps_path_checks(monkeypatch):
@@ -1204,7 +1264,7 @@ def test_compiled_leg_coefficients_match_evaluate(seed, floats, steps):
         line_path(a, b), line_path(a, via, b),
         carnot_rectangle(s1, s1 + F(rng.randint(1, 6), 4), v1, v1 + F(rng.randint(1, 6), 4)),
     ))
-    inclusion = spec.inclusion(STD)
+    inclusion = spec.inclusion(STD).components
     ts = floats + [0.0, 1.0] + [_SAMPLE_TS[k] for k in steps]
     for seg in path.segments:
         for form in (Form.d_coord(STD.chart, "U"), heat_form(STD), work_form(STD)):
@@ -1261,7 +1321,7 @@ def test_path_verdicts_match_a_per_form_per_leg_reference(seed):
     ))
     path = line_path(*points)
     forms = (Form.d_coord(STD.chart, "U"), heat_form(STD), work_form(STD))
-    inclusion = spec.inclusion(STD)
+    inclusion = spec.inclusion(STD).components
     legs = [
         [_leg_coefficient(inclusion, path, seg, form).compile(params, "t") for form in forms]
         for seg in path.segments
